@@ -1,0 +1,17 @@
+"""Make the benchmark's modules and the program importable.
+
+Run from the repository root::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
