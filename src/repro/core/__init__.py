@@ -1,5 +1,7 @@
 """The paper's contribution: the hybrid CPU-GPU B+-tree.
 
+* :mod:`repro.core.hybrid` — the base both hybrid trees share (the
+  section 5.4 bucket flow and the T1-T4 cost model),
 * :mod:`repro.core.hbtree_implicit` — implicit HB+-tree (section 5.2),
 * :mod:`repro.core.hbtree` — regular HB+-tree,
 * :mod:`repro.core.buckets` / :mod:`repro.core.pipeline` — bucket
@@ -8,14 +10,14 @@
 * :mod:`repro.core.load_balance` — the D/R load balancing scheme and
   its discovery algorithm (section 5.5, Algorithm 1),
 * :mod:`repro.core.update` — batch update execution (section 5.6),
-* :mod:`repro.core.batching` — sorted/deduplicated bucket execution
-  (coalescing-aware batch engine; DESIGN.md §8),
-* :mod:`repro.core.overlap` — the *real* overlapped pipeline: a
-  double-buffered, multi-threaded CPU<->GPU engine executing buckets
-  through actual worker threads (DESIGN.md §9),
-* :mod:`repro.core.resilience` — fault-tolerant execution: retries,
-  mirror checksum repair, circuit-breaker degradation to CPU-only
-  service and recovery (beyond the paper; see DESIGN.md §7).
+* :mod:`repro.core.batching` — sorted/deduplicated bucket execution,
+  the one bucket pipeline every serving path runs (DESIGN.md §8),
+* :mod:`repro.core.overlap` — the same engine with a threaded
+  executor: double-buffered CPU<->GPU lookups through actual worker
+  threads (DESIGN.md §9),
+* :mod:`repro.core.resilience` — fault-tolerant execution around an
+  engine: retries, mirror checksum repair, circuit-breaker degradation
+  to CPU-only service and recovery (beyond the paper; DESIGN.md §7).
 """
 
 from repro.core.batching import (

@@ -24,16 +24,22 @@ same transaction model, surfacing the sorted-vs-unsorted delta through
 the aggregated :class:`BatchStats`, which is how ``bucket_costs`` and
 the load balancer see the gain.
 
-The engine is duck-typed over both hybrid trees (regular and implicit):
-it only needs ``gpu_search_bucket`` / ``cpu_finish_bucket`` /
-``modeled_transactions`` and the key ``spec``.
+The engine runs over both hybrid trees
+(:class:`repro.core.hybrid.HybridTree`): it only needs
+``gpu_search_bucket`` / ``cpu_finish_bucket`` / ``cpu_scan_bucket`` /
+``modeled_transactions`` and the key ``spec``.  It is the one bucket
+pipeline — plan, split, descend, finish or scan, scatter — that every
+serving path runs: :class:`repro.core.overlap.OverlappedEngine` adds a
+threaded executor for lookups, and
+:class:`repro.core.resilience.ResilientHBPlusTree` wraps an engine in
+retry and circuit-breaker policy.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -198,13 +204,6 @@ class BatchingEngine:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _codes_of(result) -> np.ndarray:
-        """The GPU stage's per-query output, whatever the tree calls it."""
-        if hasattr(result, "codes"):
-            return result.codes
-        return result.leaf_indices
-
     def _bucket_kernel(self) -> Optional[str]:
         """The GPU kernel for the next bucket (None = tree default)."""
         if self.kernel is not None:
@@ -213,31 +212,40 @@ class BatchingEngine:
             return getattr(self.balancer, "kernel", None)
         return None
 
-    def _descend(self, plan: BucketPlan):
-        """The inner-level stage, split per the balancer when present.
+    def _split(self, plan: BucketPlan):
+        """Read + feed the balancer once per bucket, at dispatch.
 
-        The split — and the kernel it was priced with — is read once
-        per bucket at dispatch, *before* the bucket's arrival-order
-        queries are fed back to the balancer (feeding back may close a
-        window and move the committed split); rebalance decisions are a
-        deterministic function of the bucket sequence.  A split moves
-        levels between processors and a kernel moves the traversal
-        schedule, never results: (D=0, R=0) reproduces
-        ``gpu_search_bucket`` exactly (leaf indices *and* transaction
-        count), and every kernel returns bit-identical leaves.
+        Returns ``(levels, kernel)``: the per-query CPU descent depths
+        (None when unbalanced) and the GPU kernel the split was priced
+        with.  Both are read *before* the bucket's arrival-order queries
+        are fed back to the balancer — feeding back may close a window
+        and move the committed split, which must only affect the next
+        bucket — so rebalance decisions are a deterministic function of
+        the bucket sequence.
         """
         if self.balancer is None:
-            return self.tree.gpu_search_bucket(
-                plan.sorted_unique, kernel=self._bucket_kernel()
-            )
+            return None, self._bucket_kernel()
         from repro.core.adaptive import split_levels
 
         depth, ratio = self.balancer.split()
         kernel = self._bucket_kernel()
         self.balancer.note_bucket(plan.queries)
-        levels = split_levels(
-            plan.n_unique, depth, ratio, self.tree.height
-        )
+        levels = split_levels(plan.n_unique, depth, ratio, self.tree.height)
+        return levels, kernel
+
+    def _descend(self, plan: BucketPlan):
+        """The inner-level stage, split per the balancer when present.
+
+        A split moves levels between processors and a kernel moves the
+        traversal schedule, never results: (D=0, R=0) reproduces
+        ``gpu_search_bucket`` exactly (codes *and* transaction count),
+        and every kernel returns bit-identical leaves.
+        """
+        levels, kernel = self._split(plan)
+        if levels is None:
+            return self.tree.gpu_search_bucket(
+                plan.sorted_unique, kernel=kernel
+            )
         nodes = self.tree.cpu_descend_top(plan.sorted_unique, levels)
         return self.tree.gpu_search_bucket_from(
             plan.sorted_unique, levels, nodes, kernel=kernel
@@ -273,7 +281,7 @@ class BatchingEngine:
                 self.stats.baselines_measured += 1
             with obs.span("cpu_finish", bucket=index):
                 per_unique = self.tree.cpu_finish_bucket(
-                    plan.sorted_unique, self._codes_of(result)
+                    plan.sorted_unique, result.codes
                 )
         self.stats.buckets += 1
         self.stats.queries += plan.n_queries
@@ -336,7 +344,7 @@ class BatchingEngine:
             with obs.span("gpu_descend", bucket=index):
                 result = self._descend(plan)
             with obs.span("cpu_scan", bucket=index):
-                codes = self._codes_of(result)[plan.inverse]
+                codes = result.codes[plan.inverse]
                 scans = self.tree.cpu_scan_bucket(plan.queries, his, codes)
         tuples = sum(len(s) for s in scans)
         self.stats.buckets += 1

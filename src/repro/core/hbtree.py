@@ -22,62 +22,23 @@ implemented in :mod:`repro.core.update`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.hybrid import HybridTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm
-from repro.gpusim.device import GpuDevice
-from repro.gpusim.kernels.frontier_search import (
-    FRONTIER,
-    PER_QUERY,
-    validate_kernel,
-)
+from repro.gpusim.kernels.frontier_search import FRONTIER
 from repro.gpusim.kernels.regular_search import (
     launch_regular_search,
     regular_search_vectorized,
 )
-from repro.gpusim.transfer import PcieLink
-from repro.keys import key_spec
 from repro.memsim.mainmem import MemorySystem, PageConfig
-from repro.obs import NULL_OBS
 from repro.platform.configs import MachineConfig
-from repro.platform.costmodel import (
-    BucketCosts,
-    CpuCostModel,
-    CpuQueryProfile,
-    hybrid_bucket_costs,
-)
-
-
-@dataclass
-class GpuSearchResult:
-    """Outcome of the GPU stage: packed (node, leaf-line) codes."""
-
-    codes: np.ndarray
-    transactions: int
-    #: modeled transactions the same batch costs in *arrival* order;
-    #: set by the batch engine (:mod:`repro.core.batching`) when it
-    #: measured the unsorted baseline of a sorted bucket
-    baseline_transactions: Optional[int] = None
-
-    @property
-    def transactions_per_query(self) -> float:
-        if len(self.codes) == 0:
-            return 0.0
-        return self.transactions / len(self.codes)
-
-    @property
-    def sorted_gain(self) -> float:
-        """Fraction of modeled transactions saved vs arrival order."""
-        if not self.baseline_transactions:
-            return 0.0
-        return 1.0 - self.transactions / self.baseline_transactions
-
+from repro.platform.costmodel import CpuQueryProfile
 
 @dataclass
 class MirrorSyncStats:
@@ -91,8 +52,10 @@ class MirrorSyncStats:
     rebuilt: bool = False
 
 
-class HBPlusTree:
+class HBPlusTree(HybridTree):
     """Hybrid regular B+-tree over a machine's CPU + GPU."""
+
+    COST_SAMPLE_SEED = 5
 
     def __init__(
         self,
@@ -109,11 +72,7 @@ class HBPlusTree:
     ):
         if machine is None:
             raise ValueError("HBPlusTree requires a MachineConfig")
-        self.machine = machine
-        self.spec = key_spec(key_bits)
-        self.mem = mem if mem is not None else MemorySystem.from_spec(machine.cpu)
-        self.device = GpuDevice(machine.gpu)
-        self.link = PcieLink(machine.pcie)
+        super().__init__(machine, key_bits, mem)
         # ``gapped=True`` swaps in the BS-tree-style gapped-leaf CPU
         # tree: same inner-node layout (the mirror packs only inner
         # pools, so the device image is bit-identical for lookups),
@@ -138,17 +97,6 @@ class HBPlusTree:
         #: (a sync was interrupted mid-flight); cleared by a successful
         #: full :meth:`mirror_i_segment`
         self.mirror_stale = False
-        #: :class:`repro.obs.Observability`; the shared disabled bundle
-        #: until :meth:`attach_obs` threads a live one through
-        self.obs = NULL_OBS
-        #: default GPU search kernel for calls that do not pass one —
-        #: ``"per_query"`` charges warp-window coalescing, ``"frontier"``
-        #: level-wise block-wide dedup (same 3-step descent either way)
-        self.kernel = PER_QUERY
-        #: serializes direct tree reads (range scans) against engine
-        #: ``quiesce()`` windows — engines over this tree adopt the
-        #: same lock, so a snapshot never observes a mid-split chain
-        self.serve_lock = threading.RLock()
         self.mirror_i_segment()
         if injector is not None:
             self.attach_injector(injector)
@@ -159,15 +107,6 @@ class HBPlusTree:
         self.injector = injector
         self.link.injector = injector
         self.device.injector = injector
-
-    def attach_obs(self, obs) -> None:
-        """Thread a :class:`repro.obs.Observability` bundle through the
-        PCIe link, the GPU device, and this tree (mirroring
-        :meth:`attach_injector`).  Engines constructed over this tree
-        without an explicit bundle follow it automatically."""
-        self.obs = obs
-        self.link.obs = obs
-        self.device.obs = obs
 
     # ------------------------------------------------------------------
     # GPU mirror
@@ -372,38 +311,19 @@ class HBPlusTree:
         return stats
 
     @property
-    def i_segment_bytes(self) -> int:
-        return self.iseg_buffer.nbytes
+    def gpu_levels(self) -> int:
+        # the 3-step node search walks three lines per inner level
+        return 3 * self.cpu_tree.height
 
-    @property
-    def height(self) -> int:
-        return self.cpu_tree.height
+    def _stored_keys(self) -> np.ndarray:
+        return self.cpu_tree.stored_keys()
 
-    @property
-    def teams_per_warp(self) -> int:
-        return max(1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query)
+    def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
+        # a code packs (big-leaf node, line); the node is the leaf
+        return codes // self.cpu_tree.fanout
 
     # ------------------------------------------------------------------
     # search
-
-    def gpu_begin_bucket(self, n_queries: int) -> bool:
-        """Screen + count one bucket's kernel launch (stage-2 entry).
-
-        Mirrors exactly what :meth:`gpu_search_bucket` does before any
-        compute — the injector consultation and the launch counter —
-        so a concurrent engine can perform the (stateful, fault-bearing)
-        screening serially in dispatch order while the pure descent
-        runs on worker threads.  Returns False when the bucket launches
-        nothing (empty bucket).
-        """
-        if n_queries == 0:
-            return False
-        self.device.begin_launch()
-        return True
-
-    def _resolve_kernel(self, kernel: Optional[str]) -> str:
-        """``kernel`` argument, or this tree's default; validated."""
-        return validate_kernel(kernel if kernel is not None else self.kernel)
 
     def gpu_descend(
         self, queries: np.ndarray, kernel: Optional[str] = None
@@ -439,38 +359,6 @@ class HBPlusTree:
             teams_per_warp=self.teams_per_warp,
             frontier_block=len(q) if kern == FRONTIER else None,
         )
-
-    def gpu_search_bucket(
-        self, queries: np.ndarray, kernel: Optional[str] = None
-    ) -> GpuSearchResult:
-        """Stage 2: 3-step descent of all inner levels on the GPU."""
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        kern = self._resolve_kernel(kernel)
-        if not self.gpu_begin_bucket(len(q)):
-            # an empty bucket launches nothing and costs nothing
-            return GpuSearchResult(
-                codes=np.zeros(0, dtype=np.int64), transactions=0
-            )
-        codes, txns = self.gpu_descend(q, kernel=kern)
-        self.device.memory.counters.transactions_64 += txns
-        self.device.memory.counters.bytes_moved += txns * 64
-        return GpuSearchResult(codes=codes, transactions=txns)
-
-    def modeled_transactions(
-        self, queries: np.ndarray, kernel: Optional[str] = None
-    ) -> int:
-        """Transactions the GPU stage would charge for ``queries``.
-
-        Pure measurement through the coalescing model — no kernel
-        launch, no device counters.  Used by the batch engine to price
-        the arrival-order baseline of a sorted bucket, and by the mode
-        balancer to price each kernel when it profiles.
-        """
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        if len(q) == 0:
-            return 0
-        _codes, txns = self.gpu_descend(q, kernel=kernel)
-        return txns
 
     def gpu_search_bucket_literal(self, queries: np.ndarray) -> np.ndarray:
         """Stage 2 on the literal SIMT interpreter (slow; for tests)."""
@@ -510,51 +398,6 @@ class HBPlusTree:
         out[found] = tree.leaves.values[node[idx], base[idx] + pos_c[idx]]
         return out
 
-    def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
-        """Full hybrid lookup; the sentinel value marks not-found.
-
-        Accepts any integer dtype (or plain Python ints): keys are
-        coerced once via :meth:`repro.keys.KeySpec.coerce`, which raises
-        ``OverflowError`` on out-of-range keys instead of silently
-        wrapping them.
-        """
-        q = self.spec.coerce(queries)
-        result = self.gpu_search_bucket(q)
-        return self.cpu_finish_bucket(q, result.codes)
-
-    def lookup(self, key: int) -> Optional[int]:
-        out = self.lookup_batch(np.asarray([key], dtype=self.spec.dtype))
-        val = int(out[0])
-        return None if val == self.spec.max_value else val
-
-    def range_query(self, lo: int, hi: int):
-        """Sequential leaf-chain scan, serialized against engine
-        ``quiesce()`` windows via the shared serve lock."""
-        with self.serve_lock:
-            return self.cpu_tree.range_query(lo, hi)
-
-    def cpu_scan_bucket(
-        self, los: np.ndarray, his: np.ndarray, codes: np.ndarray
-    ) -> List[List[Tuple[int, int]]]:
-        """Stage 4 for range scans: leaf-chain walks from GPU-located
-        start leaves.
-
-        ``codes`` are the per-start-key (node, leaf-line) codes the GPU
-        stage produced for the ``lo`` bounds; the big-leaf index is the
-        node part, and the chain walk resumes there without re-running
-        the CPU descent.
-        """
-        nodes = (np.asarray(codes) // self.cpu_tree.fanout).astype(np.int64)
-        tree = self.cpu_tree
-        return [
-            tree.range_scan_from(int(node), int(lo), int(hi))
-            for node, lo, hi in zip(
-                nodes.tolist(),
-                np.asarray(los).tolist(),
-                np.asarray(his).tolist(),
-            )
-        ]
-
     # ------------------------------------------------------------------
     # profiling / cost model
 
@@ -570,74 +413,3 @@ class HBPlusTree:
         counters = self.mem.counters
         counters.queries = len(q)
         return CpuQueryProfile.from_counters(counters, node_searches_per_query=1.0)
-
-    def bucket_costs(
-        self,
-        bucket_size: Optional[int] = None,
-        sample: Optional[np.ndarray] = None,
-        cpu_model: Optional[CpuCostModel] = None,
-        sort_batches: bool = False,
-    ) -> BucketCosts:
-        """Per-stage bucket costs measured on a sampled workload.
-
-        ``sort_batches=True`` prices the sorted/deduplicated pipeline of
-        :class:`repro.core.batching.BatchingEngine`: the GPU stage is
-        measured on the sorted distinct sample (fewer transactions per
-        query) and all four stages are scaled by the sample's distinct
-        fraction, since duplicates collapse before transfer.
-        """
-        bucket_size = bucket_size or self.machine.bucket_size
-        if sample is None:
-            stored = self.cpu_tree.stored_keys()
-            if len(stored) == 0:
-                raise ValueError(
-                    "bucket_costs needs stored keys to sample a workload; "
-                    "the tree is empty — insert keys first or pass "
-                    "sample= explicitly"
-                )
-            rng = np.random.default_rng(5)
-            # draw without replacement whenever the tree can fill the
-            # bucket — duplicate draws inflate the sample's
-            # unique_fraction and bias the sorted gain the planner
-            # commits; replacement survives only as the tiny-tree
-            # fallback
-            size = 4096
-            sample = rng.choice(stored, size=size,
-                                replace=len(stored) < size)
-        sample = np.asarray(sample, dtype=self.spec.dtype)
-        if len(sample) == 0:
-            raise ValueError("bucket_costs sample must be non-empty")
-        unique_fraction = 1.0
-        if sort_batches:
-            from repro.core.batching import plan_bucket
-
-            plan = plan_bucket(sample, dtype=self.spec.dtype)
-            unique_fraction = plan.n_unique / plan.n_queries
-            gpu_result = self.gpu_search_bucket(plan.sorted_unique)
-            leaf_profile = self.profile_leaf_stage(plan.sorted_unique)
-        else:
-            gpu_result = self.gpu_search_bucket(sample)
-            leaf_profile = self.profile_leaf_stage(sample)
-        return hybrid_bucket_costs(
-            self.machine,
-            self.spec,
-            bucket_size,
-            gpu_transactions_per_query=gpu_result.transactions_per_query,
-            gpu_levels=3.0 * self.cpu_tree.height,
-            cpu_leaf_profile=leaf_profile,
-            cpu_model=cpu_model,
-            unique_fraction=unique_fraction,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"HBPlusTree(n={len(self.cpu_tree)}, "
-            f"height={self.height}, machine={self.machine.name!r}, "
-            f"iseg={self.i_segment_bytes}B)"
-        )
-
-    def __len__(self) -> int:
-        return len(self.cpu_tree)
-
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key) is not None

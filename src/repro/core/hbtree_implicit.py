@@ -19,63 +19,28 @@ Updates rebuild the whole tree and re-upload the I-segment
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.hybrid import GpuSearchResult, HybridTree
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm
-from repro.gpusim.device import GpuDevice
 from repro.gpusim.kernels.frontier_search import (
     FRONTIER,
-    PER_QUERY,
     frontier_search_from_counted,
     frontier_search_vectorized,
     launch_frontier_search,
-    validate_kernel,
 )
 from repro.gpusim.kernels.implicit_search import (
     implicit_search_from_counted,
     implicit_search_vectorized,
     launch_implicit_search,
 )
-from repro.gpusim.transfer import PcieLink
-from repro.keys import key_spec
-from repro.obs import NULL_OBS
 from repro.memsim.mainmem import MemorySystem, PageConfig
 from repro.platform.configs import MachineConfig
-from repro.platform.costmodel import (
-    BucketCosts,
-    CpuCostModel,
-    CpuQueryProfile,
-    hybrid_bucket_costs,
-)
-
-
-@dataclass
-class GpuSearchResult:
-    """Outcome of the GPU inner-node stage for one bucket."""
-
-    leaf_indices: np.ndarray
-    transactions: int
-    #: modeled transactions the same bucket costs in arrival order;
-    #: filled by the batch engine when it measures baselines
-    baseline_transactions: Optional[int] = None
-
-    @property
-    def transactions_per_query(self) -> float:
-        if len(self.leaf_indices) == 0:
-            return 0.0
-        return self.transactions / len(self.leaf_indices)
-
-    @property
-    def sorted_gain(self) -> float:
-        """Fraction of modeled transactions saved vs arrival order."""
-        if not self.baseline_transactions:
-            return 0.0
-        return 1.0 - self.transactions / self.baseline_transactions
+from repro.platform.costmodel import CpuQueryProfile
 
 
 @dataclass
@@ -106,8 +71,10 @@ REBUILD_PASSES = 10.0
 MERGE_PASSES = 4.0
 
 
-class ImplicitHBPlusTree:
+class ImplicitHBPlusTree(HybridTree):
     """Hybrid implicit B+-tree over a machine's CPU + GPU."""
+
+    COST_SAMPLE_SEED = 3
 
     def __init__(
         self,
@@ -119,11 +86,7 @@ class ImplicitHBPlusTree:
         page_config: PageConfig = PageConfig.HUGE_SMALL,
         algorithm: NodeSearchAlgorithm = NodeSearchAlgorithm.HIERARCHICAL_SIMD,
     ):
-        self.machine = machine
-        self.spec = key_spec(key_bits)
-        self.mem = mem if mem is not None else MemorySystem.from_spec(machine.cpu)
-        self.device = GpuDevice(machine.gpu)
-        self.link = PcieLink(machine.pcie)
+        super().__init__(machine, key_bits, mem)
         self.cpu_tree = ImplicitCpuBPlusTree(
             keys,
             values,
@@ -135,26 +98,7 @@ class ImplicitHBPlusTree:
             segment_prefix="hb_implicit",
         )
         self.last_rebuild: Optional[RebuildTimes] = None
-        #: :class:`repro.obs.Observability`; the shared disabled bundle
-        #: until :meth:`attach_obs` threads a live one through
-        self.obs = NULL_OBS
-        #: default GPU search kernel for calls that do not pass one —
-        #: ``"per_query"`` (Snippet 3) or ``"frontier"`` (level-wise);
-        #: the engines/balancers override per bucket via ``kernel=``
-        self.kernel = PER_QUERY
-        #: serializes direct tree reads (range scans) against engine
-        #: ``quiesce()`` windows — engines over this tree adopt the
-        #: same lock (same contract as ``HBPlusTree.serve_lock``)
-        self.serve_lock = threading.RLock()
         self._mirror_i_segment()
-
-    def attach_obs(self, obs) -> None:
-        """Thread a :class:`repro.obs.Observability` bundle through the
-        PCIe link, the GPU device, and this tree (same contract as
-        ``HBPlusTree.attach_obs``)."""
-        self.obs = obs
-        self.link.obs = obs
-        self.device.obs = obs
 
     # ------------------------------------------------------------------
     # GPU mirror
@@ -188,46 +132,29 @@ class ImplicitHBPlusTree:
         return t
 
     @property
-    def i_segment_bytes(self) -> int:
-        return self.iseg_buffer.nbytes
-
-    @property
     def l_segment_bytes(self) -> int:
         return self.cpu_tree.l_segment_bytes
 
     @property
-    def height(self) -> int:
-        return self.cpu_tree.height
+    def gpu_levels(self) -> int:
+        return self.gpu_depth
 
-    @property
-    def teams_per_warp(self) -> int:
-        return max(1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query)
+    def _stored_keys(self) -> np.ndarray:
+        stored = self.cpu_tree.leaf_keys.reshape(-1)
+        return stored[stored != self.spec.max_value]
+
+    def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
+        # codes are leaf indices; clamp like :meth:`cpu_finish_bucket`
+        return np.minimum(codes, self.cpu_tree.num_leaves - 1)
 
     # ------------------------------------------------------------------
     # search
 
-    def gpu_begin_bucket(self, n_queries: int) -> bool:
-        """Count one bucket's kernel launch (stage-2 entry).
-
-        The stateful prologue of :meth:`gpu_search_bucket`, split out so
-        a concurrent engine can run it serially in dispatch order while
-        the pure :meth:`gpu_descend` runs on worker threads.  Returns
-        False when the bucket launches nothing (empty bucket, or a
-        zero-depth GPU slice).
-        """
-        if n_queries == 0 or self.gpu_depth == 0:
-            return False
-        self.device.kernel_launches += 1
-        return True
-
-    def _resolve_kernel(self, kernel: Optional[str]) -> str:
-        """``kernel`` argument, or this tree's default; validated."""
-        return validate_kernel(kernel if kernel is not None else self.kernel)
-
     def gpu_descend(
         self, queries: np.ndarray, kernel: Optional[str] = None
     ) -> "tuple[np.ndarray, int]":
-        """Pure stage-2 descent: ``(leaf_indices, transactions)``.
+        """Pure stage-2 descent: ``(codes, transactions)``, where a
+        code is a leaf index.
 
         No launch counting, no counter mutation — thread-safe over the
         read-only mirror.  ``gpu_depth == 0`` yields all-zero leaf
@@ -258,21 +185,6 @@ class ImplicitHBPlusTree:
             q,
             teams_per_warp=self.teams_per_warp,
         )
-
-    def gpu_search_bucket(
-        self, queries: np.ndarray, kernel: Optional[str] = None
-    ) -> GpuSearchResult:
-        """Stage 2: traverse all inner levels on the (simulated) GPU."""
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        kern = self._resolve_kernel(kernel)
-        if not self.gpu_begin_bucket(len(q)):
-            return GpuSearchResult(
-                leaf_indices=np.zeros(len(q), dtype=np.int64), transactions=0
-            )
-        leaf, txns = self.gpu_descend(q, kernel=kern)
-        self.device.memory.counters.transactions_64 += txns
-        self.device.memory.counters.bytes_moved += txns * 64
-        return GpuSearchResult(leaf_indices=leaf, transactions=txns)
 
     # -- load-balanced (D, R) split execution --------------------------
 
@@ -373,27 +285,12 @@ class ImplicitHBPlusTree:
         gpu_active = int(np.count_nonzero(start < self.gpu_depth))
         if not self.gpu_begin_bucket(gpu_active):
             return GpuSearchResult(
-                leaf_indices=np.asarray(start_nodes, dtype=np.int64).copy(),
+                codes=np.asarray(start_nodes, dtype=np.int64).copy(),
                 transactions=0,
             )
-        leaf, txns = self.gpu_descend_from(q, start, start_nodes, kernel=kern)
-        self.device.memory.counters.transactions_64 += txns
-        self.device.memory.counters.bytes_moved += txns * 64
-        return GpuSearchResult(leaf_indices=leaf, transactions=txns)
-
-    def modeled_transactions(
-        self, queries: np.ndarray, kernel: Optional[str] = None
-    ) -> int:
-        """Transactions the GPU stage would charge for ``queries``.
-
-        Pure measurement through the coalescing model — no launch, no
-        device counters.  Used by the batch engine to price the
-        arrival-order baseline of a sorted bucket, and by the load
-        balancer to price each kernel when it profiles.
-        """
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        _leaf, txns = self.gpu_descend(q, kernel=kernel)
-        return txns
+        return self._charged(
+            *self.gpu_descend_from(q, start, start_nodes, kernel=kern)
+        )
 
     def gpu_search_bucket_literal(
         self, queries: np.ndarray, kernel: Optional[str] = None
@@ -422,13 +319,13 @@ class ImplicitHBPlusTree:
         return leaf
 
     def cpu_finish_bucket(
-        self, queries: np.ndarray, leaf_indices: np.ndarray
+        self, queries: np.ndarray, codes: np.ndarray
     ) -> np.ndarray:
         """Stage 4: search the target leaves on the CPU."""
         q = np.asarray(queries, dtype=self.spec.dtype)
         if len(q) == 0:
             return np.zeros(0, dtype=self.spec.dtype)
-        leaf = np.minimum(leaf_indices, self.cpu_tree.num_leaves - 1)
+        leaf = self._leaves_of(codes)
         rows = self.cpu_tree.leaf_keys[leaf]
         pos = np.sum(rows < q[:, None], axis=1)
         pos_c = np.minimum(pos, rows.shape[1] - 1)
@@ -437,122 +334,18 @@ class ImplicitHBPlusTree:
         out[found] = self.cpu_tree.leaf_values[leaf[found], pos_c[found]]
         return out
 
-    def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
-        """Full hybrid lookup; the sentinel value marks not-found.
-
-        Keys of any integer dtype (or Python ints) are coerced once via
-        :meth:`repro.keys.KeySpec.coerce`, with an overflow check.
-        """
-        q = self.spec.coerce(queries)
-        result = self.gpu_search_bucket(q)
-        return self.cpu_finish_bucket(q, result.leaf_indices)
-
-    def lookup(self, key: int) -> Optional[int]:
-        out = self.lookup_batch(np.asarray([key], dtype=self.spec.dtype))
-        val = int(out[0])
-        return None if val == self.spec.max_value else val
-
-    def range_query(self, lo: int, hi: int):
-        """Sequential leaf scan, serialized against engine
-        ``quiesce()`` windows via the shared serve lock."""
-        with self.serve_lock:
-            return self.cpu_tree.range_query(lo, hi)
-
-    def cpu_scan_bucket(
-        self, los: np.ndarray, his: np.ndarray, leaf_indices: np.ndarray
-    ) -> List[List[Tuple[int, int]]]:
-        """Stage 4 for range scans: leaf walks from GPU-located starts.
-
-        ``leaf_indices`` are the per-start-key leaves the GPU stage
-        produced for the ``lo`` bounds (clamped like
-        :meth:`cpu_finish_bucket`); the scan resumes there without
-        re-running the CPU descent.
-        """
-        leaves = np.minimum(
-            np.asarray(leaf_indices, dtype=np.int64),
-            self.cpu_tree.num_leaves - 1,
-        )
-        tree = self.cpu_tree
-        return [
-            tree.range_scan_from(int(leaf), int(lo), int(hi))
-            for leaf, lo, hi in zip(
-                leaves.tolist(),
-                np.asarray(los).tolist(),
-                np.asarray(his).tolist(),
-            )
-        ]
-
     # ------------------------------------------------------------------
     # instrumented profiling (feeds the cost model)
 
     def profile_leaf_stage(self, sample_queries: np.ndarray) -> CpuQueryProfile:
         """Measure the CPU leaf stage's per-query memory behaviour."""
         q = np.asarray(sample_queries, dtype=self.spec.dtype)
-        result = self.gpu_search_bucket(q)
-        leaf = np.minimum(result.leaf_indices, self.cpu_tree.num_leaves - 1)
+        leaf = self._leaves_of(self.gpu_search_bucket(q).codes)
         self.mem.reset_counters()
         self.mem.touch_lines(self.cpu_tree.l_segment, leaf)
         counters = self.mem.counters
         counters.queries = len(q)
         return CpuQueryProfile.from_counters(counters, node_searches_per_query=1.0)
-
-    def bucket_costs(
-        self,
-        bucket_size: Optional[int] = None,
-        sample: Optional[np.ndarray] = None,
-        cpu_model: Optional[CpuCostModel] = None,
-        sort_batches: bool = False,
-    ) -> BucketCosts:
-        """Derive the paper's T1-T4 for this tree on this machine.
-
-        ``sort_batches=True`` prices the sorted/deduplicated pipeline
-        of :class:`repro.core.batching.BatchingEngine` (GPU stage on
-        the sorted distinct sample, all stages scaled by the distinct
-        fraction).
-        """
-        bucket_size = bucket_size or self.machine.bucket_size
-        if sample is None:
-            stored = self.cpu_tree.leaf_keys.reshape(-1)
-            stored = stored[stored != self.spec.max_value]
-            if len(stored) == 0:
-                raise ValueError(
-                    "bucket_costs needs stored keys to sample a workload; "
-                    "the tree is empty — rebuild with keys or pass "
-                    "sample= explicitly"
-                )
-            rng = np.random.default_rng(3)
-            # draw without replacement whenever the tree can fill the
-            # bucket — duplicate draws inflate the sample's
-            # unique_fraction and bias the sorted gain the planner
-            # commits; replacement survives only as the tiny-tree
-            # fallback
-            size = 4096
-            sample = rng.choice(stored, size=size,
-                                replace=len(stored) < size)
-        sample = np.asarray(sample, dtype=self.spec.dtype)
-        if len(sample) == 0:
-            raise ValueError("bucket_costs sample must be non-empty")
-        unique_fraction = 1.0
-        if sort_batches:
-            from repro.core.batching import plan_bucket
-
-            plan = plan_bucket(sample, dtype=self.spec.dtype)
-            unique_fraction = plan.n_unique / plan.n_queries
-            gpu_result = self.gpu_search_bucket(plan.sorted_unique)
-            leaf_profile = self.profile_leaf_stage(plan.sorted_unique)
-        else:
-            gpu_result = self.gpu_search_bucket(sample)
-            leaf_profile = self.profile_leaf_stage(sample)
-        return hybrid_bucket_costs(
-            self.machine,
-            self.spec,
-            bucket_size,
-            gpu_transactions_per_query=gpu_result.transactions_per_query,
-            gpu_levels=float(self.gpu_depth),
-            cpu_leaf_profile=leaf_profile,
-            cpu_model=cpu_model,
-            unique_fraction=unique_fraction,
-        )
 
     # ------------------------------------------------------------------
     # updates (rebuild, section 5.6 / Fig 15)
@@ -593,16 +386,3 @@ class ImplicitHBPlusTree:
         )
         self.last_rebuild = times
         return times
-
-    def __repr__(self) -> str:
-        return (
-            f"ImplicitHBPlusTree(n={len(self.cpu_tree)}, "
-            f"height={self.height}, machine={self.machine.name!r}, "
-            f"iseg={self.i_segment_bytes}B)"
-        )
-
-    def __len__(self) -> int:
-        return len(self.cpu_tree)
-
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key) is not None

@@ -7,7 +7,14 @@ simulator; this module *executes* it: real buckets flow through a
 bounded-queue pipeline of actual ``threading`` workers, so the overlap
 shows up in wall-clock time, not just in the cost model.
 
-Thread topology (``strategy`` selects the shape)::
+:class:`OverlappedEngine` is a
+:class:`~repro.core.batching.BatchingEngine` with one addition: a
+threaded executor for point lookups.  Everything else — range scans,
+``quiesce``, the balancer and kernel plumbing, the serve lock — is the
+batch engine's, and ``strategy="sequential"`` is the batch engine's own
+inline path.
+
+Thread topology of the threaded strategies::
 
     dispatcher (caller thread)
         slices the query stream into buckets, sort/deduplicates each
@@ -26,10 +33,10 @@ Thread topology (``strategy`` selects the shape)::
 
 Guarantees:
 
-* **bit-identical results** to the serial
-  :class:`~repro.core.batching.BatchingEngine` — same sort/dedup plan,
-  same pure kernels, chunking the leaf stage is element-independent,
-  and each bucket scatters into a disjoint output slice;
+* **bit-identical results** to the inline path — same sort/dedup plan
+  and balancer split, same pure kernels, chunking the leaf stage is
+  element-independent, and each bucket scatters into a disjoint output
+  slice;
 * **deterministic modeled counters** — the stateful pieces are never
   raced: fault/launch screening happens serially in the dispatcher (so
   the injector sees exactly the serial operation order) and the pure
@@ -52,17 +59,19 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.batching import BucketPlan, plan_bucket
-from repro.core.buckets import DEFAULT_BUCKET_SIZE, iter_buckets
+from repro.core.batching import (
+    BatchingEngine,
+    BatchStats,
+    BucketPlan,
+    plan_bucket,
+)
+from repro.core.buckets import iter_buckets
 from repro.core.pipeline import BucketStrategy
-from repro.gpusim.kernels.frontier_search import validate_kernel
-from repro.obs import NULL_OBS
 
 #: granularity of stop-aware queue waits (seconds); every blocking
 #: operation re-checks the stop flag at least this often, which is what
@@ -106,20 +115,14 @@ class QueueStats:
 
 
 @dataclass
-class OverlapStats:
-    """Aggregated accounting of an overlapped engine's executed work.
+class OverlapStats(BatchStats):
+    """:class:`~repro.core.batching.BatchStats` plus what the overlap
+    bought in wall-clock time.
 
-    The modeled counters (buckets/queries/unique/transactions) match
-    :class:`repro.core.batching.BatchStats` for the same workload; the
-    wall-clock fields are what the overlap actually bought.
+    The modeled counters match the batch engine's for the same
+    workload; the busy fields are booked by the threaded executor.
     """
 
-    buckets: int = 0
-    queries: int = 0
-    unique: int = 0
-    transactions: int = 0
-    baseline_transactions: int = 0
-    baselines_measured: int = 0
     #: makespan of all lookup_batch calls (ns, wall)
     wall_ns: float = 0.0
     #: busy wall time of the dispatcher (planning + screening)
@@ -130,18 +133,6 @@ class OverlapStats:
     cpu_busy_ns: float = 0.0
     gpu_queue: QueueStats = field(default_factory=QueueStats)
     cpu_queue: QueueStats = field(default_factory=QueueStats)
-
-    @property
-    def duplicate_fraction(self) -> float:
-        if self.queries == 0:
-            return 0.0
-        return 1.0 - self.unique / self.queries
-
-    @property
-    def transactions_per_query(self) -> float:
-        if self.queries == 0:
-            return 0.0
-        return self.transactions / self.queries
 
     @property
     def busy_ns(self) -> float:
@@ -156,44 +147,31 @@ class OverlapStats:
         1.0 mean that much stage work ran concurrently — e.g. 1.8 means
         the pipeline packed 1.8 seconds of stage time into every wall
         second.  Bounded by the number of runnable threads, and on a
-        single-core host by ~1.0 regardless of topology.
+        single-core host by ~1.0 regardless of topology.  The inline
+        ``sequential`` strategy books no busy time, so it reads 0.
         """
         if self.wall_ns <= 0:
             return 0.0
         return self.busy_ns / self.wall_ns
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "buckets": self.buckets,
-            "queries": self.queries,
-            "unique": self.unique,
-            "transactions": self.transactions,
-            "baseline_transactions": self.baseline_transactions,
-            "baselines_measured": self.baselines_measured,
-            "duplicate_fraction": self.duplicate_fraction,
-            "wall_ns": self.wall_ns,
-            "dispatch_busy_ns": self.dispatch_busy_ns,
-            "gpu_busy_ns": self.gpu_busy_ns,
-            "cpu_busy_ns": self.cpu_busy_ns,
-            "overlap_efficiency": self.overlap_efficiency,
-            "gpu_queue": self.gpu_queue.snapshot(),
-            "cpu_queue": self.cpu_queue.snapshot(),
+        snap: Dict[str, object] = {
+            f.name: getattr(self, f.name) for f in fields(self)
         }
+        snap.update(
+            duplicate_fraction=self.duplicate_fraction,
+            overlap_efficiency=self.overlap_efficiency,
+            gpu_queue=self.gpu_queue.snapshot(),
+            cpu_queue=self.cpu_queue.snapshot(),
+        )
+        return snap
 
     def reset(self) -> None:
-        caps = (self.gpu_queue.capacity, self.cpu_queue.capacity)
-        self.buckets = 0
-        self.queries = 0
-        self.unique = 0
-        self.transactions = 0
-        self.baseline_transactions = 0
-        self.baselines_measured = 0
-        self.wall_ns = 0.0
-        self.dispatch_busy_ns = 0.0
-        self.gpu_busy_ns = 0.0
-        self.cpu_busy_ns = 0.0
-        self.gpu_queue = QueueStats(capacity=caps[0])
-        self.cpu_queue = QueueStats(capacity=caps[1])
+        """Zero every counter; the queue capacities are configuration."""
+        self.__init__(
+            gpu_queue=QueueStats(capacity=self.gpu_queue.capacity),
+            cpu_queue=QueueStats(capacity=self.cpu_queue.capacity),
+        )
 
 
 class _Sentinel:
@@ -228,19 +206,20 @@ class _BucketState:
             return self._remaining == 0
 
 
-class OverlappedEngine:
-    """Executes sorted/deduplicated buckets through real worker threads.
+class OverlappedEngine(BatchingEngine):
+    """A :class:`~repro.core.batching.BatchingEngine` whose point
+    lookups run through real worker threads.
 
-    Duck-typed over both hybrid trees — it needs ``spec``,
-    ``gpu_begin_bucket`` / ``gpu_descend`` / ``cpu_finish_bucket`` /
-    ``modeled_transactions`` and (for counter merging) ``device``.
+    Runs over both hybrid trees; the threaded executor additionally
+    needs ``gpu_begin_bucket`` / ``gpu_descend`` (and, with a balancer,
+    ``cpu_descend_top`` / ``gpu_descend_from``) and ``device`` for the
+    counter merge.
 
     ``strategy`` (a :class:`~repro.core.pipeline.BucketStrategy` or its
     string value) picks the topology:
 
-    * ``sequential`` — no threads; each bucket runs to completion
-      inline.  The reference/fallback path, bit-identical by
-      construction.
+    * ``sequential`` — no threads: the inherited inline batch-engine
+      path, bucket by bucket.
     * ``pipelined`` — one GPU worker, one buffer slot: the CPU pool
       finishes bucket *i* while the GPU descends bucket *i+1* (Fig 5).
     * ``double_buffered`` — ``gpu_workers`` (>= 2) workers on
@@ -248,7 +227,11 @@ class OverlappedEngine:
 
     ``queue_depth`` overrides the buffer-slot count (tests use 1 to
     stress backpressure); ``cpu_chunk_min`` bounds leaf-stage shard
-    granularity so tiny buckets are not over-split.
+    granularity so tiny buckets are not over-split.  Range scans and
+    ``quiesce`` are the batch engine's: the leaf stage dominates a scan
+    and produces variable-length output, so scans run inline under the
+    serve lock rather than through the lookup pipeline's fixed-width
+    buffers.
     """
 
     def __init__(
@@ -265,34 +248,9 @@ class OverlappedEngine:
         balancer=None,
         kernel: Optional[str] = None,
     ):
-        self.tree = tree
-        #: explicit GPU kernel override; ``None`` defers to the
-        #: balancer's discovered kernel, then the tree default
-        self.kernel = validate_kernel(kernel) if kernel is not None else None
-        #: optional (D, R) split source — an
-        #: :class:`repro.core.adaptive.AdaptiveController` or
-        #: :class:`~repro.core.adaptive.StaticSplit`.  Consulted and
-        #: fed strictly in the dispatcher (serially, in bucket order),
-        #: so the rebalance schedule — like fault screening — is
-        #: deterministic in the bucket sequence; workers only ever run
-        #: the pure split descent.
-        self.balancer = balancer
-        if balancer is not None and not getattr(
-            tree, "supports_split_descent", False
-        ):
-            raise ValueError(
-                "a (D, R) balancer needs a tree with a mid-tree GPU "
-                "resume path (supports_split_descent); the regular "
-                "HB+-tree is balanced through ResilientHBPlusTree's "
-                "mode controller instead"
-            )
-        #: explicit :class:`repro.obs.Observability` override; when
-        #: None the engine follows the tree's bundle dynamically (so
-        #: ``tree.attach_obs`` works regardless of construction order)
-        self._obs = obs
-        self.bucket_size = bucket_size or getattr(
-            getattr(tree, "machine", None), "bucket_size", DEFAULT_BUCKET_SIZE
-        )
+        super().__init__(tree, bucket_size=bucket_size,
+                         measure_baseline=measure_baseline, obs=obs,
+                         balancer=balancer, kernel=kernel)
         self.strategy = (
             strategy if isinstance(strategy, BucketStrategy)
             else BucketStrategy(strategy)
@@ -314,28 +272,10 @@ class OverlappedEngine:
             raise ValueError("queue depth must be >= 1")
         self.queue_depth = queue_depth
         self.cpu_queue_depth = max(queue_depth, 2 * cpu_workers)
-        self.measure_baseline = measure_baseline
         self.cpu_chunk_min = max(1, cpu_chunk_min)
         self.stats = OverlapStats()
         self.stats.gpu_queue.capacity = self.queue_depth
         self.stats.cpu_queue.capacity = self.cpu_queue_depth
-        #: serializes batch entry against :meth:`quiesce` — worker
-        #: threads live only inside ``lookup_batch``, so holding this
-        #: lock guarantees no thread is touching the tree; the tree's
-        #: own ``serve_lock`` is adopted when it has one, so direct
-        #: tree scans serialize against the same quiesce window
-        self._serve_lock = getattr(tree, "serve_lock", None) \
-            or threading.RLock()
-
-    @property
-    def obs(self):
-        """The live observability bundle (explicit override or the
-        tree's attached bundle; the shared disabled one otherwise)."""
-        if self._obs is not None:
-            return self._obs
-        return getattr(self.tree, "obs", NULL_OBS)
-
-    # ------------------------------------------------------------------
 
     def lookup_batch(self, queries: Sequence) -> np.ndarray:
         """All queries' values in arrival order; sentinel = not found.
@@ -343,12 +283,13 @@ class OverlappedEngine:
         Bit-identical to ``BatchingEngine(tree).lookup_batch(queries)``
         and to the tree's own serial path.  Raises whatever a worker or
         the launch screening raised — but only after every in-flight
-        bucket drained and every thread joined.
+        bucket drained and every thread joined.  Worker threads live
+        only inside this call, so holding the serve lock
+        (:meth:`quiesce`) guarantees no thread is touching the tree.
         """
         q = self.tree.spec.coerce(queries)
-        out = np.zeros(len(q), dtype=self.tree.spec.dtype)
         if len(q) == 0:
-            return out
+            return np.zeros(0, dtype=self.tree.spec.dtype)
         t0 = time.perf_counter_ns()
         try:
             with self._serve_lock, self.obs.span(
@@ -356,232 +297,12 @@ class OverlappedEngine:
                 queries=len(q), strategy=self.strategy.value,
             ):
                 if self.strategy is BucketStrategy.SEQUENTIAL:
-                    self._run_sequential(q, out)
-                else:
-                    _OverlapRun(self, q, out).execute()
+                    return super().lookup_batch(q)
+                out = np.zeros(len(q), dtype=self.tree.spec.dtype)
+                _OverlapRun(self, q, out).execute()
+                return out
         finally:
             self.stats.wall_ns += time.perf_counter_ns() - t0
-        return out
-
-    @contextmanager
-    def quiesce(self):
-        """Hold serving still between batches (snapshot-under-load).
-
-        The pipeline's worker threads exist only for the duration of a
-        ``lookup_batch`` call and are joined before it returns, so
-        taking the serve lock guarantees no worker is mid-descent:
-        the snapshot reads a tree no thread is touching.  Batches
-        before and after the quiesce window stay bit-identical.
-        """
-        with self._serve_lock:
-            yield self
-
-    def run_scans(self, los: Sequence, his: Sequence):
-        """Batched range scans under the serve lock.
-
-        Scans reuse the dispatcher's stateful machinery — balancer
-        split + feedback and the serial launch screening (the injector
-        fault site), in bucket order — then finish with the vectorised
-        L-segment chain walk (``tree.cpu_scan_bucket``).  The leaf
-        stage dominates a scan and produces variable-length output, so
-        scans run serially under the serve lock rather than through the
-        lookup pipeline's fixed-width buffers; results are
-        bit-identical to the sequential per-tree walk.
-        """
-        lo_arr = self.tree.spec.coerce(los)
-        hi_arr = self.tree.spec.coerce(his)
-        if len(lo_arr) != len(hi_arr):
-            raise ValueError("run_scans needs matching lo/hi arrays")
-        if len(lo_arr) == 0:
-            return []
-        obs = self.obs
-        out = []
-        t0 = time.perf_counter_ns()
-        try:
-            with self._serve_lock, obs.span(
-                "overlap.run_scans", scans=len(lo_arr)
-            ):
-                bucket_starts = range(0, len(lo_arr), self.bucket_size)
-                for index, start in enumerate(bucket_starts):
-                    his_b = hi_arr[start: start + self.bucket_size]
-                    t_plan = time.perf_counter_ns()
-                    try:
-                        with obs.span("plan_screen", bucket=index):
-                            plan = plan_bucket(
-                                lo_arr[start: start + self.bucket_size],
-                                dtype=self.tree.spec.dtype,
-                            )
-                            obs.emit(
-                                "scan_bucket_start", index=index,
-                                n_queries=plan.n_queries,
-                                n_unique=plan.n_unique,
-                            )
-                            levels, gpu_active, kernel = \
-                                self._dispatch_split(plan)
-                            launch = self.tree.gpu_begin_bucket(gpu_active)
-                    finally:
-                        self.stats.dispatch_busy_ns += \
-                            time.perf_counter_ns() - t_plan
-                    t_gpu = time.perf_counter_ns()
-                    try:
-                        with obs.span("gpu_descend", bucket=index,
-                                      n_unique=plan.n_unique):
-                            codes, txns = self._stage_descend(
-                                plan, launch, levels, kernel
-                            )
-                    finally:
-                        self.stats.gpu_busy_ns += \
-                            time.perf_counter_ns() - t_gpu
-                    t_cpu = time.perf_counter_ns()
-                    try:
-                        with obs.span("cpu_scan", bucket=index,
-                                      n_unique=plan.n_unique):
-                            scans = self.tree.cpu_scan_bucket(
-                                plan.queries, his_b, codes[plan.inverse]
-                            )
-                            out.extend(scans)
-                    finally:
-                        self.stats.cpu_busy_ns += \
-                            time.perf_counter_ns() - t_cpu
-                    tuples = sum(len(s) for s in scans)
-                    self._account_bucket(plan, txns)
-                    if self.balancer is not None and hasattr(
-                        self.balancer, "note_scan_bucket"
-                    ):
-                        self.balancer.note_scan_bucket(
-                            plan.queries, tuples
-                        )
-                    obs.emit(
-                        "scan_bucket_end", index=index,
-                        n_queries=plan.n_queries, n_unique=plan.n_unique,
-                        transactions=txns, tuples=tuples,
-                    )
-        finally:
-            self.stats.wall_ns += time.perf_counter_ns() - t0
-        return out
-
-    # ------------------------------------------------------------------
-    # (D, R) split plumbing
-
-    def _bucket_kernel(self) -> Optional[str]:
-        """The GPU kernel for the next bucket (None = tree default)."""
-        if self.kernel is not None:
-            return self.kernel
-        if self.balancer is not None:
-            return getattr(self.balancer, "kernel", None)
-        return None
-
-    def _dispatch_split(self, plan: BucketPlan):
-        """Read + feed the balancer once per bucket (dispatcher only).
-
-        Returns ``(levels, gpu_active, kernel)``: the per-query CPU
-        descent depths (None when unbalanced), the query count the
-        launch screening charges — an all-CPU bucket screens zero GPU
-        queries, so it launches no kernel and consults no injector —
-        and the GPU kernel the split was priced with.  The kernel is
-        read *before* the balancer is fed: feeding back may close a
-        window and move the committed split, which must only affect the
-        next bucket.
-        """
-        if self.balancer is None:
-            return None, plan.n_unique, self._bucket_kernel()
-        from repro.core.adaptive import split_levels
-
-        depth, ratio = self.balancer.split()
-        kernel = self._bucket_kernel()
-        self.balancer.note_bucket(plan.queries)
-        levels = split_levels(
-            plan.n_unique, depth, ratio, self.tree.height
-        )
-        gpu_active = int(np.count_nonzero(levels < self.tree.gpu_depth))
-        return levels, gpu_active, kernel
-
-    def _stage_descend(self, plan: BucketPlan, launch: bool, levels,
-                       kernel: Optional[str] = None):
-        """Pure inner-level stage for one bucket (worker-safe).
-
-        Unbalanced buckets run the full GPU descent; split buckets walk
-        their top levels on the CPU and resume on the GPU.  When the
-        split put every query's full descent on the CPU, the CPU nodes
-        *are* the leaf indices and no GPU work happens at all.
-        """
-        if levels is None:
-            if launch:
-                return self.tree.gpu_descend(
-                    plan.sorted_unique, kernel=kernel
-                )
-            return np.zeros(plan.n_unique, dtype=np.int64), 0
-        nodes = self.tree.cpu_descend_top(plan.sorted_unique, levels)
-        if launch:
-            return self.tree.gpu_descend_from(
-                plan.sorted_unique, levels, nodes, kernel=kernel
-            )
-        return nodes, 0
-
-    # ------------------------------------------------------------------
-    # sequential reference path (no threads)
-
-    def _run_sequential(self, q: np.ndarray, out: np.ndarray) -> None:
-        tree = self.tree
-        obs = self.obs
-        for index, bucket in enumerate(iter_buckets(q, self.bucket_size)):
-            # each timed region is accumulated at exactly one site (the
-            # finally), so a fault raised by the launch screening still
-            # books the time spent before it — and never twice
-            t_plan = time.perf_counter_ns()
-            try:
-                with obs.span("plan_screen", bucket=index):
-                    plan = plan_bucket(bucket, dtype=tree.spec.dtype)
-                    obs.emit(
-                        "bucket_start", index=index,
-                        n_queries=plan.n_queries, n_unique=plan.n_unique,
-                    )
-                    levels, gpu_active, kernel = self._dispatch_split(plan)
-                    launch = tree.gpu_begin_bucket(gpu_active)
-            finally:
-                self.stats.dispatch_busy_ns += time.perf_counter_ns() - t_plan
-            t_gpu = time.perf_counter_ns()
-            try:
-                with obs.span("gpu_descend", bucket=index,
-                              n_unique=plan.n_unique):
-                    codes, txns = self._stage_descend(
-                        plan, launch, levels, kernel
-                    )
-                    if self.measure_baseline:
-                        self.stats.baseline_transactions += \
-                            tree.modeled_transactions(plan.queries)
-                        self.stats.baselines_measured += 1
-            finally:
-                self.stats.gpu_busy_ns += time.perf_counter_ns() - t_gpu
-            t_cpu = time.perf_counter_ns()
-            try:
-                with obs.span("cpu_finish", bucket=index,
-                              n_unique=plan.n_unique):
-                    per_unique = tree.cpu_finish_bucket(
-                        plan.sorted_unique, codes
-                    )
-                    start = index * self.bucket_size
-                    out[start: start + plan.n_queries] = plan.scatter(
-                        per_unique
-                    )
-            finally:
-                self.stats.cpu_busy_ns += time.perf_counter_ns() - t_cpu
-            self._account_bucket(plan, txns)
-            obs.emit(
-                "bucket_end", index=index,
-                n_queries=plan.n_queries, n_unique=plan.n_unique,
-                transactions=txns,
-            )
-
-    def _account_bucket(self, plan: BucketPlan, txns: int) -> None:
-        """Merge one completed bucket into engine + device counters."""
-        self.stats.buckets += 1
-        self.stats.queries += plan.n_queries
-        self.stats.unique += plan.n_unique
-        self.stats.transactions += txns
-        counters = self.tree.device.memory.counters
-        counters.transactions_64 += txns
-        counters.bytes_moved += txns * 64
 
 
 class _OverlapRun:
@@ -708,7 +429,12 @@ class _OverlapRun:
                     # bucket order, next to the injector for the same
                     # reason: the rebalance schedule must be a
                     # deterministic function of the bucket sequence
-                    levels, gpu_active, kernel = eng._dispatch_split(plan)
+                    levels, kernel = eng._split(plan)
+                    # an all-CPU split bucket screens zero GPU queries,
+                    # so it launches no kernel and consults no injector
+                    gpu_active = plan.n_unique if levels is None else int(
+                        np.count_nonzero(levels < self.tree.gpu_depth)
+                    )
                     try:
                         # stateful screening, serially in bucket order:
                         # the injector draw stream is identical to the
@@ -742,9 +468,8 @@ class _OverlapRun:
                 t0 = time.perf_counter_ns()
                 with obs.span("gpu_descend", bucket=index,
                               n_unique=plan.n_unique):
-                    codes, txns = eng._stage_descend(
-                        plan, launch, levels, kernel
-                    )
+                    codes, txns = self._descend(plan, launch, levels,
+                                                kernel)
                 self.gpu_txns[wid] += txns
                 if eng.measure_baseline:
                     self.gpu_baseline[wid] += self.tree.modeled_transactions(
@@ -763,6 +488,26 @@ class _OverlapRun:
                 # the GPU stage fully drained: close the CPU stage
                 for _ in range(eng.cpu_workers):
                     self._put(self.cpu_q, _SENTINEL, eng.stats.cpu_queue)
+
+    def _descend(self, plan: BucketPlan, launch: bool, levels,
+                 kernel: Optional[str]):
+        """Pure inner-level stage for one bucket (worker-safe).
+
+        Unbalanced buckets run the full GPU descent; split buckets walk
+        their top levels on the CPU and resume on the GPU.  When the
+        split put every query's full descent on the CPU, the CPU nodes
+        *are* the leaf indices and no GPU work happens at all.
+        """
+        if levels is None:
+            if launch:
+                return self.tree.gpu_descend(plan.sorted_unique, kernel=kernel)
+            return np.zeros(plan.n_unique, dtype=np.int64), 0
+        nodes = self.tree.cpu_descend_top(plan.sorted_unique, levels)
+        if launch:
+            return self.tree.gpu_descend_from(
+                plan.sorted_unique, levels, nodes, kernel=kernel
+            )
+        return nodes, 0
 
     def _submit_cpu(self, index: int, start: int, plan: BucketPlan,
                     codes: np.ndarray, txns: int) -> None:

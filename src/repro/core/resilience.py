@@ -5,6 +5,14 @@ the I-segment mirror are perfect.  This layer removes that assumption
 while preserving the tree's one hard guarantee: **faults may cost time,
 never correctness**.
 
+Resilience is policy around the one bucket pipeline: hybrid lookups,
+range scans and recovery probes all run through an engine — the one
+passed as ``engine=`` (for example the threaded
+:class:`~repro.core.overlap.OverlappedEngine`), otherwise a
+:class:`~repro.core.batching.BatchingEngine` over the same tree — and
+this layer decides whether, how often and at what modeled cost to run
+them.
+
 Mechanisms (bottom-up):
 
 * **retry with exponential backoff + jitter** for PCIe transfers
@@ -35,13 +43,13 @@ from __future__ import annotations
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.batching import plan_bucket
+from repro.core.batching import BatchingEngine
 from repro.core.framework import RegularHBAdapter
-from repro.core.hbtree import GpuSearchResult, HBPlusTree
+from repro.core.hbtree import HBPlusTree
 from repro.core.update import AsyncBatchUpdater, SyncUpdater, UpdateStats
 from repro.faults import (
     FaultError,
@@ -226,12 +234,13 @@ def _crc(array: np.ndarray) -> int:
 class ResilientHBPlusTree:
     """Fault-tolerant wrapper around a regular :class:`HBPlusTree`.
 
-    All lookups flow through :meth:`lookup_batch`; it serves from the
-    hybrid CPU-GPU path while the GPU is healthy and from the CPU-only
-    path when the circuit breaker is open, repairing the mirror and
-    probing for recovery along the way.  Updates flow through
-    :meth:`apply_updates`, which restores mirror consistency no matter
-    where a fault interrupts the sync.
+    Lookups (:meth:`lookup_batch`) and scans (:meth:`run_scans`) are
+    served through the engine while the GPU is healthy and from the
+    CPU-only path when the circuit breaker is open, repairing the
+    mirror and probing for recovery along the way.  Updates flow
+    through :meth:`apply_updates`, which restores mirror consistency no
+    matter where a fault interrupts the sync.  All three hold the
+    tree's serve lock, so an engine ``quiesce()`` parks them.
     """
 
     def __init__(
@@ -248,16 +257,13 @@ class ResilientHBPlusTree:
             # thread the bundle through the tree (and so the link and
             # device); engines over the same tree follow automatically
             tree.attach_obs(obs)
-        #: optional :class:`repro.core.overlap.OverlappedEngine` over
-        #: the *same* tree; when set, hybrid batches are served through
-        #: the real threaded pipeline.  The engine drains its in-flight
-        #: buckets and joins every worker before a fault propagates, so
-        #: degradation to CPU-only never leaves workers running.
+        #: the engine hybrid batches run through — ``engine=`` (over
+        #: the *same* tree) or a plain batch engine.  An engine drains
+        #: its in-flight buckets and joins every worker before a fault
+        #: propagates, so degradation never leaves workers running.
         if engine is not None and engine.tree is not tree:
-            raise ValueError(
-                "the overlapped engine must wrap the same HBPlusTree"
-            )
-        self.engine = engine
+            raise ValueError("the engine must wrap the same HBPlusTree")
+        self.engine = engine if engine is not None else BatchingEngine(tree)
         self.config = config or ResilienceConfig()
         self.stats = ResilienceStats()
         self.breaker = CircuitBreaker(
@@ -313,10 +319,7 @@ class ResilientHBPlusTree:
         with ctx:
             machine = self.tree.machine
             rng = np.random.default_rng(11)
-            stored = np.asarray(
-                [k for k, _v in self.tree.cpu_tree.items()],
-                dtype=self.tree.spec.dtype,
-            )
+            stored = self.tree.cpu_tree.stored_keys()
             sample = rng.choice(stored, size=min(2048, len(stored)))
             self._probe_queries = sample[:8].copy()
             costs = self.tree.bucket_costs(sample=sample)
@@ -454,13 +457,19 @@ class ResilientHBPlusTree:
                 self._repair_corruption()
 
     # ------------------------------------------------------------------
-    # GPU search with relaunch
+    # serving
 
-    def _gpu_search(self, q: np.ndarray) -> GpuSearchResult:
+    def _with_kernel_retry(self, serve: Callable, *args):
+        """One engine call, relaunched on kernel faults.
+
+        Engines raise only after draining in-flight buckets and joining
+        every worker, so each retry (and the eventual degradation)
+        starts from a quiesced pipeline with deterministic counters.
+        """
         cfg = self.config
         for attempt in range(cfg.max_kernel_retries):
             try:
-                return self.tree.gpu_search_bucket(q)
+                return serve(*args)
             except (KernelLaunchFault, KernelHang) as err:
                 self.stats.kernel_retries += 1
                 self._handle_fault()
@@ -474,50 +483,66 @@ class ResilientHBPlusTree:
                     ) from err
                 self._backoff(attempt)
 
-    def _engine_search(self, q: np.ndarray) -> np.ndarray:
-        """One hybrid batch through the overlapped engine, with kernel
-        retries.  ``OverlappedEngine.lookup_batch`` only raises after
-        draining in-flight buckets and joining all workers, so each
-        retry (and the eventual degradation) starts from a quiesced
-        pipeline with deterministic counters."""
-        cfg = self.config
-        for attempt in range(cfg.max_kernel_retries):
-            try:
-                return self.engine.lookup_batch(q)
-            except (KernelLaunchFault, KernelHang) as err:
-                self.stats.kernel_retries += 1
-                self._handle_fault()
-                if isinstance(err, KernelHang):
-                    self.stats.timeout_ns += cfg.kernel_timeout_ns
-                    self._charge_penalty(cfg.kernel_timeout_ns)
-                if attempt + 1 >= cfg.max_kernel_retries:
-                    raise GpuUnavailable(
-                        f"overlapped engine failed after "
-                        f"{cfg.max_kernel_retries} attempts: {err}"
-                    ) from err
-                self._backoff(attempt)
-
-    # ------------------------------------------------------------------
-    # serving
-
-    def _serve_cpu_only(self, q: np.ndarray) -> np.ndarray:
+    def _cpu_lookup(self, q: np.ndarray) -> np.ndarray:
+        """The whole descent and the leaf search on the CPU."""
         levels = np.full(len(q), self.adapter.height, dtype=np.int64)
-        codes = self.adapter.cpu_descend(q, levels)
-        out = self.adapter.cpu_finish(q, codes)
-        self.stats.served_cpu += len(q)
-        self.stats.served_ns += len(q) * self.cpu_only_query_ns
+        return self.adapter.cpu_finish(q, self.adapter.cpu_descend(q, levels))
+
+    def _cpu_scans(self, los: np.ndarray, his: np.ndarray) -> list:
+        tree = self.tree.cpu_tree
+        return [
+            tree.range_query(int(lo), int(hi))
+            for lo, hi in zip(los.tolist(), his.tolist())
+        ]
+
+    def _serve_cpu_only(self, n: int, serve: Callable):
+        out = serve()
+        self.stats.served_cpu += n
+        self.stats.served_ns += n * self.cpu_only_query_ns
         return out
 
-    def _serve_hybrid(self, q: np.ndarray) -> np.ndarray:
-        if self.engine is not None:
-            out = self._engine_search(q)
-        else:
-            result = self._gpu_search(q)
-            out = self.tree.cpu_finish_bucket(q, result.codes)
-        self.stats.served_hybrid += len(q)
-        self.stats.served_ns += (
-            self.hybrid_bucket_ns * len(q) / self.bucket_size
-        )
+    def _serve(self, span: str, n: int, hybrid: Callable,
+               cpu_only: Callable, **span_args):
+        """Serve one batch of ``n`` lookups or scans under the breaker.
+
+        ``hybrid`` runs the batch through the engine (with kernel
+        retries), ``cpu_only`` is the degraded path.  While the breaker
+        is open every batch serves CPU-only and every
+        ``probe_interval``-th one probes for recovery; otherwise the
+        mirror is repaired first, a batch the GPU cannot finish falls
+        back to the CPU, and each batch's measured per-query cost feeds
+        the economic EWMA.
+        """
+        self.stats.batches += 1
+        if self.breaker.open:
+            with self.obs.span(span, mode="cpu_only", **span_args):
+                out = self._serve_cpu_only(n, cpu_only)
+                if self.breaker.note_degraded_batch():
+                    self._probe_recovery()
+            return out
+        pen0 = self.stats.penalty_ns
+        with self.obs.span(span, mode="hybrid", **span_args):
+            try:
+                self._ensure_healthy_mirror()
+                out = self._with_kernel_retry(hybrid)
+                self.stats.served_hybrid += n
+                hybrid_ns = self.hybrid_bucket_ns * n / self.bucket_size
+                self.stats.served_ns += hybrid_ns
+                self.breaker.record_success()
+                batch_ns = self.stats.penalty_ns - pen0 + hybrid_ns
+            except GpuUnavailable:
+                self.stats.gpu_batch_failures += 1
+                if self.breaker.record_failure():
+                    self.stats.degradations += 1
+                    self._note_degrade("consecutive_failures")
+                out = self._serve_cpu_only(n, cpu_only)
+                # a failed hybrid attempt costs its penalties *plus* the
+                # CPU-only fallback — that is its effective hybrid cost
+                batch_ns = (
+                    self.stats.penalty_ns - pen0
+                    + n * self.cpu_only_query_ns
+                )
+            self._note_hybrid_cost(batch_ns / n)
         return out
 
     def _note_hybrid_cost(self, per_query_ns: float) -> None:
@@ -581,15 +606,8 @@ class ResilientHBPlusTree:
         try:
             self._refresh_mirror()
             q = np.asarray(self._probe_queries, dtype=self.tree.spec.dtype)
-            probe = self._gpu_search(q)
-            gpu_ans = self.tree.cpu_finish_bucket(q, probe.codes)
-            cpu_ans = self.adapter.cpu_finish(
-                q,
-                self.adapter.cpu_descend(
-                    q, np.full(len(q), self.adapter.height, dtype=np.int64)
-                ),
-            )
-            ok = bool(np.array_equal(gpu_ans, cpu_ans))
+            gpu_ans = self._with_kernel_retry(self.engine.lookup_batch, q)
+            ok = bool(np.array_equal(gpu_ans, self._cpu_lookup(q)))
         except GpuUnavailable:
             ok = False
         obs = self.obs
@@ -625,47 +643,19 @@ class ResilientHBPlusTree:
         q = self.tree.spec.coerce(queries)
         if len(q) == 0:
             return q.copy()
-        self.stats.batches += 1
-        if self.adaptive is not None:
-            # serially, in batch order — the mode schedule is a
-            # deterministic function of the batch sequence; a window
-            # closing here may move the mode for *this* batch
-            self.adaptive.note_bucket(q)
-            self._maybe_trip_adaptive()
-        if self.breaker.open:
-            with self.obs.span("resilient.lookup_batch", mode="cpu_only",
-                               queries=len(q)):
-                out = self._serve_cpu_only(q)
-                if self.breaker.note_degraded_batch():
-                    self._probe_recovery()
-            return out
-        pen0 = self.stats.penalty_ns
-        with self.obs.span("resilient.lookup_batch", mode="hybrid",
-                           queries=len(q)):
-            try:
-                self._ensure_healthy_mirror()
-                out = self._serve_hybrid(q)
-                self.breaker.record_success()
-                batch_ns = (
-                    self.stats.penalty_ns - pen0
-                    + self.hybrid_bucket_ns * len(q) / self.bucket_size
-                )
-                self._note_hybrid_cost(batch_ns / len(q))
-                return out
-            except GpuUnavailable:
-                self.stats.gpu_batch_failures += 1
-                if self.breaker.record_failure():
-                    self.stats.degradations += 1
-                    self._note_degrade("consecutive_failures")
-                out = self._serve_cpu_only(q)
-                # a failed hybrid attempt costs its penalties *plus* the
-                # CPU-only fallback — that is its effective hybrid cost
-                batch_ns = (
-                    self.stats.penalty_ns - pen0
-                    + len(q) * self.cpu_only_query_ns
-                )
-                self._note_hybrid_cost(batch_ns / len(q))
-                return out
+        with self.tree.serve_lock:
+            if self.adaptive is not None:
+                # serially, in batch order — the mode schedule is a
+                # deterministic function of the batch sequence; a
+                # window closing here may move the mode for *this* batch
+                self.adaptive.note_bucket(q)
+                self._maybe_trip_adaptive()
+            return self._serve(
+                "resilient.lookup_batch", len(q),
+                lambda: self.engine.lookup_batch(q),
+                lambda: self._cpu_lookup(q),
+                queries=len(q),
+            )
 
     def lookup(self, key: int) -> Optional[int]:
         out = self.lookup_batch(
@@ -676,71 +666,6 @@ class ResilientHBPlusTree:
 
     # ------------------------------------------------------------------
     # range scans
-
-    def _scan_cpu_only(self, los: np.ndarray, his: np.ndarray) -> list:
-        tree = self.tree.cpu_tree
-        out = [
-            tree.range_query(int(lo), int(hi))
-            for lo, hi in zip(los.tolist(), his.tolist())
-        ]
-        self.stats.served_cpu += len(los)
-        self.stats.served_ns += len(los) * self.cpu_only_query_ns
-        return out
-
-    def _scan_hybrid(self, los: np.ndarray, his: np.ndarray) -> list:
-        plan = plan_bucket(los, dtype=self.tree.spec.dtype)
-        result = self._gpu_search(plan.sorted_unique)
-        codes = result.codes[plan.inverse]
-        out = self.tree.cpu_scan_bucket(plan.queries, his, codes)
-        self.stats.served_hybrid += plan.n_queries
-        self.stats.served_ns += (
-            self.hybrid_bucket_ns * plan.n_queries / self.bucket_size
-        )
-        return out
-
-    def _scan_bucket(self, los: np.ndarray, his: np.ndarray) -> list:
-        self.stats.batches += 1
-        n = len(los)
-        if self.breaker.open:
-            with self.obs.span("resilient.scan_bucket", mode="cpu_only",
-                               scans=n):
-                out = self._scan_cpu_only(los, his)
-                if self.breaker.note_degraded_batch():
-                    self._probe_recovery()
-        else:
-            pen0 = self.stats.penalty_ns
-            with self.obs.span("resilient.scan_bucket", mode="hybrid",
-                               scans=n):
-                try:
-                    self._ensure_healthy_mirror()
-                    out = self._scan_hybrid(los, his)
-                    self.breaker.record_success()
-                    batch_ns = (
-                        self.stats.penalty_ns - pen0
-                        + self.hybrid_bucket_ns * n / self.bucket_size
-                    )
-                    self._note_hybrid_cost(batch_ns / n)
-                except GpuUnavailable:
-                    self.stats.gpu_batch_failures += 1
-                    if self.breaker.record_failure():
-                        self.stats.degradations += 1
-                        self._note_degrade("consecutive_failures")
-                    out = self._scan_cpu_only(los, his)
-                    batch_ns = (
-                        self.stats.penalty_ns - pen0
-                        + n * self.cpu_only_query_ns
-                    )
-                    self._note_hybrid_cost(batch_ns / n)
-        if self.adaptive is not None:
-            # scan buckets feed the mode controller like lookup buckets
-            # do; the tuple volume is only known after the walk, so the
-            # note lands post-serve (a window closing here moves the
-            # mode for the *next* bucket)
-            self.adaptive.note_scan_bucket(
-                los, sum(len(s) for s in out)
-            )
-            self._maybe_trip_adaptive()
-        return out
 
     def run_scans(self, los: Sequence[int], his: Sequence[int]) -> list:
         """Fault-tolerant batched range scans.
@@ -758,16 +683,28 @@ class ResilientHBPlusTree:
             raise ValueError("run_scans needs matching lo/hi arrays")
         if len(lo_arr) == 0:
             return []
-        lock = getattr(self.tree, "serve_lock", None) or nullcontext()
         out = []
-        with lock, self.obs.span("resilient.run_scans",
-                                 scans=len(lo_arr)):
+        with self.tree.serve_lock, self.obs.span("resilient.run_scans",
+                                                 scans=len(lo_arr)):
             for start in range(0, len(lo_arr), self.bucket_size):
-                stop = start + self.bucket_size
-                out.extend(
-                    self._scan_bucket(lo_arr[start:stop],
-                                      hi_arr[start:stop])
+                los_b = lo_arr[start: start + self.bucket_size]
+                his_b = hi_arr[start: start + self.bucket_size]
+                rows = self._serve(
+                    "resilient.scan_bucket", len(los_b),
+                    lambda: self.engine.run_scans(los_b, his_b),
+                    lambda: self._cpu_scans(los_b, his_b),
+                    scans=len(los_b),
                 )
+                if self.adaptive is not None:
+                    # scan buckets feed the mode controller like lookup
+                    # buckets do; the tuple volume is only known after
+                    # the walk, so the note lands post-serve (a window
+                    # closing here moves the mode for the *next* bucket)
+                    self.adaptive.note_scan_bucket(
+                        los_b, sum(len(r) for r in rows)
+                    )
+                    self._maybe_trip_adaptive()
+                out.extend(rows)
         return out
 
     # ------------------------------------------------------------------
@@ -786,6 +723,7 @@ class ResilientHBPlusTree:
         The CPU tree always absorbs every update (it never faults); an
         interrupted I-segment sync is retried, and on exhaustion the
         breaker opens — lookups keep serving correctly from the CPU.
+        Holds the tree's serve lock, so ``quiesce()`` parks writers too.
         """
         if method == "async":
             updater = AsyncBatchUpdater(self.tree)
@@ -793,22 +731,21 @@ class ResilientHBPlusTree:
             updater = SyncUpdater(self.tree)
         else:
             raise ValueError(f"unknown update method: {method!r}")
-        try:
-            stats = updater.apply(keys, values, deletes)
-        except FaultError:
-            # the end-of-batch mirror sync aborted; the CPU tree holds
-            # every update, only the mirror is stale
-            stats = UpdateStats()
+        with self.tree.serve_lock:
             try:
-                self._refresh_mirror()
-            except GpuUnavailable:
-                self.stats.gpu_batch_failures += 1
-                if self.breaker.record_failure():
-                    self.stats.degradations += 1
-                    self._note_degrade("consecutive_failures")
-                self._snapshot_expected()
-                return stats
-        self._snapshot_expected()
+                stats = updater.apply(keys, values, deletes)
+            except FaultError:
+                # the end-of-batch mirror sync aborted; the CPU tree
+                # holds every update, only the mirror is stale
+                stats = UpdateStats()
+                try:
+                    self._refresh_mirror()
+                except GpuUnavailable:
+                    self.stats.gpu_batch_failures += 1
+                    if self.breaker.record_failure():
+                        self.stats.degradations += 1
+                        self._note_degrade("consecutive_failures")
+            self._snapshot_expected()
         return stats
 
     # ------------------------------------------------------------------

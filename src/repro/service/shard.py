@@ -12,8 +12,9 @@ takes an extra batch), and its own bounded admission window.
 
 Fault-drilled shards (``fault_plan`` given) must be ``hb-regular``
 and are served through :class:`~repro.core.resilience.ResilientHBPlusTree`
-— lookups and scans stay correct under injected GPU faults, which is
-what lets the service promise bit-identity even during a fault drill.
+wrapped around the shard's one engine — lookups and scans stay correct
+under injected GPU faults, which is what lets the service promise
+bit-identity even during a fault drill.
 """
 
 from __future__ import annotations
@@ -135,10 +136,16 @@ class Shard:
                                      balancer=engine_balancer)
         self.resilient: Optional[ResilientHBPlusTree] = None
         if wants_resilient:
+            # the wrapper serves through this shard's one engine, so
+            # ``quiesce()`` (the engine's serve lock) parks it too
             self.resilient = ResilientHBPlusTree(
                 self.tree, injector=self.injector, obs=obs,
-                adaptive=resilient_adaptive,
+                adaptive=resilient_adaptive, engine=self.engine,
             )
+        #: what lookups and scans run through: the resilient wrapper
+        #: on fault-drilled or mode-adaptive shards, else the engine
+        self._server = (self.resilient if self.resilient is not None
+                        else self.engine)
 
         self.queue = ShardQueue(self.sid, queue_capacity, policy,
                                 timeout_s=queue_timeout_s)
@@ -163,10 +170,7 @@ class Shard:
         with self.queue.admit(len(queries)):
             with self.obs.span("shard.lookup", sid=self.sid,
                                queries=len(queries)):
-                if self.resilient is not None:
-                    out = self.resilient.lookup_batch(queries)
-                else:
-                    out = self.engine.lookup_batch(queries)
+                out = self._server.lookup_batch(queries)
         self._count(lookups=len(queries))
         return out
 
@@ -176,19 +180,18 @@ class Shard:
         with self.queue.admit(len(los)):
             with self.obs.span("shard.scan", sid=self.sid,
                                scans=len(los)):
-                if self.resilient is not None:
-                    out = self.resilient.run_scans(los, his)
-                else:
-                    out = self.engine.run_scans(los, his)
+                out = self._server.run_scans(los, his)
         self._count(scans=len(los))
         return out
 
     def apply_updates(self, keys: Sequence[int], values: Sequence[int],
                       deletes: Sequence[int] = ()) -> None:
-        """Absorb this shard's slice of an update batch."""
+        """Absorb this shard's slice of an update batch (under the
+        tree's serve lock, so ``quiesce()`` parks writers too)."""
         ops = len(keys) + len(deletes)
         with self.queue.admit(ops):
-            with self.obs.span("shard.update", sid=self.sid, ops=ops):
+            with self.obs.span("shard.update", sid=self.sid, ops=ops), \
+                    self.tree.serve_lock:
                 if self.kind == "hb-implicit":
                     self.tree.merge_rebuild(keys, values, deletes)
                 elif self.resilient is not None:
@@ -208,7 +211,8 @@ class Shard:
         return len(self.tree)
 
     def quiesce(self):
-        """Park new batches and drain in-flight ones (engine lock)."""
+        """Park new lookups, scans and updates and drain in-flight ones
+        (the engine's serve lock, which every serving path takes)."""
         return self.engine.quiesce()
 
     def snapshot_to(self, manager):

@@ -165,7 +165,7 @@ class TestDegenerateBuckets:
         empty = np.array([], dtype=np.uint64)
         before = device_counters(tree)
         res = tree.gpu_search_bucket(empty, kernel=FRONTIER)
-        assert len(res.leaf_indices) == 0
+        assert len(res.codes) == 0
         assert res.transactions == 0
         assert device_counters(tree) == before
 
@@ -180,7 +180,7 @@ class TestDegenerateBuckets:
         for kern in KERNELS:
             tree = ImplicitHBPlusTree(keys, values, machine=machine_m1())
             res = tree.gpu_search_bucket(keys[:1], kernel=kern)
-            outs.append(res.leaf_indices)
+            outs.append(res.codes)
             txns.append(res.transactions)
             counters.append(device_counters(tree))
         # one query = one frontier run per level = one warp window:

@@ -35,13 +35,13 @@ class TestImplicitKernel:
         tree, keys, _values = hb_implicit
         sample = keys[:96]
         literal = tree.gpu_search_bucket_literal(sample)
-        vector = tree.gpu_search_bucket(sample).leaf_indices
+        vector = tree.gpu_search_bucket(sample).codes
         assert np.array_equal(literal, vector)
 
     def test_leaf_indices_match_cpu_descend(self, hb_implicit):
         tree, keys, _values = hb_implicit
         sample = keys[:64]
-        gpu_leaf = tree.gpu_search_bucket(sample).leaf_indices
+        gpu_leaf = tree.gpu_search_bucket(sample).codes
         cpu_leaf = [tree.cpu_tree._descend(int(k), instrument=False)
                     for k in sample]
         assert gpu_leaf.tolist() == cpu_leaf
@@ -49,7 +49,7 @@ class TestImplicitKernel:
     def test_overflow_probe_stays_in_bounds(self, hb_implicit):
         tree, keys, _values = hb_implicit
         probe = np.asarray([int(keys.max()) + 5, 0], dtype=np.uint64)
-        leaf = tree.gpu_search_bucket(probe).leaf_indices
+        leaf = tree.gpu_search_bucket(probe).codes
         assert np.all(leaf < tree.cpu_tree.num_leaves)
         literal = tree.gpu_search_bucket_literal(probe)
         assert np.array_equal(literal, leaf)
@@ -116,7 +116,7 @@ class TestImplicitSearchFrom:
             start_levels=np.full(len(q), d, dtype=np.int64),
             start_nodes=node,
         )
-        full = tree.gpu_search_bucket(q).leaf_indices
+        full = tree.gpu_search_bucket(q).codes
         assert np.array_equal(resumed, full)
 
 
@@ -166,7 +166,7 @@ class Test32BitKernels:
                                   key_bits=32)
         sample = keys[:64]
         literal = tree.gpu_search_bucket_literal(sample)
-        vector = tree.gpu_search_bucket(sample).leaf_indices
+        vector = tree.gpu_search_bucket(sample).codes
         assert np.array_equal(literal, vector)
         assert np.array_equal(tree.lookup_batch(keys), values)
 

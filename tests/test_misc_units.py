@@ -72,11 +72,11 @@ class TestStatsObjects:
 
     def test_gpu_search_result_per_query(self):
         r = GpuSearchResult(
-            leaf_indices=np.arange(4, dtype=np.int64), transactions=12
+            codes=np.arange(4, dtype=np.int64), transactions=12
         )
         assert r.transactions_per_query == 3.0
         empty = GpuSearchResult(
-            leaf_indices=np.empty(0, dtype=np.int64), transactions=0
+            codes=np.empty(0, dtype=np.int64), transactions=0
         )
         assert empty.transactions_per_query == 0.0
 
