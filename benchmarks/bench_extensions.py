@@ -10,11 +10,7 @@ import pytest
 
 from benchmarks.conftest import run_table
 from repro.bench.figures.extensions import run_framework, run_gpu_update
-from repro.core.framework import (
-    CssTreeAdapter,
-    HybridFramework,
-    ImplicitHBAdapter,
-)
+from repro.core.framework import CssTreeAdapter, HybridFramework
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.cpu.css_tree import CssTree
 from repro.memsim.mainmem import MemorySystem
@@ -42,10 +38,9 @@ def test_framework_planning_cost(benchmark, bench_data, m2):
     """Raw planning cost (measure + Algorithm 1 + bucket sweep)."""
     keys, values, queries = bench_data
     tree = ImplicitHBPlusTree(keys, values, machine=m2)
-    adapter = ImplicitHBAdapter(tree)
 
     def plan_once():
-        return HybridFramework(adapter, m2, sample=queries).plan()
+        return HybridFramework(tree, m2, sample=queries).plan()
 
     plan = benchmark(plan_once)
     assert plan.mode in ("balanced", "cpu-only")

@@ -31,14 +31,7 @@ from repro.core.batching import (
     measure_sorted_delta,
     plan_bucket,
 )
-from repro.core.framework import (
-    CssTreeAdapter,
-    HybridFramework,
-    HybridPlan,
-    ImplicitHBAdapter,
-    LeafStoredTreeAdapter,
-    RegularHBAdapter,
-)
+from repro.core.framework import CssTreeAdapter, HybridFramework, HybridPlan
 from repro.core.gpu_update import GpuAssistedUpdater
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
@@ -116,9 +109,6 @@ __all__ = [
     "LoadBalancer",
     "HybridFramework",
     "HybridPlan",
-    "LeafStoredTreeAdapter",
-    "ImplicitHBAdapter",
-    "RegularHBAdapter",
     "CssTreeAdapter",
     "CssTree",
     "GpuAssistedUpdater",

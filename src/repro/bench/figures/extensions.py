@@ -20,12 +20,7 @@ from repro.bench.figures.common import (
 )
 from repro.bench.harness import ExperimentTable
 from repro.bench.profiling import cpu_tree_performance
-from repro.core.framework import (
-    CssTreeAdapter,
-    HybridFramework,
-    ImplicitHBAdapter,
-    RegularHBAdapter,
-)
+from repro.core.framework import CssTreeAdapter, HybridFramework
 from repro.core.gpu_update import GpuAssistedUpdater
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
@@ -90,22 +85,20 @@ def run_framework(machine: Optional[MachineConfig] = None,
     keys, values, queries = dataset_and_queries(n)
     machines = [machine] if machine else [machine_m1(), machine_m2()]
     for mach in machines:
-        adapters = [
-            ImplicitHBAdapter(
-                ImplicitHBPlusTree(keys, values, machine=mach)
-            ),
-            RegularHBAdapter(HBPlusTree(keys, values, machine=mach)),
+        structures = [
+            ImplicitHBPlusTree(keys, values, machine=mach),
+            HBPlusTree(keys, values, machine=mach),
             CssTreeAdapter(
                 CssTree(keys, values, mem=MemorySystem.from_spec(mach.cpu)),
                 mach,
             ),
         ]
-        for adapter in adapters:
-            framework = HybridFramework(adapter, mach, sample=queries)
+        for tree in structures:
+            framework = HybridFramework(tree, mach, sample=queries)
             plan = framework.plan()
             table.add(
                 machine=mach.name,
-                structure=adapter.name,
+                structure=tree.name,
                 mode=plan.mode,
                 depth_D=plan.depth,
                 ratio_R=round(plan.ratio, 3),

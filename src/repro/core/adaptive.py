@@ -44,36 +44,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.framework import RegularHBAdapter
 from repro.core.load_balance import (
     DiscoveryResult,
     LoadBalancer,
     SplitCostModel,
+    split_levels,  # re-exported: callers import it from here
 )
-from repro.gpusim.kernels.frontier_search import (
-    KERNELS,
-    PER_QUERY,
-    validate_kernel,
-)
+from repro.gpusim.kernels.frontier_search import PER_QUERY, validate_kernel
 from repro.obs import NULL_OBS
-from repro.platform.costmodel import CpuCostModel
 
 Split = Tuple[int, float]
-
-
-def split_levels(n: int, depth: int, ratio: float,
-                 height: int) -> np.ndarray:
-    """Per-query CPU descent depths for one bucket under (D, R).
-
-    Equation 4 semantics: an R fraction of the bucket has its level-D
-    search done by the CPU (descends ``D + 1`` inner levels), the rest
-    hands level D to the GPU (descends ``D``).  (D=0, R=0) is the
-    all-zeros array — the unbalanced full-GPU path.
-    """
-    cut = int(round(ratio * n))
-    levels = np.full(n, min(depth + 1, height), dtype=np.int64)
-    levels[cut:] = min(depth, height)
-    return levels
 
 
 @dataclass(frozen=True)
@@ -145,93 +125,33 @@ class RegularModeBalancer(SplitCostModel):
     """Mode-space balancer for the regular HB+-tree.
 
     The regular tree's 3-step node layout has no mid-tree GPU resume
-    (``RegularHBAdapter.supports_partial_descent`` is ``False``), so
-    its split space collapses to the endpoints of Equation 4: plain
-    hybrid (D=0, R=0) and cpu-only (D=h, R=1).  :meth:`discover`
-    evaluates exactly those two and commits the cheaper; the Equation-4
-    cost evaluation itself is shared with :class:`LoadBalancer` through
-    :class:`~repro.core.load_balance.SplitCostModel`.
+    (``HBPlusTree.supports_split_descent`` is ``False``), so its split
+    space collapses to the endpoints of Equation 4: plain hybrid
+    (D=0, R=0) and cpu-only (D=h, R=1).  :meth:`_discover_kernel`
+    evaluates exactly those two; profiling, pricing and the kernel
+    sweep of :meth:`discover` are :class:`SplitCostModel`'s.
     """
-
-    def __init__(self, tree, bucket_size: Optional[int] = None,
-                 cpu_model: Optional[CpuCostModel] = None,
-                 reprofile_on_init: bool = True,
-                 allowed_kernels: Optional[Tuple[str, ...]] = None):
-        self.tree = tree
-        self.machine = tree.machine
-        self.bucket_size = bucket_size or self.machine.bucket_size
-        self.cpu_model = cpu_model or CpuCostModel(self.machine.cpu)
-        self.adapter = RegularHBAdapter(tree)
-        if allowed_kernels is not None:
-            allowed_kernels = tuple(
-                validate_kernel(k) for k in allowed_kernels
-            )
-        self.allowed_kernels = allowed_kernels
-        if reprofile_on_init:
-            self.reprofile()
-        self.depth = 0
-        self.ratio = 0.0
-
-    @property
-    def height(self) -> int:
-        return self.tree.cpu_tree.height
-
-    def reprofile(self, sample: Optional[np.ndarray] = None,
-                  sample_size: int = 2048) -> None:
-        """Per-level CPU profiles + pure GPU transaction model.
-
-        Like :meth:`LoadBalancer.reprofile`, the GPU side goes through
-        :meth:`HBPlusTree.modeled_transactions` so a mid-run re-profile
-        never counts a kernel launch or mutates device counters.
-        """
-        spec = self.tree.spec
-        if sample is None:
-            rng = np.random.default_rng(23)
-            stored = np.asarray(
-                [k for k, _v in self.tree.cpu_tree.items()],
-                dtype=spec.dtype,
-            )
-            sample = rng.choice(
-                stored, size=min(sample_size, len(stored)), replace=False
-            )
-        else:
-            sample = np.asarray(sample, dtype=spec.dtype)
-            if len(sample) == 0:
-                raise ValueError("reprofile sample must be non-empty")
-        profiles, leaf_profile = self.adapter.level_profiles(sample)
-        model = self.cpu_model
-        self.cpu_level_ns: List[float] = [
-            model.query_ns(p) for p in profiles
-        ]
-        self.leaf_ns = model.query_ns(leaf_profile)
-        h = max(1, self.height)
-        gpu = self.machine.gpu
-        self.gpu_level_ns_by_kernel = {}
-        for kern in KERNELS:
-            txns = self.tree.modeled_transactions(sample, kernel=kern)
-            txn_per_query_level = txns / max(1, len(sample)) / h
-            self.gpu_level_ns_by_kernel[kern] = [
-                txn_per_query_level * 64.0 / gpu.effective_bandwidth_gbs
-            ] * h
-        self.gpu_level_ns = self.gpu_level_ns_by_kernel[PER_QUERY]
-        # Scan costing: one more leaf probe per extra leaf line walked.
-        self.leaf_scan_ns = self.leaf_ns
-        self.scan_pairs_per_line = float(self.tree.spec.leaf_pairs_per_line)
 
     def _discover_kernel(self, kernel: str, bucket_size: Optional[int]):
         """Algorithm 1 restricted to the two modes the tree can run,
-        priced with ``kernel``'s level costs.  The shared
-        :meth:`SplitCostModel.discover` then iterates this over every
-        measured kernel and commits the cheapest (kernel, mode)."""
-        h = self.height
+        priced with ``kernel``'s level costs."""
         samples: List[Tuple[int, float, float, float]] = []
-        for depth, ratio in ((0, 0.0), (h, 1.0)):
+        for depth, ratio in ((0, 0.0), (self.height, 1.0)):
             time_gpu, time_cpu = self.sample_times(
                 depth, ratio, bucket_size, kernel=kernel
             )
             samples.append((depth, ratio, time_gpu, time_cpu))
         best = min(samples, key=lambda s: max(s[2], s[3]))
         return samples, best
+
+
+def _balancer_for(tree, **kwargs) -> SplitCostModel:
+    """The split space a hybrid tree can run: the full (D, R) space,
+    profiled on the sorted-distinct stream the batch engines run, when
+    its GPU descent resumes mid-tree; otherwise the two modes."""
+    if tree.supports_split_descent:
+        return LoadBalancer(tree, sort_batches=True, **kwargs)
+    return RegularModeBalancer(tree, **kwargs)
 
 
 class AdaptiveController:
@@ -271,7 +191,7 @@ class AdaptiveController:
             self.kernel = result.kernel
         else:
             self.depth, self.ratio = balancer.depth, balancer.ratio
-            self.kernel = getattr(balancer, "kernel", PER_QUERY)
+            self.kernel = balancer.kernel
         self.stats.depth, self.stats.ratio = self.depth, self.ratio
         self.stats.kernel = self.kernel
         self._push_tree_kernel(self.kernel)
@@ -296,16 +216,8 @@ class AdaptiveController:
         pins the Snippet-3 schedule; the default considers every
         measured kernel).
         """
-        if getattr(tree, "supports_split_descent", False):
-            balancer: SplitCostModel = LoadBalancer(
-                tree, bucket_size=bucket_size, sort_batches=True,
-                allowed_kernels=allowed_kernels,
-            )
-        else:
-            balancer = RegularModeBalancer(
-                tree, bucket_size=bucket_size,
-                allowed_kernels=allowed_kernels,
-            )
+        balancer = _balancer_for(tree, bucket_size=bucket_size,
+                                 allowed_kernels=allowed_kernels)
         return cls(balancer, config=config, obs=obs,
                    discover_on_init=discover_on_init)
 
@@ -323,14 +235,8 @@ class AdaptiveController:
         a warm-restarted node serves at the committed split from the
         first bucket.
         """
-        if getattr(tree, "supports_split_descent", False):
-            balancer: SplitCostModel = LoadBalancer(
-                tree, bucket_size=bucket_size, sort_batches=True,
-                reprofile_on_init=False,
-            )
-        else:
-            balancer = RegularModeBalancer(tree, bucket_size=bucket_size,
-                                           reprofile_on_init=False)
+        balancer = _balancer_for(tree, bucket_size=bucket_size,
+                                 reprofile_on_init=False)
         balancer.depth, balancer.ratio = int(split[0]), float(split[1])
         if len(split) > 2:
             balancer.kernel = validate_kernel(split[2])
@@ -420,11 +326,10 @@ class AdaptiveController:
         if len(sample) < self.config.min_window_queries:
             return
         self._last_sample = sample
-        if hasattr(self.balancer, "set_scan_profile"):
-            share = scans / total if total else 0.0
-            mean_length = scan_tuples / scans if scans else 0.0
-            self.balancer.set_scan_profile(share, mean_length)
-            self.obs.gauge("live.rebalance.scan_share", share)
+        share = scans / total if total else 0.0
+        mean_length = scan_tuples / scans if scans else 0.0
+        self.balancer.set_scan_profile(share, mean_length)
+        self.obs.gauge("live.rebalance.scan_share", share)
         if self._forced:
             # a forced split (degraded mode) is pinned until
             # rediscover(); keep collecting windows so recovery
@@ -475,10 +380,8 @@ class AdaptiveController:
         ``gpu_search_bucket`` with no kernel argument — its tree-level
         default is the only channel, so the controller owns it.
         """
-        tree = getattr(self.balancer, "tree", None)
-        if (tree is not None
-                and not getattr(tree, "supports_split_descent", False)
-                and hasattr(tree, "kernel")):
+        tree = self.balancer.tree
+        if tree is not None and not tree.supports_split_descent:
             tree.kernel = kernel
 
     def _apply(self, split: Split, gain: float, reason: str,

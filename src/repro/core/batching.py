@@ -45,6 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.buckets import DEFAULT_BUCKET_SIZE, iter_buckets
+from repro.core.load_balance import split_levels
 from repro.gpusim.kernels.frontier_search import validate_kernel
 from repro.obs import NULL_OBS
 
@@ -186,9 +187,7 @@ class BatchingEngine:
         #: :class:`~repro.core.adaptive.StaticSplit`; consulted once
         #: per bucket, at dispatch, and fed the dispatched queries
         self.balancer = balancer
-        if balancer is not None and not getattr(
-            tree, "supports_split_descent", False
-        ):
+        if balancer is not None and not tree.supports_split_descent:
             raise ValueError(
                 "a (D, R) balancer needs a tree with a mid-tree GPU "
                 "resume path (supports_split_descent); the regular "
@@ -225,8 +224,6 @@ class BatchingEngine:
         """
         if self.balancer is None:
             return None, self._bucket_kernel()
-        from repro.core.adaptive import split_levels
-
         depth, ratio = self.balancer.split()
         kernel = self._bucket_kernel()
         self.balancer.note_bucket(plan.queries)

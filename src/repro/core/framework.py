@@ -7,33 +7,31 @@ structure and search/update function as input, the framework would
 determine the parameters for an approach that best utilizes the
 resources of both CPU and GPU."
 
-This module implements that framework:
-
-* :class:`LeafStoredTreeAdapter` — the interface a tree structure
-  provides (inner-segment device image, CPU partial descent, GPU
-  resume, leaf finish, instrumented profiles);
-* adapters for the three structures in this repository — the implicit
-  HB+-tree, the regular HB+-tree and the CSS-tree;
-* :class:`HybridFramework` — measures per-level CPU and GPU costs for
-  the *given* structure on the *given* machine and derives an execution
-  :class:`HybridPlan`: pure-CPU, plain hybrid, or a load-balanced split
-  (D, R) with a bucket size, whichever the cost model predicts fastest.
-  ``execute`` then runs queries functionally according to the plan.
+:class:`HybridFramework` implements that framework over the hybrid-tree
+protocol: ``spec``, ``height``, ``machine``, ``cpu_tree``,
+``level_profiles``, ``modeled_transactions``, ``lookup_batch``,
+``cpu_finish_bucket`` and — for the load-balanced split, flagged by
+``supports_split_descent`` — ``cpu_descend_top`` / ``gpu_descend_from``.
+Both HB+-trees speak it natively; :class:`CssTreeAdapter` teaches it to
+the CSS-tree.  The framework measures the given structure on the given
+machine through a :class:`~repro.core.load_balance.SplitCostModel` and
+derives an execution :class:`HybridPlan`: pure-CPU, plain hybrid, or a
+load-balanced split (D, R) with a bucket size, whichever the cost model
+predicts fastest.  ``execute`` then runs queries according to the plan.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.hbtree import HBPlusTree
-from repro.core.hbtree_implicit import ImplicitHBPlusTree
+from repro.core.load_balance import SplitCostModel, split_lookup
 from repro.core.pipeline import BucketStrategy, strategy_throughput_qps
 from repro.cpu.css_tree import CssTree
 from repro.gpusim.device import GpuDevice
+from repro.gpusim.kernels.frontier_search import PER_QUERY
 from repro.gpusim.kernels.implicit_search import (
     implicit_search_from,
     implicit_search_vectorized,
@@ -49,65 +47,6 @@ from repro.platform.costmodel import (
 )
 
 BUCKET_CANDIDATES = (8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024)
-
-
-class LeafStoredTreeAdapter(abc.ABC):
-    """The node-structure/search interface the framework consumes."""
-
-    #: human-readable structure name
-    name: str = "leaf-stored-tree"
-
-    #: whether the structure can resume a GPU descent from a mid-tree
-    #: position (required for the load-balanced (D, R) split)
-    supports_partial_descent: bool = True
-
-    @property
-    @abc.abstractmethod
-    def spec(self) -> KeySpec:
-        """Key width constants of the structure."""
-
-    @property
-    @abc.abstractmethod
-    def height(self) -> int:
-        """Number of inner (directory) levels above the leaves."""
-
-    @abc.abstractmethod
-    def cpu_descend(self, queries: np.ndarray,
-                    levels: np.ndarray) -> np.ndarray:
-        """Walk per-query ``levels`` inner levels on the CPU.
-
-        Returns the per-query node positions where the GPU resumes.
-        """
-
-    @abc.abstractmethod
-    def gpu_resume(self, queries: np.ndarray, start_levels: np.ndarray,
-                   start_nodes: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Continue the descent on the GPU; returns (leaf refs, txns)."""
-
-    @abc.abstractmethod
-    def cpu_finish(self, queries: np.ndarray,
-                   leaf_refs: np.ndarray) -> np.ndarray:
-        """Resolve queries in the leaves; sentinel marks not-found."""
-
-    @abc.abstractmethod
-    def level_profiles(
-        self, sample: np.ndarray
-    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
-        """Instrumented per-inner-level CPU profiles plus the leaf
-        profile, measured on a sample."""
-
-    @abc.abstractmethod
-    def gpu_transactions_per_query(self, sample: np.ndarray) -> float:
-        """Measured device transactions per query for a full descent."""
-
-    # -- conveniences ---------------------------------------------------
-
-    def full_search(self, queries: np.ndarray) -> np.ndarray:
-        """Plain hybrid search: GPU does every inner level."""
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        zeros = np.zeros(len(q), dtype=np.int64)
-        refs, _txn = self.gpu_resume(q, zeros, zeros)
-        return self.cpu_finish(q, refs)
 
 
 @dataclass
@@ -134,57 +73,35 @@ class HybridPlan:
 
 
 class HybridFramework:
-    """Plans and executes hybrid search for any adapted tree."""
+    """Plans and executes hybrid search for any leaf-stored tree that
+    speaks the hybrid-tree protocol."""
 
     def __init__(
         self,
-        adapter: LeafStoredTreeAdapter,
+        tree,
         machine: MachineConfig,
         sample: Optional[np.ndarray] = None,
         cpu_model: Optional[CpuCostModel] = None,
     ):
-        self.adapter = adapter
+        self.tree = tree
         self.machine = machine
         self.cpu_model = cpu_model or CpuCostModel(machine.cpu)
+        #: Equation 4 / Algorithm 1 over the tree's measured level
+        #: costs, priced with the per-query kernel
+        self.model = SplitCostModel(
+            tree, cpu_model=self.cpu_model, reprofile_on_init=False,
+            allowed_kernels=(PER_QUERY,),
+        )
         self._sample = sample
         self.plan_result: Optional[HybridPlan] = None
 
     # ------------------------------------------------------------------
-    # measurement
-
-    def _measure(self, sample: np.ndarray) -> None:
-        profiles, leaf_profile = self.adapter.level_profiles(sample)
-        model = self.cpu_model
-        self.cpu_level_ns = [model.query_ns(p) for p in profiles]
-        self.leaf_ns = (
-            model.query_ns(leaf_profile) + HYBRID_STAGE_OVERHEAD_NS
-        )
-        txn_pq = self.adapter.gpu_transactions_per_query(sample)
-        h = max(1, self.adapter.height)
-        gpu = self.machine.gpu
-        self.gpu_level_ns = [txn_pq / h * 64.0 / gpu.effective_bandwidth_gbs] * h
-
-    # ------------------------------------------------------------------
     # cost evaluation
-
-    def _split_times(self, depth: int, ratio: float,
-                     bucket: int) -> Tuple[float, float]:
-        """(Time_GPU, Time_CPU) for one bucket under a (D, R) split."""
-        h = self.adapter.height
-        depth = min(depth, h)
-        cpu_pq = self.leaf_ns + sum(self.cpu_level_ns[:depth])
-        gpu_pq = sum(self.gpu_level_ns[depth + 1:])
-        if depth < h:
-            cpu_pq += ratio * self.cpu_level_ns[depth]
-            gpu_pq += (1.0 - ratio) * self.gpu_level_ns[depth]
-        t_cpu = bucket * cpu_pq / self.cpu_model.threads
-        t_gpu = self.machine.gpu.kernel_init_ns + bucket * gpu_pq
-        return t_gpu, t_cpu
 
     def _bucket_costs(self, depth: int, ratio: float,
                       bucket: int) -> BucketCosts:
-        t_gpu, t_cpu = self._split_times(depth, ratio, bucket)
-        payload = self.adapter.spec.size_bytes + (8 if depth > 0 else 0)
+        t_gpu, t_cpu = self.model.sample_times(depth, ratio, bucket)
+        payload = self.tree.spec.size_bytes + (8 if depth > 0 else 0)
         t1 = self.machine.pcie.transfer_ns(bucket * payload)
         t3 = self.machine.pcie.transfer_ns(bucket * 8)
         return BucketCosts(t1=t1, t2=t_gpu, t3=t3, t4=t_cpu)
@@ -198,7 +115,7 @@ class HybridFramework:
         )
 
     def _cpu_only_qps(self) -> float:
-        per_query = self.leaf_ns + sum(self.cpu_level_ns)
+        per_query = self.model.leaf_ns + sum(self.model.cpu_level_ns)
         return self.cpu_model.threads * 1e9 / per_query
 
     # ------------------------------------------------------------------
@@ -212,8 +129,11 @@ class HybridFramework:
                 "HybridFramework needs a query sample for planning; "
                 "pass one at construction"
             )
-        self._measure(np.asarray(sample, dtype=self.adapter.spec.dtype))
-        h = self.adapter.height
+        model = self.model
+        model.reprofile(sample)
+        # the hybrid CPU stage's bookkeeping beyond the leaf search
+        model.leaf_ns += HYBRID_STAGE_OVERHEAD_NS
+        h = self.tree.height
 
         cpu_qps = self._cpu_only_qps()
         best = HybridPlan(
@@ -232,11 +152,11 @@ class HybridFramework:
                 )
         # load-balanced candidates: Algorithm 1 per bucket size
         balanced_buckets = (
-            BUCKET_CANDIDATES if self.adapter.supports_partial_descent
-            else ()
+            BUCKET_CANDIDATES if self.tree.supports_split_descent else ()
         )
         for bucket in balanced_buckets:
-            depth, ratio = self._discover(bucket)
+            found = model.discover(bucket)
+            depth, ratio = found.depth, found.ratio
             qps = self._hybrid_qps(depth, ratio, bucket, buffers=3)
             alternatives[f"balanced@{bucket // 1024}K"] = qps
             if qps > best.predicted_qps * 1.02 and (depth, ratio) != (0, 0.0):
@@ -248,23 +168,6 @@ class HybridFramework:
         self.plan_result = best
         return best
 
-    def _discover(self, bucket: int) -> Tuple[int, float]:
-        """Algorithm 1 against the measured per-level costs."""
-        h = self.adapter.height
-        depth, ratio = 0, 1.0
-        t_gpu, t_cpu = self._split_times(depth, ratio, bucket)
-        while t_gpu > t_cpu and depth < h:
-            depth += 1
-            t_gpu, t_cpu = self._split_times(depth, ratio, bucket)
-        ratio = 0.5
-        for step in range(2, 6):
-            t_gpu, t_cpu = self._split_times(depth, ratio, bucket)
-            if t_gpu > t_cpu:
-                ratio += 1.0 / (2 ** step)
-            else:
-                ratio -= 1.0 / (2 ** step)
-        return depth, ratio
-
     # ------------------------------------------------------------------
     # execution
 
@@ -273,111 +176,35 @@ class HybridFramework:
         if self.plan_result is None:
             self.plan()
         plan = self.plan_result
-        q = np.asarray(queries, dtype=self.adapter.spec.dtype)
-        h = self.adapter.height
+        q = np.asarray(queries, dtype=self.tree.spec.dtype)
         if plan.mode == "cpu-only":
-            levels = np.full(len(q), h, dtype=np.int64)
-            nodes = self.adapter.cpu_descend(q, levels)
-            return self.adapter.cpu_finish(q, nodes)
+            return self.tree.cpu_tree.lookup_batch(q)
         if plan.mode == "hybrid":
-            return self.adapter.full_search(q)
-        # balanced: Equation 4 semantics — an R fraction descends D+1
-        # levels on the CPU, the rest D
-        cut = int(round(plan.ratio * len(q)))
-        levels = np.full(len(q), min(plan.depth + 1, h), dtype=np.int64)
-        levels[cut:] = min(plan.depth, h)
-        nodes = self.adapter.cpu_descend(q, levels)
-        refs, _txn = self.adapter.gpu_resume(q, levels, nodes)
-        return self.adapter.cpu_finish(q, refs)
+            return self.tree.lookup_batch(q)
+        return split_lookup(self.tree, q, plan.depth, plan.ratio)
 
 
 # ----------------------------------------------------------------------
-# adapters
+# the CSS-tree adapter
 
 
-class ImplicitHBAdapter(LeafStoredTreeAdapter):
-    """Adapter over :class:`ImplicitHBPlusTree`."""
-
-    name = "implicit-hb+tree"
-
-    def __init__(self, tree: ImplicitHBPlusTree):
-        self.tree = tree
-
-    @property
-    def spec(self) -> KeySpec:
-        return self.tree.spec
-
-    @property
-    def height(self) -> int:
-        return self.tree.height
-
-    def cpu_descend(self, queries, levels):
-        t = self.tree.cpu_tree
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        node = np.zeros(len(q), dtype=np.int64)
-        for level in range(t.height):
-            active = levels > level
-            if not np.any(active):
-                break
-            keys = t.inner_levels[level][node[active]]
-            k = np.sum(keys < q[active, None], axis=1).astype(np.int64)
-            next_size = (
-                t.inner_levels[level + 1].shape[0]
-                if level + 1 < t.height else t.num_leaves
-            )
-            node[active] = np.minimum(
-                node[active] * t.fanout + k, next_size - 1
-            )
-        return node
-
-    def gpu_resume(self, queries, start_levels, start_nodes):
-        t = self.tree
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        if t.gpu_depth == 0:
-            return np.asarray(start_nodes, dtype=np.int64), 0
-        leaf = implicit_search_from(
-            t.iseg_buffer.array, t.level_offsets, t.level_sizes,
-            t.gpu_depth, t.cpu_tree.fanout, q,
-            start_levels=np.asarray(start_levels, dtype=np.int64),
-            start_nodes=np.asarray(start_nodes, dtype=np.int64),
-        )
-        remaining = np.maximum(
-            t.gpu_depth - np.asarray(start_levels, dtype=np.int64), 0
-        )
-        return leaf, int(np.sum(remaining))
-
-    def cpu_finish(self, queries, leaf_refs):
-        return self.tree.cpu_finish_bucket(
-            np.asarray(queries, dtype=self.spec.dtype), leaf_refs
-        )
-
-    def level_profiles(self, sample):
-        return _implicit_style_profiles(
-            self.tree.mem, self.tree.cpu_tree, sample, self.spec
-        )
-
-    def gpu_transactions_per_query(self, sample):
-        result = self.tree.gpu_search_bucket(
-            np.asarray(sample, dtype=self.spec.dtype)
-        )
-        return result.transactions_per_query
-
-
-class CssTreeAdapter(LeafStoredTreeAdapter):
-    """Adapter over :class:`CssTree` — the directory mirrors to the GPU,
-    the sorted data array stays in host memory."""
+class CssTreeAdapter:
+    """The hybrid-tree protocol over a :class:`CssTree` — the directory
+    mirrors to the GPU, the sorted data array stays in host memory."""
 
     name = "css-tree"
+    #: the directory is implicit, so a GPU descent resumes anywhere
+    supports_split_descent = True
 
     def __init__(self, tree: CssTree, machine: MachineConfig):
-        self.tree = tree
+        self.cpu_tree = tree
         self.machine = machine
         self.device = GpuDevice(machine.gpu)
         self.link = PcieLink(machine.pcie)
         self._mirror()
 
     def _mirror(self) -> None:
-        t = self.tree
+        t = self.cpu_tree
         parts, offsets, sizes = [], [], []
         elem = 0
         for level in t.directory:
@@ -397,14 +224,14 @@ class CssTreeAdapter(LeafStoredTreeAdapter):
 
     @property
     def spec(self) -> KeySpec:
-        return self.tree.spec
+        return self.cpu_tree.spec
 
     @property
     def height(self) -> int:
-        return self.tree.height
+        return self.cpu_tree.height
 
-    def cpu_descend(self, queries, levels):
-        t = self.tree
+    def cpu_descend_top(self, queries, levels):
+        t = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
         node = np.zeros(len(q), dtype=np.int64)
         for level in range(t.height):
@@ -422,8 +249,9 @@ class CssTreeAdapter(LeafStoredTreeAdapter):
             )
         return node
 
-    def gpu_resume(self, queries, start_levels, start_nodes):
-        t = self.tree
+    def gpu_descend_from(self, queries, start_levels, start_nodes,
+                         kernel=None):
+        t = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
         if t.height == 0:
             return np.asarray(start_nodes, dtype=np.int64), 0
@@ -438,11 +266,10 @@ class CssTreeAdapter(LeafStoredTreeAdapter):
         )
         return np.minimum(run, t.num_runs - 1), int(np.sum(remaining))
 
-    def cpu_finish(self, queries, leaf_refs):
-        t = self.tree
+    def cpu_finish_bucket(self, queries, codes):
+        t = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
-        run = np.minimum(np.asarray(leaf_refs, dtype=np.int64),
-                         t.num_runs - 1)
+        run = np.minimum(np.asarray(codes, dtype=np.int64), t.num_runs - 1)
         lo = run * t.fanout
         idx = lo[:, None] + np.arange(t.fanout)
         idx = np.minimum(idx, t.num_tuples - 1)
@@ -455,155 +282,36 @@ class CssTreeAdapter(LeafStoredTreeAdapter):
         out[found] = t.sorted_values[flat[found]]
         return out
 
-    def level_profiles(self, sample):
-        return _css_profiles(self.tree, sample)
+    def lookup_batch(self, queries) -> np.ndarray:
+        """Plain hybrid search: the GPU walks every directory level."""
+        q = np.asarray(queries, dtype=self.spec.dtype)
+        zeros = np.zeros(len(q), dtype=np.int64)
+        codes, _txns = self.gpu_descend_from(q, zeros, zeros)
+        return self.cpu_finish_bucket(q, codes)
 
-    def gpu_transactions_per_query(self, sample):
-        q = np.asarray(sample, dtype=self.spec.dtype)
-        if self.tree.height == 0:
-            return 0.0
-        _leaf, txns = implicit_search_vectorized(
+    def level_profiles(self, sample):
+        return _css_profiles(self.cpu_tree, sample)
+
+    def modeled_transactions(self, queries, kernel=None) -> int:
+        """Device transactions of a full directory descent (pure),
+        under the per-query schedule whatever ``kernel`` names: the
+        framework prices only that one."""
+        t = self.cpu_tree
+        q = np.asarray(queries, dtype=self.spec.dtype)
+        if t.height == 0:
+            return 0
+        _runs, txns = implicit_search_vectorized(
             self.dir_buffer.array, self.level_offsets, self.level_sizes,
-            self.tree.height, self.tree.fanout, q,
+            t.height, t.fanout, q,
             teams_per_warp=max(
                 1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query
             ),
         )
-        return txns / max(1, len(q))
-
-
-class RegularHBAdapter(LeafStoredTreeAdapter):
-    """Adapter over the regular :class:`HBPlusTree`.
-
-    The regular tree's 3-step node search has no sub-tree resume path in
-    this implementation, so the framework plans it between cpu-only and
-    plain-hybrid modes (depth 0 only)."""
-
-    name = "regular-hb+tree"
-    supports_partial_descent = False
-
-    def __init__(self, tree: HBPlusTree):
-        self.tree = tree
-
-    @property
-    def spec(self) -> KeySpec:
-        return self.tree.spec
-
-    @property
-    def height(self) -> int:
-        return self.tree.cpu_tree.height
-
-    def cpu_descend(self, queries, levels):
-        # full descent only (used by cpu-only mode): returns leaf codes
-        t = self.tree.cpu_tree
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        node = np.full(len(q), t.root, dtype=np.int64)
-        for level in range(t.height - 1, 0, -1):
-            keys = t.upper.keys[node]
-            slot = np.sum(keys < q[:, None], axis=1)
-            slot = np.minimum(slot, np.maximum(t.upper.size[node] - 1, 0))
-            node = t.upper.refs[node, slot].astype(np.int64)
-        keys = t.last.keys[node]
-        line = np.sum(keys < q[:, None], axis=1)
-        line = np.minimum(line, np.maximum(t.last.size[node] - 1, 0))
-        return node * t.fanout + line
-
-    def gpu_resume(self, queries, start_levels, start_nodes):
-        if np.any(np.asarray(start_levels) > 0):
-            raise NotImplementedError(
-                "the regular HB+-tree supports only full GPU descents"
-            )
-        result = self.tree.gpu_search_bucket(
-            np.asarray(queries, dtype=self.spec.dtype)
-        )
-        return result.codes, result.transactions
-
-    def cpu_finish(self, queries, leaf_refs):
-        return self.tree.cpu_finish_bucket(
-            np.asarray(queries, dtype=self.spec.dtype), leaf_refs
-        )
-
-    def level_profiles(self, sample):
-        tree = self.tree.cpu_tree
-        mem = self.tree.mem
-        q = np.asarray(sample, dtype=self.spec.dtype)
-        tree._ensure_segments()
-        kpl = self.spec.keys_per_line
-        mem.reset_counters()
-        profiles: List[CpuQueryProfile] = []
-        node = np.full(len(q), tree.root, dtype=np.int64)
-        for level in range(tree.height - 1, -1, -1):
-            pool = tree.last if level == 0 else tree.upper
-            keys = pool.keys[node]
-            slot = np.sum(keys < q[:, None], axis=1)
-            slot = np.minimum(slot, np.maximum(pool.size[node] - 1, 0))
-            before = mem.counters.cache_misses
-            for n, g in zip(node.tolist(), (slot // kpl).tolist()):
-                tree._touch_inner(level, int(n), int(g))
-            misses = (mem.counters.cache_misses - before) / len(q)
-            profiles.append(CpuQueryProfile(
-                lines=3.0, misses=misses, tlb_small=0.0, tlb_huge=0.0,
-                node_searches=2.0,
-            ))
-            if level == 0:
-                lines = slot
-                before = mem.counters.cache_misses
-                for n, ln in zip(node.tolist(), lines.tolist()):
-                    tree._touch_leaf_line(int(n), int(ln))
-                leaf_misses = (mem.counters.cache_misses - before) / len(q)
-            else:
-                node = pool.refs[node, slot].astype(np.int64)
-        leaf = CpuQueryProfile(
-            lines=1.0, misses=leaf_misses, tlb_small=0.5, tlb_huge=0.0,
-            node_searches=1.0,
-        )
-        return profiles, leaf
-
-    def gpu_transactions_per_query(self, sample):
-        result = self.tree.gpu_search_bucket(
-            np.asarray(sample, dtype=self.spec.dtype)
-        )
-        return result.transactions_per_query
+        return txns
 
 
 # ----------------------------------------------------------------------
-# shared instrumented measurement for implicit-style structures
-
-
-def _implicit_style_profiles(mem, tree, sample, spec):
-    q = np.asarray(sample, dtype=spec.dtype)
-    mem.reset_counters()
-    profiles: List[CpuQueryProfile] = []
-    node = np.zeros(len(q), dtype=np.int64)
-    for level in range(tree.height):
-        offset = tree._level_line_offset(level)
-        before = mem.counters.cache_misses
-        for n in node.tolist():
-            mem.touch_line(tree.i_segment, offset + int(n))
-        misses = (mem.counters.cache_misses - before) / len(q)
-        profiles.append(CpuQueryProfile(
-            lines=1.0, misses=misses, tlb_small=0.0, tlb_huge=0.0,
-            node_searches=1.0,
-        ))
-        keys = tree.inner_levels[level][node]
-        k = np.sum(keys < q[:, None], axis=1).astype(np.int64)
-        next_size = (
-            tree.inner_levels[level + 1].shape[0]
-            if level + 1 < tree.height else tree.num_leaves
-        )
-        node = np.minimum(node * tree.fanout + k, next_size - 1)
-    before = mem.counters.cache_misses
-    tlb_before = mem.counters.tlb_misses_small
-    for n in node.tolist():
-        mem.touch_line(tree.l_segment, int(n))
-    leaf = CpuQueryProfile(
-        lines=1.0,
-        misses=(mem.counters.cache_misses - before) / len(q),
-        tlb_small=(mem.counters.tlb_misses_small - tlb_before) / len(q),
-        tlb_huge=0.0,
-        node_searches=1.0,
-    )
-    return profiles, leaf
+# instrumented measurement of the CSS-tree
 
 
 def _css_profiles(tree: CssTree, sample):

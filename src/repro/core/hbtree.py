@@ -23,7 +23,7 @@ implemented in :mod:`repro.core.update`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class MirrorSyncStats:
 class HBPlusTree(HybridTree):
     """Hybrid regular B+-tree over a machine's CPU + GPU."""
 
+    name = "regular-hb+tree"
     COST_SAMPLE_SEED = 5
 
     def __init__(
@@ -413,3 +414,44 @@ class HBPlusTree(HybridTree):
         counters = self.mem.counters
         counters.queries = len(q)
         return CpuQueryProfile.from_counters(counters, node_searches_per_query=1.0)
+
+    def level_profiles(
+        self, sample: np.ndarray
+    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
+        """Per-inner-level CPU profiles (root first) and the leaf
+        profile, from one instrumented descent of ``sample``: each
+        level runs the 3-line node search, the leaf stage probes the
+        addressed big-leaf line."""
+        tree = self.cpu_tree
+        mem = self.mem
+        q = np.asarray(sample, dtype=self.spec.dtype)
+        tree._ensure_segments()
+        kpl = self.spec.keys_per_line
+        mem.reset_counters()
+        profiles: List[CpuQueryProfile] = []
+        node = np.full(len(q), tree.root, dtype=np.int64)
+        for level in range(tree.height - 1, -1, -1):
+            pool = tree.last if level == 0 else tree.upper
+            keys = pool.keys[node]
+            slot = np.sum(keys < q[:, None], axis=1)
+            slot = np.minimum(slot, np.maximum(pool.size[node] - 1, 0))
+            before = mem.counters.cache_misses
+            for n, g in zip(node.tolist(), (slot // kpl).tolist()):
+                tree._touch_inner(level, int(n), int(g))
+            misses = (mem.counters.cache_misses - before) / len(q)
+            profiles.append(CpuQueryProfile(
+                lines=3.0, misses=misses, tlb_small=0.0, tlb_huge=0.0,
+                node_searches=2.0,
+            ))
+            if level == 0:
+                before = mem.counters.cache_misses
+                for n, ln in zip(node.tolist(), slot.tolist()):
+                    tree._touch_leaf_line(int(n), int(ln))
+                leaf_misses = (mem.counters.cache_misses - before) / len(q)
+            else:
+                node = pool.refs[node, slot].astype(np.int64)
+        leaf = CpuQueryProfile(
+            lines=1.0, misses=leaf_misses, tlb_small=0.5, tlb_huge=0.0,
+            node_searches=1.0,
+        )
+        return profiles, leaf

@@ -20,7 +20,7 @@ Updates rebuild the whole tree and re-upload the I-segment
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +74,7 @@ MERGE_PASSES = 4.0
 class ImplicitHBPlusTree(HybridTree):
     """Hybrid implicit B+-tree over a machine's CPU + GPU."""
 
+    name = "implicit-hb+tree"
     COST_SAMPLE_SEED = 3
 
     def __init__(
@@ -198,8 +199,8 @@ class ImplicitHBPlusTree(HybridTree):
         """Walk per-query ``levels`` top inner levels on the CPU.
 
         Pure (no counters, thread-safe); returns the node positions the
-        GPU resumes from.  Same clamped descent the load balancer's
-        serial path uses, so a split bucket lands in the same leaves.
+        GPU resumes from, each query stepping exactly as a full
+        :meth:`ImplicitCpuBPlusTree.lookup_batch` descent would.
         """
         tree = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
@@ -208,16 +209,7 @@ class ImplicitHBPlusTree(HybridTree):
             active = levels > level
             if not np.any(active):
                 break
-            keys = tree.inner_levels[level][node[active]]
-            k = np.sum(keys < q[active, None], axis=1).astype(np.int64)
-            next_size = (
-                tree.inner_levels[level + 1].shape[0]
-                if level + 1 < tree.height
-                else tree.num_leaves
-            )
-            node[active] = np.minimum(
-                node[active] * tree.fanout + k, next_size - 1
-            )
+            node[active] = tree.descend_level(level, node[active], q[active])
         return node
 
     def gpu_descend_from(
@@ -336,6 +328,41 @@ class ImplicitHBPlusTree(HybridTree):
 
     # ------------------------------------------------------------------
     # instrumented profiling (feeds the cost model)
+
+    def level_profiles(
+        self, sample: np.ndarray
+    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
+        """Per-inner-level CPU profiles (root first) and the leaf
+        profile, from one instrumented descent of ``sample``: each
+        level touches one I-segment line per query, the leaf stage one
+        L-segment line."""
+        tree = self.cpu_tree
+        mem = self.mem
+        q = np.asarray(sample, dtype=self.spec.dtype)
+        n = len(q)
+        mem.reset_counters()
+        c = mem.counters
+        profiles: List[CpuQueryProfile] = []
+        node = np.zeros(n, dtype=np.int64)
+        for level in range(tree.height):
+            before = c.cache_misses
+            mem.touch_lines(tree.i_segment,
+                            tree._level_line_offset(level) + node)
+            profiles.append(CpuQueryProfile(
+                lines=1.0, misses=(c.cache_misses - before) / n,
+                tlb_small=0.0, tlb_huge=0.0, node_searches=1.0,
+            ))
+            node = tree.descend_level(level, node, q)
+        before = (c.cache_misses, c.tlb_misses_small, c.tlb_misses_huge)
+        mem.touch_lines(tree.l_segment, node)
+        leaf = CpuQueryProfile(
+            lines=1.0,
+            misses=(c.cache_misses - before[0]) / n,
+            tlb_small=(c.tlb_misses_small - before[1]) / n,
+            tlb_huge=(c.tlb_misses_huge - before[2]) / n,
+            node_searches=1.0,
+        )
+        return profiles, leaf
 
     def profile_leaf_stage(self, sample_queries: np.ndarray) -> CpuQueryProfile:
         """Measure the CPU leaf stage's per-query memory behaviour."""

@@ -5,8 +5,9 @@ I-segment to one per-query code (T2), the CPU finishes in the
 L-segment (T4).  :class:`HybridTree` holds that flow — launch
 screening, the charged descent, the full lookup, range-scan starts and
 the sampled T1-T4 cost model — so each tree supplies only its layout:
-``gpu_descend``, ``cpu_finish_bucket``, ``profile_leaf_stage``, how a
-code names a leaf, its stored-key sample and its GPU level count.
+``gpu_descend``, ``cpu_finish_bucket``, ``profile_leaf_stage``,
+``level_profiles``, how a code names a leaf, its stored-key sample and
+its GPU level count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from repro.keys import key_spec
 from repro.memsim.mainmem import MemorySystem
 from repro.obs import NULL_OBS
 from repro.platform.configs import MachineConfig
-from repro.platform.costmodel import BucketCosts, CpuCostModel, hybrid_bucket_costs
+from repro.platform.costmodel import (
+    BucketCosts,
+    CpuCostModel,
+    CpuQueryProfile,
+    hybrid_bucket_costs,
+)
 
 
 @dataclass
@@ -61,6 +67,10 @@ class HybridTree:
 
     #: seed of the workload sample :meth:`bucket_costs` draws
     COST_SAMPLE_SEED = 0
+    #: whether a GPU descent can resume mid-tree
+    #: (``cpu_descend_top`` / ``gpu_descend_from``), which the
+    #: load-balanced (D, R) split needs; only the implicit layout can
+    supports_split_descent = False
 
     def __init__(self, machine: MachineConfig, key_bits: int,
                  mem: Optional[MemorySystem]):
@@ -96,6 +106,15 @@ class HybridTree:
 
     def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
         """The leaf each GPU code lands in (where a range scan starts)."""
+        raise NotImplementedError
+
+    def level_profiles(
+        self, sample: np.ndarray
+    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
+        """Instrumented CPU profiles of ``sample``'s descent: one per
+        inner level (root first) and one for the leaf stage.  The
+        per-level costs of :class:`repro.core.load_balance.SplitCostModel`
+        come from here."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

@@ -30,13 +30,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.gpusim.kernels.frontier_search import (
     KERNELS,
     PER_QUERY,
     validate_kernel,
 )
-from repro.platform.costmodel import BucketCosts, CpuCostModel, CpuQueryProfile
+from repro.platform.costmodel import BucketCosts, CpuCostModel
 
 
 @dataclass
@@ -61,35 +60,59 @@ class DiscoveryResult:
         return len(self.samples)
 
 
+def split_levels(n: int, depth: int, ratio: float,
+                 height: int) -> np.ndarray:
+    """Per-query CPU descent depths for one bucket under (D, R).
+
+    Equation 4 semantics: an R fraction of the bucket has its level-D
+    search done by the CPU (descends ``D + 1`` inner levels), the rest
+    hands level D to the GPU (descends ``D``).  (D=0, R=0) is the
+    all-zeros array — the unbalanced full-GPU path.
+    """
+    cut = int(round(ratio * n))
+    levels = np.full(n, min(depth + 1, height), dtype=np.int64)
+    levels[cut:] = min(depth, height)
+    return levels
+
+
+def split_lookup(tree, queries, depth: int, ratio: float) -> np.ndarray:
+    """Answer one bucket split at (D, R): the CPU walks each query's
+    top levels, the GPU resumes from there, the CPU finishes in the
+    leaves.  ``tree`` needs the split-descent entry points
+    (``supports_split_descent``)."""
+    q = np.asarray(queries, dtype=tree.spec.dtype)
+    levels = split_levels(len(q), depth, ratio, tree.height)
+    nodes = tree.cpu_descend_top(q, levels)
+    codes, _txns = tree.gpu_descend_from(q, levels, nodes)
+    return tree.cpu_finish_bucket(q, codes)
+
+
 class SplitCostModel:
     """Equation 4 evaluation + Algorithm 1 over measured level costs.
 
-    Subclasses own the measurement side: :meth:`reprofile` fills
-    ``cpu_level_ns`` (top level first), ``gpu_level_ns`` and
-    ``leaf_ns``, and :attr:`height` names the number of inner levels.
-    Everything downstream of the measurements is shared —
-    :meth:`sample_times` / :meth:`balanced_cost_ns` (Equation 4) and
-    :meth:`discover` (Algorithm 1) — between the implicit-tree
-    :class:`LoadBalancer` and the mode-space balancer the adaptive
-    controller builds for the regular tree
-    (:class:`repro.core.adaptive.RegularModeBalancer`).
+    :meth:`reprofile` measures the tree: ``cpu_level_ns`` (top level
+    first) and ``leaf_ns`` from the tree's instrumented
+    ``level_profiles``, ``gpu_level_ns_by_kernel`` from its pure
+    ``modeled_transactions``.  :meth:`sample_times` /
+    :meth:`balanced_cost_ns` price a split (Equation 4) and
+    :meth:`discover` finds one (Algorithm 1).  The implicit tree's
+    :class:`LoadBalancer`, the regular tree's two-mode
+    :class:`repro.core.adaptive.RegularModeBalancer` and
+    :class:`repro.core.framework.HybridFramework` all price through it.
     """
 
-    # set by subclass constructors / reprofile()
-    machine = None
-    cpu_model = None
-    bucket_size = 0
+    #: measured by :meth:`reprofile`
     cpu_level_ns: List[float]
     leaf_ns: float
+    gpu_level_ns_by_kernel: Dict[str, List[float]]
+    #: applied split; discovery and the adaptive controller move it
     depth: int = 0
     ratio: float = 0.0
     #: the GPU kernel the committed split is priced with (a third
     #: discovery dimension next to D and R)
     kernel: str = PER_QUERY
-    #: per-kernel measured level costs; ``None`` until a subclass
-    #: :meth:`reprofile` fills it (scripted balancers that assign
-    #: ``gpu_level_ns`` directly keep single-kernel behaviour)
-    gpu_level_ns_by_kernel: Optional[Dict[str, List[float]]] = None
+    #: profile the sorted distinct sample (the batch engines' stream)
+    sort_batches: bool = False
     #: restricts which kernels discovery may choose (``None`` = all
     #: measured kernels); lets a deployment pin the per-query schedule
     allowed_kernels: Optional[Tuple[str, ...]] = None
@@ -106,52 +129,99 @@ class SplitCostModel:
     #: advances a scan before the next line is charged)
     scan_pairs_per_line: float = 8.0
 
-    @property
-    def gpu_level_ns(self) -> List[float]:
-        """Per-level GPU costs of the *currently selected* kernel."""
-        by = self.gpu_level_ns_by_kernel
-        if by and self.kernel in by:
-            return by[self.kernel]
-        return self._gpu_level_ns
-
-    @gpu_level_ns.setter
-    def gpu_level_ns(self, value: List[float]) -> None:
-        self._gpu_level_ns = value
-
-    def gpu_costs_for(self, kernel: str) -> List[float]:
-        """Per-level GPU costs under ``kernel`` (measured, or the
-        single profiled cost list when no per-kernel profile exists)."""
-        by = self.gpu_level_ns_by_kernel
-        if by and kernel in by:
-            return by[kernel]
-        return self.gpu_level_ns
-
-    def candidate_kernels(self) -> Tuple[str, ...]:
-        """Kernels discovery can choose between — every kernel with a
-        measured cost profile (intersected with :attr:`allowed_kernels`
-        when restricted), in :data:`KERNELS` order (so ties go to the
-        per-query default deterministically)."""
-        by = self.gpu_level_ns_by_kernel
-        if by:
-            kernels = tuple(k for k in KERNELS if k in by)
-        else:
-            kernels = (self.kernel,)
-        if self.allowed_kernels is not None:
-            restricted = tuple(
-                k for k in kernels if k in self.allowed_kernels
+    def __init__(
+        self,
+        tree,
+        bucket_size: Optional[int] = None,
+        cpu_model: Optional[CpuCostModel] = None,
+        reprofile_on_init: bool = True,
+        allowed_kernels: Optional[Tuple[str, ...]] = None,
+    ):
+        self.tree = tree
+        self.machine = tree.machine
+        self.bucket_size = bucket_size or self.machine.bucket_size
+        self.cpu_model = cpu_model or CpuCostModel(self.machine.cpu)
+        if allowed_kernels is not None:
+            allowed_kernels = tuple(
+                validate_kernel(k) for k in allowed_kernels
             )
-            if restricted:
-                return restricted
-        return kernels
+        self.allowed_kernels = allowed_kernels
+        if reprofile_on_init:
+            self.reprofile()
 
     @property
     def height(self) -> int:
         """Number of inner (directory) levels above the leaves."""
-        raise NotImplementedError
+        return self.tree.height
+
+    @property
+    def gpu_level_ns(self) -> List[float]:
+        """Per-level GPU costs of the *currently selected* kernel."""
+        return self.gpu_level_ns_by_kernel[self.kernel]
+
+    def gpu_costs_for(self, kernel: str) -> List[float]:
+        """Per-level GPU costs under ``kernel``."""
+        return self.gpu_level_ns_by_kernel[kernel]
+
+    def candidate_kernels(self) -> Tuple[str, ...]:
+        """Kernels discovery can choose between — every measured kernel
+        (intersected with :attr:`allowed_kernels` when restricted), in
+        :data:`KERNELS` order, so ties go to the per-query default."""
+        if self.allowed_kernels is not None:
+            restricted = tuple(
+                k for k in KERNELS if k in self.allowed_kernels
+            )
+            if restricted:
+                return restricted
+        return KERNELS
 
     def reprofile(self, sample: Optional[np.ndarray] = None,
                   sample_size: int = 2048) -> None:
-        raise NotImplementedError
+        """Measure C_{C,i}, C_{G,i} and L_C from instrumented runs.
+
+        ``sample`` supplies the query stream to profile on — the online
+        adaptive controller passes a reservoir of *live* window queries
+        here, so the per-level costs track the traffic actually being
+        served.  When omitted, a seeded sample of stored keys is drawn
+        without replacement (sampling *with* replacement skews
+        per-level miss rates on small trees).
+
+        The GPU side is measured through the tree's pure transaction
+        model (``modeled_transactions``), once per kernel, so profiling
+        never counts a kernel launch or mutates device counters — a
+        re-profile in the middle of an engine run leaves the engine's
+        modeled counters bit-identical to an unprofiled run.
+        """
+        tree = self.tree
+        if sample is None:
+            stored = tree._stored_keys()
+            rng = np.random.default_rng(23)
+            sample = rng.choice(
+                stored, size=min(sample_size, len(stored)), replace=False
+            )
+        else:
+            sample = np.asarray(sample, dtype=tree.spec.dtype)
+            if len(sample) == 0:
+                raise ValueError("reprofile sample must be non-empty")
+        if self.sort_batches:
+            sample = np.unique(sample)
+        profiles, leaf_profile = tree.level_profiles(sample)
+        model = self.cpu_model
+        self.cpu_level_ns = [model.query_ns(p) for p in profiles]
+        self.leaf_ns = model.query_ns(leaf_profile)
+        h = self.height
+        gpu = self.machine.gpu
+        self.gpu_level_ns_by_kernel = {}
+        for kern in KERNELS:
+            txns = tree.modeled_transactions(sample, kernel=kern)
+            txn_per_query_level = txns / max(1, len(sample)) / max(1, h)
+            self.gpu_level_ns_by_kernel[kern] = [
+                txn_per_query_level * 64.0 / gpu.effective_bandwidth_gbs
+            ] * h
+        # Scan costing: each extra leaf line walked past the landing
+        # line costs one more CPU leaf probe.
+        self.leaf_scan_ns = self.leaf_ns
+        self.scan_pairs_per_line = float(tree.spec.leaf_pairs_per_line)
 
     def set_scan_profile(self, share: float, length: float) -> None:
         """Price buckets as a scan/lookup mix.
@@ -315,194 +385,25 @@ class SplitCostModel:
 class LoadBalancer(SplitCostModel):
     """The load-balanced implicit HB+-tree search (section 5.5)."""
 
+    #: the paper's starting point: all of level 0 on the CPU
+    ratio = 1.0
+
     def __init__(
         self,
-        tree: ImplicitHBPlusTree,
+        tree,
         bucket_size: Optional[int] = None,
         cpu_model: Optional[CpuCostModel] = None,
         sort_batches: bool = False,
         reprofile_on_init: bool = True,
         allowed_kernels: Optional[Tuple[str, ...]] = None,
     ):
-        self.tree = tree
-        self.machine = tree.machine
-        self.bucket_size = bucket_size or self.machine.bucket_size
-        self.cpu_model = cpu_model or CpuCostModel(self.machine.cpu)
         self.sort_batches = sort_batches
-        if allowed_kernels is not None:
-            allowed_kernels = tuple(
-                validate_kernel(k) for k in allowed_kernels
-            )
-        self.allowed_kernels = allowed_kernels
-        if reprofile_on_init:
-            self.reprofile()
-        self.depth = 0
-        self.ratio = 1.0
-
-    @property
-    def height(self) -> int:
-        return self.tree.cpu_tree.height
-
-    # ------------------------------------------------------------------
-    # per-level cost measurement
-
-    def reprofile(self, sample: Optional[np.ndarray] = None,
-                  sample_size: int = 2048) -> None:
-        """Measure C_{C,i}, C_{G,i} and L_C from instrumented runs.
-
-        ``sample`` supplies the query stream to profile on — the online
-        adaptive controller passes a reservoir of *live* window queries
-        here, so the per-level costs track the traffic actually being
-        served.  When omitted, a seeded sample of stored keys is drawn
-        (without replacement: sampling stored keys *with* replacement
-        skews per-level miss rates on small trees, the same bug the
-        PR 2 ``bucket_costs`` fix removed for tiny trees).
-
-        The GPU side is measured through the pure transaction model
-        (:meth:`ImplicitHBPlusTree.modeled_transactions`), so profiling
-        never mutates device counters or the kernel-launch count — a
-        re-profile in the middle of an engine run leaves the engine's
-        modeled counters bit-identical to an unprofiled run.
-        """
-        tree = self.tree.cpu_tree
-        spec = self.tree.spec
-        if sample is None:
-            rng = np.random.default_rng(23)
-            stored = tree.leaf_keys.reshape(-1)
-            stored = stored[stored != spec.max_value]
-            sample = rng.choice(
-                stored, size=min(sample_size, len(stored)), replace=False
-            )
-        else:
-            sample = np.asarray(sample, dtype=spec.dtype)
-            if len(sample) == 0:
-                raise ValueError("reprofile sample must be non-empty")
-        if self.sort_batches:
-            # measure on the stream the batch engine actually runs:
-            # sorted distinct queries (coalescing-friendly on the GPU)
-            sample = np.unique(sample)
-        mem = self.tree.mem
-        h = tree.height
-
-        # CPU cost per level: descend while recording per-level misses
-        per_level_misses = [0.0] * h
-        per_level_lines = [0.0] * h
-        node = np.zeros(len(sample), dtype=np.int64)
-        q = sample.astype(spec.dtype)
-        mem.reset_counters()
-        for level in range(h):
-            offset = tree._level_line_offset(level)
-            before = mem.counters.cache_misses
-            mem.touch_lines(tree.i_segment, offset + node)
-            per_level_misses[level] = (
-                mem.counters.cache_misses - before
-            ) / len(sample)
-            per_level_lines[level] = 1.0
-            keys = tree.inner_levels[level][node]
-            k = np.sum(keys < q[:, None], axis=1).astype(np.int64)
-            next_size = (
-                tree.inner_levels[level + 1].shape[0]
-                if level + 1 < h
-                else tree.num_leaves
-            )
-            node = np.minimum(node * tree.fanout + k, next_size - 1)
-        # leaf stage cost
-        before = mem.counters.cache_misses
-        tlb_s_before = mem.counters.tlb_misses_small
-        tlb_h_before = mem.counters.tlb_misses_huge
-        mem.touch_lines(tree.l_segment, node)
-        leaf_misses = (mem.counters.cache_misses - before) / len(sample)
-        leaf_tlb_s = (mem.counters.tlb_misses_small - tlb_s_before) / len(sample)
-        leaf_tlb_h = (mem.counters.tlb_misses_huge - tlb_h_before) / len(sample)
-
-        model = self.cpu_model
-        self.cpu_level_ns: List[float] = []
-        for level in range(h):
-            profile = CpuQueryProfile(
-                lines=per_level_lines[level],
-                misses=per_level_misses[level],
-                tlb_small=0.0,
-                tlb_huge=0.0,
-                node_searches=1.0,
-            )
-            self.cpu_level_ns.append(model.query_ns(profile))
-        leaf_profile = CpuQueryProfile(
-            lines=1.0,
-            misses=leaf_misses,
-            tlb_small=leaf_tlb_s,
-            tlb_huge=leaf_tlb_h,
-            node_searches=1.0,
-        )
-        self.leaf_ns = model.query_ns(leaf_profile)
-
-        # GPU cost per level: transactions measured by the kernel twin
-        # (pure model — no launch counted, no device-counter mutation),
-        # once per kernel so discovery can price per_query vs frontier
-        gpu = self.machine.gpu
-        self.gpu_level_ns_by_kernel = {}
-        for kern in KERNELS:
-            txns = self.tree.modeled_transactions(sample, kernel=kern)
-            txn_per_query_level = txns / max(1, len(sample)) / max(1, h)
-            self.gpu_level_ns_by_kernel[kern] = [
-                txn_per_query_level * 64.0 / gpu.effective_bandwidth_gbs
-            ] * h
-        self.gpu_level_ns = self.gpu_level_ns_by_kernel[PER_QUERY]
-
-        # Scan costing: each extra leaf line walked past the landing line
-        # costs one more CPU leaf probe; the implicit tree stores a whole
-        # leaf per cache line.
-        self.leaf_scan_ns = self.leaf_ns
-        self.scan_pairs_per_line = float(tree.leaf_keys.shape[1])
-
-    # ------------------------------------------------------------------
-    # functional balanced lookup
+        super().__init__(tree, bucket_size, cpu_model, reprofile_on_init,
+                         allowed_kernels)
 
     def lookup_batch(self, queries) -> np.ndarray:
         """Execute one bucket split at the discovered (D, R)."""
-        tree = self.tree.cpu_tree
-        spec = self.tree.spec
-        q = np.asarray(queries, dtype=spec.dtype)
-        h = tree.height
-        n = len(q)
-        if h == 0:
-            return self.tree.cpu_finish_bucket(q, np.zeros(n, dtype=np.int64))
-        # Equation 4 semantics: an R fraction of the bucket has its
-        # level-D search done by the CPU (descends D+1 levels), the
-        # rest hands level D to the GPU (descends D levels)
-        cut = int(round(self.ratio * n))
-        depths = np.full(n, min(self.depth + 1, h), dtype=np.int64)
-        depths[cut:] = min(self.depth, h)
-
-        node = np.zeros(n, dtype=np.int64)
-        for level in range(h):
-            active = depths > level
-            if not np.any(active):
-                break
-            keys = tree.inner_levels[level][node[active]]
-            k = np.sum(keys < q[active, None], axis=1).astype(np.int64)
-            next_size = (
-                tree.inner_levels[level + 1].shape[0]
-                if level + 1 < h
-                else tree.num_leaves
-            )
-            node[active] = np.minimum(
-                node[active] * tree.fanout + k, next_size - 1
-            )
-        # GPU resumes from the per-query depth
-        from repro.gpusim.kernels.implicit_search import (
-            implicit_search_from,
-        )
-        leaf = implicit_search_from(
-            self.tree.iseg_buffer.array,
-            self.tree.level_offsets,
-            self.tree.level_sizes,
-            h,
-            tree.fanout,
-            q,
-            start_levels=depths,
-            start_nodes=node,
-        )
-        return self.tree.cpu_finish_bucket(q, leaf)
+        return split_lookup(self.tree, queries, self.depth, self.ratio)
 
     def bucket_costs(self, bucket_size: Optional[int] = None) -> BucketCosts:
         """T1-T4 under the discovered split, for the pipeline simulator.

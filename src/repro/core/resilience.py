@@ -27,7 +27,7 @@ Mechanisms (bottom-up):
   ``HBPlusTree.mirror_stale`` set; the mirror is re-uploaded before the
   GPU is allowed to serve again;
 * **circuit breaker** — after repeated batch-level GPU failures the
-  tree degrades to the existing CPU-only search path (the
+  tree degrades to the CPU tree's own search path (the
   :class:`~repro.core.framework.HybridFramework` cpu-only mode /
   appendix B.1), then periodically probes the GPU and recovers by
   re-mirroring the I-segment.
@@ -48,7 +48,6 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.batching import BatchingEngine
-from repro.core.framework import RegularHBAdapter
 from repro.core.hbtree import HBPlusTree
 from repro.core.update import AsyncBatchUpdater, SyncUpdater, UpdateStats
 from repro.faults import (
@@ -272,7 +271,6 @@ class ResilientHBPlusTree:
         if injector is not None:
             tree.attach_injector(injector)
         self.injector = tree.injector
-        self.adapter = RegularHBAdapter(tree)
         self._jitter_rng = np.random.default_rng(
             [self.config.seed & 0x7FFFFFFF, 0x0BAC0FF]
         )
@@ -325,7 +323,7 @@ class ResilientHBPlusTree:
             costs = self.tree.bucket_costs(sample=sample)
             self.bucket_size = machine.bucket_size
             self.hybrid_bucket_ns = costs.double_buffered
-            profiles, leaf = self.adapter.level_profiles(sample)
+            profiles, leaf = self.tree.level_profiles(sample)
             model = CpuCostModel(machine.cpu)
             per_query = (
                 model.query_ns(leaf) + HYBRID_STAGE_OVERHEAD_NS
@@ -485,8 +483,7 @@ class ResilientHBPlusTree:
 
     def _cpu_lookup(self, q: np.ndarray) -> np.ndarray:
         """The whole descent and the leaf search on the CPU."""
-        levels = np.full(len(q), self.adapter.height, dtype=np.int64)
-        return self.adapter.cpu_finish(q, self.adapter.cpu_descend(q, levels))
+        return self.tree.cpu_tree.lookup_batch(q)
 
     def _cpu_scans(self, los: np.ndarray, his: np.ndarray) -> list:
         tree = self.tree.cpu_tree

@@ -241,6 +241,21 @@ class ImplicitCpuBPlusTree:
             return int(self.leaf_values[leaf, pos])
         return None
 
+    def descend_level(self, level: int, node: np.ndarray,
+                      queries: np.ndarray) -> np.ndarray:
+        """One vectorised descent step: each query's position on level
+        ``level + 1`` (the leaf index below the last inner level),
+        searched from its ``node`` on ``level`` and clamped to that
+        level's size."""
+        keys = self.inner_levels[level][node]
+        k = np.sum(keys < queries[:, None], axis=1).astype(np.int64)
+        next_size = (
+            self.inner_levels[level + 1].shape[0]
+            if level + 1 < self.height
+            else self.num_leaves
+        )
+        return np.minimum(node * self.fanout + k, next_size - 1)
+
     def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
         """Vectorised point lookups; absent keys yield the max value.
 
@@ -249,15 +264,8 @@ class ImplicitCpuBPlusTree:
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
         node = np.zeros(len(q), dtype=np.int64)
-        for level, level_keys in enumerate(self.inner_levels):
-            keys = level_keys[node]
-            k = np.sum(keys < q[:, None], axis=1).astype(np.int64)
-            next_size = (
-                self.inner_levels[level + 1].shape[0]
-                if level + 1 < len(self.inner_levels)
-                else self.num_leaves
-            )
-            node = np.minimum(node * self.fanout + k, next_size - 1)
+        for level in range(self.height):
+            node = self.descend_level(level, node, q)
         rows = self.leaf_keys[node]
         pos = np.sum(rows < q[:, None], axis=1)
         pos_c = np.minimum(pos, rows.shape[1] - 1)

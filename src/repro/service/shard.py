@@ -126,7 +126,7 @@ class Shard:
                 self.controller = AdaptiveController.for_tree(
                     self.tree, bucket_size=bucket_size, obs=obs,
                 )
-            if getattr(self.tree, "supports_split_descent", False):
+            if self.tree.supports_split_descent:
                 engine_balancer = self.controller
             else:
                 resilient_adaptive = self.controller

@@ -1,14 +1,12 @@
 """The generic leaf-stored hybrid framework (section 7 future work)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.framework import (
-    CssTreeAdapter,
-    HybridFramework,
-    ImplicitHBAdapter,
-    RegularHBAdapter,
-)
+from repro.bench.figures.common import dataset_and_queries
+from repro.core.framework import CssTreeAdapter, HybridFramework
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.cpu.css_tree import CssTree
@@ -26,15 +24,13 @@ def data():
 
 def make_adapter(kind, keys, values, machine):
     if kind == "implicit":
-        return ImplicitHBAdapter(
-            ImplicitHBPlusTree(keys, values, machine=machine)
-        )
+        return ImplicitHBPlusTree(keys, values, machine=machine)
     if kind == "css":
         return CssTreeAdapter(
             CssTree(keys, values, mem=MemorySystem.from_spec(machine.cpu)),
             machine,
         )
-    return RegularHBAdapter(HBPlusTree(keys, values, machine=machine))
+    return HBPlusTree(keys, values, machine=machine)
 
 
 ADAPTERS = ["implicit", "css", "regular"]
@@ -48,7 +44,7 @@ class TestPlanning:
                              sample=sample)
         plan = fw.plan()
         assert plan.mode in ("cpu-only", "hybrid", "balanced")
-        assert 0 <= plan.depth <= fw.adapter.height
+        assert 0 <= plan.depth <= fw.tree.height
         assert 0.0 <= plan.ratio <= 1.0
         assert plan.bucket_size in (8192, 16384, 32768, 65536)
         assert plan.predicted_qps > 0
@@ -114,7 +110,7 @@ class TestExecution:
                              sample=sample)
         plan = fw.plan()
         plan.mode = "balanced"
-        plan.depth = min(2, fw.adapter.height)
+        plan.depth = min(2, fw.tree.height)
         plan.ratio = 0.5
         out = fw.execute(keys[:800])
         assert np.array_equal(out, values[:800])
@@ -136,7 +132,7 @@ class TestExecution:
         fw.plan()
         probe = np.asarray([int(keys.max()) + 3], dtype=np.uint64)
         out = fw.execute(probe)
-        assert out[0] == fw.adapter.spec.max_value
+        assert out[0] == fw.tree.spec.max_value
 
     def test_execute_plans_lazily(self, data, m1):
         keys, values, sample = data
@@ -152,30 +148,22 @@ class TestAdapters:
         keys, values, sample = data
         adapter = make_adapter("implicit", keys, values, m1)
         q = np.asarray(keys[:256], dtype=np.uint64)
-        full = adapter.full_search(q)
+        full = adapter.lookup_batch(q)
         levels = np.full(len(q), 2, dtype=np.int64)
-        nodes = adapter.cpu_descend(q, levels)
-        refs, _txn = adapter.gpu_resume(q, levels, nodes)
-        split = adapter.cpu_finish(q, refs)
+        nodes = adapter.cpu_descend_top(q, levels)
+        refs, _txn = adapter.gpu_descend_from(q, levels, nodes)
+        split = adapter.cpu_finish_bucket(q, refs)
         assert np.array_equal(full, split)
 
     def test_css_gpu_resume_matches_full(self, data, m1):
         keys, values, sample = data
         adapter = make_adapter("css", keys, values, m1)
         q = np.asarray(keys[:256], dtype=np.uint64)
-        full = adapter.full_search(q)
+        full = adapter.lookup_batch(q)
         levels = np.full(len(q), 1, dtype=np.int64)
-        nodes = adapter.cpu_descend(q, levels)
-        refs, _txn = adapter.gpu_resume(q, levels, nodes)
-        assert np.array_equal(adapter.cpu_finish(q, refs), full)
-
-    def test_regular_rejects_partial_descent(self, data, m1):
-        keys, values, sample = data
-        adapter = make_adapter("regular", keys, values, m1)
-        q = np.asarray(keys[:8], dtype=np.uint64)
-        with pytest.raises(NotImplementedError):
-            adapter.gpu_resume(q, np.ones(8, dtype=np.int64),
-                               np.zeros(8, dtype=np.int64))
+        nodes = adapter.cpu_descend_top(q, levels)
+        refs, _txn = adapter.gpu_descend_from(q, levels, nodes)
+        assert np.array_equal(adapter.cpu_finish_bucket(q, refs), full)
 
     @pytest.mark.parametrize("kind", ADAPTERS)
     def test_level_profiles_shape(self, data, m1, kind):
@@ -189,4 +177,27 @@ class TestAdapters:
     def test_gpu_transactions_positive(self, data, m1, kind):
         keys, values, sample = data
         adapter = make_adapter(kind, keys, values, m1)
-        assert adapter.gpu_transactions_per_query(sample[:512]) > 0
+        assert adapter.modeled_transactions(sample[:512]) > 0
+
+
+class TestPlanningIsPure:
+    @pytest.mark.parametrize("kind", ["implicit", "regular"])
+    def test_plan_leaves_device_counters_unchanged(self, data, m2, kind):
+        keys, values, sample = data
+        tree = make_adapter(kind, keys, values, m2)
+        launches = tree.device.kernel_launches
+        counters = dataclasses.asdict(tree.device.memory.counters)
+        HybridFramework(tree, m2, sample=sample).plan()
+        assert tree.device.kernel_launches == launches
+        assert dataclasses.asdict(tree.device.memory.counters) == counters
+
+    @pytest.mark.parametrize("kind", ["implicit", "css"])
+    def test_balanced_ratio_is_a_sampled_point(self, m2, kind):
+        # Algorithm 1 samples R on the 1/16 grid; committing the binary
+        # search's unsampled last step would land on an odd 1/32
+        keys, values, queries = dataset_and_queries(1 << 14)
+        fw = HybridFramework(make_adapter(kind, keys, values, m2), m2,
+                             sample=queries)
+        plan = fw.plan()
+        assert plan.mode == "balanced"
+        assert (plan.ratio * 16).is_integer()
