@@ -233,20 +233,22 @@ class BatchingEngine:
     def _descend(self, plan: BucketPlan):
         """The inner-level stage, split per the balancer when present.
 
-        A split moves levels between processors and a kernel moves the
-        traversal schedule, never results: (D=0, R=0) reproduces
-        ``gpu_search_bucket`` exactly (codes *and* transaction count),
-        and every kernel returns bit-identical leaves.
+        Returns ``(GpuSearchResult, kernel)``, the kernel being the one
+        the bucket ran with (None = tree default).  A split moves levels
+        between processors and a kernel moves the traversal schedule,
+        never results: (D=0, R=0) reproduces ``gpu_search_bucket``
+        exactly (codes *and* transaction count), and every kernel
+        returns bit-identical leaves.
         """
         levels, kernel = self._split(plan)
         if levels is None:
             return self.tree.gpu_search_bucket(
                 plan.sorted_unique, kernel=kernel
-            )
+            ), kernel
         nodes = self.tree.cpu_descend_top(plan.sorted_unique, levels)
         return self.tree.gpu_search_bucket_from(
             plan.sorted_unique, levels, nodes, kernel=kernel
-        )
+        ), kernel
 
     def execute_bucket(self, queries: Sequence):
         """Run one bucket; returns ``(values, GpuSearchResult)``.
@@ -269,10 +271,11 @@ class BatchingEngine:
         with obs.span("bucket", bucket=index, n_queries=plan.n_queries,
                       n_unique=plan.n_unique):
             with obs.span("gpu_descend", bucket=index):
-                result = self._descend(plan)
+                result, kernel = self._descend(plan)
             if self.measure_baseline:
+                # the arrival-order bucket under the kernel that ran
                 result.baseline_transactions = self.tree.modeled_transactions(
-                    plan.queries
+                    plan.queries, kernel=kernel
                 )
                 self.stats.baseline_transactions += result.baseline_transactions
                 self.stats.baselines_measured += 1
@@ -339,7 +342,7 @@ class BatchingEngine:
         with obs.span("scan_bucket", bucket=index,
                       n_queries=plan.n_queries, n_unique=plan.n_unique):
             with obs.span("gpu_descend", bucket=index):
-                result = self._descend(plan)
+                result, _kernel = self._descend(plan)
             with obs.span("cpu_scan", bucket=index):
                 codes = result.codes[plan.inverse]
                 scans = self.tree.cpu_scan_bucket(plan.queries, his, codes)

@@ -385,29 +385,32 @@ class HBPlusTree(HybridTree):
         if len(q) == 0:
             return np.zeros(0, dtype=self.spec.dtype)
         tree = self.cpu_tree
-        fanout = tree.fanout
-        node = (codes // fanout).astype(np.int64)
-        line = (codes % fanout).astype(np.int64)
         p = self.spec.leaf_pairs_per_line
-        base = line * p
-        rows = tree.leaves.keys[node[:, None], base[:, None] + np.arange(p)]
-        pos = np.sum(rows < q[:, None], axis=1)
-        pos_c = np.minimum(pos, p - 1)
-        found = rows[np.arange(len(q)), pos_c] == q
-        out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
-        idx = np.arange(len(q))[found]
-        out[found] = tree.leaves.values[node[idx], base[idx] + pos_c[idx]]
-        return out
+        # one flat index per query: the first pair of its leaf line; a
+        # line is non-decreasing (gaps copy their right neighbour,
+        # padding is the maximum), so a branchless lower bound over its
+        # ``p`` keys lands on the pair a match must occupy
+        codes = np.asarray(codes, dtype=np.int64)
+        pos = (codes // tree.fanout) * tree.leaves.capacity_pairs
+        pos += (codes % tree.fanout) * p
+        keys = tree.leaves.keys.reshape(-1)
+        step = p >> 1
+        while step:
+            pos += (keys[pos + (step - 1)] < q) * step
+            step >>= 1
+        found = keys[pos] == q
+        return np.where(found, tree.leaves.values.reshape(-1)[pos],
+                        self.spec.dtype(self.spec.max_value))
 
     # ------------------------------------------------------------------
     # profiling / cost model
 
     def profile_leaf_stage(self, sample_queries: np.ndarray) -> CpuQueryProfile:
         q = np.asarray(sample_queries, dtype=self.spec.dtype)
-        result = self.gpu_search_bucket(q)
+        codes, _txns = self.gpu_descend(q)
         tree = self.cpu_tree
-        node = (result.codes // tree.fanout).astype(np.int64)
-        line = (result.codes % tree.fanout).astype(np.int64)
+        node = (codes // tree.fanout).astype(np.int64)
+        line = (codes % tree.fanout).astype(np.int64)
         self.mem.reset_counters()
         tree._ensure_segments()
         tree._touch_leaf_lines(node, line)

@@ -367,7 +367,7 @@ class ImplicitHBPlusTree(HybridTree):
     def profile_leaf_stage(self, sample_queries: np.ndarray) -> CpuQueryProfile:
         """Measure the CPU leaf stage's per-query memory behaviour."""
         q = np.asarray(sample_queries, dtype=self.spec.dtype)
-        leaf = self._leaves_of(self.gpu_search_bucket(q).codes)
+        leaf = self._leaves_of(self.gpu_descend(q)[0])
         self.mem.reset_counters()
         self.mem.touch_lines(self.cpu_tree.l_segment, leaf)
         counters = self.mem.counters

@@ -281,13 +281,15 @@ class HybridTree:
             plan = plan_bucket(sample, dtype=self.spec.dtype)
             unique_fraction = plan.n_unique / plan.n_queries
             sample = plan.sorted_unique
-        gpu_result = self.gpu_search_bucket(sample)
+        # priced through the pure descent: no launch, no device counter,
+        # no injector draw
+        _codes, txns = self.gpu_descend(sample)
         leaf_profile = self.profile_leaf_stage(sample)
         return hybrid_bucket_costs(
             self.machine,
             self.spec,
             bucket_size,
-            gpu_transactions_per_query=gpu_result.transactions_per_query,
+            gpu_transactions_per_query=txns / len(sample),
             gpu_levels=float(self.gpu_levels),
             cpu_leaf_profile=leaf_profile,
             cpu_model=cpu_model,

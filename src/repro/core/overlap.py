@@ -473,7 +473,7 @@ class _OverlapRun:
                 self.gpu_txns[wid] += txns
                 if eng.measure_baseline:
                     self.gpu_baseline[wid] += self.tree.modeled_transactions(
-                        plan.queries
+                        plan.queries, kernel=kernel
                     )
                     self.gpu_baselines_measured[wid] += 1
                 self.gpu_busy[wid] += time.perf_counter_ns() - t0

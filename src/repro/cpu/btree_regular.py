@@ -1183,7 +1183,10 @@ class RegularCpuBPlusTree:
 
         Checked: leaf chain is globally sorted, every leaf's keys are
         sorted, parent routing keys bound child maxima, sizes match the
-        sentinel padding, and item count equals ``num_tuples``.
+        sentinel padding (leaves and inner nodes alike), and item count
+        equals ``num_tuples``.  Together these make every node's device
+        image non-decreasing, which the GPU kernel's lower-bound node
+        search relies on.
         """
         count = 0
         prev_key = -1
@@ -1203,15 +1206,27 @@ class RegularCpuBPlusTree:
         )
         self._check_subtree(self.height - 1, self.root)
 
+    def _check_inner_padding(self, pool: _InnerPool, node: int) -> None:
+        size = int(pool.size[node])
+        assert np.all(pool.keys[node, size:] == self.spec.max_value), (
+            "inner-node padding damaged"
+        )
+
     def _check_subtree(self, level: int, node: int) -> int:
         """Recursively validate routing keys; returns the subtree max."""
         if level == 0:
+            self._check_inner_padding(self.last, node)
+            keys = self.last.keys[node, : max(1, int(self.last.size[node]))]
+            assert np.all(keys[1:] >= keys[:-1]), (
+                "last-level routing keys out of order"
+            )
             size = int(self.leaves.size[node])
             if size == 0:
                 return 0
             return int(self.leaves.keys[node, size - 1])
         size = int(self.upper.size[node])
         assert size >= 1, "empty upper node left in tree"
+        self._check_inner_padding(self.upper, node)
         prev_bound = -1
         sub_max = 0
         for s in range(size):

@@ -15,9 +15,10 @@ inner node at some level are **adjacent** — the frontier is a sequence
 of runs, and each level's loads collapse to one contiguous sweep over
 that level's distinct nodes.  The per-level transaction bill is the
 number of frontier entries, counted by the same
-:func:`~repro.gpusim.kernels.coalesce.warp_distinct` dedup the sorted
-bucket engine introduced — with the *whole block* as the dedup window
-instead of one warp.  Near the root that is 1 transaction for the
+:func:`~repro.gpusim.kernels.coalesce.windowed_distinct` pass the
+per-query kernels use — one count over every level's frontier after
+the walk, with the *whole block* as the dedup window instead of one
+warp.  Near the root that is 1 transaction for the
 bucket where the per-query kernel pays one per warp window; at the
 bottom the two models meet (every query its own node).
 
@@ -30,7 +31,7 @@ Two implementations, verified equivalent by the test suite:
   pick is the per-query kernel's Snippet-3 neighbour-flag reduction —
   bit-identical child indices by construction.
 * :func:`frontier_search_vectorized` — the numpy twin: run-compressed
-  key gathers, block-window ``warp_distinct`` accounting, identical
+  key gathers, block-window ``windowed_distinct`` accounting, identical
   results for *any* query order (unsorted input simply yields more
   runs, never different answers).
 
@@ -52,7 +53,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gpusim.device import GpuDevice
-from repro.gpusim.kernels.coalesce import warp_distinct as _warp_distinct
+from repro.gpusim.kernels.coalesce import (
+    windowed_distinct as _windowed_distinct,
+)
 from repro.gpusim.memory import DeviceBuffer
 from repro.gpusim.simt import GpuKernelStats
 
@@ -184,7 +187,9 @@ def frontier_search_vectorized(
     group = int(block_queries) if block_queries else n
     if group < 1:
         raise ValueError(f"block_queries must be >= 1, got {block_queries}")
-    transactions = 0
+    # the frontier of every level, counted once after the walk: one
+    # 64-byte line per distinct node within each block window
+    streams = np.empty((depth, n), dtype=np.int64)
     for i in range(depth):
         view = iseg[
             level_offsets[i]: level_offsets[i] + level_sizes[i]
@@ -192,11 +197,10 @@ def frontier_search_vectorized(
         starts = _run_starts(node)
         run_id = np.cumsum(starts) - 1
         keys = view[node[starts]][run_id]
-        # one 64-byte line per distinct node within each block window
-        transactions += _warp_distinct(node, group)
-        k = np.sum(keys < q[:, None], axis=1).astype(np.int64)
+        streams[i] = node
+        k = np.sum(keys < q[:, None], axis=1)
         node = node * fanout + k
-    return node, transactions
+    return node, _windowed_distinct(streams, group)
 
 
 def frontier_search_from_counted(
@@ -231,22 +235,24 @@ def frontier_search_from_counted(
     group = int(block_queries) if block_queries else n
     if group < 1:
         raise ValueError(f"block_queries must be >= 1, got {block_queries}")
-    transactions = 0
+    streams = np.empty((depth, n), dtype=np.int64)
+    walking = np.zeros(depth, dtype=np.int64)
     for level in range(depth):
         active = start <= level
-        if not np.any(active):
+        sub = node[active]
+        if len(sub) == 0:
             continue
+        streams[level, :len(sub)] = sub
+        walking[level] = len(sub)
         view = iseg[
             level_offsets[level]: level_offsets[level] + level_sizes[level]
         ].reshape(-1, fanout)
-        sub = node[active]
         starts = _run_starts(sub)
         run_id = np.cumsum(starts) - 1
         keys = view[sub[starts]][run_id]
-        transactions += _warp_distinct(sub, group)
-        k = np.sum(keys < q[active, None], axis=1).astype(np.int64)
+        k = np.sum(keys < q[active, None], axis=1)
         node[active] = sub * fanout + k
-    return node, transactions
+    return node, _windowed_distinct(streams, group, walking)
 
 
 def frontier_search_kernel(ctx, iseg, level_offsets, depth, fanout,

@@ -18,7 +18,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.gpusim.device import GpuDevice
-from repro.gpusim.kernels.coalesce import warp_distinct as _warp_distinct
+from repro.gpusim.kernels.coalesce import (
+    windowed_distinct as _windowed_distinct,
+)
 from repro.gpusim.kernels.frontier_search import validate_level_geometry
 from repro.gpusim.memory import DeviceBuffer
 
@@ -122,18 +124,19 @@ def implicit_search_vectorized(
     """
     q = np.asarray(queries)
     node = np.zeros(len(q), dtype=np.int64)
-    transactions = 0
+    # the node-id stream of every level: one 64-byte line per distinct
+    # node within each warp, counted once after the walk
+    streams = np.empty((depth, len(q)), dtype=np.int64)
     for i in range(depth):
         view = iseg[
             level_offsets[i]: level_offsets[i] + level_sizes[i]
         ].reshape(-1, fanout)
-        keys = view[node]
-        # one 64-byte line per distinct node within each warp
-        transactions += _warp_distinct(node, teams_per_warp)
-        k = np.sum(keys < q[:, None], axis=1).astype(np.int64)
+        streams[i] = node
+        k = np.sum(view[node] < q[:, None], axis=1)
         node = node * fanout + k
     # query loads: one coalesced read of the query buffer per warp team
     # group (charged by the bucket pipeline, not here)
+    transactions = _windowed_distinct(streams, teams_per_warp)
     return node, transactions
 
 
@@ -183,16 +186,20 @@ def implicit_search_from_counted(
     q = np.asarray(queries)
     node = np.asarray(start_nodes, dtype=np.int64).copy()
     start = np.asarray(start_levels, dtype=np.int64)
-    transactions = 0
+    # each level's row holds the nodes of the queries that walk it on
+    # the GPU, packed in query order; one count after the walk
+    streams = np.empty((depth, len(q)), dtype=np.int64)
+    walking = np.zeros(depth, dtype=np.int64)
     for level in range(depth):
         active = start <= level
-        if not np.any(active):
+        sub = node[active]
+        if len(sub) == 0:
             continue
+        streams[level, :len(sub)] = sub
+        walking[level] = len(sub)
         view = iseg[
             level_offsets[level]: level_offsets[level] + level_sizes[level]
         ].reshape(-1, fanout)
-        keys = view[node[active]]
-        transactions += _warp_distinct(node[active], teams_per_warp)
-        k = np.sum(keys < q[active, None], axis=1).astype(np.int64)
-        node[active] = node[active] * fanout + k
-    return node, transactions
+        k = np.sum(view[sub] < q[active, None], axis=1)
+        node[active] = sub * fanout + k
+    return node, _windowed_distinct(streams, teams_per_warp, walking)

@@ -22,7 +22,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.gpusim.device import GpuDevice
-from repro.gpusim.kernels.coalesce import warp_distinct as _warp_distinct
+from repro.gpusim.kernels.coalesce import (
+    windowed_distinct as _windowed_distinct,
+)
 from repro.gpusim.memory import DeviceBuffer
 
 
@@ -147,6 +149,17 @@ def regular_search_vectorized(
 ) -> Tuple[np.ndarray, int]:
     """Vectorised twin; returns ``(leaf_line_codes, transactions)``.
 
+    Each level is a branchless lower bound over the node's ``fanout``
+    keys in the flat I-segment — ``log2(fanout)`` gathers of one key
+    per query.  Every mirrored node is non-decreasing (routing keys
+    ascend within ``size``, the last used slot is pinned to the maximum
+    and the padding holds it too), so the bound equals
+    ``min(count(keys < q), fanout - 1)``: the child the literal
+    index-line → key-line search picks.  The three line streams of
+    every level (index line per node, key line per (node, group),
+    reference per (node, slot)) go into one matrix that is counted once
+    after the walk.
+
     ``frontier_block`` switches the transaction accounting to the
     level-wise frontier model: every line kind is deduplicated across a
     window of that many queries (the cooperative block — normally the
@@ -159,24 +172,32 @@ def regular_search_vectorized(
     dedup = int(frontier_block) if frontier_block else teams_per_warp
     if dedup < 1:
         raise ValueError(f"dedup window must be >= 1, got {dedup}")
-    nodes_view = iseg.reshape(-1, stride)
-    keys_view = nodes_view[:, kpl: kpl + fanout]
-    refs_view = nodes_view[:, kpl + fanout:]
-    node = np.full(len(q), root, dtype=np.int64)
-    transactions = 0
+    n = len(q)
+    streams = np.empty((3 * height - 1, n), dtype=np.int64)
+    row = 0
+    node = np.full(n, root, dtype=np.int64)
     for level in range(height - 1, -1, -1):
         offset = last_base if level == 0 else 0
-        keys = keys_view[node + offset]
-        slot = np.sum(keys < q[:, None], axis=1).astype(np.int64)
-        slot = np.minimum(slot, fanout - 1)
+        # flat index of each query's node's first key, then of its bound
+        first = node * stride
+        first += offset * stride + kpl
+        pos = first.copy()
+        step = fanout >> 1
+        while step:
+            pos += (iseg[pos + (step - 1)] < q) * step
+            step >>= 1
+        slot = pos - first
         # index line: one 64-byte transaction per distinct node per window
-        transactions += _warp_distinct(node, dedup)
+        streams[row] = node
         # key line: one per distinct (node, group)
-        group = slot // kpl
-        transactions += _warp_distinct(node * kpl + group, dedup)
+        np.floor_divide(slot, kpl, out=streams[row + 1])
+        streams[row + 1] += node * kpl
         if level == 0:
-            return node * fanout + slot, transactions
+            txns = _windowed_distinct(streams, dedup)
+            return node * fanout + slot, txns
         # reference: one (32-byte) transaction per distinct (node, slot)
-        transactions += _warp_distinct(node * fanout + slot, dedup)
-        node = refs_view[node + offset, slot].astype(np.int64)
+        np.multiply(node, fanout, out=streams[row + 2])
+        streams[row + 2] += slot
+        node = iseg[pos + fanout].astype(np.int64)
+        row += 3
     raise AssertionError("unreachable: height >= 1 always returns")

@@ -119,13 +119,12 @@ def validate_hybrid_implicit(tree: ImplicitHBPlusTree,
 def validate_hybrid_regular(tree: HBPlusTree,
                             mirror_sample: int = 64) -> None:
     validate_regular(tree.cpu_tree)
-    stored = np.asarray([k for k, _v in tree.cpu_tree.items()],
-                        dtype=tree.spec.dtype)
+    stored = np.asarray(tree.cpu_tree.stored_keys(), dtype=tree.spec.dtype)
     if len(stored):
         rng = np.random.default_rng(13)
         sample = rng.choice(stored, size=min(mirror_sample, len(stored)))
         literal = tree.gpu_search_bucket_literal(sample)
-        vector = tree.gpu_search_bucket(sample).codes
+        vector, _txns = tree.gpu_descend(sample)
         _require(bool(np.array_equal(literal, vector)),
                  "hybrid regular: SIMT kernel disagrees with twin")
         out = tree.cpu_finish_bucket(sample, literal)
