@@ -35,6 +35,7 @@ from repro.gpusim.kernels.frontier_search import (
     PER_QUERY,
     validate_kernel,
 )
+from repro.keys import sorted_unique
 from repro.platform.costmodel import BucketCosts, CpuCostModel
 
 
@@ -204,7 +205,7 @@ class SplitCostModel:
             if len(sample) == 0:
                 raise ValueError("reprofile sample must be non-empty")
         if self.sort_batches:
-            sample = np.unique(sample)
+            sample = sorted_unique(sample)
         profiles, leaf_profile = tree.level_profiles(sample)
         model = self.cpu_model
         self.cpu_level_ns = [model.query_ns(p) for p in profiles]

@@ -101,15 +101,16 @@ class ImplicitRebuildStats:
 def _measure_update_cost_ns(tree: HBPlusTree, sample_keys: np.ndarray) -> float:
     """Per-update cost of one thread: descend + leaf modification.
 
-    Measured by instrumented descents over a sample, converted by the
-    cost model without software pipelining (updates are dependent
+    Measured by instrumented descents over a sample (one batched
+    :meth:`~repro.cpu.btree_regular.RegularCpuBPlusTree.charge_lookups`,
+    identical to a scalar ``lookup(instrument=True)`` per key), converted
+    by the cost model without software pipelining (updates are dependent
     operations and cannot be pipelined like lookups).
     """
     cpu_tree = tree.cpu_tree
     mem = tree.mem
     mem.reset_counters()
-    for key in sample_keys.tolist():
-        cpu_tree.lookup(int(key), instrument=True)
+    cpu_tree.charge_lookups(sample_keys)
     counters = mem.counters
     profile = CpuQueryProfile.from_counters(
         counters, node_searches_per_query=2.0 * cpu_tree.height + 1
@@ -120,6 +121,17 @@ def _measure_update_cost_ns(tree: HBPlusTree, sample_keys: np.ndarray) -> float:
     shift_bytes = cpu_tree.leaves.capacity_pairs * tree.spec.size_bytes
     shift_ns = shift_bytes / tree.machine.cpu.mem_bandwidth_gbs
     return model.query_ns(profile) + shift_ns
+
+
+def _per_update_ns(tree: HBPlusTree, keys: np.ndarray,
+                   deletes: np.ndarray) -> float:
+    """Per-update cost of a batch, sampled from its first 512 upserts,
+    or from its deletes when it has none: a delete descends exactly
+    like an upsert, so a delete-only batch is not free."""
+    sample = keys if len(keys) else deletes
+    if not len(sample):
+        return 0.0
+    return _measure_update_cost_ns(tree, sample[:512])
 
 
 class AsyncBatchUpdater:
@@ -142,10 +154,7 @@ class AsyncBatchUpdater:
         deletes = np.asarray(deletes, dtype=self.tree.spec.dtype)
         stats = UpdateStats()
         cpu_tree = self.tree.cpu_tree
-        cost_sample = keys[: min(len(keys), 512)]
-        per_update_ns = (
-            _measure_update_cost_ns(self.tree, cost_sample) if len(keys) else 0.0
-        )
+        per_update_ns = _per_update_ns(self.tree, keys, deletes)
 
         spec = self.tree.spec
         op_kind = np.concatenate([
@@ -276,10 +285,7 @@ class SyncUpdater:
         deletes = np.asarray(deletes, dtype=self.tree.spec.dtype)
         stats = UpdateStats()
         cpu_tree = self.tree.cpu_tree
-        cost_sample = keys[: min(len(keys), 512)]
-        per_update_ns = (
-            _measure_update_cost_ns(self.tree, cost_sample) if len(keys) else 0.0
-        )
+        per_update_ns = _per_update_ns(self.tree, keys, deletes)
         ops = [("upsert", int(k), int(v)) for k, v in zip(keys, values)]
         ops += [("delete", int(k), 0) for k in deletes]
         # one batch descent over the whole op stream replaces the old

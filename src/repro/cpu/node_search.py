@@ -14,12 +14,20 @@ The SIMD variants are ports of appendix Snippets 1 and 2 on top of the
 scalar comparisons and vector operations it executes into an optional
 :class:`~repro.memsim.metrics.AccessCounters`, which is what the cost
 model charges compute time for.
+
+On a non-decreasing line those counters depend only on how many keys
+are smaller than the query, so :func:`search_costs` and
+:func:`leaf_line_costs` give them in closed form.  The trees search in
+closed form and charge through these; the emulated functions remain
+the Fig 8 code and the reference the closed forms are tested against.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.cpu import simd
 from repro.memsim.metrics import AccessCounters
@@ -155,6 +163,40 @@ def search_leaf_line(
         # movemask/popcount pair
         counters.simd_ops += 2 * max(1, n * 8 // 32) + 2
     return k
+
+
+def search_costs(algorithm: NodeSearchAlgorithm, n: int, below):
+    """``(key_comparisons, simd_ops)`` that ``algorithm``'s search
+    function records on one non-decreasing line of ``n`` keys of which
+    ``below`` are smaller than the query.
+
+    Closed form of the counters the emulated functions above record, so
+    a caller that already knows ``below`` (a ``searchsorted`` or a
+    vectorised count) can charge the exact same work without running
+    the register emulation.  ``below`` may be an integer array; the
+    result is then per element.
+    """
+    below = np.asarray(below, dtype=np.int64)
+    if n not in (8, 16):
+        raise ValueError(f"node search expects 8 or 16 keys, got {n}")
+    if algorithm is NodeSearchAlgorithm.SEQUENTIAL:
+        return np.minimum(below + 1, n), np.zeros_like(below)
+    if algorithm is NodeSearchAlgorithm.LINEAR_SIMD:
+        return np.full_like(below, n), np.full_like(below, 8)
+    if n == 8:
+        return np.full_like(below, 4), np.full_like(below, 6)
+    # 32-bit hierarchical: the boundary compare settles a query above
+    # every key; any other needs one scalar probe more
+    return np.where(below == n, 8, 9), np.full_like(below, 3)
+
+
+def leaf_line_costs(algorithm: NodeSearchAlgorithm, n: int, below):
+    """:func:`search_costs` for :func:`search_leaf_line` on ``n`` keys."""
+    below = np.asarray(below, dtype=np.int64)
+    if algorithm is NodeSearchAlgorithm.SEQUENTIAL:
+        return np.minimum(below + 1, n), np.zeros_like(below)
+    return (np.full_like(below, n),
+            np.full_like(below, 2 * max(1, n * 8 // 32) + 2))
 
 
 _DISPATCH: dict = {

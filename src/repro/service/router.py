@@ -26,6 +26,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.keys import sorted_unique
+
 
 def group_by_shard(shard_ids: np.ndarray, n_shards: int) -> List[np.ndarray]:
     """Per-shard index arrays (positions into the scattered batch).
@@ -68,9 +70,9 @@ class RangeRouter:
             raise ValueError(
                 f"cannot cut {len(keys)} keys into {n_shards} ranges"
             )
-        sk = np.unique(keys)
+        sk = sorted_unique(keys)
         pos = (np.arange(1, n_shards) * len(sk)) // n_shards
-        cuts = np.unique(sk[pos])
+        cuts = sorted_unique(sk[pos])
         return cls(cuts, dtype=keys.dtype, epoch=epoch)
 
     def shard_of(self, keys: np.ndarray) -> np.ndarray:
