@@ -119,6 +119,11 @@ def validate_hybrid_implicit(tree: ImplicitHBPlusTree,
 def validate_hybrid_regular(tree: HBPlusTree,
                             mirror_sample: int = 64) -> None:
     validate_regular(tree.cpu_tree)
+    # the reused packed image is only as good as the pools' write
+    # stamps: every inner-node write must have bumped them
+    _require(bool(np.array_equal(tree.current_i_segment_image(),
+                                 tree.pack_i_segment())),
+             "hybrid regular: reused I-segment image is stale")
     stored = np.asarray(tree.cpu_tree.stored_keys(), dtype=tree.spec.dtype)
     if len(stored):
         rng = np.random.default_rng(13)
