@@ -37,8 +37,7 @@ def main(argv=None) -> int:
           f"{report['keys']} keys, {report['scans']} scans)")
     for row in report["identity"]:
         print(
-            f"  {row['tree']}: batching={row['batching_bit_identical']} "
-            f"overlap={row['overlap_bit_identical']}"
+            f"  {row['tree']}: batching={row['batching_bit_identical']}"
             + (
                 f" resilient={row['resilient_bit_identical']}"
                 f"/faulted={row['resilient_faulted_bit_identical']}"

@@ -9,7 +9,6 @@ results to ``BENCH_pr2.json``.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py [--smoke] [--out PATH]
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --overlap [--smoke]
     PYTHONPATH=src python benchmarks/bench_wallclock.py --trace [--smoke]
 
 ``--smoke`` shrinks the dataset for CI.  The script exits non-zero if a
@@ -17,29 +16,14 @@ vectorised path is slower than its scalar reference by more than 1.5x,
 or if sorting a skewed bucket fails to reduce modeled transactions —
 the regression gate for the batch execution engine.
 
-``--overlap`` instead benchmarks the threaded overlap engine and writes
-``BENCH_pr3.json``.  Its gate always hard-fails on a bit-identity or
-modeled-counter mismatch (correctness is host-independent); the
-wall-clock requirements scale with the host's real parallelism, which
-the report records as ``cpu_count``:
-
-* the inline ``sequential`` topology must never be more than 1.5x
-  slower than the serial batch engine (pure overhead bound);
-* with >= 2 usable cores, no threaded topology may be more than 1.5x
-  slower than serial;
-* the full (non-smoke) run additionally requires >= 1.8x speedup from
-  a double-buffered topology with >= 4 CPU workers when the host has
-  >= 4 usable cores — on smaller hosts the speedup is reported but not
-  enforced, because threads cannot beat serial without cores to run on.
-
 ``--trace`` benchmarks the observability layer (``repro.obs``) and
 writes ``BENCH_pr4.json`` plus a Perfetto-loadable Chrome trace
 (default ``<out stem>.trace.json``, load at https://ui.perfetto.dev).
 Its gate hard-fails if a tracing-enabled run is not bit-identical to a
 disabled run, if the modeled device counters diverge, if the exported
 trace fails schema validation (orphan ends, unbalanced spans), if the
-dispatcher / GPU-worker / CPU-pool tracks are missing from the trace,
-or if tracing inflates wall-clock past the overhead bound.
+caller's thread track is missing from the trace, or if tracing inflates
+wall-clock past the overhead bound.
 """
 
 from __future__ import annotations
@@ -53,81 +37,10 @@ from pathlib import Path
 #: factor fails the gate
 MAX_SLOWDOWN = 1.5
 
-#: required full-run speedup of double-buffered overlap (>= 4 CPU
-#: workers) over the serial engine — enforced only with >= 4 real cores
-MIN_OVERLAP_SPEEDUP = 1.8
-
-#: tracing may not inflate the overlap run's wall-clock past this
+#: tracing may not inflate the batch engine's wall-clock past this
 #: factor (generous: span bodies are microseconds next to millisecond
 #: buckets, but smoke runs on loaded CI hosts are noisy)
 MAX_TRACE_OVERHEAD = 1.5
-
-
-def run_overlap_gate(args) -> int:
-    """Run the overlap benchmark and enforce its (core-aware) gate."""
-    from repro.bench.wallclock import run_overlap
-
-    report = run_overlap(smoke=args.smoke)
-    out = args.out or "BENCH_pr3.json"
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
-
-    cores = report["cpu_count"]
-    serial_ns = report["serial"]["wall_ns"]
-    model = report["model"]
-    print(f"wrote {out} ({report['mode']} mode, {cores} usable cores)")
-    print(
-        f"  tree: {report['keys']} keys, {report['queries']} queries, "
-        f"bucket {report['bucket_size']}"
-    )
-    print(f"  serial engine: {serial_ns / 1e6:.1f} ms")
-    for cfg in report["configs"]:
-        eff = cfg["stats"]["overlap_efficiency"]
-        print(
-            f"  {cfg['strategy']:>15} gpu={cfg['gpu_workers']} "
-            f"cpu={cfg['cpu_workers']}: {cfg['wall_ns'] / 1e6:.1f} ms "
-            f"({cfg['speedup_vs_serial']:.2f}x, overlap {eff:.2f}, "
-            f"identical={cfg['bit_identical']}, "
-            f"counters={cfg['counters_match']})"
-        )
-    print(
-        "  model steady state max(T2,T4): "
-        f"{model['predicted_steady_state_ns'] / 1e6:.2f} ms/bucket"
-    )
-
-    failures = []
-    for cfg in report["configs"]:
-        tag = (
-            f"{cfg['strategy']} (gpu={cfg['gpu_workers']}, "
-            f"cpu={cfg['cpu_workers']})"
-        )
-        if not cfg["bit_identical"]:
-            failures.append(f"{tag}: results differ from the serial engine")
-        if not cfg["counters_match"]:
-            failures.append(
-                f"{tag}: modeled device counters diverged from serial "
-                f"({cfg['counters']} vs {report['serial']['counters']})"
-            )
-        threaded = cfg["strategy"] != "sequential"
-        if (not threaded or cores >= 2) and \
-                cfg["speedup_vs_serial"] < 1.0 / MAX_SLOWDOWN:
-            failures.append(
-                f"{tag}: {1 / cfg['speedup_vs_serial']:.2f}x slower than "
-                f"serial (limit {MAX_SLOWDOWN}x)"
-            )
-    if report["mode"] == "full" and cores >= 4:
-        best = max(
-            (c["speedup_vs_serial"] for c in report["configs"]
-             if c["strategy"] == "double_buffered" and c["cpu_workers"] >= 4),
-            default=0.0,
-        )
-        if best < MIN_OVERLAP_SPEEDUP:
-            failures.append(
-                f"double-buffered (>=4 CPU workers) best speedup {best:.2f}x "
-                f"< required {MIN_OVERLAP_SPEEDUP}x on {cores} cores"
-            )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def run_trace_gate(args) -> int:
@@ -143,8 +56,7 @@ def run_trace_gate(args) -> int:
     print(f"wrote {out} ({report['mode']} mode, {report['cpu_count']} cores)")
     print(f"wrote {trace_path} (load at https://ui.perfetto.dev)")
     print(
-        f"  engine: {report['strategy']} gpu={report['gpu_workers']} "
-        f"cpu={report['cpu_workers']}, {report['queries']} queries, "
+        f"  batch engine: {report['queries']} queries, "
         f"bucket {report['bucket_size']}"
     )
     print(
@@ -174,12 +86,8 @@ def run_trace_gate(args) -> int:
         failures.append(
             f"trace failed schema validation: {trace['validation_errors']}"
         )
-    tracks = set(trace["thread_names"])
-    for needed in ("overlap-gpu-0", "overlap-cpu-0"):
-        if needed not in tracks:
-            failures.append(f"trace is missing the {needed} thread track")
-    if not any("gpu" not in t and "cpu" not in t for t in tracks):
-        failures.append("trace is missing the dispatcher (caller) track")
+    if not trace["thread_names"]:
+        failures.append("trace is missing the caller track")
     if report["overhead_ratio"] > MAX_TRACE_OVERHEAD:
         failures.append(
             f"tracing overhead {report['overhead_ratio']:.2f}x exceeds "
@@ -197,10 +105,6 @@ def main(argv=None) -> int:
         help="small dataset for CI (seconds instead of minutes)",
     )
     parser.add_argument(
-        "--overlap", action="store_true",
-        help="benchmark the threaded overlap engine (BENCH_pr3.json)",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="benchmark the observability layer and export a Perfetto "
              "trace (BENCH_pr4.json + BENCH_pr4.trace.json)",
@@ -208,12 +112,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default=None,
         help="output JSON path (default: BENCH_pr2.json, "
-             "BENCH_pr3.json with --overlap, BENCH_pr4.json with --trace)",
+             "BENCH_pr4.json with --trace)",
     )
     args = parser.parse_args(argv)
 
-    if args.overlap:
-        return run_overlap_gate(args)
     if args.trace:
         return run_trace_gate(args)
 

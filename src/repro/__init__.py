@@ -37,7 +37,6 @@ from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import LoadBalancer
 from repro.core.mixed import ConcurrentQueryEngine, OptimisticMixedEngine
-from repro.core.overlap import OverlappedEngine, OverlapStats
 from repro.core.pipeline import BucketStrategy, PipelineSimulator
 from repro.core.resilience import (
     GpuUnavailable,
@@ -97,8 +96,6 @@ __all__ = [
     "SortedDelta",
     "measure_sorted_delta",
     "plan_bucket",
-    "OverlappedEngine",
-    "OverlapStats",
     "ResilientHBPlusTree",
     "ResilienceConfig",
     "ResilienceStats",

@@ -3,8 +3,7 @@
 Answers the three questions DESIGN.md §15 leaves to measurement:
 
 1. **Is the batched scan path exact?**  Every engine entry point —
-   :meth:`~repro.core.batching.BatchingEngine.run_scans`,
-   :meth:`~repro.core.overlap.OverlappedEngine.run_scans` and
+   :meth:`~repro.core.batching.BatchingEngine.run_scans` and
    :meth:`~repro.core.resilience.ResilientHBPlusTree.run_scans`
    (the latter under an injected :class:`~repro.faults.FaultPlan`) —
    is checked bit-for-bit against the sequential per-tree
@@ -46,7 +45,6 @@ from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import LoadBalancer
-from repro.core.overlap import OverlappedEngine
 from repro.core.resilience import ResilientHBPlusTree
 from repro.faults import FaultInjector, FaultPlan
 from repro.platform.configs import machine_m1
@@ -84,15 +82,11 @@ def _identity_rows(keys, values, machine, los, his,
                                los, his)
         batch = BatchingEngine(cls(keys, values, machine=machine))
         got_batch = batch.run_scans(los, his)
-        overlap = OverlappedEngine(cls(keys, values, machine=machine))
-        got_overlap = overlap.run_scans(los, his)
-        overlap.quiesce()
         rows.append({
             "tree": name,
             "scans": len(los),
             "tuples": int(batch.stats.scan_tuples),
             "batching_bit_identical": got_batch == ref,
-            "overlap_bit_identical": got_overlap == ref,
         })
         if cls is HBPlusTree:
             # the resilient wrapper serves the regular tree; the fault
@@ -262,7 +256,7 @@ def gate_failures(report: Dict[str, Any]) -> List[str]:
     """Every acceptance-gate violation in a ``run_scan`` report."""
     failures: List[str] = []
     for row in report["identity"]:
-        for field in ("batching_bit_identical", "overlap_bit_identical",
+        for field in ("batching_bit_identical",
                       "resilient_bit_identical",
                       "resilient_faulted_bit_identical"):
             if field in row and not row[field]:

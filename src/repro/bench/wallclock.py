@@ -22,22 +22,14 @@ times the paths the batch engine and the vectorization work touch:
 enforces the no-regression gate (vectorised paths must not be slower
 than their scalar references).
 
-``run_overlap`` benchmarks the *threaded* overlap engine
-(:mod:`repro.core.overlap`): serial batch engine vs sequential /
-pipelined / double-buffered topologies, with bit-identity and
-modeled-counter parity checks and a join against the event-driven
-pipeline model's ``max(T2, T4)`` steady state.  The CLI writes it to
-``BENCH_pr3.json`` via ``--overlap``.
-
 ``run_trace`` exercises the observability layer (:mod:`repro.obs`): a
-double-buffered overlap run with tracing off (explicit ``NULL_OBS``)
-and the same run with a live :class:`~repro.obs.Observability` bundle
-attached, checking the PR's guarantee — bit-identical results and
-identical modeled device counters either way — measuring the tracing
-overhead, and exporting the Chrome-trace-event JSON (Perfetto-loadable)
-with dispatcher / GPU-worker / CPU-pool spans on distinct thread
-tracks.  The CLI writes ``BENCH_pr4.json`` + the ``.trace.json``
-artifact via ``--trace``.
+batch-engine run with tracing off (explicit ``NULL_OBS``) and the same
+run with a live :class:`~repro.obs.Observability` bundle attached,
+checking the layer's guarantee — bit-identical results and identical
+modeled device counters either way — measuring the tracing overhead,
+and exporting the Chrome-trace-event JSON (Perfetto-loadable) with the
+caller's bucket spans on one thread track.  The CLI writes
+``BENCH_pr4.json`` + the ``.trace.json`` artifact via ``--trace``.
 """
 
 from __future__ import annotations
@@ -50,8 +42,6 @@ import numpy as np
 
 from repro.core.batching import BatchingEngine, measure_sorted_delta
 from repro.core.hbtree import HBPlusTree
-from repro.core.overlap import OverlappedEngine
-from repro.core.pipeline import BucketStrategy, PipelineSimulator
 from repro.core.update import AsyncBatchUpdater, SyncUpdater
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset, generate_skewed_queries
@@ -190,17 +180,6 @@ def _bench_touch(tree: HBPlusTree, n_touches: int,
     }
 
 
-#: thread topologies measured by :func:`run_overlap` — (strategy,
-#: gpu_workers, cpu_workers); ``sequential`` is the inline no-thread
-#: reference, the rest exercise real overlap
-OVERLAP_CONFIGS = (
-    ("sequential", 1, 1),
-    ("pipelined", 1, 2),
-    ("double_buffered", 2, 2),
-    ("double_buffered", 2, 4),
-)
-
-
 def available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware)."""
     try:
@@ -218,111 +197,20 @@ def _device_counters(tree) -> Dict[str, int]:
     }
 
 
-def run_overlap(smoke: bool = False) -> Dict[str, Any]:
-    """Benchmark the threaded overlap engine; returns the BENCH_pr3 payload.
-
-    Measures each topology in :data:`OVERLAP_CONFIGS` against the serial
-    :class:`~repro.core.batching.BatchingEngine` on the same tree and
-    query stream, checking the three things the PR guarantees — bit-identical
-    results, identical modeled device counters, and the wall-clock
-    speedup — and joins the measurement against the event-driven
-    pipeline *model* (``max(T2, T4)`` steady state, Fig 6).
-
-    The full run uses a >=1M-key tree and >=256k queries; ``smoke``
-    shrinks both for CI.  ``cpu_count`` is recorded so the CLI gate can
-    skip the speedup requirement on hosts without real parallelism
-    (threads cannot beat serial on one core).
-    """
-    if smoke:
-        n_keys, n_queries, bucket = 1 << 15, 1 << 13, 1 << 10
-    else:
-        n_keys, n_queries, bucket = 1 << 20, 1 << 18, 1 << 14
-    repeats = 2 if smoke else 3
-    machine = machine_m1()
-    keys, values = generate_dataset(n_keys, seed=1234)
-    queries = make_point_queries(keys, n_queries, seed=77)
-    tree = HBPlusTree(keys, values, machine=machine)
-
-    # serial reference: results, counters and wall time
-    serial = BatchingEngine(tree, bucket_size=bucket)
-    tree.device.reset_counters()
-    ref = serial.lookup_batch(queries)
-    ref_counters = _device_counters(tree)
-    serial_ns = time_best_ns(lambda: serial.lookup_batch(queries), repeats)
-
-    configs = []
-    for strategy, gpu_workers, cpu_workers in OVERLAP_CONFIGS:
-        engine = OverlappedEngine(
-            tree, bucket_size=bucket, strategy=strategy,
-            gpu_workers=gpu_workers, cpu_workers=cpu_workers,
-        )
-        # one counted run for the correctness checks + stats snapshot
-        tree.device.reset_counters()
-        out = engine.lookup_batch(queries)
-        counters = _device_counters(tree)
-        snapshot = engine.stats.snapshot()
-        wall_ns = min(
-            float(snapshot["wall_ns"]),
-            time_best_ns(lambda e=engine: e.lookup_batch(queries), repeats),
-        )
-        configs.append({
-            "strategy": strategy,
-            "gpu_workers": gpu_workers,
-            "cpu_workers": cpu_workers,
-            "queue_depth": engine.queue_depth,
-            "wall_ns": wall_ns,
-            "speedup_vs_serial": serial_ns / max(1.0, wall_ns),
-            "bit_identical": bool(np.array_equal(out, ref)),
-            "counters_match": counters == ref_counters,
-            "counters": counters,
-            "stats": snapshot,
-        })
-
-    # join against the event-driven pipeline model (Fig 6)
-    costs = tree.bucket_costs(
-        bucket_size=bucket, sample=queries[:bucket], sort_batches=True
-    )
-    sim = PipelineSimulator(costs, BucketStrategy.DOUBLE_BUFFERED, bucket)
-    model_run = sim.run_queries(n_queries)
-    return {
-        "benchmark": "overlap",
-        "mode": "smoke" if smoke else "full",
-        "machine": machine.name,
-        "cpu_count": available_cpus(),
-        "keys": int(n_keys),
-        "queries": int(n_queries),
-        "bucket_size": int(bucket),
-        "serial": {
-            "wall_ns": serial_ns,
-            "counters": ref_counters,
-            "transactions_per_query": serial.stats.transactions_per_query,
-        },
-        "configs": configs,
-        "model": {
-            "t1_ns": costs.t1,
-            "t2_ns": costs.t2,
-            "t3_ns": costs.t3,
-            "t4_ns": costs.t4,
-            "predicted_steady_state_ns": max(costs.t2, costs.t4),
-            "double_buffered_makespan_ns": model_run.makespan_ns,
-            "double_buffered_throughput_qps": model_run.throughput_qps,
-            "timelines_head": model_run.timelines_df()[:4],
-        },
-    }
-
-
 def run_trace(smoke: bool = False, trace_path: str = None) -> Dict[str, Any]:
     """Benchmark the observability layer; returns the BENCH_pr4 payload.
 
-    Runs the double-buffered overlap engine twice over the same tree
-    and query stream — once untraced (explicit ``NULL_OBS`` override so
-    the tree's attached bundle cannot leak in), once with a live
-    :class:`~repro.obs.Observability` bundle attached to the tree — and
+    Runs the batch engine over the same tree and query stream,
+    alternating untraced runs (explicit ``NULL_OBS`` override, tree
+    detached) with traced runs (a live
+    :class:`~repro.obs.Observability` bundle attached to the tree), and
     verifies the layer's core guarantee: enabling tracing never changes
     results or modeled counters.  The report records
 
     * ``bit_identical`` / ``counters_match`` — the guarantee,
-    * ``overhead_ratio`` — traced / untraced best wall-clock,
+    * ``overhead_ratio`` — the median traced / untraced wall-clock
+      ratio over alternating pairs of runs (``untraced_wall_ns`` and
+      ``traced_wall_ns`` are each side's best),
     * ``trace`` — span counts, thread-track names, inline schema
       validation (:func:`repro.obs.validate_events`), and the exported
       file path when ``trace_path`` is given,
@@ -336,46 +224,43 @@ def run_trace(smoke: bool = False, trace_path: str = None) -> Dict[str, Any]:
         n_keys, n_queries, bucket = 1 << 15, 1 << 13, 1 << 10
     else:
         n_keys, n_queries, bucket = 1 << 20, 1 << 18, 1 << 14
-    repeats = 2 if smoke else 3
-    strategy, gpu_workers, cpu_workers = "double_buffered", 2, 2
+    repeats = 5
     machine = machine_m1()
     keys, values = generate_dataset(n_keys, seed=1234)
     queries = make_point_queries(keys, n_queries, seed=77)
     tree = HBPlusTree(keys, values, machine=machine)
 
-    def make_engine(obs=None) -> OverlappedEngine:
-        return OverlappedEngine(
-            tree, bucket_size=bucket, strategy=strategy,
-            gpu_workers=gpu_workers, cpu_workers=cpu_workers, obs=obs,
-        )
-
-    # --- untraced reference ------------------------------------------------
-    plain = make_engine(obs=NULL_OBS)
-    plain_ns = float("inf")
-    for _ in range(repeats):
-        tree.device.reset_counters()
-        t0 = time.perf_counter_ns()
-        ref = plain.lookup_batch(queries)
-        plain_ns = min(plain_ns, float(time.perf_counter_ns() - t0))
-        ref_counters = _device_counters(tree)
-
-    # --- traced run --------------------------------------------------------
+    plain = BatchingEngine(tree, bucket_size=bucket, obs=NULL_OBS)
+    # follows the tree's bundle dynamically
+    traced = BatchingEngine(tree, bucket_size=bucket)
     obs = Observability()
-    tree.attach_obs(obs)
-    traced = make_engine()  # follows the tree's bundle dynamically
-    traced_ns = float("inf")
-    for _ in range(repeats):
-        obs.reset()  # keep only the final repeat's events in the trace
+
+    def timed(engine):
         tree.device.reset_counters()
         t0 = time.perf_counter_ns()
-        out = traced.lookup_batch(queries)
-        traced_ns = min(traced_ns, float(time.perf_counter_ns() - t0))
-        traced_counters = _device_counters(tree)
+        result = engine.lookup_batch(queries)
+        ns = float(time.perf_counter_ns() - t0)
+        return result, ns, _device_counters(tree)
+
+    # untraced and traced runs alternate, and the overhead is the median
+    # of the pairs' ratios: neighbouring runs share the host's state, so
+    # a stall or a slow phase of the host moves one pair, not the result
+    ratios = []
+    plain_ns = traced_ns = float("inf")
+    for _ in range(repeats):
+        tree.attach_obs(NULL_OBS)
+        ref, p_ns, ref_counters = timed(plain)
+        tree.attach_obs(obs)
+        obs.reset()  # keep only the final repeat's events in the trace
+        out, t_ns, traced_counters = timed(traced)
+        ratios.append(t_ns / max(1.0, p_ns))
+        plain_ns = min(plain_ns, p_ns)
+        traced_ns = min(traced_ns, t_ns)
 
     errors = validate_events(obs.tracer.events)
     thread_names = sorted(obs.tracer.thread_names().values())
     metrics_snapshot = collect_all(
-        obs.metrics, tree=tree, engine=traced, engine_label="overlap"
+        obs.metrics, tree=tree, engine=traced, engine_label="batch"
     )
     report: Dict[str, Any] = {
         "benchmark": "trace",
@@ -385,15 +270,12 @@ def run_trace(smoke: bool = False, trace_path: str = None) -> Dict[str, Any]:
         "keys": int(n_keys),
         "queries": int(n_queries),
         "bucket_size": int(bucket),
-        "strategy": strategy,
-        "gpu_workers": gpu_workers,
-        "cpu_workers": cpu_workers,
         "bit_identical": bool(np.array_equal(out, ref)),
         "counters_match": traced_counters == ref_counters,
         "counters": {"untraced": ref_counters, "traced": traced_counters},
         "untraced_wall_ns": plain_ns,
         "traced_wall_ns": traced_ns,
-        "overhead_ratio": traced_ns / max(1.0, plain_ns),
+        "overhead_ratio": float(np.median(ratios)),
         "trace": {
             "events": len(obs.tracer.events),
             "spans": obs.tracer.span_count(),

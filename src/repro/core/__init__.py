@@ -12,9 +12,6 @@
 * :mod:`repro.core.update` — batch update execution (section 5.6),
 * :mod:`repro.core.batching` — sorted/deduplicated bucket execution,
   the one bucket pipeline every serving path runs (DESIGN.md §8),
-* :mod:`repro.core.overlap` — the same engine with a threaded
-  executor: double-buffered CPU<->GPU lookups through actual worker
-  threads (DESIGN.md §9),
 * :mod:`repro.core.resilience` — fault-tolerant execution around an
   engine: retries, mirror checksum repair, circuit-breaker degradation
   to CPU-only service and recovery (beyond the paper; DESIGN.md §7).
@@ -32,7 +29,6 @@ from repro.core.buckets import iter_buckets, num_buckets
 from repro.core.hbtree import HBPlusTree, MirrorSyncStats
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import DiscoveryResult, LoadBalancer
-from repro.core.overlap import OverlappedEngine, OverlapStats, QueueStats
 from repro.core.pipeline import BucketStrategy, PipelineSimulator
 from repro.core.resilience import (
     CircuitBreaker,
@@ -64,9 +60,6 @@ __all__ = [
     "measure_sorted_delta",
     "plan_bucket",
     "MirrorSyncStats",
-    "OverlappedEngine",
-    "OverlapStats",
-    "QueueStats",
     "ResilientHBPlusTree",
     "ResilienceConfig",
     "ResilienceStats",

@@ -24,8 +24,8 @@ Determinism contract (tested in ``tests/test_adaptive.py``):
 * the per-bucket reservoir RNG is seeded from
   ``(seed, window, bucket)``, so the same trace always yields the same
   rebalance schedule;
-* engines call :meth:`~AdaptiveController.note_bucket` serially from
-  the dispatcher, in dispatch order;
+* engines call :meth:`~AdaptiveController.note_bucket` once per
+  bucket, in dispatch order;
 * a split moves *which processor walks which level*, never what the
   walk returns — adaptive engine results stay bit-identical to the
   unbalanced engine's.
@@ -157,8 +157,8 @@ def _balancer_for(tree, **kwargs) -> SplitCostModel:
 class AdaptiveController:
     """The feedback loop: window → reprofile → Algorithm 1 → hysteresis.
 
-    Engine protocol (spoken by :class:`BatchingEngine`,
-    :class:`OverlappedEngine` and :class:`ResilientHBPlusTree`):
+    Engine protocol (spoken by :class:`BatchingEngine` and
+    :class:`ResilientHBPlusTree`):
 
     * :meth:`split` — the (D, R) to apply to the *next* bucket;
     * :meth:`note_bucket` — called serially, in dispatch order, with

@@ -29,10 +29,10 @@ The engine runs over both hybrid trees
 ``gpu_search_bucket`` / ``cpu_finish_bucket`` / ``cpu_scan_bucket`` /
 ``modeled_transactions`` and the key ``spec``.  It is the one bucket
 pipeline — plan, split, descend, finish or scan, scatter — that every
-serving path runs: :class:`repro.core.overlap.OverlappedEngine` adds a
-threaded executor for lookups, and
-:class:`repro.core.resilience.ResilientHBPlusTree` wraps an engine in
-retry and circuit-breaker policy.
+serving path runs: :class:`repro.core.resilience.ResilientHBPlusTree`
+wraps an engine in retry and circuit-breaker policy, and the sharded
+service runs one per shard.  The CPU/GPU overlap of the paper's Figs
+5-6 is modeled by :mod:`repro.core.pipeline`, not executed here.
 """
 
 from __future__ import annotations
@@ -167,6 +167,8 @@ class BatchingEngine:
         self.bucket_size = bucket_size or getattr(
             getattr(tree, "machine", None), "bucket_size", DEFAULT_BUCKET_SIZE
         )
+        if self.bucket_size <= 0:
+            raise ValueError("bucket size must be positive")
         self.measure_baseline = measure_baseline
         #: explicit GPU kernel override; ``None`` defers to the
         #: balancer's discovered kernel, then the tree default
@@ -211,25 +213,6 @@ class BatchingEngine:
             return getattr(self.balancer, "kernel", None)
         return None
 
-    def _split(self, plan: BucketPlan):
-        """Read + feed the balancer once per bucket, at dispatch.
-
-        Returns ``(levels, kernel)``: the per-query CPU descent depths
-        (None when unbalanced) and the GPU kernel the split was priced
-        with.  Both are read *before* the bucket's arrival-order queries
-        are fed back to the balancer — feeding back may close a window
-        and move the committed split, which must only affect the next
-        bucket — so rebalance decisions are a deterministic function of
-        the bucket sequence.
-        """
-        if self.balancer is None:
-            return None, self._bucket_kernel()
-        depth, ratio = self.balancer.split()
-        kernel = self._bucket_kernel()
-        self.balancer.note_bucket(plan.queries)
-        levels = split_levels(plan.n_unique, depth, ratio, self.tree.height)
-        return levels, kernel
-
     def _descend(self, plan: BucketPlan):
         """The inner-level stage, split per the balancer when present.
 
@@ -239,12 +222,22 @@ class BatchingEngine:
         never results: (D=0, R=0) reproduces ``gpu_search_bucket``
         exactly (codes *and* transaction count), and every kernel
         returns bit-identical leaves.
+
+        The balancer is read and fed once per bucket.  The split and
+        kernel are read *before* the bucket's arrival-order queries are
+        fed back — feeding back may close a window and move the
+        committed split, which must only affect the next bucket — so
+        rebalance decisions are a deterministic function of the bucket
+        sequence.
         """
-        levels, kernel = self._split(plan)
-        if levels is None:
+        kernel = self._bucket_kernel()
+        if self.balancer is None:
             return self.tree.gpu_search_bucket(
                 plan.sorted_unique, kernel=kernel
             ), kernel
+        depth, ratio = self.balancer.split()
+        self.balancer.note_bucket(plan.queries)
+        levels = split_levels(plan.n_unique, depth, ratio, self.tree.height)
         nodes = self.tree.cpu_descend_top(plan.sorted_unique, levels)
         return self.tree.gpu_search_bucket_from(
             plan.sorted_unique, levels, nodes, kernel=kernel

@@ -349,12 +349,10 @@ class HBPlusTree(HybridTree):
     ) -> "tuple[np.ndarray, int]":
         """Pure stage-2 descent: ``(codes, transactions)``.
 
-        No launch screening, no counter mutation — safe to call from
-        multiple threads concurrently (the mirror is read-only during
-        search).  Callers that want serial semantics should pair it
-        with :meth:`gpu_begin_bucket` and merge the transactions into
-        the device counters, which is what :meth:`gpu_search_bucket`
-        and :class:`repro.core.overlap.OverlappedEngine` both do.
+        No launch screening, no counter mutation, so pure pricing can
+        call it directly.  :meth:`gpu_search_bucket` pairs it with
+        :meth:`gpu_begin_bucket` and books the transactions on the
+        device counters.
 
         ``kernel="frontier"`` keeps the same 3-step descent (the
         regular layout has no level-contiguous I-segment to sweep) but

@@ -222,7 +222,7 @@ class ImplicitHBPlusTree(HybridTree):
         """Pure stage-2 descent resumed from per-query (level, node).
 
         The split-space twin of :meth:`gpu_descend`: no launch
-        counting, no counter mutation, safe from worker threads.  With
+        counting, no counter mutation.  With
         all ``start_levels`` at 0 both outputs are identical to
         :meth:`gpu_descend` (the unbalanced corner of the split space).
         """

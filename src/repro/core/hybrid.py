@@ -151,10 +151,9 @@ class HybridTree:
 
         The stateful prologue of :meth:`gpu_search_bucket` — injector
         consultation and launch counter, via ``device.begin_launch`` —
-        split out so a concurrent engine can screen serially in
-        dispatch order while the pure :meth:`gpu_descend` runs on
-        worker threads.  Returns False when the bucket launches nothing
-        (empty bucket, or no GPU levels to walk).
+        kept apart from the pure :meth:`gpu_descend` so pricing can
+        descend without launching.  Returns False when the bucket
+        launches nothing (empty bucket, or no GPU levels to walk).
         """
         if n_queries == 0 or self.gpu_levels == 0:
             return False

@@ -199,9 +199,9 @@ class PipelineSimulator:
         if self.strategy is BucketStrategy.SEQUENTIAL:
             timelines = self._run_sequential(n_buckets)
         elif self.strategy is BucketStrategy.PIPELINED:
-            timelines = self._run_overlapped(n_buckets, transfer_hidden=False)
+            timelines = self._run_pipelined(n_buckets, transfer_hidden=False)
         else:
-            timelines = self._run_overlapped(n_buckets, transfer_hidden=True)
+            timelines = self._run_pipelined(n_buckets, transfer_hidden=True)
         return PipelineRun(timelines=timelines, bucket_size=self.bucket_size)
 
     def run_queries(self, n_queries: int) -> PipelineRun:
@@ -237,7 +237,7 @@ class PipelineSimulator:
             t = t4e
         return out
 
-    def _run_overlapped(self, n: int, transfer_hidden: bool
+    def _run_pipelined(self, n: int, transfer_hidden: bool
                         ) -> List[BucketTimeline]:
         """Event-driven schedule with GPU, CPU and link as resources.
 

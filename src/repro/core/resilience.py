@@ -6,12 +6,11 @@ while preserving the tree's one hard guarantee: **faults may cost time,
 never correctness**.
 
 Resilience is policy around the one bucket pipeline: hybrid lookups,
-range scans and recovery probes all run through an engine — the one
-passed as ``engine=`` (for example the threaded
-:class:`~repro.core.overlap.OverlappedEngine`), otherwise a
-:class:`~repro.core.batching.BatchingEngine` over the same tree — and
-this layer decides whether, how often and at what modeled cost to run
-them.
+range scans and recovery probes all run through one
+:class:`~repro.core.batching.BatchingEngine` over the same tree — the
+one passed as ``engine=`` (for example with its own bucket size or
+kernel), otherwise a default one — and this layer decides whether, how
+often and at what modeled cost to run them.
 
 Mechanisms (bottom-up):
 
@@ -253,9 +252,7 @@ class ResilientHBPlusTree:
             # device); engines over the same tree follow automatically
             tree.attach_obs(obs)
         #: the engine hybrid batches run through — ``engine=`` (over
-        #: the *same* tree) or a plain batch engine.  An engine drains
-        #: its in-flight buckets and joins every worker before a fault
-        #: propagates, so degradation never leaves workers running.
+        #: the *same* tree) or a plain batch engine
         if engine is not None and engine.tree is not tree:
             raise ValueError("the engine must wrap the same HBPlusTree")
         self.engine = engine if engine is not None else BatchingEngine(tree)

@@ -1,8 +1,8 @@
 """Bridges from the existing per-module stats objects into a registry.
 
 The simulator already accounts everything — but in scattered shapes:
-``BatchStats`` / ``OverlapStats`` on the engines, ``ResilienceStats``
-on the resilient tree, ``TransferStats`` on the PCIe link,
+``BatchStats`` on the engines, ``ResilienceStats`` on the resilient
+tree, ``TransferStats`` on the PCIe link,
 ``AccessCounters`` in the memory system, ``GpuKernelStats`` +
 ``kernel_launches`` on the device, ``MirrorSyncStats`` per sync batch,
 ``PipelineStats`` / ``LockStats`` in the CPU layers.  These exporters
@@ -91,7 +91,7 @@ def publish_tree(metrics: MetricsRegistry, tree, **labels) -> None:
 
 def publish_engine(metrics: MetricsRegistry, engine,
                    engine_label: str, **labels) -> None:
-    """A batch/overlap engine's stats under an ``engine=`` label."""
+    """A batch engine's stats under an ``engine=`` label."""
     publish(metrics, "engine", engine.stats, engine=engine_label, **labels)
     # properties are not dataclass fields; export the scan shape ones
     mean_len = getattr(engine.stats, "mean_scan_length", None)

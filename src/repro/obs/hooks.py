@@ -8,10 +8,8 @@ fault absorption, degradation — without the engines importing them.
 Well-known events (components document which they emit):
 
 ======================  ====================================================
-``bucket_start``        dispatcher accepted a bucket (serial, in order)
-``bucket_end``          a bucket's results landed in the output array
-                        (threaded engines emit this from a worker thread,
-                        in completion order — handlers must be thread-safe)
+``bucket_start``        the engine accepted a bucket (serial, in order)
+``bucket_end``          a bucket's results are ready (serial, in order)
 ``fault``               the resilience layer absorbed one injected fault
 ``degrade``             the circuit breaker opened (``reason`` labels why)
 ``recover``             a probe brought the GPU back

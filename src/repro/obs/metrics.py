@@ -1,10 +1,10 @@
 """Named counters/gauges/histograms with labeled dimensions.
 
 Today's accounting is scattered over per-module stats dataclasses
-(``BatchStats``, ``OverlapStats``, ``ResilienceStats``,
-``MirrorSyncStats``, ``TransferStats``, ``AccessCounters``, ...).
+(``BatchStats``, ``ResilienceStats``, ``MirrorSyncStats``,
+``TransferStats``, ``AccessCounters``, ...).
 :class:`MetricsRegistry` is the unifying surface: every instrument is
-addressed by a name plus a label set (``engine="overlap"``,
+addressed by a name plus a label set (``engine="batch"``,
 ``bucket=3``, ``state="degraded"``), created on first use, and exported
 through one ``snapshot()`` / ``reset()`` API.  The exporters in
 :mod:`repro.obs.export` bridge the existing stats objects into a

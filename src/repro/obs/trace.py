@@ -1,13 +1,10 @@
 """Hierarchical span tracing with Chrome trace-event export.
 
-The paper's overlap argument (section 5.4, Figs 5-6) is a claim about
-*timelines*: bucket ``i``'s CPU leaf stage runs while bucket ``i+1``
-descends on the GPU.  :class:`Tracer` records exactly those timelines
-from the real threaded engine — hierarchical spans with thread identity
-— and exports them in the Chrome trace-event JSON format, so a run can
-be dropped into Perfetto (https://ui.perfetto.dev) and inspected span
-by span: dispatcher screening, GPU descents, PCIe transfers and CPU
-leaf chunks each on their own thread track.
+:class:`Tracer` records where a run's wall time went — hierarchical
+spans with thread identity — and exports them in the Chrome trace-event
+JSON format, so a run can be dropped into Perfetto
+(https://ui.perfetto.dev) and inspected span by span: buckets, GPU
+descents, PCIe transfers and CPU leaf stages, one track per thread.
 
 Design constraints (DESIGN.md §10):
 
@@ -21,7 +18,7 @@ Design constraints (DESIGN.md §10):
 * **thread-safe** — spans may open and close on any thread; each
   thread keeps its own nesting stack (thread-local), the shared event
   list is appended under a lock, and threads are auto-named from
-  ``threading.current_thread().name`` so worker tracks are labeled.
+  ``threading.current_thread().name`` so each track is labeled.
 
 Timestamps are ``perf_counter_ns`` relative to the tracer's creation,
 exported in microseconds (the trace-event unit).

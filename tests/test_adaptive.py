@@ -17,7 +17,6 @@ from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import DiscoveryResult, SplitCostModel
-from repro.core.overlap import OverlappedEngine
 from repro.core.resilience import ResilienceConfig, ResilientHBPlusTree
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
@@ -280,8 +279,6 @@ class TestEngineIntegration:
         tree = HBPlusTree(keys, values, machine=m1)
         with pytest.raises(ValueError):
             BatchingEngine(tree, balancer=StaticSplit())
-        with pytest.raises(ValueError):
-            OverlappedEngine(tree, balancer=StaticSplit())
 
     def test_static_zero_split_matches_unbalanced(self, itree, data):
         keys, _values = data
@@ -335,32 +332,6 @@ class TestEngineIntegration:
             balancer=StaticSplit(min(depth, h), ratio),
         )
         assert np.array_equal(engine.lookup_batch(queries), ref)
-
-
-@pytest.mark.concurrency
-class TestOverlapParity:
-    def test_sequential_and_threaded_match_batching(self, itree, data):
-        keys, _values = data
-        trace, _phases = synthesize_drift_lookups(
-            keys, queries_per_phase=2048, seed=29
-        )
-        ref = BatchingEngine(itree, bucket_size=512).lookup_batch(trace.keys)
-
-        results, stats = [], []
-        for strategy, workers in (("sequential", 1), ("double_buffered", 2)):
-            c = AdaptiveController.for_tree(itree, config=EAGER,
-                                            bucket_size=512)
-            engine = OverlappedEngine(
-                itree, bucket_size=512, strategy=strategy,
-                gpu_workers=workers, cpu_workers=workers, balancer=c,
-            )
-            results.append(engine.lookup_batch(trace.keys))
-            stats.append(c.stats.snapshot())
-        assert np.array_equal(results[0], ref)
-        assert np.array_equal(results[1], ref)
-        # the dispatcher decides splits serially: identical schedules
-        assert stats[0] == stats[1]
-        assert stats[0]["windows"] > 0
 
 
 class TestResilienceHandshake:

@@ -200,6 +200,31 @@ class TestEngineHypothesis:
         assert engine.stats.transactions <= engine.stats.baseline_transactions
 
 
+class TestEngineInputs:
+    def test_accepts_python_ints_and_narrow_dtypes(self, hbr, data):
+        keys, _values = data
+        engine = BatchingEngine(hbr, bucket_size=64)
+        ref = engine.lookup_batch(keys[:8])
+        as_py = engine.lookup_batch([int(k) for k in keys[:8]])
+        np.testing.assert_array_equal(as_py, ref)
+        narrow = (keys[:8] % np.uint64(2**31)).astype(np.int32)
+        ref_narrow = engine.lookup_batch(narrow.astype(np.uint64))
+        np.testing.assert_array_equal(
+            engine.lookup_batch(narrow), ref_narrow
+        )
+        with pytest.raises(OverflowError):
+            engine.lookup_batch([-1])
+        with pytest.raises(TypeError):
+            engine.lookup_batch(np.array([2.5]))
+
+    @pytest.mark.parametrize("bucket_size", [-4, -1])
+    def test_negative_bucket_size_rejected(self, hbr, bucket_size):
+        """Rejected at construction, so scans cannot silently return
+        nothing where lookups would raise."""
+        with pytest.raises(ValueError, match="bucket size"):
+            BatchingEngine(hbr, bucket_size=bucket_size)
+
+
 class TestBucketCosts:
     def test_empty_tree_raises_value_error(self, m1):
         tree = HBPlusTree(machine=m1)

@@ -44,7 +44,6 @@ def device_counters(tree):
             int(c.bytes_moved))
 
 
-@pytest.mark.concurrency
 @pytest.mark.parametrize("config", sorted(SHARDS))
 def test_quiesce_parks_lookups_and_updates(data, m1, config):
     keys, values = data

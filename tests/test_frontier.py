@@ -12,7 +12,6 @@ from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import LoadBalancer
-from repro.core.overlap import OverlappedEngine
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpusim.kernels.frontier_search import (
     FRONTIER,
@@ -66,8 +65,6 @@ class TestKernelNames:
             itree.gpu_descend(np.zeros(1, dtype=np.uint64), kernel="nope")
         with pytest.raises(ValueError):
             BatchingEngine(itree, kernel="nope")
-        with pytest.raises(ValueError):
-            OverlappedEngine(itree, kernel="nope")
 
 
 class TestGeometryValidation:
@@ -404,20 +401,6 @@ class TestEngineKernelParity:
         assert type(pq_err) is type(fr_err)
         if pq_err is None:
             np.testing.assert_array_equal(fr_out, pq_out)
-
-    @pytest.mark.concurrency
-    def test_overlap_engine_kernel_parity(self, data):
-        keys, values = data
-        q = np.tile(keys[:512], 8)
-        outs = []
-        for kern in KERNELS:
-            tree = ImplicitHBPlusTree(keys, values, machine=machine_m1())
-            engine = OverlappedEngine(
-                tree, bucket_size=256, strategy="double_buffered",
-                gpu_workers=2, cpu_workers=2, kernel=kern,
-            )
-            outs.append(engine.lookup_batch(q))
-        assert np.array_equal(outs[0], outs[1])
 
 
 class TestKernelSelection:

@@ -12,7 +12,6 @@ from repro.core.adaptive import AdaptiveController
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
-from repro.core.overlap import OverlappedEngine
 from repro.core.resilience import ResilientHBPlusTree
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
@@ -402,7 +401,6 @@ class TestBulkLoad:
             bulk_load("css", [1, 2, 3], [1, 2])
 
 
-@pytest.mark.concurrency
 class TestSnapshotUnderLoad:
     def _serve_and_snapshot(self, engine, manager, probe, expected):
         results = []
@@ -430,16 +428,6 @@ class TestSnapshotUnderLoad:
         keys, values = data
         tree = HBPlusTree(keys, values, machine=m1)
         engine = BatchingEngine(tree)
-        probe = _probe(keys)
-        expected = tree.lookup_batch(probe)
-        self._serve_and_snapshot(
-            engine, SnapshotManager(tmp_path), probe, expected
-        )
-
-    def test_overlapped_engine(self, data, m1, tmp_path):
-        keys, values = data
-        tree = HBPlusTree(keys, values, machine=m1)
-        engine = OverlappedEngine(tree, cpu_workers=2)
         probe = _probe(keys)
         expected = tree.lookup_batch(probe)
         manager = SnapshotManager(tmp_path)

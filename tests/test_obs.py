@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
-from repro.core.overlap import OverlappedEngine
 from repro.obs import (
     NULL_OBS,
     NULL_REGISTRY,
@@ -388,6 +387,47 @@ class TestHookSet:
         frozen.clear()  # allowed, still empty
         assert not frozen.has("e")
 
+    def test_concurrent_emit_delivers_each_event_once(self):
+        """Emits from plain threads while another thread subscribes and
+        unsubscribes: every event reaches the steady subscriber once."""
+        hooks = HookSet()
+        lock = threading.Lock()
+        seen = []
+
+        def on_end(**payload):
+            with lock:
+                seen.append((payload["worker"], payload["index"]))
+
+        hooks.subscribe("bucket_end", on_end)
+        n_workers, per_worker = 4, 300
+        barrier = threading.Barrier(n_workers + 1)
+        stop = threading.Event()
+
+        def emitter(wid):
+            barrier.wait()
+            for i in range(per_worker):
+                hooks.emit("bucket_end", worker=wid, index=i)
+
+        def churn():
+            barrier.wait()
+            while not stop.is_set():
+                hooks.subscribe("bucket_end", lambda **p: None)()
+
+        threads = [
+            threading.Thread(target=emitter, args=(w,), name=f"emit-{w}")
+            for w in range(n_workers)
+        ]
+        churner = threading.Thread(target=churn, name="churn")
+        for th in threads + [churner]:
+            th.start()
+        for th in threads:
+            th.join()
+        stop.set()
+        churner.join()
+        assert sorted(seen) == [
+            (w, i) for w in range(n_workers) for i in range(per_worker)
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Bundle + export
@@ -540,61 +580,3 @@ class TestBatchingEngineTracing:
         np.testing.assert_array_equal(out, ref)
         assert counters == ref_counters
         assert validate_events(obs.tracer.events) == []
-
-
-@pytest.mark.concurrency
-class TestOverlappedEngineTracing:
-    def test_threaded_spans_on_distinct_tracks(self):
-        keys, values = generate_dataset(900, seed=31)
-        tree = HBPlusTree(keys, values, machine=machine_m1())
-        queries = np.tile(keys[:128], 12)
-
-        def make_engine(t, o):
-            return OverlappedEngine(
-                t, bucket_size=128, strategy="double_buffered",
-                gpu_workers=2, cpu_workers=2, cpu_chunk_min=16, obs=o,
-            )
-
-        ref, ref_counters, out, counters, obs = traced_vs_untraced(
-            tree, make_engine, queries
-        )
-        np.testing.assert_array_equal(out, ref)
-        assert counters == ref_counters
-        assert validate_events(obs.tracer.events) == []
-        names = set(obs.tracer.thread_names().values())
-        # GPU workers, CPU pool and the dispatcher (caller thread) each
-        # announce their own track
-        assert {"overlap-gpu-0", "overlap-gpu-1",
-                "overlap-cpu-0", "overlap-cpu-1"} <= names
-        assert len(names) >= 5
-        span_names = {
-            e["name"] for e in obs.tracer.events if e["ph"] == "B"
-        }
-        assert {"overlap.lookup_batch", "plan_screen", "gpu_descend",
-                "cpu_finish_chunk"} <= span_names
-
-    def test_bucket_end_hooks_thread_safe_completion_order(self):
-        keys, values = generate_dataset(900, seed=33)
-        tree = HBPlusTree(keys, values, machine=machine_m1())
-        queries = np.tile(keys[:128], 8)
-        obs = Observability()
-        lock = threading.Lock()
-        ends = []
-
-        def on_end(**payload):
-            with lock:
-                ends.append(payload["index"])
-
-        obs.hooks.subscribe("bucket_end", on_end)
-        tree.attach_obs(obs)
-        try:
-            engine = OverlappedEngine(
-                tree, bucket_size=128, strategy="double_buffered",
-                gpu_workers=2, cpu_workers=2, cpu_chunk_min=16,
-            )
-            engine.lookup_batch(queries)
-        finally:
-            tree.attach_obs(NULL_OBS)
-        # completion order may differ from dispatch order, but every
-        # bucket lands exactly once
-        assert sorted(ends) == list(range(8))

@@ -137,7 +137,6 @@ class TestConcurrentSubmitters:
     """The invariant: however many threads race, admitted ops never
     exceed the budget and nothing is double-spent."""
 
-    @pytest.mark.concurrency
     def test_no_double_spend_under_contention(self):
         capacity = 1000
         bucket = TokenBucket(capacity)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.resilience import (
     CircuitBreaker,
@@ -137,6 +138,34 @@ class TestResilientLookups:
         stats_b, sched_b = run()
         assert stats_a == stats_b
         assert sched_a == sched_b
+
+
+class TestEngineBacked:
+    def test_engine_backed_resilient_tree_stays_correct(self, dataset):
+        keys, values, lut = dataset
+        tree = HBPlusTree(keys, values, machine=machine_m1())
+        injector = FaultInjector(FaultPlan.uniform(0.08, seed=31))
+        engine = BatchingEngine(tree, bucket_size=256)
+        resilient = ResilientHBPlusTree(
+            tree, injector=injector,
+            config=ResilienceConfig(breaker_threshold=2, probe_interval=4),
+            engine=engine,
+        )
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            q = rng.choice(keys, size=512)
+            out = resilient.lookup_batch(q)
+            expected = np.asarray([lut[int(k)] for k in q], dtype=out.dtype)
+            np.testing.assert_array_equal(out, expected)
+        assert resilient.engine is engine
+        assert engine.stats.buckets > 0
+
+    def test_engine_must_wrap_same_tree(self, dataset):
+        keys, values, _lut = dataset
+        tree_a = HBPlusTree(keys, values, machine=machine_m1())
+        tree_b = HBPlusTree(keys, values, machine=machine_m1())
+        with pytest.raises(ValueError, match="same"):
+            ResilientHBPlusTree(tree_a, engine=BatchingEngine(tree_b))
 
 
 class TestMirrorRepair:

@@ -5,10 +5,9 @@ Covers, in one place, what DESIGN.md §15 promises:
 * the vectorised leaf-chain scan is result- AND modeled-counter-
   identical to the scalar reference walk, full path and leaf stage,
   on every leaf layout (regular, gapped, half-full gapped, implicit);
-* every engine entry point (``BatchingEngine.run_scans``,
-  ``OverlappedEngine.run_scans``, ``ResilientHBPlusTree.run_scans``
-  with and without an injected fault plan) is bit-identical to the
-  sequential ``range_query`` walk;
+* every engine entry point (``BatchingEngine.run_scans`` and
+  ``ResilientHBPlusTree.run_scans`` with and without an injected fault
+  plan) is bit-identical to the sequential ``range_query`` walk;
 * scans serialize against quiesce/snapshot windows through the shared
   serve lock, in both directions;
 * ``bucket_costs`` samples its workload without replacement whenever
@@ -29,7 +28,6 @@ from hypothesis import strategies as st
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
-from repro.core.overlap import OverlappedEngine
 from repro.core.resilience import ResilientHBPlusTree
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
@@ -149,7 +147,7 @@ class TestScalarVectorEquivalence:
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("cls", [HBPlusTree, ImplicitHBPlusTree],
                              ids=["regular", "implicit"])
-    def test_batching_and_overlap_match_walk(self, data, m1, cls):
+    def test_batching_matches_walk(self, data, m1, cls):
         keys, values = data
         los, his = make_scan_queries(keys, 96, 48, dist="geometric",
                                      seed=5)
@@ -160,10 +158,6 @@ class TestEngineBitIdentity:
                                bucket_size=32)
         assert batch.run_scans(los, his) == ref
         assert batch.stats.scan_tuples == sum(len(r) for r in ref)
-        overlap = OverlappedEngine(cls(keys, values, machine=m1))
-        got = overlap.run_scans(los, his)
-        overlap.quiesce()
-        assert got == ref
 
     def test_resilient_matches_walk_under_faults(self, data, m1):
         keys, values = data
@@ -186,7 +180,6 @@ class TestServeLockSerialization:
     """Scans and quiesce/snapshot windows exclude each other through
     the tree's shared serve lock — in both directions."""
 
-    @pytest.mark.concurrency
     def test_scan_waits_for_quiesce_window(self, data, m1):
         keys, values = data
         tree = HBPlusTree(keys, values, machine=m1)
@@ -208,7 +201,6 @@ class TestServeLockSerialization:
         assert done.is_set()
         assert out[0] == ref
 
-    @pytest.mark.concurrency
     def test_quiesce_waits_for_inflight_scan(self, data, m1,
                                              monkeypatch):
         keys, values = data

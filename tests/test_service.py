@@ -347,7 +347,6 @@ class TestSplitMerge:
         assert svc.snapshot_failures == 0
         assert len(manager.snapshots()) == 1
 
-    @pytest.mark.concurrency
     def test_split_merge_under_reader_load(self, data, m1):
         keys, values = data
         truth = dict(zip(keys.tolist(), values.tolist()))
