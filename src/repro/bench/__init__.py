@@ -3,7 +3,8 @@
 Each figure lives in :mod:`repro.bench.figures` as a ``run()`` function
 returning an :class:`repro.bench.harness.ExperimentTable`;
 ``python -m repro.bench.run_all`` regenerates all of them and prints
-the tables the paper plots.
+the tables the paper plots.  ``python -m repro.bench.gates`` runs every
+pass/fail benchmark gate (:data:`repro.bench.gates.GATES`).
 """
 
 from repro.bench.harness import ExperimentTable, Row

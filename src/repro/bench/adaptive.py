@@ -25,8 +25,9 @@ configurations over the same tree:
 
 Per phase it computes the *offline optimum*: a fresh profile +
 ``discover()`` on that phase's own queries — ground truth the adaptive
-loop never sees.  The report carries three gates the CLI wrapper
-(``benchmarks/bench_adaptive.py`` → ``BENCH_pr5.json``) enforces:
+loop never sees.  The report carries three gates, which
+:func:`gate_failures` checks and ``python -m repro.bench.gates adaptive``
+runs (→ ``BENCH_pr5.json``):
 
 * ``converged`` — in every phase, the split in force at phase end is
   within one step of the phase's offline optimum (depth within 1,

@@ -22,9 +22,9 @@ Answers the two questions DESIGN.md §13 leaves to measurement:
    unbalanced reference — results must stay bit-identical whatever
    kernel the controller commits.
 
-``run_frontier`` returns one JSON-serialisable dict; the CLI wrapper
-(``benchmarks/bench_simt_kernels.py --frontier``) writes it to
-``BENCH_pr7.json`` and turns :func:`gate_failures` into the exit code.
+``run_frontier`` returns one JSON-serialisable dict and
+:func:`gate_failures` is its gate; ``python -m repro.bench.gates
+frontier`` runs both and writes ``BENCH_pr7.json``.
 All gated quantities are modeled (transaction counts, Equation-4
 costs), so the gate is host-independent.
 """

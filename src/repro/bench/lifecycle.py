@@ -9,8 +9,8 @@ silently bit-rotted newest snapshot (restore must fall back to the
 previous intact one), and an all-corrupt directory (restore must
 degrade to cold bulk-build).
 
-The report carries the gates the CLI wrapper enforces
-(:func:`gate_failures`):
+The report carries the gates :func:`gate_failures` checks
+(``python -m repro.bench.gates lifecycle`` → ``BENCH_pr6.json``):
 
 * restore is strictly faster than the cold per-key build (and bulk
   load beats per-key too);
@@ -69,7 +69,7 @@ def run_lifecycle(smoke: bool = False) -> Dict[str, Any]:
     split = controller.split()
 
     obs = Observability()
-    with tempfile.TemporaryDirectory(prefix="bench_lifecycle_") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro_lifecycle_") as tmp:
         manager = SnapshotManager(Path(tmp) / "snaps", obs=obs)
         t0 = time.perf_counter_ns()
         snap_path = manager.save(bulk_tree, split=split)

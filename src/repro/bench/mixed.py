@@ -28,9 +28,9 @@ Answers the three questions DESIGN.md §14 leaves to measurement:
    no-worse-than-rebuild (the ranged path must degrade gracefully,
    not lose).
 
-``run_mixed`` returns one JSON-serialisable dict; the CLI wrapper
-(``benchmarks/bench_mixed_engine.py``) writes it to ``BENCH_pr8.json``
-and turns :func:`gate_failures` into the exit code.  All gated
+``run_mixed`` returns one JSON-serialisable dict and
+:func:`gate_failures` is its gate; ``python -m repro.bench.gates mixed``
+runs both and writes ``BENCH_pr8.json``.  All gated
 quantities are modeled (scheduler makespans, transfer bytes), so the
 gate is host-independent.
 """

@@ -26,9 +26,9 @@ Answers the three questions DESIGN.md §15 leaves to measurement:
    committed (D, R) to move (not merely the kernel: the scan term
    must change the split itself).
 
-``run_scan`` returns one JSON-serialisable dict; the CLI wrapper
-(``benchmarks/bench_range_scan.py``) writes it to ``BENCH_pr9.json``
-and turns :func:`gate_failures` into the exit code.  Gates 1 and 3 are
+``run_scan`` returns one JSON-serialisable dict and
+:func:`gate_failures` is its gate; ``python -m repro.bench.gates scan``
+runs both and writes ``BENCH_pr9.json``.  Gates 1 and 3 are
 fully modeled (host-independent); gate 2 is the one wall-clock gate,
 with a margin wide enough for noisy CI hosts.
 """

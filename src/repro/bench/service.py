@@ -26,9 +26,9 @@ Four gates, one report:
    asserted in the gate so a silent regression to the old rounding
    cannot pass).
 
-``run_service`` returns one JSON-serialisable dict; the CLI wrapper
-(``benchmarks/bench_service.py``) writes ``BENCH_pr10.json`` and turns
-:func:`gate_failures` into the exit code.
+``run_service`` returns one JSON-serialisable dict and
+:func:`gate_failures` is its gate; ``python -m repro.bench.gates
+service`` runs both and writes ``BENCH_pr10.json``.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ times the paths the batch engine and the vectorization work touch:
 * **touch** — batched :meth:`MemorySystem.touch_lines` vs the
   per-line loop.
 
-``run_wallclock`` returns one JSON-serialisable dict; the CLI wrapper
-``benchmarks/bench_wallclock.py`` writes it to ``BENCH_pr2.json`` and
-enforces the no-regression gate (vectorised paths must not be slower
-than their scalar references).
+``run_wallclock`` returns one JSON-serialisable dict and
+:func:`gate_failures` is its no-regression gate: vectorised paths must
+not be slower than their scalar references, sorting must reduce modeled
+transactions and batched sync must not add PCIe transfers.
 
 ``run_trace`` exercises the observability layer (:mod:`repro.obs`): a
 batch-engine run with tracing off (explicit ``NULL_OBS``) and the same
@@ -28,15 +28,19 @@ run with a live :class:`~repro.obs.Observability` bundle attached,
 checking the layer's guarantee — bit-identical results and identical
 modeled device counters either way — measuring the tracing overhead,
 and exporting the Chrome-trace-event JSON (Perfetto-loadable) with the
-caller's bucket spans on one thread track.  The CLI writes
-``BENCH_pr4.json`` + the ``.trace.json`` artifact via ``--trace``.
+caller's bucket spans on one thread track; :func:`trace_gate_failures`
+is its gate.
+
+``python -m repro.bench.gates [--smoke] wallclock trace`` runs both
+gates and writes ``BENCH_pr2.json``, ``BENCH_pr4.json`` and the
+Perfetto-loadable ``BENCH_pr4.trace.json``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List
 
 import numpy as np
 
@@ -46,6 +50,15 @@ from repro.core.update import AsyncBatchUpdater, SyncUpdater
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset, generate_skewed_queries
 from repro.workloads.queries import make_insert_batch, make_point_queries
+
+#: a vectorised path slower than its scalar reference by more than this
+#: factor fails the gate
+MAX_SLOWDOWN = 1.5
+
+#: tracing may not inflate the batch engine's wall-clock past this
+#: factor (generous: span bodies are microseconds next to millisecond
+#: buckets, but smoke runs on loaded CI hosts are noisy)
+MAX_TRACE_OVERHEAD = 1.5
 
 
 def time_best_ns(fn: Callable[[], Any], repeats: int = 3) -> float:
@@ -321,3 +334,58 @@ def run_wallclock(smoke: bool = False) -> Dict[str, Any]:
         "touch": _bench_touch(tree, min(n_queries, 1 << 14), repeats),
     }
     return report
+
+
+def gate_failures(report: Dict[str, Any]) -> List[str]:
+    """The regression gate: empty list when the report passes."""
+    mirror = report["mirror"]
+    touch = report["touch"]
+    zipf = report["lookup"]["zipf"]
+    update = report["update"]
+    failures = []
+    if mirror["pack_speedup"] < 1.0 / MAX_SLOWDOWN:
+        failures.append(
+            f"vectorised pack_i_segment is {1 / mirror['pack_speedup']:.2f}x "
+            f"slower than the scalar loop (limit {MAX_SLOWDOWN}x)"
+        )
+    if touch["speedup"] < 1.0 / MAX_SLOWDOWN:
+        failures.append(
+            f"batched touch_lines is {1 / touch['speedup']:.2f}x slower "
+            f"than the per-line loop (limit {MAX_SLOWDOWN}x)"
+        )
+    if zipf["transaction_reduction"] <= 0.0:
+        failures.append(
+            "sorting a zipf bucket did not reduce modeled transactions"
+        )
+    if (update["sync_batched_pcie_transfers"]
+            > update["sync_pernode_pcie_transfers"]):
+        failures.append(
+            "batched mirror sync issued more PCIe transfers than per-node"
+        )
+    return failures
+
+
+def trace_gate_failures(report: Dict[str, Any]) -> List[str]:
+    """The observability gate: empty list when the report passes."""
+    trace = report["trace"]
+    failures = []
+    if not report["bit_identical"]:
+        failures.append("tracing-enabled run is not bit-identical to disabled")
+    if not report["counters_match"]:
+        failures.append(
+            "modeled device counters diverged under tracing "
+            f"({report['counters']['traced']} vs "
+            f"{report['counters']['untraced']})"
+        )
+    if not trace["valid"]:
+        failures.append(
+            f"trace failed schema validation: {trace['validation_errors']}"
+        )
+    if not trace["thread_names"]:
+        failures.append("trace is missing the caller track")
+    if report["overhead_ratio"] > MAX_TRACE_OVERHEAD:
+        failures.append(
+            f"tracing overhead {report['overhead_ratio']:.2f}x exceeds "
+            f"the {MAX_TRACE_OVERHEAD}x bound"
+        )
+    return failures

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.hybrid import HybridTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
-from repro.cpu.node_search import NodeSearchAlgorithm
+from repro.cpu.node_search import NodeSearchAlgorithm, probe_leaf_slots
 from repro.gpusim.kernels.frontier_search import FRONTIER
 from repro.gpusim.kernels.regular_search import (
     launch_regular_search,
@@ -414,9 +414,8 @@ class HBPlusTree(HybridTree):
         while step:
             pos += (keys[pos + (step - 1)] < q) * step
             step >>= 1
-        found = keys[pos] == q
-        return np.where(found, tree.leaves.values.reshape(-1)[pos],
-                        self.spec.dtype(self.spec.max_value))
+        return probe_leaf_slots(keys, tree.leaves.values.reshape(-1), pos, q,
+                                self.spec.max_value)
 
     # ------------------------------------------------------------------
     # profiling / cost model

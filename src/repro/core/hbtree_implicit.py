@@ -317,14 +317,7 @@ class ImplicitHBPlusTree(HybridTree):
         q = np.asarray(queries, dtype=self.spec.dtype)
         if len(q) == 0:
             return np.zeros(0, dtype=self.spec.dtype)
-        leaf = self._leaves_of(codes)
-        rows = self.cpu_tree.leaf_keys[leaf]
-        pos = np.sum(rows < q[:, None], axis=1)
-        pos_c = np.minimum(pos, rows.shape[1] - 1)
-        found = rows[np.arange(len(q)), pos_c] == q
-        out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
-        out[found] = self.cpu_tree.leaf_values[leaf[found], pos_c[found]]
-        return out
+        return self.cpu_tree.probe_leaves(self._leaves_of(codes), q)
 
     # ------------------------------------------------------------------
     # instrumented profiling (feeds the cost model)

@@ -28,6 +28,8 @@ import numpy as np
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     get_search_function,
+    leaf_hit,
+    probe_leaf_slots,
     search_leaf_line,
 )
 from repro.keys import KeySpec, key_spec
@@ -237,7 +239,7 @@ class ImplicitCpuBPlusTree:
         pos = search_leaf_line(row, key, counters, self.algorithm)
         if counters is not None:
             counters.queries += 1
-        if pos < row.shape[0] and int(row[pos]) == key:
+        if leaf_hit(row, pos, key, self.spec.max_value):
             return int(self.leaf_values[leaf, pos])
         return None
 
@@ -266,13 +268,18 @@ class ImplicitCpuBPlusTree:
         node = np.zeros(len(q), dtype=np.int64)
         for level in range(self.height):
             node = self.descend_level(level, node, q)
-        rows = self.leaf_keys[node]
-        pos = np.sum(rows < q[:, None], axis=1)
-        pos_c = np.minimum(pos, rows.shape[1] - 1)
-        found = rows[np.arange(len(q)), pos_c] == q
-        out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
-        out[found] = self.leaf_values[node[found], pos_c[found]]
-        return out
+        return self.probe_leaves(node, q)
+
+    def probe_leaves(self, leaf: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """Answer each query from its leaf ``leaf`` (see
+        :func:`~repro.cpu.node_search.probe_leaf_slots`)."""
+        cap = self.leaf_keys.shape[1]
+        pos = np.sum(self.leaf_keys[leaf] < queries[:, None], axis=1)
+        return probe_leaf_slots(
+            self.leaf_keys.reshape(-1), self.leaf_values.reshape(-1),
+            leaf * cap + np.minimum(pos, cap - 1), queries,
+            self.spec.max_value,
+        )
 
     def range_query_scalar(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Scalar reference walk of :meth:`range_query`.

@@ -35,7 +35,9 @@ import numpy as np
 
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
+    leaf_hit,
     leaf_line_costs,
+    probe_leaf_slots,
     search_costs,
     search_leaf_line,
 )
@@ -414,7 +416,7 @@ class RegularCpuBPlusTree:
         pos = search_leaf_line(row, key, counters, self.algorithm)
         if counters is not None:
             counters.queries += 1
-        if pos < p and int(row[pos]) == key:
+        if leaf_hit(row, pos, key, self.spec.max_value):
             return int(self.leaves.values[node, line * p + pos])
         return None
 
@@ -485,14 +487,12 @@ class RegularCpuBPlusTree:
         q = np.asarray(queries, dtype=self.spec.dtype)
         node, line = self.descend_batch(q)
         p = self.spec.leaf_pairs_per_line
-        rows = self._leaf_rows(node, line)
-        pos = np.sum(rows < q[:, None], axis=1)
-        pos_c = np.minimum(pos, p - 1)
-        found = rows[np.arange(len(q)), pos_c] == q
-        out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
-        idx = np.arange(len(q))[found]
-        out[found] = self.leaves.values[node[idx], line[idx] * p + pos_c[idx]]
-        return out
+        pos = np.sum(self._leaf_rows(node, line) < q[:, None], axis=1)
+        slots = node * self.leaves.capacity_pairs + line * p + np.minimum(pos, p - 1)
+        return probe_leaf_slots(
+            self.leaves.keys.reshape(-1), self.leaves.values.reshape(-1),
+            slots, q, self.spec.max_value,
+        )
 
     def descend_batch(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised inner descent; returns ``(last_node, leaf_line)``.

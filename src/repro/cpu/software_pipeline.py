@@ -19,7 +19,11 @@ from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence
 
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
-from repro.cpu.node_search import get_search_function, search_leaf_line
+from repro.cpu.node_search import (
+    get_search_function,
+    leaf_hit,
+    search_leaf_line,
+)
 
 
 @dataclass
@@ -102,7 +106,7 @@ class SoftwarePipeline:
                 misses_this_step += mem.touch_line(tree.l_segment, node[i])
             row = tree.leaf_keys[node[i]]
             pos = search_leaf_line(row, keys[i], counters, tree.algorithm)
-            if pos < row.shape[0] and int(row[pos]) == keys[i]:
+            if leaf_hit(row, pos, keys[i], tree.spec.max_value):
                 results.append(int(tree.leaf_values[node[i], pos]))
             else:
                 results.append(None)

@@ -18,8 +18,9 @@ both holes:
 
 Storage faults (torn write, at-rest bitflip, partial read) inject
 through :mod:`repro.faults` at dedicated sites, so every crash drill
-replays deterministically; ``benchmarks/bench_lifecycle.py`` gates
-restore-vs-cold-build time and drill outcomes in CI.
+replays deterministically; the ``lifecycle`` gate of
+:mod:`repro.bench.gates` checks restore-vs-cold-build time and drill
+outcomes in CI.
 """
 
 from repro.lifecycle.bulkload import bulk_load, cold_build_per_key

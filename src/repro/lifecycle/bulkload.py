@@ -6,8 +6,8 @@ bulk, the way the paper's batch-rebuild pipeline (and FliX-style GPU
 index reconstruction) assumes.  :func:`cold_build_per_key` is the
 anti-pattern kept as a measured baseline: an empty tree grown one
 ``insert`` at a time, which is what a naive cold start would do and
-what ``benchmarks/bench_lifecycle.py`` shows losing by ~an order of
-magnitude.
+what the ``lifecycle`` gate (:mod:`repro.bench.gates`) shows losing
+by ~an order of magnitude.
 """
 
 from __future__ import annotations
