@@ -40,11 +40,8 @@ from repro.core.adaptive import AdaptiveController
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import LoadBalancer
-from repro.gpusim.kernels.frontier_search import (
-    KERNELS,
-    frontier_search_vectorized,
-)
-from repro.gpusim.kernels.implicit_search import implicit_search_vectorized
+from repro.gpusim.kernels.frontier_search import FRONTIER, KERNELS, PER_QUERY
+from repro.gpusim.kernels.implicit_search import implicit_descend
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset, generate_skewed_queries
 from repro.workloads.queries import make_point_queries
@@ -118,19 +115,23 @@ def run_frontier(smoke: bool = False) -> Dict[str, Any]:
     ]
 
     # --- raw kernel sweep: one sorted-unique bucket, no engine ------------
+    # the one implicit descent under each kernel's coalescing window
     tree = ImplicitHBPlusTree(keys, values, machine=machine)
     probe = np.unique(uniform)[:bucket]
+    zeros = np.zeros(len(probe), dtype=np.int64)
     args = (
         tree.iseg_buffer.array, tree.level_offsets, tree.level_sizes,
-        tree.gpu_depth, tree.cpu_tree.fanout, probe,
+        tree.gpu_depth, tree.cpu_tree.fanout, probe, zeros, zeros,
     )
     t0 = time.perf_counter_ns()
-    pq_leaf, pq_txns = implicit_search_vectorized(
-        *args, teams_per_warp=tree.teams_per_warp
+    pq_leaf, pq_txns = implicit_descend(
+        *args, tree.coalescing_window(PER_QUERY, len(probe))
     )
     pq_wall = time.perf_counter_ns() - t0
     t0 = time.perf_counter_ns()
-    fr_leaf, fr_txns = frontier_search_vectorized(*args)
+    fr_leaf, fr_txns = implicit_descend(
+        *args, tree.coalescing_window(FRONTIER, len(probe))
+    )
     fr_wall = time.perf_counter_ns() - t0
     single_bucket = {
         "bucket_queries": int(len(probe)),

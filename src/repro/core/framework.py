@@ -29,13 +29,11 @@ import numpy as np
 
 from repro.core.load_balance import SplitCostModel, split_lookup
 from repro.core.pipeline import BucketStrategy, strategy_throughput_qps
+from repro.cpu.btree_implicit import descend_top
 from repro.cpu.css_tree import CssTree
 from repro.gpusim.device import GpuDevice
 from repro.gpusim.kernels.frontier_search import PER_QUERY
-from repro.gpusim.kernels.implicit_search import (
-    implicit_search_from,
-    implicit_search_vectorized,
-)
+from repro.gpusim.kernels.implicit_search import implicit_descend
 from repro.gpusim.transfer import PcieLink
 from repro.keys import KeySpec
 from repro.platform.configs import MachineConfig
@@ -231,40 +229,24 @@ class CssTreeAdapter:
         return self.cpu_tree.height
 
     def cpu_descend_top(self, queries, levels):
-        t = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
-        node = np.zeros(len(q), dtype=np.int64)
-        for level in range(t.height):
-            active = levels > level
-            if not np.any(active):
-                break
-            keys = t.directory[level][node[active]]
-            k = np.sum(keys < q[active, None], axis=1).astype(np.int64)
-            next_size = (
-                t.directory[level + 1].shape[0]
-                if level + 1 < t.height else t.num_runs
-            )
-            node[active] = np.minimum(
-                node[active] * t.fanout + k, next_size - 1
-            )
-        return node
+        return descend_top(self.cpu_tree, q, levels)
 
     def gpu_descend_from(self, queries, start_levels, start_nodes,
                          kernel=None):
+        """Directory descent resumed from per-query (level, node),
+        charged under the per-query schedule whatever ``kernel`` names:
+        the framework prices only that one."""
         t = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
-        if t.height == 0:
-            return np.asarray(start_nodes, dtype=np.int64), 0
-        run = implicit_search_from(
+        teams_per_warp = max(
+            1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query
+        )
+        run, txns = implicit_descend(
             self.dir_buffer.array, self.level_offsets, self.level_sizes,
-            t.height, t.fanout, q,
-            start_levels=np.asarray(start_levels, dtype=np.int64),
-            start_nodes=np.asarray(start_nodes, dtype=np.int64),
+            t.height, t.fanout, q, start_levels, start_nodes, teams_per_warp,
         )
-        remaining = np.maximum(
-            t.height - np.asarray(start_levels, dtype=np.int64), 0
-        )
-        return np.minimum(run, t.num_runs - 1), int(np.sum(remaining))
+        return np.minimum(run, t.num_runs - 1), txns
 
     def cpu_finish_bucket(self, queries, codes):
         t = self.cpu_tree
@@ -293,21 +275,10 @@ class CssTreeAdapter:
         return _css_profiles(self.cpu_tree, sample)
 
     def modeled_transactions(self, queries, kernel=None) -> int:
-        """Device transactions of a full directory descent (pure),
-        under the per-query schedule whatever ``kernel`` names: the
-        framework prices only that one."""
-        t = self.cpu_tree
+        """Device transactions of a full directory descent (pure)."""
         q = np.asarray(queries, dtype=self.spec.dtype)
-        if t.height == 0:
-            return 0
-        _runs, txns = implicit_search_vectorized(
-            self.dir_buffer.array, self.level_offsets, self.level_sizes,
-            t.height, t.fanout, q,
-            teams_per_warp=max(
-                1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query
-            ),
-        )
-        return txns
+        zeros = np.zeros(len(q), dtype=np.int64)
+        return self.gpu_descend_from(q, zeros, zeros, kernel)[1]
 
 
 # ----------------------------------------------------------------------
@@ -332,13 +303,7 @@ def _css_profiles(tree: CssTree, sample):
             lines=1.0, misses=misses, tlb_small=0.0, tlb_huge=0.0,
             node_searches=1.0,
         ))
-        keys = tree.directory[level][node]
-        k = np.sum(keys < q[:, None], axis=1).astype(np.int64)
-        next_size = (
-            tree.directory[level + 1].shape[0]
-            if level + 1 < tree.height else tree.num_runs
-        )
-        node = np.minimum(node * tree.fanout + k, next_size - 1)
+        node = tree.descend_level(level, node, q)
     before = mem.counters.cache_misses
     tlb_before = mem.counters.tlb_misses_small
     pair = 2 * tree.spec.size_bytes

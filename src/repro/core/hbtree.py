@@ -31,7 +31,6 @@ from repro.core.hybrid import HybridTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm, probe_leaf_slots
-from repro.gpusim.kernels.frontier_search import FRONTIER
 from repro.gpusim.kernels.regular_search import (
     launch_regular_search,
     regular_search_vectorized,
@@ -354,14 +353,11 @@ class HBPlusTree(HybridTree):
         :meth:`gpu_begin_bucket` and books the transactions on the
         device counters.
 
-        ``kernel="frontier"`` keeps the same 3-step descent (the
-        regular layout has no level-contiguous I-segment to sweep) but
-        accounts transactions with block-wide level-by-level dedup —
-        one line per distinct (node, line) across the whole bucket —
-        instead of per-warp windows.  Codes are identical either way.
+        ``kernel`` moves only the coalescing window
+        (:meth:`coalescing_window`); codes are identical either way.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
-        kern = self._resolve_kernel(kernel)
+        group = self.coalescing_window(kernel, len(q))
         if len(q) == 0:
             return np.zeros(0, dtype=np.int64), 0
         return regular_search_vectorized(
@@ -373,8 +369,7 @@ class HBPlusTree(HybridTree):
             self.cpu_tree.root,
             self.last_base,
             q,
-            teams_per_warp=self.teams_per_warp,
-            frontier_block=len(q) if kern == FRONTIER else None,
+            group,
         )
 
     def gpu_search_bucket_literal(self, queries: np.ndarray) -> np.ndarray:

@@ -25,17 +25,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.hybrid import GpuSearchResult, HybridTree
-from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
+from repro.cpu.btree_implicit import ImplicitCpuBPlusTree, descend_top
 from repro.cpu.node_search import NodeSearchAlgorithm
 from repro.gpusim.kernels.frontier_search import (
     FRONTIER,
-    frontier_search_from_counted,
-    frontier_search_vectorized,
     launch_frontier_search,
 )
 from repro.gpusim.kernels.implicit_search import (
-    implicit_search_from_counted,
-    implicit_search_vectorized,
+    implicit_descend,
     launch_implicit_search,
 )
 from repro.memsim.mainmem import MemorySystem, PageConfig
@@ -158,34 +155,14 @@ class ImplicitHBPlusTree(HybridTree):
         code is a leaf index.
 
         No launch counting, no counter mutation — thread-safe over the
-        read-only mirror.  ``gpu_depth == 0`` yields all-zero leaf
-        indices, matching :meth:`gpu_search_bucket`.  ``kernel`` picks
-        the per-query Snippet-3 descent or the level-wise frontier
-        descent — identical leaf indices either way, different
-        transaction accounting.
+        read-only mirror.  The full descent is the (D=0, R=0) corner of
+        :meth:`gpu_descend_from`: every query starts at the root.
+        ``gpu_depth == 0`` yields all-zero leaf indices, matching
+        :meth:`gpu_search_bucket`.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
-        kern = self._resolve_kernel(kernel)
-        if len(q) == 0 or self.gpu_depth == 0:
-            return np.zeros(len(q), dtype=np.int64), 0
-        if kern == FRONTIER:
-            return frontier_search_vectorized(
-                self.iseg_buffer.array,
-                self.level_offsets,
-                self.level_sizes,
-                self.gpu_depth,
-                self.cpu_tree.fanout,
-                q,
-            )
-        return implicit_search_vectorized(
-            self.iseg_buffer.array,
-            self.level_offsets,
-            self.level_sizes,
-            self.gpu_depth,
-            self.cpu_tree.fanout,
-            q,
-            teams_per_warp=self.teams_per_warp,
-        )
+        zeros = np.zeros(len(q), dtype=np.int64)
+        return self.gpu_descend_from(q, zeros, zeros, kernel=kernel)
 
     # -- load-balanced (D, R) split execution --------------------------
 
@@ -202,15 +179,8 @@ class ImplicitHBPlusTree(HybridTree):
         GPU resumes from, each query stepping exactly as a full
         :meth:`ImplicitCpuBPlusTree.lookup_batch` descent would.
         """
-        tree = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
-        node = np.zeros(len(q), dtype=np.int64)
-        for level in range(tree.height):
-            active = levels > level
-            if not np.any(active):
-                break
-            node[active] = tree.descend_level(level, node[active], q[active])
-        return node
+        return descend_top(self.cpu_tree, q, levels)
 
     def gpu_descend_from(
         self,
@@ -221,40 +191,23 @@ class ImplicitHBPlusTree(HybridTree):
     ) -> "tuple[np.ndarray, int]":
         """Pure stage-2 descent resumed from per-query (level, node).
 
-        The split-space twin of :meth:`gpu_descend`: no launch
-        counting, no counter mutation.  With
-        all ``start_levels`` at 0 both outputs are identical to
-        :meth:`gpu_descend` (the unbalanced corner of the split space).
+        No launch counting, no counter mutation.  Levels below a
+        query's start level are the CPU's and charge nothing.
+        ``kernel`` picks the per-query Snippet-3 schedule or the
+        level-wise frontier schedule — identical leaf indices, only the
+        coalescing window (:meth:`coalescing_window`) moves.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
-        kern = self._resolve_kernel(kernel)
-        start = np.asarray(start_levels, dtype=np.int64)
-        nodes = np.asarray(start_nodes, dtype=np.int64)
-        if len(q) == 0 or self.gpu_depth == 0 or not np.any(
-            start < self.gpu_depth
-        ):
-            return nodes.copy(), 0
-        if kern == FRONTIER:
-            return frontier_search_from_counted(
-                self.iseg_buffer.array,
-                self.level_offsets,
-                self.level_sizes,
-                self.gpu_depth,
-                self.cpu_tree.fanout,
-                q,
-                start_levels=start,
-                start_nodes=nodes,
-            )
-        return implicit_search_from_counted(
+        return implicit_descend(
             self.iseg_buffer.array,
             self.level_offsets,
             self.level_sizes,
             self.gpu_depth,
             self.cpu_tree.fanout,
             q,
-            start_levels=start,
-            start_nodes=nodes,
-            teams_per_warp=self.teams_per_warp,
+            start_levels,
+            start_nodes,
+            self.coalescing_window(kernel, len(q)),
         )
 
     def gpu_search_bucket_from(

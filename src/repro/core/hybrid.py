@@ -19,7 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gpusim.device import GpuDevice
-from repro.gpusim.kernels.frontier_search import PER_QUERY, validate_kernel
+from repro.gpusim.kernels.frontier_search import (
+    FRONTIER,
+    PER_QUERY,
+    validate_kernel,
+)
 from repro.gpusim.transfer import PcieLink
 from repro.keys import key_spec
 from repro.memsim.mainmem import MemorySystem
@@ -142,6 +146,17 @@ class HybridTree:
     def _resolve_kernel(self, kernel: Optional[str]) -> str:
         """``kernel`` argument, or this tree's default; validated."""
         return validate_kernel(kernel if kernel is not None else self.kernel)
+
+    def coalescing_window(self, kernel: Optional[str],
+                          n_queries: int) -> int:
+        """Queries whose loads one transaction count deduplicates over
+        under ``kernel`` (None = this tree's default): the whole bucket
+        for the frontier kernel, one cooperative block; one warp's
+        teams for the per-query kernel.  The one place a kernel choice
+        reaches the descent, which is otherwise the same walk."""
+        if self._resolve_kernel(kernel) == FRONTIER:
+            return max(1, n_queries)
+        return self.teams_per_warp
 
     # ------------------------------------------------------------------
     # search

@@ -28,6 +28,7 @@ import numpy as np
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     get_search_function,
+    implicit_step,
     leaf_hit,
     probe_leaf_slots,
     search_leaf_line,
@@ -247,16 +248,14 @@ class ImplicitCpuBPlusTree:
                       queries: np.ndarray) -> np.ndarray:
         """One vectorised descent step: each query's position on level
         ``level + 1`` (the leaf index below the last inner level),
-        searched from its ``node`` on ``level`` and clamped to that
-        level's size."""
-        keys = self.inner_levels[level][node]
-        k = np.sum(keys < queries[:, None], axis=1).astype(np.int64)
+        searched from its ``node`` on ``level``."""
         next_size = (
             self.inner_levels[level + 1].shape[0]
             if level + 1 < self.height
             else self.num_leaves
         )
-        return np.minimum(node * self.fanout + k, next_size - 1)
+        return implicit_step(self.inner_levels[level], node, queries,
+                             self.fanout, next_size)
 
     def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
         """Vectorised point lookups; absent keys yield the max value.
@@ -446,3 +445,18 @@ class ImplicitCpuBPlusTree:
 
     def __contains__(self, key: int) -> bool:
         return self.lookup(key, instrument=False) is not None
+
+
+def descend_top(tree, queries: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Walk each query's top ``levels`` levels of an implicit ``tree``
+    (anything with ``height`` and ``descend_level``: this tree or a
+    CSS-tree directory); returns the positions a GPU descent resumes
+    from, each query stepping exactly as a full descent would."""
+    node = np.zeros(len(queries), dtype=np.int64)
+    for level in range(tree.height):
+        active = levels > level
+        if not np.any(active):
+            break
+        node[active] = tree.descend_level(level, node[active],
+                                          queries[active])
+    return node

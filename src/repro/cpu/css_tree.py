@@ -22,7 +22,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.node_search import NodeSearchAlgorithm, get_search_function
+from repro.cpu.node_search import (
+    NodeSearchAlgorithm,
+    get_search_function,
+    implicit_step,
+)
 from repro.keys import KeySpec, key_spec
 from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
@@ -140,6 +144,19 @@ class CssTree:
 
     def _level_line_offset(self, level: int) -> int:
         return sum(lvl.shape[0] for lvl in self.directory[:level])
+
+    def descend_level(self, level: int, node: np.ndarray,
+                      queries: np.ndarray) -> np.ndarray:
+        """One vectorised directory step: each query's position on
+        level ``level + 1`` (the run index below the last level),
+        searched from its ``node`` on ``level``."""
+        next_size = (
+            self.directory[level + 1].shape[0]
+            if level + 1 < self.height
+            else self.num_runs
+        )
+        return implicit_step(self.directory[level], node, queries,
+                             self.fanout, next_size)
 
     def _descend(self, key: int, instrument: bool) -> int:
         """Directory walk; returns the run index."""

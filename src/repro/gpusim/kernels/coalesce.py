@@ -1,4 +1,4 @@
-"""Warp-level memory-coalescing model shared by the kernel twins.
+"""Warp-level memory-coalescing model shared by the vectorised descents.
 
 Every vectorised search kernel charges one 64-byte device-memory
 transaction per *distinct* line requested by the teams of a warp —
@@ -13,7 +13,6 @@ A kernel writes the line-id stream of every level (and every line kind)
 it walks into one ``(streams, queries)`` matrix and counts it once with
 :func:`windowed_distinct`: one sortedness check over the whole matrix,
 a per-window sort only when some window is out of order, one count.
-:func:`warp_distinct` is its one-stream case.
 """
 
 from __future__ import annotations
@@ -82,16 +81,3 @@ def windowed_distinct(streams: np.ndarray, group: int,
     if group < n:
         change[:, group - 1::group] = False
     return int(np.count_nonzero(change)) + windows
-
-
-def warp_distinct(values: np.ndarray, group: int,
-                  assume_sorted: bool = False) -> int:
-    """Count distinct values within each consecutive group of ``group``.
-
-    ``group`` is the number of query teams sharing one warp; each
-    distinct value inside a warp's window costs one transaction.  The
-    one-stream case of :func:`windowed_distinct`; ``assume_sorted`` is
-    accepted for compatibility — sortedness is detected in the same
-    single scan either way, and the count never depends on it.
-    """
-    return windowed_distinct(values, group)

@@ -14,32 +14,21 @@ Because the bucket the engines hand the kernel is sorted and distinct
 inner node at some level are **adjacent** — the frontier is a sequence
 of runs, and each level's loads collapse to one contiguous sweep over
 that level's distinct nodes.  The per-level transaction bill is the
-number of frontier entries, counted by the same
-:func:`~repro.gpusim.kernels.coalesce.windowed_distinct` pass the
-per-query kernels use — one count over every level's frontier after
-the walk, with the *whole block* as the dedup window instead of one
-warp.  Near the root that is 1 transaction for the
-bucket where the per-query kernel pays one per warp window; at the
-bottom the two models meet (every query its own node).
+number of frontier entries.  Leaf indices do not depend on the
+schedule, so the numpy descent is the per-query kernel's
+(:func:`~repro.gpusim.kernels.implicit_search.implicit_descend`, full
+or (D, R) split) with the *whole bucket* as its dedup window instead
+of one warp.  Near the root that is 1 transaction for the bucket where
+the per-query kernel pays one per warp window; at the bottom the two
+models meet (every query its own node).
 
-Two implementations, verified equivalent by the test suite:
-
-* :func:`frontier_search_kernel` — the faithful SIMT-interpreter
-  version: one cooperative block, per level each run's first team
-  (found with a shared-memory max-scan) loads the node's key line into
-  a shared tile, every team of the run reads the tile, and the child
-  pick is the per-query kernel's Snippet-3 neighbour-flag reduction —
-  bit-identical child indices by construction.
-* :func:`frontier_search_vectorized` — the numpy twin: run-compressed
-  key gathers, block-window ``windowed_distinct`` accounting, identical
-  results for *any* query order (unsorted input simply yields more
-  runs, never different answers).
-
-:func:`frontier_search_from_counted` is the (D, R)-split twin: it
-resumes per-query from the nodes the CPU walked to, exactly like
-:func:`~repro.gpusim.kernels.implicit_search.implicit_search_from_counted`,
-so the adaptive engines can pick the frontier kernel at any split
-point.
+:func:`frontier_search_kernel` is the faithful SIMT-interpreter
+version: one cooperative block, per level each run's first team (found
+with a shared-memory max-scan) loads the node's key line into a shared
+tile, every team of the run reads the tile, and the child pick is the
+per-query kernel's Snippet-3 neighbour-flag reduction — bit-identical
+child indices by construction.  The test suite checks it against the
+numpy descent.
 
 :func:`validate_level_geometry` guards every kernel-launch boundary:
 a mismatched ``level_offsets``/``depth``/``fanout`` combination raises
@@ -48,14 +37,11 @@ a clear ``ValueError`` instead of silently misindexing the I-segment.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.gpusim.device import GpuDevice
-from repro.gpusim.kernels.coalesce import (
-    windowed_distinct as _windowed_distinct,
-)
 from repro.gpusim.memory import DeviceBuffer
 from repro.gpusim.simt import GpuKernelStats
 
@@ -144,115 +130,6 @@ def validate_level_geometry(
             f"levels end at element {end} but the I-segment holds "
             f"{total_elements} elements"
         )
-
-
-def _run_starts(node: np.ndarray) -> np.ndarray:
-    """Boolean mask marking the first entry of each frontier run."""
-    starts = np.empty(len(node), dtype=bool)
-    starts[0] = True
-    np.not_equal(node[1:], node[:-1], out=starts[1:])
-    return starts
-
-
-def frontier_search_vectorized(
-    iseg: np.ndarray,
-    level_offsets: Sequence[int],
-    level_sizes: Sequence[int],
-    depth: int,
-    fanout: int,
-    queries: np.ndarray,
-    block_queries: Optional[int] = None,
-) -> Tuple[np.ndarray, int]:
-    """Vectorised frontier descent; ``(leaf_indices, transactions)``.
-
-    Per level the frontier (the per-query node-id stream) is
-    run-compressed: each run's key line is gathered once and broadcast
-    to the run's queries, and the level is charged one 64-byte
-    transaction per distinct node within each ``block_queries`` window
-    (default: the whole bucket — one cooperative block, matching
-    :func:`launch_frontier_search`).  The child pick is the same
-    ``count(keys < q)`` the per-query twin computes, so leaf indices
-    are bit-identical to
-    :func:`~repro.gpusim.kernels.implicit_search.implicit_search_vectorized`
-    for any input — sorted input is only *cheaper*, never different.
-    """
-    q = np.asarray(queries)
-    n = len(q)
-    node = np.zeros(n, dtype=np.int64)
-    if n == 0 or depth == 0:
-        return node, 0
-    validate_level_geometry(
-        level_offsets, level_sizes, depth, fanout, iseg.size
-    )
-    group = int(block_queries) if block_queries else n
-    if group < 1:
-        raise ValueError(f"block_queries must be >= 1, got {block_queries}")
-    # the frontier of every level, counted once after the walk: one
-    # 64-byte line per distinct node within each block window
-    streams = np.empty((depth, n), dtype=np.int64)
-    for i in range(depth):
-        view = iseg[
-            level_offsets[i]: level_offsets[i] + level_sizes[i]
-        ].reshape(-1, fanout)
-        starts = _run_starts(node)
-        run_id = np.cumsum(starts) - 1
-        keys = view[node[starts]][run_id]
-        streams[i] = node
-        k = np.sum(keys < q[:, None], axis=1)
-        node = node * fanout + k
-    return node, _windowed_distinct(streams, group)
-
-
-def frontier_search_from_counted(
-    iseg: np.ndarray,
-    level_offsets: Sequence[int],
-    level_sizes: Sequence[int],
-    depth: int,
-    fanout: int,
-    queries: np.ndarray,
-    start_levels: np.ndarray,
-    start_nodes: np.ndarray,
-    block_queries: Optional[int] = None,
-) -> Tuple[np.ndarray, int]:
-    """Frontier descent resumed from per-query (level, node) pairs.
-
-    The (D, R)-split twin of :func:`frontier_search_vectorized`,
-    mirroring
-    :func:`~repro.gpusim.kernels.implicit_search.implicit_search_from_counted`:
-    only queries whose ``start_levels`` reach a level participate in
-    its frontier.  With every start level at 0 both outputs equal the
-    full frontier descent.
-    """
-    q = np.asarray(queries)
-    node = np.asarray(start_nodes, dtype=np.int64).copy()
-    start = np.asarray(start_levels, dtype=np.int64)
-    n = len(q)
-    if n == 0 or depth == 0:
-        return node, 0
-    validate_level_geometry(
-        level_offsets, level_sizes, depth, fanout, iseg.size
-    )
-    group = int(block_queries) if block_queries else n
-    if group < 1:
-        raise ValueError(f"block_queries must be >= 1, got {block_queries}")
-    streams = np.empty((depth, n), dtype=np.int64)
-    walking = np.zeros(depth, dtype=np.int64)
-    for level in range(depth):
-        active = start <= level
-        sub = node[active]
-        if len(sub) == 0:
-            continue
-        streams[level, :len(sub)] = sub
-        walking[level] = len(sub)
-        view = iseg[
-            level_offsets[level]: level_offsets[level] + level_sizes[level]
-        ].reshape(-1, fanout)
-        starts = _run_starts(sub)
-        run_id = np.cumsum(starts) - 1
-        keys = view[sub[starts]][run_id]
-        k = np.sum(keys < q[active, None], axis=1)
-        node[active] = sub * fanout + k
-    return node, _windowed_distinct(streams, group, walking)
 
 
 def frontier_search_kernel(ctx, iseg, level_offsets, depth, fanout,

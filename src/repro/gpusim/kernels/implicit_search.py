@@ -5,10 +5,11 @@ appendix Snippet 3 to the SIMT interpreter: ``F_I`` threads per query,
 per-thread key comparison, neighbour-flag reduction in shared memory,
 ``__syncthreads`` barriers between phases.
 
-:func:`implicit_search_vectorized` is its numpy twin used by the
-benchmarks: identical results and identical coalesced-transaction
-counts (asserted by the test suite), several orders of magnitude
-faster to simulate.
+:func:`implicit_descend` is the numpy descent every implicit-layout
+GPU stage runs — per-query or frontier kernel, full descent or (D, R)
+split: identical leaf indices to both literal kernels and their
+coalesced-transaction counts (asserted by the test suite), several
+orders of magnitude faster to simulate.
 """
 
 from __future__ import annotations
@@ -106,41 +107,7 @@ def launch_implicit_search(
     return out, stats
 
 
-def implicit_search_vectorized(
-    iseg: np.ndarray,
-    level_offsets: Sequence[int],
-    level_sizes: Sequence[int],
-    depth: int,
-    fanout: int,
-    queries: np.ndarray,
-    teams_per_warp: int = 4,
-) -> Tuple[np.ndarray, int]:
-    """Vectorised twin of Snippet 3.
-
-    Returns ``(leaf_indices, global_transactions)`` where the
-    transaction count reproduces the coalescing behaviour of the
-    literal kernel: teams within a warp reading the *same* node line
-    share one 64-byte transaction (which is what happens near the root).
-    """
-    q = np.asarray(queries)
-    node = np.zeros(len(q), dtype=np.int64)
-    # the node-id stream of every level: one 64-byte line per distinct
-    # node within each warp, counted once after the walk
-    streams = np.empty((depth, len(q)), dtype=np.int64)
-    for i in range(depth):
-        view = iseg[
-            level_offsets[i]: level_offsets[i] + level_sizes[i]
-        ].reshape(-1, fanout)
-        streams[i] = node
-        k = np.sum(view[node] < q[:, None], axis=1)
-        node = node * fanout + k
-    # query loads: one coalesced read of the query buffer per warp team
-    # group (charged by the bucket pipeline, not here)
-    transactions = _windowed_distinct(streams, teams_per_warp)
-    return node, transactions
-
-
-def implicit_search_from(
+def implicit_descend(
     iseg: np.ndarray,
     level_offsets: Sequence[int],
     level_sizes: Sequence[int],
@@ -149,57 +116,48 @@ def implicit_search_from(
     queries: np.ndarray,
     start_levels: np.ndarray,
     start_nodes: np.ndarray,
-) -> np.ndarray:
-    """Resume the inner-node descent from per-query (level, node) pairs.
+    group: int,
+) -> Tuple[np.ndarray, int]:
+    """The implicit-layout descent of every kernel, full or split;
+    returns ``(leaf_indices, transactions)``.
 
-    Used by the load-balanced search (section 5.5): the CPU walked the
-    top ``D`` (or ``D+1``) levels, the GPU continues from there.
+    Each query resumes at its ``start_levels`` entry from its
+    ``start_nodes`` entry (all zeros: the full descent).  On every
+    level it walks, a query gathers its node's keys and steps to child
+    ``count(keys < q)`` — the child the literal kernels' neighbour-flag
+    reduction picks.  The level's row of the stream matrix holds the
+    walking queries' node ids, packed in query order, and one
+    :func:`~repro.gpusim.kernels.coalesce.windowed_distinct` pass after
+    the walk charges one 64-byte transaction per distinct node within
+    each ``group``-query window.  That window is the only thing a
+    kernel changes: one warp's teams for the per-query kernel
+    (Snippet 3), the whole bucket for the frontier kernel (one
+    cooperative block, as in
+    :func:`~repro.gpusim.kernels.frontier_search.launch_frontier_search`).
+    Query loads are charged by the bucket pipeline, not here.
     """
-    node, _txns = implicit_search_from_counted(
-        iseg, level_offsets, level_sizes, depth, fanout, queries,
-        start_levels, start_nodes,
+    validate_level_geometry(
+        level_offsets, level_sizes, depth, fanout, iseg.size
     )
-    return node
-
-
-def implicit_search_from_counted(
-    iseg: np.ndarray,
-    level_offsets: Sequence[int],
-    level_sizes: Sequence[int],
-    depth: int,
-    fanout: int,
-    queries: np.ndarray,
-    start_levels: np.ndarray,
-    start_nodes: np.ndarray,
-    teams_per_warp: int = 4,
-) -> Tuple[np.ndarray, int]:
-    """:func:`implicit_search_from` plus the coalesced-transaction count.
-
-    Transactions follow the same model as
-    :func:`implicit_search_vectorized` — one 64-byte line per distinct
-    node among the teams of a warp — charged only for the levels a
-    query actually walks on the GPU.  With every ``start_levels`` at 0
-    the result (both outputs) is identical to the full vectorised
-    descent, which is what lets the adaptive engines treat the
-    unbalanced path as the (D=0, R=0) corner of the split space.
-    """
+    if group < 1:
+        raise ValueError(f"dedup window group must be >= 1, got {group}")
     q = np.asarray(queries)
-    node = np.asarray(start_nodes, dtype=np.int64).copy()
+    node = np.array(start_nodes, dtype=np.int64)
     start = np.asarray(start_levels, dtype=np.int64)
-    # each level's row holds the nodes of the queries that walk it on
-    # the GPU, packed in query order; one count after the walk
     streams = np.empty((depth, len(q)), dtype=np.int64)
     walking = np.zeros(depth, dtype=np.int64)
+    # from this level down every query walks: no mask to build
+    everyone = int(start.max(initial=0))
     for level in range(depth):
-        active = start <= level
-        sub = node[active]
-        if len(sub) == 0:
-            continue
+        if level < everyone:
+            active = np.flatnonzero(start <= level)
+            sub, qa = node[active], q[active]
+        else:
+            active, sub, qa = slice(None), node, q
         streams[level, :len(sub)] = sub
         walking[level] = len(sub)
         view = iseg[
             level_offsets[level]: level_offsets[level] + level_sizes[level]
         ].reshape(-1, fanout)
-        k = np.sum(view[sub] < q[active, None], axis=1)
-        node[active] = sub * fanout + k
-    return node, _windowed_distinct(streams, teams_per_warp, walking)
+        node[active] = sub * fanout + np.sum(view[sub] < qa[:, None], axis=1)
+    return node, _windowed_distinct(streams, group, walking)

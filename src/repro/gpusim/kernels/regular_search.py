@@ -144,8 +144,7 @@ def regular_search_vectorized(
     root: int,
     last_base: int,
     queries: np.ndarray,
-    teams_per_warp: int = 4,
-    frontier_block: "int | None" = None,
+    group: int,
 ) -> Tuple[np.ndarray, int]:
     """Vectorised twin; returns ``(leaf_line_codes, transactions)``.
 
@@ -156,22 +155,17 @@ def regular_search_vectorized(
     and the padding holds it too), so the bound equals
     ``min(count(keys < q), fanout - 1)``: the child the literal
     index-line → key-line search picks.  The three line streams of
-    every level (index line per node, key line per (node, group),
+    every level (index line per node, key line per (node, line),
     reference per (node, slot)) go into one matrix that is counted once
-    after the walk.
-
-    ``frontier_block`` switches the transaction accounting to the
-    level-wise frontier model: every line kind is deduplicated across a
-    window of that many queries (the cooperative block — normally the
-    whole bucket) instead of one warp's teams, the regular-layout
-    analogue of
-    :func:`repro.gpusim.kernels.frontier_search.frontier_search_vectorized`.
-    Codes are identical either way — only the coalescing window moves.
+    after the walk, one line per distinct id within each ``group``-query
+    window: one warp's teams for the per-query kernel, the whole bucket
+    for the level-wise frontier accounting (the regular layout has no
+    level-contiguous I-segment to sweep, so only the window moves).
+    Codes are identical for every window.
     """
+    if group < 1:
+        raise ValueError(f"dedup window group must be >= 1, got {group}")
     q = np.asarray(queries)
-    dedup = int(frontier_block) if frontier_block else teams_per_warp
-    if dedup < 1:
-        raise ValueError(f"dedup window must be >= 1, got {dedup}")
     n = len(q)
     streams = np.empty((3 * height - 1, n), dtype=np.int64)
     row = 0
@@ -189,11 +183,11 @@ def regular_search_vectorized(
         slot = pos - first
         # index line: one 64-byte transaction per distinct node per window
         streams[row] = node
-        # key line: one per distinct (node, group)
+        # key line: one per distinct (node, key line)
         np.floor_divide(slot, kpl, out=streams[row + 1])
         streams[row + 1] += node * kpl
         if level == 0:
-            txns = _windowed_distinct(streams, dedup)
+            txns = _windowed_distinct(streams, group)
             return node * fanout + slot, txns
         # reference: one (32-byte) transaction per distinct (node, slot)
         np.multiply(node, fanout, out=streams[row + 2])

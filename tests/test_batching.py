@@ -13,7 +13,7 @@ from repro.core.batching import (
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import LoadBalancer
-from repro.gpusim.kernels.coalesce import warp_distinct
+from repro.gpusim.kernels.coalesce import windowed_distinct
 from repro.platform.costmodel import hybrid_bucket_costs
 from repro.workloads.generators import generate_dataset, generate_skewed_queries
 
@@ -37,31 +37,20 @@ def hbi(data, m1):
 
 class TestWarpDistinct:
     def test_empty(self):
-        assert warp_distinct(np.zeros(0, dtype=np.int64), 4) == 0
+        assert windowed_distinct(np.zeros(0, dtype=np.int64), 4) == 0
 
     def test_all_equal_one_per_warp(self):
         v = np.zeros(8, dtype=np.int64)
-        assert warp_distinct(v, 4) == 2
+        assert windowed_distinct(v, 4) == 2
 
     def test_all_distinct(self):
         v = np.arange(8, dtype=np.int64)
-        assert warp_distinct(v, 4) == 8
+        assert windowed_distinct(v, 4) == 8
 
     def test_tail_window(self):
         v = np.asarray([1, 1, 2, 2, 3], dtype=np.int64)
         # full window {1,1,2,2} = 2 distinct, tail {3} = 1
-        assert warp_distinct(v, 4) == 3
-
-    @given(
-        st.lists(st.integers(0, 50), min_size=0, max_size=200),
-        st.sampled_from([1, 2, 4, 8]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_sorted_flag_never_changes_count(self, values, group):
-        v = np.asarray(sorted(values), dtype=np.int64)
-        fast = warp_distinct(v, group, assume_sorted=True)
-        slow = warp_distinct(v, group, assume_sorted=False)
-        assert fast == slow
+        assert windowed_distinct(v, 4) == 3
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
@@ -77,7 +66,7 @@ class TestWarpDistinct:
         """
         v = np.asarray(values, dtype=np.int64)
         windows = -(-len(v) // 4)
-        assert warp_distinct(np.sort(v), 4) <= warp_distinct(v, 4) + windows - 1
+        assert windowed_distinct(np.sort(v), 4) <= windowed_distinct(v, 4) + windows - 1
 
 
 class TestBucketPlan:

@@ -165,6 +165,23 @@ class TestAdapters:
         refs, _txn = adapter.gpu_descend_from(q, levels, nodes)
         assert np.array_equal(adapter.cpu_finish_bucket(q, refs), full)
 
+    def test_css_split_transactions_match_modeled(self, data, m1):
+        # the resumed descent charges the same coalescing model as the
+        # pricing path, not one transaction per query per level
+        keys, values, sample = data
+        adapter = make_adapter("css", keys, values, m1)
+        q = np.sort(np.asarray(sample[:256], dtype=np.uint64))
+        zeros = np.zeros(len(q), dtype=np.int64)
+        _refs, txns = adapter.gpu_descend_from(q, zeros, zeros)
+        assert txns == adapter.modeled_transactions(q)
+        assert txns < len(q) * adapter.height
+        levels = np.full(len(q), adapter.height, dtype=np.int64)
+        nodes = adapter.cpu_descend_top(q, levels)
+        refs, txns = adapter.gpu_descend_from(q, levels, nodes)
+        assert txns == 0
+        assert np.array_equal(adapter.cpu_finish_bucket(q, refs),
+                              adapter.lookup_batch(q))
+
     @pytest.mark.parametrize("kind", ADAPTERS)
     def test_level_profiles_shape(self, data, m1, kind):
         keys, values, sample = data

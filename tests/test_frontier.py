@@ -17,15 +17,12 @@ from repro.gpusim.kernels.frontier_search import (
     FRONTIER,
     KERNELS,
     PER_QUERY,
-    frontier_search_from_counted,
-    frontier_search_vectorized,
     launch_frontier_search,
     validate_kernel,
     validate_level_geometry,
 )
 from repro.gpusim.kernels.implicit_search import (
-    implicit_search_from_counted,
-    implicit_search_vectorized,
+    implicit_descend,
     launch_implicit_search,
 )
 from repro.platform.configs import machine_m1
@@ -134,21 +131,27 @@ class TestGeometryValidation:
             )
 
     def test_vectorized_kernels_validate(self, itree):
+        # both kernels' windows run the same checked descent: a wrong
+        # depth raises instead of reading past the I-segment's levels
         q = np.zeros(2, dtype=np.uint64)
-        with pytest.raises(ValueError):
-            frontier_search_vectorized(
-                itree.iseg_buffer.array, itree.level_offsets,
-                itree.level_sizes, itree.gpu_depth + 1,
-                itree.cpu_tree.fanout, q,
-            )
+        zeros = np.zeros(2, dtype=np.int64)
+        for kern in KERNELS:
+            with pytest.raises(ValueError):
+                implicit_descend(
+                    itree.iseg_buffer.array, itree.level_offsets,
+                    itree.level_sizes, itree.gpu_depth + 1,
+                    itree.cpu_tree.fanout, q, zeros, zeros,
+                    itree.coalescing_window(kern, len(q)),
+                )
 
     def test_block_queries_validated(self, itree):
-        with pytest.raises(ValueError, match="block_queries"):
-            frontier_search_vectorized(
+        zeros = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="group"):
+            implicit_descend(
                 itree.iseg_buffer.array, itree.level_offsets,
                 itree.level_sizes, itree.gpu_depth,
                 itree.cpu_tree.fanout, np.zeros(2, dtype=np.uint64),
-                block_queries=-1,
+                zeros, zeros, group=-1,
             )
 
 
@@ -201,19 +204,20 @@ class TestDegenerateBuckets:
         keys, _values = data
         q = np.unique(keys[:32])
         h = itree.gpu_depth
-        leaf, txns = frontier_search_from_counted(
+        leaf, txns = implicit_descend(
             itree.iseg_buffer.array, itree.level_offsets,
             itree.level_sizes, h, itree.cpu_tree.fanout, q,
             start_levels=np.full(len(q), h, dtype=np.int64),
             start_nodes=np.arange(len(q), dtype=np.int64),
+            group=len(q),
         )
         assert np.array_equal(leaf, np.arange(len(q)))
         assert txns == 0
 
 
 class TestKernelEquivalence:
-    """Tentpole property: frontier_search_vectorized ≡
-    frontier_search_kernel ≡ implicit_search_vectorized results."""
+    """Tentpole property: the frontier window of implicit_descend ≡
+    frontier_search_kernel ≡ its per-query window, in results."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -232,10 +236,11 @@ class TestKernelEquivalence:
             itree.iseg_buffer.array, itree.level_offsets,
             itree.level_sizes, itree.gpu_depth, itree.cpu_tree.fanout, q,
         )
-        ref, ref_txns = implicit_search_vectorized(
-            *args, teams_per_warp=itree.teams_per_warp
+        zeros = np.zeros(len(q), dtype=np.int64)
+        ref, ref_txns = implicit_descend(
+            *args, zeros, zeros, itree.teams_per_warp
         )
-        out, txns = frontier_search_vectorized(*args)
+        out, txns = implicit_descend(*args, zeros, zeros, len(q))
         assert np.array_equal(out, ref)
         if sort:
             # the frontier's whole-block dedup can only beat (or tie)
@@ -257,9 +262,11 @@ class TestKernelEquivalence:
             itree.gpu_depth, itree.cpu_tree.fanout, q,
             level_sizes=itree.level_sizes,
         )
-        vector, _txns = frontier_search_vectorized(
+        zeros = np.zeros(len(q), dtype=np.int64)
+        vector, _txns = implicit_descend(
             itree.iseg_buffer.array, itree.level_offsets,
             itree.level_sizes, itree.gpu_depth, itree.cpu_tree.fanout, q,
+            zeros, zeros, len(q),
         )
         assert np.array_equal(literal, vector)
 
@@ -284,12 +291,12 @@ class TestKernelEquivalence:
             itree.iseg_buffer.array, itree.level_offsets,
             itree.level_sizes, itree.gpu_depth, itree.cpu_tree.fanout, q,
         )
-        ref, _t = implicit_search_from_counted(
+        ref, _t = implicit_descend(
             *args, start_levels=levels, start_nodes=nodes,
-            teams_per_warp=itree.teams_per_warp,
+            group=itree.teams_per_warp,
         )
-        out, _t2 = frontier_search_from_counted(
-            *args, start_levels=levels, start_nodes=nodes,
+        out, _t2 = implicit_descend(
+            *args, start_levels=levels, start_nodes=nodes, group=len(q),
         )
         assert np.array_equal(out, ref)
 

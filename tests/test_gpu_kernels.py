@@ -11,10 +11,7 @@ import pytest
 
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
-from repro.gpusim.kernels.implicit_search import (
-    implicit_search_from,
-    implicit_search_vectorized,
-)
+from repro.gpusim.kernels.implicit_search import implicit_descend
 from repro.workloads.generators import generate_dataset
 
 
@@ -87,15 +84,17 @@ class TestImplicitSearchFrom:
     def test_resume_from_zero_equals_full(self, hb_implicit):
         tree, keys, _values = hb_implicit
         q = np.asarray(keys[:128], dtype=np.uint64)
-        full, _txn = implicit_search_vectorized(
+        zeros = np.zeros(len(q), dtype=np.int64)
+        full, _txn = implicit_descend(
             tree.iseg_buffer.array, tree.level_offsets, tree.level_sizes,
-            tree.gpu_depth, tree.cpu_tree.fanout, q,
+            tree.gpu_depth, tree.cpu_tree.fanout, q, zeros, zeros, 4,
         )
-        resumed = implicit_search_from(
+        resumed, _txn = implicit_descend(
             tree.iseg_buffer.array, tree.level_offsets, tree.level_sizes,
             tree.gpu_depth, tree.cpu_tree.fanout, q,
             start_levels=np.zeros(len(q), dtype=np.int64),
             start_nodes=np.zeros(len(q), dtype=np.int64),
+            group=4,
         )
         assert np.array_equal(full, resumed)
 
@@ -110,11 +109,12 @@ class TestImplicitSearchFrom:
             lk = ctree.inner_levels[level][node]
             k = np.sum(lk < q[:, None], axis=1).astype(np.int64)
             node = node * ctree.fanout + k
-        resumed = implicit_search_from(
+        resumed, _txn = implicit_descend(
             tree.iseg_buffer.array, tree.level_offsets, tree.level_sizes,
             tree.gpu_depth, ctree.fanout, q,
             start_levels=np.full(len(q), d, dtype=np.int64),
             start_nodes=node,
+            group=4,
         )
         full = tree.gpu_search_bucket(q).codes
         assert np.array_equal(resumed, full)

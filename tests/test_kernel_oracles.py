@@ -23,16 +23,8 @@ from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpusim.kernels.coalesce import windowed_distinct
-from repro.gpusim.kernels.frontier_search import (
-    FRONTIER,
-    KERNELS,
-    frontier_search_from_counted,
-    frontier_search_vectorized,
-)
-from repro.gpusim.kernels.implicit_search import (
-    implicit_search_from_counted,
-    implicit_search_vectorized,
-)
+from repro.gpusim.kernels.frontier_search import FRONTIER, KERNELS
+from repro.gpusim.kernels.implicit_search import implicit_descend
 from repro.gpusim.kernels.regular_search import regular_search_vectorized
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset
@@ -153,8 +145,7 @@ class TestRegularKernel:
         q = _queries(tree, data, n)
         block = data.draw(st.sampled_from([None, n, 7, 64]))
         args = _regular_args(tree)
-        got = regular_search_vectorized(*args, q, teams_per_warp=teams,
-                                        frontier_block=block)
+        got = regular_search_vectorized(*args, q, group=block or teams)
         want = regular_search_ref(*args, q, teams_per_warp=teams,
                                   frontier_block=block)
         assert np.array_equal(got[0], want[0])
@@ -182,12 +173,12 @@ class TestImplicitKernels:
         args = (itree.iseg_buffer.array, itree.level_offsets,
                 itree.level_sizes, itree.gpu_depth, itree.cpu_tree.fanout)
         zeros = np.zeros(n, dtype=np.int64)
-        got = implicit_search_vectorized(*args, q, teams_per_warp=teams)
+        got = implicit_descend(*args, q, zeros, zeros, teams)
         want = implicit_search_from_ref(*args, q, zeros, zeros, teams)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         block = data.draw(st.sampled_from([None, 7, 64]))
-        got = frontier_search_vectorized(*args, q, block_queries=block)
+        got = implicit_descend(*args, q, zeros, zeros, block or n)
         want = implicit_search_from_ref(*args, q, zeros, zeros, block or n)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
@@ -203,14 +194,12 @@ class TestImplicitKernels:
         nodes = itree.cpu_descend_top(q, levels)
         args = (itree.iseg_buffer.array, itree.level_offsets,
                 itree.level_sizes, depth, itree.cpu_tree.fanout, q)
-        got = implicit_search_from_counted(*args, levels, nodes,
-                                           teams_per_warp=teams)
+        got = implicit_descend(*args, levels, nodes, teams)
         want = implicit_search_from_ref(*args, levels, nodes, teams)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         block = data.draw(st.sampled_from([None, 7, 64]))
-        got = frontier_search_from_counted(*args, levels, nodes,
-                                           block_queries=block)
+        got = implicit_descend(*args, levels, nodes, block or n)
         want = implicit_search_from_ref(*args, levels, nodes, block or n)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
