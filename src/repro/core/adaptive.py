@@ -296,7 +296,10 @@ class AdaptiveController:
         like lookup keys — the descent cost model does not care why a
         key descends — while the scan count and returned-tuple volume
         feed the per-window scan profile that Algorithm 1 prices
-        through :meth:`SplitCostModel.set_scan_profile`.
+        through :meth:`SplitCostModel.set_scan_profile`.  This is the
+        bucket's one window entry (it calls :meth:`note_bucket`):
+        engines call it once per scan bucket, after the walk, instead
+        of :meth:`note_bucket`.
         """
         q = np.asarray(los)
         self.stats.scans += len(q)

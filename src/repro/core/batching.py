@@ -213,7 +213,7 @@ class BatchingEngine:
             return getattr(self.balancer, "kernel", None)
         return None
 
-    def _descend(self, plan: BucketPlan):
+    def _descend(self, plan: BucketPlan, note: bool = True):
         """The inner-level stage, split per the balancer when present.
 
         Returns ``(GpuSearchResult, kernel)``, the kernel being the one
@@ -228,7 +228,8 @@ class BatchingEngine:
         fed back — feeding back may close a window and move the
         committed split, which must only affect the next bucket — so
         rebalance decisions are a deterministic function of the bucket
-        sequence.
+        sequence.  ``note=False`` leaves the feeding to the caller (a
+        scan bucket is fed once, after its walk).
         """
         kernel = self._bucket_kernel()
         if self.balancer is None:
@@ -236,7 +237,8 @@ class BatchingEngine:
                 plan.sorted_unique, kernel=kernel
             ), kernel
         depth, ratio = self.balancer.split()
-        self.balancer.note_bucket(plan.queries)
+        if note:
+            self.balancer.note_bucket(plan.queries)
         levels = split_levels(plan.n_unique, depth, ratio, self.tree.height)
         nodes = self.tree.cpu_descend_top(plan.sorted_unique, levels)
         return self.tree.gpu_search_bucket_from(
@@ -335,7 +337,7 @@ class BatchingEngine:
         with obs.span("scan_bucket", bucket=index,
                       n_queries=plan.n_queries, n_unique=plan.n_unique):
             with obs.span("gpu_descend", bucket=index):
-                result, _kernel = self._descend(plan)
+                result, _kernel = self._descend(plan, note=False)
             with obs.span("cpu_scan", bucket=index):
                 codes = result.codes[plan.inverse]
                 scans = self.tree.cpu_scan_bucket(plan.queries, his, codes)
@@ -346,9 +348,9 @@ class BatchingEngine:
         self.stats.transactions += result.transactions
         self.stats.scans += plan.n_queries
         self.stats.scan_tuples += tuples
-        if self.balancer is not None and hasattr(
-            self.balancer, "note_scan_bucket"
-        ):
+        if self.balancer is not None:
+            # the bucket's one window entry: the tuple volume is known
+            # only now, after the walk
             self.balancer.note_scan_bucket(plan.queries, tuples)
         obs.emit(
             "scan_bucket_end", index=index,

@@ -9,9 +9,10 @@ resources of both CPU and GPU."
 
 :class:`HybridFramework` implements that framework over the hybrid-tree
 protocol: ``spec``, ``height``, ``machine``, ``cpu_tree``,
-``level_profiles``, ``modeled_transactions``, ``lookup_batch``,
-``cpu_finish_bucket`` and — for the load-balanced split, flagged by
-``supports_split_descent`` — ``cpu_descend_top`` / ``gpu_descend_from``.
+``level_profiles``, ``cost_profile``, ``modeled_transactions``,
+``lookup_batch``, ``cpu_finish_bucket`` and — for the load-balanced
+split, flagged by ``supports_split_descent`` — ``cpu_descend_top`` /
+``gpu_descend_from``.
 Both HB+-trees speak it natively; :class:`CssTreeAdapter` teaches it to
 the CSS-tree.  The framework measures the given structure on the given
 machine through a :class:`~repro.core.load_balance.SplitCostModel` and
@@ -23,10 +24,15 @@ predicts fastest.  ``execute`` then runs queries according to the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.hybrid import (
+    CostProfile,
+    kernel_transactions,
+    profile_implicit_levels,
+)
 from repro.core.load_balance import SplitCostModel, split_lookup
 from repro.core.pipeline import BucketStrategy, strategy_throughput_qps
 from repro.cpu.btree_implicit import descend_top
@@ -232,19 +238,23 @@ class CssTreeAdapter:
         q = np.asarray(queries, dtype=self.spec.dtype)
         return descend_top(self.cpu_tree, q, levels)
 
+    def coalescing_window(self, kernel, n_queries) -> int:
+        """One warp's teams, the per-query schedule, whatever ``kernel``
+        names: the framework prices only that one."""
+        return max(
+            1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query
+        )
+
     def gpu_descend_from(self, queries, start_levels, start_nodes,
                          kernel=None):
         """Directory descent resumed from per-query (level, node),
-        charged under the per-query schedule whatever ``kernel`` names:
-        the framework prices only that one."""
+        charged over :meth:`coalescing_window`."""
         t = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
-        teams_per_warp = max(
-            1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query
-        )
         run, txns = implicit_descend(
             self.dir_buffer.array, self.level_offsets, self.level_sizes,
-            t.height, t.fanout, q, start_levels, start_nodes, teams_per_warp,
+            t.height, t.fanout, q, start_levels, start_nodes,
+            self.coalescing_window(kernel, len(q)),
         )
         return np.minimum(run, t.num_runs - 1), txns
 
@@ -272,7 +282,15 @@ class CssTreeAdapter:
         return self.cpu_finish_bucket(q, codes)
 
     def level_profiles(self, sample):
-        return _css_profiles(self.cpu_tree, sample)
+        profile = self.cost_profile(sample)
+        return profile.levels, profile.leaf
+
+    def cost_profile(self, sample) -> CostProfile:
+        """Level profiles and every kernel's transactions from one
+        instrumented walk (see :meth:`ImplicitHBPlusTree.cost_profile`:
+        the directory descent is the same implicit step)."""
+        profiles, leaf, streams = _css_profiles(self.cpu_tree, sample)
+        return CostProfile(profiles, leaf, kernel_transactions(self, streams))
 
     def modeled_transactions(self, queries, kernel=None) -> int:
         """Device transactions of a full directory descent (pure)."""
@@ -286,24 +304,16 @@ class CssTreeAdapter:
 
 
 def _css_profiles(tree: CssTree, sample):
+    """Instrumented descent of ``sample``: one I-segment line per query
+    and directory level, then each query's run of the sorted data
+    array.  Returns the per-level profiles, the leaf profile and the
+    per-level node streams the walk visited."""
     mem = tree.mem
     if mem is None:
         raise ValueError("CssTree must be built with a MemorySystem")
     q = np.asarray(sample, dtype=tree.spec.dtype)
     mem.reset_counters()
-    profiles: List[CpuQueryProfile] = []
-    node = np.zeros(len(q), dtype=np.int64)
-    for level in range(tree.height):
-        offset = tree._level_line_offset(level)
-        before = mem.counters.cache_misses
-        for n in node.tolist():
-            mem.touch_line(tree.i_segment, offset + int(n))
-        misses = (mem.counters.cache_misses - before) / len(q)
-        profiles.append(CpuQueryProfile(
-            lines=1.0, misses=misses, tlb_small=0.0, tlb_huge=0.0,
-            node_searches=1.0,
-        ))
-        node = tree.descend_level(level, node, q)
+    profiles, node, streams = profile_implicit_levels(tree, mem, q)
     before = mem.counters.cache_misses
     tlb_before = mem.counters.tlb_misses_small
     pair = 2 * tree.spec.size_bytes
@@ -318,4 +328,4 @@ def _css_profiles(tree: CssTree, sample):
         tlb_huge=0.0,
         node_searches=1.0,
     )
-    return profiles, leaf
+    return profiles, leaf, streams

@@ -24,7 +24,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.hybrid import GpuSearchResult, HybridTree
+from repro.core.hybrid import (
+    CostProfile,
+    GpuSearchResult,
+    HybridTree,
+    kernel_transactions,
+    profile_implicit_levels,
+)
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree, descend_top
 from repro.cpu.node_search import NodeSearchAlgorithm
 from repro.gpusim.kernels.frontier_search import (
@@ -279,28 +285,28 @@ class ImplicitHBPlusTree(HybridTree):
         self, sample: np.ndarray
     ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
         """Per-inner-level CPU profiles (root first) and the leaf
-        profile, from one instrumented descent of ``sample``: each
-        level touches one I-segment line per query, the leaf stage one
-        L-segment line."""
-        tree = self.cpu_tree
-        mem = self.mem
+        profile, from one instrumented descent of ``sample``."""
+        profile = self.cost_profile(sample)
+        return profile.levels, profile.leaf
+
+    def cost_profile(self, sample: np.ndarray) -> CostProfile:
+        """One instrumented descent of ``sample`` — each level touches
+        one I-segment line per query, the leaf stage one L-segment
+        line — and every kernel's transactions from the same walk: the
+        CPU descent visits on each level the node the GPU stage reads
+        for each query, so its node streams are the stream matrix of
+        :meth:`gpu_descend`, and each kernel's count is one windowed
+        distinct pass over them."""
         q = np.asarray(sample, dtype=self.spec.dtype)
         n = len(q)
+        mem = self.mem
         mem.reset_counters()
         c = mem.counters
-        profiles: List[CpuQueryProfile] = []
-        node = np.zeros(n, dtype=np.int64)
-        for level in range(tree.height):
-            before = c.cache_misses
-            mem.touch_lines(tree.i_segment,
-                            tree._level_line_offset(level) + node)
-            profiles.append(CpuQueryProfile(
-                lines=1.0, misses=(c.cache_misses - before) / n,
-                tlb_small=0.0, tlb_huge=0.0, node_searches=1.0,
-            ))
-            node = tree.descend_level(level, node, q)
+        profiles, leaf_pos, streams = profile_implicit_levels(
+            self.cpu_tree, mem, q
+        )
         before = (c.cache_misses, c.tlb_misses_small, c.tlb_misses_huge)
-        mem.touch_lines(tree.l_segment, node)
+        mem.touch_lines(self.cpu_tree.l_segment, leaf_pos)
         leaf = CpuQueryProfile(
             lines=1.0,
             misses=(c.cache_misses - before[0]) / n,
@@ -308,7 +314,7 @@ class ImplicitHBPlusTree(HybridTree):
             tlb_huge=(c.tlb_misses_huge - before[2]) / n,
             node_searches=1.0,
         )
-        return profiles, leaf
+        return CostProfile(profiles, leaf, kernel_transactions(self, streams))
 
     def profile_leaf_stage(self, sample_queries: np.ndarray) -> CpuQueryProfile:
         """Measure the CPU leaf stage's per-query memory behaviour."""

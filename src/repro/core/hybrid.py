@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gpusim.device import GpuDevice
+from repro.gpusim.kernels.coalesce import windowed_distinct
 from repro.gpusim.kernels.frontier_search import (
     FRONTIER,
+    KERNELS,
     PER_QUERY,
     validate_kernel,
 )
@@ -64,6 +66,63 @@ class GpuSearchResult:
         if not self.baseline_transactions:
             return 0.0
         return 1.0 - self.transactions / self.baseline_transactions
+
+
+class CostProfile(NamedTuple):
+    """What :meth:`repro.core.load_balance.SplitCostModel.reprofile`
+    measures on a sample: the CPU profile of each inner level (root
+    first), the leaf-stage profile, and the transactions a full GPU
+    descent of the sample charges under each kernel."""
+
+    levels: List[CpuQueryProfile]
+    leaf: CpuQueryProfile
+    transactions: Dict[str, int]
+
+
+def profile_implicit_levels(tree, mem: MemorySystem, queries: np.ndarray
+                            ) -> Tuple[List[CpuQueryProfile], np.ndarray,
+                                       np.ndarray]:
+    """Instrumented walk of an implicit layout's inner levels.
+
+    ``tree`` is anything with ``height``, ``i_segment``,
+    ``_level_line_offset`` and ``descend_level`` (the implicit CPU tree
+    or a CSS-tree directory).  Each level touches one I-segment line per
+    query, in one :meth:`MemorySystem.touch_lines` call, then steps
+    every query down.  Returns ``(profiles, leaf_positions, streams)``:
+    row ``level`` of ``streams`` holds each query's node on that level,
+    the stream matrix a full GPU descent of the mirrored levels charges
+    (:func:`~repro.gpusim.kernels.implicit_search.implicit_descend`).
+    """
+    n = len(queries)
+    c = mem.counters
+    profiles: List[CpuQueryProfile] = []
+    streams = np.empty((tree.height, n), dtype=np.int64)
+    node = np.zeros(n, dtype=np.int64)
+    for level in range(tree.height):
+        streams[level] = node
+        before = c.cache_misses
+        mem.touch_lines(tree.i_segment, tree._level_line_offset(level) + node)
+        profiles.append(CpuQueryProfile(
+            lines=1.0, misses=(c.cache_misses - before) / n,
+            tlb_small=0.0, tlb_huge=0.0, node_searches=1.0,
+        ))
+        node = tree.descend_level(level, node, queries)
+    return profiles, node, streams
+
+
+def kernel_transactions(tree, streams: np.ndarray) -> Dict[str, int]:
+    """Each kernel's transactions for a full descent whose per-level
+    node ids are ``streams`` (one column per query): one windowed
+    distinct count per kernel, over ``tree.coalescing_window`` —
+    exactly what the implicit descent charges, since a kernel moves
+    only that window."""
+    n_queries = streams.shape[1]
+    return {
+        kern: windowed_distinct(
+            streams, tree.coalescing_window(kern, n_queries)
+        )
+        for kern in KERNELS
+    }
 
 
 class HybridTree:
@@ -120,6 +179,16 @@ class HybridTree:
         per-level costs of :class:`repro.core.load_balance.SplitCostModel`
         come from here."""
         raise NotImplementedError
+
+    def cost_profile(self, sample: np.ndarray) -> CostProfile:
+        """:meth:`level_profiles` of ``sample`` plus each kernel's
+        full-descent transactions, priced through
+        :meth:`modeled_transactions` (one pure descent per kernel)."""
+        profiles, leaf = self.level_profiles(sample)
+        return CostProfile(profiles, leaf, {
+            kern: self.modeled_transactions(sample, kernel=kern)
+            for kern in KERNELS
+        })
 
     # ------------------------------------------------------------------
 

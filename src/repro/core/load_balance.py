@@ -91,10 +91,10 @@ def split_lookup(tree, queries, depth: int, ratio: float) -> np.ndarray:
 class SplitCostModel:
     """Equation 4 evaluation + Algorithm 1 over measured level costs.
 
-    :meth:`reprofile` measures the tree: ``cpu_level_ns`` (top level
-    first) and ``leaf_ns`` from the tree's instrumented
-    ``level_profiles``, ``gpu_level_ns_by_kernel`` from its pure
-    ``modeled_transactions``.  :meth:`sample_times` /
+    :meth:`reprofile` measures the tree through its ``cost_profile``:
+    ``cpu_level_ns`` (top level first) and ``leaf_ns`` from the
+    instrumented CPU walk, ``gpu_level_ns_by_kernel`` from each
+    kernel's modeled transactions.  :meth:`sample_times` /
     :meth:`balanced_cost_ns` price a split (Equation 4) and
     :meth:`discover` finds one (Algorithm 1).  The implicit tree's
     :class:`LoadBalancer`, the regular tree's two-mode
@@ -187,11 +187,14 @@ class SplitCostModel:
         without replacement (sampling *with* replacement skews
         per-level miss rates on small trees).
 
-        The GPU side is measured through the tree's pure transaction
-        model (``modeled_transactions``), once per kernel, so profiling
-        never counts a kernel launch or mutates device counters — a
-        re-profile in the middle of an engine run leaves the engine's
-        modeled counters bit-identical to an unprofiled run.
+        Both sides come from the tree's ``cost_profile``: the
+        instrumented CPU walk, and each kernel's full-descent
+        transactions through the pure transaction model (an implicit
+        layout prices every kernel from the CPU walk's own node
+        streams).  Profiling never counts a kernel launch or mutates
+        device counters — a re-profile in the middle of an engine run
+        leaves the engine's modeled counters bit-identical to an
+        unprofiled run.
         """
         tree = self.tree
         if sample is None:
@@ -206,15 +209,15 @@ class SplitCostModel:
                 raise ValueError("reprofile sample must be non-empty")
         if self.sort_batches:
             sample = sorted_unique(sample)
-        profiles, leaf_profile = tree.level_profiles(sample)
+        profile = tree.cost_profile(sample)
         model = self.cpu_model
-        self.cpu_level_ns = [model.query_ns(p) for p in profiles]
-        self.leaf_ns = model.query_ns(leaf_profile)
+        self.cpu_level_ns = [model.query_ns(p) for p in profile.levels]
+        self.leaf_ns = model.query_ns(profile.leaf)
         h = self.height
         gpu = self.machine.gpu
         self.gpu_level_ns_by_kernel = {}
         for kern in KERNELS:
-            txns = tree.modeled_transactions(sample, kernel=kern)
+            txns = profile.transactions[kern]
             txn_per_query_level = txns / max(1, len(sample)) / max(1, h)
             self.gpu_level_ns_by_kernel[kern] = [
                 txn_per_query_level * 64.0 / gpu.effective_bandwidth_gbs

@@ -131,9 +131,24 @@ class MemorySystem:
 
         Counter- AND state-identical to calling :meth:`touch_line` per
         index in order, but the batch is decomposed into maximal runs
-        of +1-consecutive lines and each run is processed wholesale,
-        one ``in`` probe plus one LRU operation per line:
+        of lines that step by +1 or repeat, and each run is processed
+        wholesale, one ``in`` probe plus one LRU operation per
+        *distinct* line:
 
+        * an immediate repeat of the line just touched changes no
+          state, so it only counts as a hit: its page is the TLB pool's
+          MRU entry, the line is its cache set's MRU entry (the
+          prefetch fills that followed it went to other sets, since
+          ``degree < num_sets``), and the prefetcher sees no +1 step,
+          so it issues nothing and rewrites the stream entry with the
+          value it already holds.  Only a repeat of the previous
+          call's last line is probed, as other segments may have been
+          touched in between.  A sorted profile sample repeats the
+          same upper-level node back to back, so this halves the
+          probes of an instrumented descent;
+        * a run of one distinct line that does not continue the
+          prefetch stream (its line is not the stream entry + 1) is
+          one probe, the whole of what :meth:`touch_line` does for it;
         * once the stream is confirmed, every later line of the run
           was prefetched just in time, so its demand access is a hit
           and a probe miss means the line was one prefetch *issue*,
@@ -207,8 +222,12 @@ class MemorySystem:
             degree = 0
             last = None
 
+        # a run continues on a step of +1 or 0 (an immediate repeat);
+        # the unsigned view turns a step down into a huge step up
         runs = [0]
-        runs += (np.flatnonzero(np.diff(line_arr) != 1) + 1).tolist()
+        runs += (np.flatnonzero(
+            np.diff(line_arr).view(np.uint64) > 1
+        ) + 1).tolist()
         runs.append(n)
         # TLB pass: one pool probe per page stretch
         stretch = [0]
@@ -231,6 +250,18 @@ class MemorySystem:
         for a, b in zip(runs, runs[1:]):
             s = lines[a]
             e = lines[b - 1]
+            if s == e and s - 1 != last:
+                # one distinct line off the stream: a single probe
+                cache_set = sets[s % num_sets]
+                if s in cache_set:
+                    cache_set.move_to_end(s)
+                else:
+                    if len(cache_set) >= assoc:
+                        cache_set.popitem(last=False)
+                    cache_set[s] = None
+                    misses += 1
+                last = e
+                continue
             if prefetcher is not None:
                 # first line whose access confirms the stream
                 conf = s if (last is not None and s == last + 1) else s + 1

@@ -303,6 +303,25 @@ class TestEngineIntegration:
         assert np.array_equal(out, ref)
         assert c.stats.windows > 0
 
+    def test_scan_bucket_enters_the_window_once(self, itree, data):
+        keys, _values = data
+        c = AdaptiveController.for_tree(itree, config=EAGER,
+                                        bucket_size=512)
+        engine = BatchingEngine(itree, bucket_size=512, balancer=c)
+        los = keys[100:140]
+        his = keys[120:160]
+        scans = engine.run_scans(los, his)
+        assert c.stats.buckets == 1
+        assert c.stats.queries == len(los)
+        assert c.stats.scans == len(los)
+        assert c.stats.scan_tuples == sum(len(s) for s in scans)
+        assert c.stats.windows == 0
+        # the second scan bucket closes the two-bucket window, which
+        # holds scans only (and enough keys to be evaluated)
+        engine.run_scans(los, his)
+        assert c.stats.buckets == 2 and c.stats.windows == 1
+        assert c.balancer.scan_share == 1.0
+
     def test_all_cpu_split_skips_kernel_launches(self, itree, data):
         keys, _values = data
         h = itree.cpu_tree.height

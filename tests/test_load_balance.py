@@ -206,15 +206,13 @@ class TestReprofileSampling:
         keys, values = data
         tree = ImplicitHBPlusTree(keys, values, machine=m2)
         captured = {}
-        original = ImplicitHBPlusTree.modeled_transactions
+        original = ImplicitHBPlusTree.cost_profile
 
-        def capture(self, sample, kernel=None):
+        def capture(self, sample):
             captured["sample"] = np.asarray(sample)
-            return original(self, sample, kernel=kernel)
+            return original(self, sample)
 
-        monkeypatch.setattr(
-            ImplicitHBPlusTree, "modeled_transactions", capture
-        )
+        monkeypatch.setattr(ImplicitHBPlusTree, "cost_profile", capture)
         LoadBalancer(tree)
         sample = captured["sample"]
         assert len(sample) == min(2048, len(keys))

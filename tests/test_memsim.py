@@ -292,6 +292,82 @@ class TestTouchLinesEquivalence:
             assert m_fast == m_ref
             assert _full_state(fast) == _full_state(ref)
 
+    @staticmethod
+    def _profile_batches():
+        """Batches shaped like an instrumented descent of a sorted
+        sample: each level's node lines, non-decreasing, with the upper
+        levels repeating one line back to back."""
+        import numpy as np
+
+        rng = np.random.default_rng(47)
+        fixed = [
+            [3, 3, 3, 3, 5, 5, 9, 9, 9, 10, 10, 11, 40, 40, 40],
+            [600, 601, 601, 602, 602, 602, 603, 610, 610],
+            [100, 100, 100],
+            [101],                                # lone line at last + 1
+            [101, 101, 104],                      # repeat straddling calls
+            [104, 104, 104],                      # whole batch one repeat
+            [50, 50, 49, 49, 49, 48],             # repeats stepping down
+            [1020, 1023, 1023],                   # repeat at segment end
+            [1023, 1023],                         # ... and across calls
+            [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5],  # repeats in a stream
+            [6],                                  # its lone continuation
+            [700, 702, 704, 704, 706],            # lone lines, off-stream
+        ]
+        for _ in range(4):
+            # one level of a sorted sample: few nodes, long repeats
+            start = int(rng.integers(0, 900))
+            fixed.append(
+                np.sort(start + rng.integers(0, 60, size=96)).tolist()
+            )
+        return fixed
+
+    @pytest.mark.parametrize("geom", range(len(GEOMETRIES)))
+    def test_profile_shaped_batches_match_per_line_loop(self, geom):
+        import numpy as np
+
+        kwargs = self.GEOMETRIES[geom]
+        ref = MemorySystem(**kwargs)
+        fast = MemorySystem(**kwargs)
+        seg_ref = ref.allocate("s", 1 << 16, PageKind.SMALL)
+        seg_fast = fast.allocate("s", 1 << 16, PageKind.SMALL)
+        for batch in self._profile_batches():
+            m_ref = sum(ref.touch_line(seg_ref, i) for i in batch)
+            m_fast = fast.touch_lines(seg_fast, np.asarray(batch))
+            assert m_fast == m_ref
+            assert _full_state(fast) == _full_state(ref)
+
+    def test_repeat_straddling_calls_after_eviction(self):
+        """A call that starts on the previous call's last line is
+        probed, not folded: another segment may have evicted it."""
+        import numpy as np
+
+        def run(mem, per_line):
+            a = mem.allocate("a", 1 << 15, PageKind.SMALL)
+            b = mem.allocate("b", 1 << 15, PageKind.SMALL)
+            sets, assoc = mem.cache.num_sets, mem.cache.associativity
+            x = 37
+            x_set = (a.base // 64 + x) % sets
+            # assoc lines of b that share x's cache set
+            first = (x_set - b.base // 64) % sets
+            evict = [first + k * sets for k in range(assoc)]
+            misses = []
+            for seg, batch in ((a, [x]), (b, evict), (a, [x, x]),
+                               (a, [x, x + 1])):
+                if per_line:
+                    misses.append(sum(mem.touch_line(seg, i) for i in batch))
+                else:
+                    misses.append(mem.touch_lines(seg, np.asarray(batch)))
+            return misses
+
+        ref = MemorySystem(llc_bytes=4096, associativity=4)
+        fast = MemorySystem(llc_bytes=4096, associativity=4)
+        assert run(fast, False) == run(ref, True)
+        assert _full_state(fast) == _full_state(ref)
+        # x was evicted: the straddling repeat is a real miss
+        assert run(MemorySystem(llc_bytes=4096, associativity=4),
+                   True)[2] >= 1
+
     def test_huge_pages_and_cross_segment_streams(self):
         import numpy as np
 
