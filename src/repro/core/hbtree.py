@@ -35,20 +35,48 @@ from repro.gpusim.kernels.regular_search import (
     launch_regular_search,
     regular_search_vectorized,
 )
+from repro.gpusim.memory import grow_array
 from repro.memsim.mainmem import MemorySystem, PageConfig
 from repro.platform.configs import MachineConfig
 from repro.platform.costmodel import CpuQueryProfile
 
+#: per-push overhead on the synchronizing thread's open copy stream
+#: (request bookkeeping; the stream amortizes the big T_init)
+SYNC_NODE_OVERHEAD_NS = 40.0
+
+
 @dataclass
 class MirrorSyncStats:
-    """Outcome of one batched dirty-node mirror sync."""
+    """Outcome of one dirty-node mirror sync."""
 
+    #: inner nodes written to the device (every node on a rebuild)
     nodes: int
     transfers: int
+    #: link time of the transfers (``T_init`` each)
     time_ns: float
-    #: True when the batch fell back to a full mirror rebuild (a dirty
-    #: node lay outside the mirrored capacity)
+    #: True when the sync fell back to a full mirror rebuild
     rebuilt: bool = False
+    #: modeled cost of the ranged pushes on the synchronizing thread's
+    #: open copy stream: bandwidth per node plus
+    #: :data:`SYNC_NODE_OVERHEAD_NS` per push, one ``T_init`` excluded
+    #: (0 on a rebuild)
+    stream_ns: float = 0.0
+
+
+@dataclass(frozen=True)
+class MirrorMark:
+    """The inner pools as a write batch found them
+    (:meth:`HBPlusTree.mirror_mark`)."""
+
+    upper_count: int
+    last_count: int
+    height: int
+    #: per-node version stamps of each pool's allocated nodes
+    upper_versions: np.ndarray
+    last_versions: np.ndarray
+    #: the mirror already lagged the tree: an interrupted sync left it
+    #: stale, or inner nodes were written since the last sync
+    behind: bool
 
 
 class HBPlusTree(HybridTree):
@@ -97,9 +125,13 @@ class HBPlusTree(HybridTree):
         #: (a sync was interrupted mid-flight); cleared by a successful
         #: full :meth:`mirror_i_segment`
         self.mirror_stale = False
-        #: (write stamp, image) of the last full pack; see
+        #: (write stamp, image) of the expected device image: the last
+        #: full pack, patched by every :meth:`sync_nodes`; see
         #: :meth:`current_i_segment_image`
         self._packed: Optional[Tuple[tuple, np.ndarray]] = None
+        #: write stamp at which the device mirror last equalled the
+        #: expected image (a full upload or a complete sync)
+        self._mirror_stamp: Optional[tuple] = None
         self.mirror_i_segment()
         if injector is not None:
             self.attach_injector(injector)
@@ -169,8 +201,10 @@ class HBPlusTree(HybridTree):
 
     def current_i_segment_image(self) -> np.ndarray:
         """:meth:`pack_i_segment`, reusing the image the last full
-        :meth:`mirror_i_segment` packed when no inner node was written
-        since.  Callers must not modify the returned array."""
+        :meth:`mirror_i_segment` packed, or the last :meth:`sync_nodes`
+        patched, when no inner node was written since.  Callers must
+        not modify the returned array; a later sync may patch it in
+        place."""
         stamp = self._write_stamp()
         if self._packed is None or self._packed[0] != stamp:
             self._packed = (stamp, self.pack_i_segment())
@@ -228,6 +262,7 @@ class HBPlusTree(HybridTree):
             t = self.link.to_device(self.device.memory, "iseg_regular", flat)
             self.iseg_buffer = self.device.memory.get("iseg_regular")
             self.mirror_stale = False
+            self._mirror_stamp = self._packed[0]
         self.obs.count("live.hbtree.mirror_uploads")
         return t
 
@@ -255,78 +290,106 @@ class HBPlusTree(HybridTree):
         self.mirror_stale = was_stale
         return t
 
-    def sync_nodes(self, dirty: Sequence) -> MirrorSyncStats:
-        """Push a batch of modified inner nodes in ranged transfers.
+    def mirror_mark(self) -> MirrorMark:
+        """Record the inner pools before a write batch; hand the mark
+        to :meth:`sync_nodes` after it."""
+        tree = self.cpu_tree
+        upper, last = tree.upper, tree.last
+        return MirrorMark(
+            upper_count=upper.count,
+            last_count=last.count,
+            height=tree.height,
+            upper_versions=upper.version[: upper.count].copy(),
+            last_versions=last.version[: last.count].copy(),
+            behind=self.mirror_stale
+            or self._mirror_stamp != self._write_stamp(),
+        )
 
-        ``dirty`` is an iterable of ``(level, node)`` pairs (level 0 =
-        last-level pool).  Duplicates collapse, the dirty mirror slots
-        are sorted, and *adjacent* slots coalesce into one ranged
-        ``update_device`` transfer each — so a batch update that soiled
-        N nodes costs one PCIe round-trip per contiguous dirty range
-        instead of N single-node round-trips (each paying ``T_init``).
+    def sync_nodes(self, mark: MirrorMark) -> MirrorSyncStats:
+        """Push every inner node written since ``mark`` to the GPU
+        mirror (section 5.6 synchronized update).
 
-        Falls back to a full mirror rebuild when any dirty node lies
-        outside the mirrored capacity (splits grew the pools).  On an
+        The dirty set is exact: the nodes whose version stamp moved
+        (every inner write ends in ``refresh_index`` or ``allocate``,
+        which bump it on an existing node) plus the last-level nodes
+        appended since the mark.  Adjacent dirty mirror slots coalesce into one ranged
+        ``update_device`` transfer each.  Appended nodes first grow the
+        device buffer and the expected image at their tail, a
+        device-side allocation with no PCIe bytes; the image layout
+        stays :meth:`pack_i_segment`'s ``[upper | last]``.  The
+        expected image is patched with the pushed rows and re-stamped,
+        so :meth:`current_i_segment_image` does not re-pack.
+
+        Falls back to one full :meth:`mirror_i_segment` when the mark
+        was ``behind``, when the upper pool grew or the height changed
+        (every last-level slot moves), or when the ranged pushes would
+        cost more on the open copy stream than the full upload.  On an
         injected transfer fault the exception propagates with
         ``mirror_stale`` left True, exactly like :meth:`sync_node`.
         """
         tree = self.cpu_tree
+        upper, last = tree.upper, tree.last
         stride = self.node_stride
-        pairs = sorted({(int(level), int(node)) for level, node in dirty})
-        if not pairs:
+        node_bytes = stride * 8
+        rows = upper.count + last.count
+        if (mark.behind or upper.count != mark.upper_count
+                or tree.height != mark.height):
+            return self._rebuild_sync(rows)
+        dirty_upper = np.flatnonzero(
+            upper.version[: mark.upper_count] != mark.upper_versions
+        )
+        dirty_last = np.concatenate([
+            np.flatnonzero(
+                last.version[: mark.last_count] != mark.last_versions
+            ),
+            np.arange(mark.last_count, last.count),
+        ])
+        slots = np.concatenate([dirty_upper, dirty_last + upper.count])
+        if len(slots) == 0:
             return MirrorSyncStats(nodes=0, transfers=0, time_ns=0.0)
-        slots = np.asarray(
-            [n + (self.last_base if lvl == 0 else 0) for lvl, n in pairs],
-            dtype=np.int64,
-        )
-        out_of_mirror = (
-            int(slots.max() + 1) * stride > self.iseg_buffer.array.size
-            or any(lvl > 0 and n >= self.last_base for lvl, n in pairs)
-        )
-        if out_of_mirror:
-            t = self.mirror_i_segment()
-            return MirrorSyncStats(
-                nodes=len(pairs), transfers=1, time_ns=t, rebuilt=True
-            )
-        order = np.argsort(slots)
-        slots = slots[order]
-        last_nodes = [n for lvl, n in pairs if lvl == 0]
-        upper_nodes = [n for lvl, n in pairs if lvl > 0]
-        rows = np.empty((len(pairs), stride), dtype=np.uint64)
-        packed_slot = np.empty(len(pairs), dtype=np.int64)
-        rows[: len(upper_nodes)] = self._pack_nodes(
-            tree.upper, np.asarray(upper_nodes, dtype=np.int64)
-        )
-        packed_slot[: len(upper_nodes)] = [n for n in upper_nodes]
-        rows[len(upper_nodes):] = self._pack_nodes(
-            tree.last, np.asarray(last_nodes, dtype=np.int64)
-        )
-        packed_slot[len(upper_nodes):] = [
-            n + self.last_base for n in last_nodes
-        ]
-        # reorder the packed rows into ascending-slot order
-        rows = rows[np.argsort(packed_slot)]
-        # contiguous dirty ranges -> one transfer each
+        # contiguous dirty slots -> one transfer each
         breaks = np.flatnonzero(np.diff(slots) > 1) + 1
-        starts = np.r_[0, breaks]
-        ends = np.r_[breaks, len(slots)]
-        stats = MirrorSyncStats(nodes=len(pairs), transfers=0, time_ns=0.0)
+        starts = slots[np.r_[0, breaks]]
+        ends = slots[np.r_[breaks, len(slots)] - 1] + 1
+        stream_ns = (
+            len(slots) * node_bytes / self.machine.pcie.bandwidth_gbs
+            + len(starts) * SYNC_NODE_OVERHEAD_NS
+        )
+        if (stream_ns + self.machine.pcie.t_init_ns
+                > self.link.time_ns(rows * node_bytes)):
+            return self._rebuild_sync(rows)
+        image = self._packed[1]
+        if image.size != rows * stride:
+            image = grow_array(image, rows * stride)
+            self.device.memory.resize("iseg_regular", rows * stride)
+        grid = image.reshape(rows, stride)
+        grid[dirty_upper] = self._pack_nodes(upper, dirty_upper)
+        grid[dirty_last + upper.count] = self._pack_nodes(last, dirty_last)
+        self._packed = (self._write_stamp(), image)
+        stats = MirrorSyncStats(nodes=len(slots), transfers=0, time_ns=0.0,
+                                stream_ns=stream_ns)
         was_stale = self.mirror_stale
         self.mirror_stale = True
-        with self.obs.span("hbtree.sync_nodes", nodes=len(pairs),
+        with self.obs.span("hbtree.sync_nodes", nodes=len(slots),
                            ranges=len(starts)):
             for s, e in zip(starts.tolist(), ends.tolist()):
                 stats.time_ns += self.link.update_device(
                     self.device.memory,
                     "iseg_regular",
-                    rows[s:e].reshape(-1),
-                    offset_elems=int(slots[s]) * stride,
+                    image[s * stride: e * stride],
+                    offset_elems=s * stride,
                 )
                 stats.transfers += 1
         self.mirror_stale = was_stale
+        self._mirror_stamp = self._packed[0]
         self.obs.count("live.hbtree.synced_nodes", stats.nodes)
         self.obs.count("live.hbtree.sync_transfers", stats.transfers)
         return stats
+
+    def _rebuild_sync(self, rows: int) -> MirrorSyncStats:
+        t = self.mirror_i_segment()
+        return MirrorSyncStats(nodes=rows, transfers=1, time_ns=t,
+                               rebuilt=True)
 
     @property
     def gpu_levels(self) -> int:

@@ -33,8 +33,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.concurrency import Operation, ScheduleResult, ThreadScheduler
-from repro.core.hbtree import HBPlusTree, MirrorSyncStats
-from repro.core.update import SYNC_NODE_OVERHEAD_NS, _measure_update_cost_ns
+from repro.core.hbtree import (
+    SYNC_NODE_OVERHEAD_NS,
+    HBPlusTree,
+    MirrorMark,
+    MirrorSyncStats,
+)
+from repro.core.update import _measure_update_cost_ns
 from repro.faults import FaultError
 from repro.platform.costmodel import CpuCostModel
 from repro.workloads.queries import QueryMix
@@ -80,7 +85,8 @@ class OptimisticRunResult(MixedRunResult):
     retries: int = 0
     #: modeled time of all retries (partial re-descents)
     retry_ns: float = 0.0
-    #: inner nodes found dirty by the version-stamp diff
+    #: inner nodes the mirror sync wrote: the version-stamp dirty set,
+    #: or every node when it rebuilt
     dirty_nodes: int = 0
     #: ranged PCIe transfers that carried them
     sync_transfers: int = 0
@@ -246,13 +252,13 @@ class OptimisticMixedEngine:
       run for a short shift, a leaf rewrite for a split — measured
       per-op from the tree's :class:`~repro.cpu.gapped.GapStats`
       deltas, not assumed;
-    * the **mirror** is maintained from the version-stamp diff of the
-      inner pools: the exact dirty node set flows through
-      :meth:`HBPlusTree.sync_nodes` ranged transfers; only a
-      structural change (split/merge — new node identities) or a
-      faulted transfer falls back to the full rebuild, and injected
-      :class:`~repro.faults.FaultError` are absorbed by a bounded
-      retry ladder.
+    * the **mirror** is maintained by :meth:`HBPlusTree.sync_nodes`,
+      the same dirty-set sync as the synchronized updater: the
+      version-stamp diff of the inner pools flows through ranged
+      transfers, and only an upper-level split, a height change, a
+      faulted transfer or pushes dearer than one full upload fall back
+      to the rebuild; injected :class:`~repro.faults.FaultError` are
+      absorbed by a bounded retry ladder.
     """
 
     def __init__(self, tree: HBPlusTree, threads: Optional[int] = None):
@@ -324,19 +330,19 @@ class OptimisticMixedEngine:
         assert last is not None
         raise last
 
-    def _sync_dirty(
-        self, dirty: List[Tuple[int, int]]
-    ) -> Tuple[MirrorSyncStats, int]:
-        """Ranged dirty-node sync with the fault retry ladder."""
+    def _sync_dirty(self, mark: MirrorMark) -> Tuple[MirrorSyncStats, int]:
+        """Dirty-set mirror sync with the fault retry ladder."""
         try:
-            return self.tree.sync_nodes(dirty), 0
+            return self.tree.sync_nodes(mark), 0
         except FaultError:
             # the ranged push aborted mid-flight; the mirror is stale
             # for an unknown prefix — repair with the full rebuild
             t, faults = self._rebuild_with_retries()
+            cpu_tree = self.tree.cpu_tree
             return (
                 MirrorSyncStats(
-                    nodes=len(dirty), transfers=1, time_ns=t, rebuilt=True
+                    nodes=cpu_tree.upper.count + cpu_tree.last.count,
+                    transfers=1, time_ns=t, rebuilt=True,
                 ),
                 faults + 1,
             )
@@ -349,19 +355,12 @@ class OptimisticMixedEngine:
         cpu_tree = tree.cpu_tree
         gap_stats = getattr(cpu_tree, "gap_stats", None)
 
-        # --- pre-run snapshots -----------------------------------------
-        upper, last = cpu_tree.upper, cpu_tree.last
-        u_count0, l_count0 = upper.count, last.count
-        shape0 = (
-            u_count0, l_count0, len(upper._free), len(last._free),
-            cpu_tree.height,
-        )
-        uv0 = upper.version[:u_count0].copy()
-        lv0 = last.version[:l_count0].copy()
+        mark = tree.mirror_mark()
 
         # one batch descent per op class (no scalar descent loops); the
-        # ids are exact unless a split intervenes, and a split forces
-        # the full-rebuild path where exactness is irrelevant
+        # ids key the modeled leaf locks and retries only, so a split
+        # that moves a few of them cannot change any answer or the
+        # mirror, which the version diff below keeps exact
         search_nodes = (
             cpu_tree.descend_batch(mix.search_keys)[0]
             if len(mix.search_keys)
@@ -456,47 +455,17 @@ class OptimisticMixedEngine:
 
         # --- mirror maintenance: version diff -> ranged transfers ------
         bytes0 = tree.link.stats.bytes_to_device
-        shape1 = (
-            upper.count, last.count, len(upper._free), len(last._free),
-            cpu_tree.height,
-        )
-        sync_faults = 0
-        if shape1 != shape0:
-            # structural change: node identities moved; rebuild once
-            t, sync_faults = self._rebuild_with_retries()
-            sync_stats = MirrorSyncStats(
-                nodes=l_count0, transfers=1, time_ns=t, rebuilt=True
-            )
-            modeled_sync_ns = t
+        sync_stats, sync_faults = self._sync_dirty(mark)
+        if sync_stats.rebuilt:
+            modeled_sync_ns = sync_stats.time_ns
         else:
-            dirty: List[Tuple[int, int]] = [
-                (1, int(n))
-                for n in np.flatnonzero(upper.version[:u_count0] != uv0)
-            ]
-            dirty += [
-                (0, int(n))
-                for n in np.flatnonzero(last.version[:l_count0] != lv0)
-            ]
-            if dirty:
-                sync_stats, sync_faults = self._sync_dirty(dirty)
-            else:
-                sync_stats = MirrorSyncStats(nodes=0, transfers=0,
-                                             time_ns=0.0)
-            if sync_stats.rebuilt:
-                modeled_sync_ns = sync_stats.time_ns
-            else:
-                # the ranged pushes ride one open copy stream concurrent
-                # with the query threads (the SyncUpdater convention):
-                # bandwidth per node, bookkeeping per push, one T_init —
-                # not a full round-trip latency per transfer
-                node_bytes = tree.node_stride * 8
-                modeled_sync_ns = (
-                    sync_stats.nodes * node_bytes
-                    / tree.machine.pcie.bandwidth_gbs
-                    + sync_stats.transfers * SYNC_NODE_OVERHEAD_NS
-                    + (tree.machine.pcie.t_init_ns if sync_stats.nodes
-                       else 0.0)
-                )
+            # the ranged pushes ride one open copy stream concurrent
+            # with the query threads (the SyncUpdater convention):
+            # bandwidth per node, bookkeeping per push, one T_init —
+            # not a full round-trip latency per transfer
+            modeled_sync_ns = sync_stats.stream_ns + (
+                tree.machine.pcie.t_init_ns if sync_stats.nodes else 0.0
+            )
         sync_bytes = tree.link.stats.bytes_to_device - bytes0
 
         results = (

@@ -326,7 +326,8 @@ class ResilientHBPlusTree:
 
     def _snapshot_expected(self) -> None:
         """Take the expected mirror image from the CPU tree, reusing the
-        image the last full mirror upload packed when it is current."""
+        image the last full mirror upload packed, or the last dirty-node
+        sync patched, when it is current."""
         self._expected = self.tree.current_i_segment_image()
 
     # ------------------------------------------------------------------

@@ -15,7 +15,13 @@ Two methods with a batch-size-dependent trade-off (Figs 13-14):
   Per-node pushes ride an open copy stream, so their cost is dominated
   by bandwidth, but the method cannot amortize like the bulk transfer —
   hence the crossover: synchronized wins for small batches, asynchronous
-  for large ones.
+  for large ones.  The batched synchronizing thread pushes exactly the
+  nodes the batch wrote: :meth:`HBPlusTree.sync_nodes` diffs the inner
+  pools' per-node version stamps against a mark taken before the batch
+  (FB+-tree style), so a value-only overwrite pushes nothing and a leaf
+  split pushes its two last-level nodes and their parent.  Only an
+  upper-level split, a height change, a faulted push or a mirror that
+  was already behind rebuilds the whole mirror.
 
 Both methods are *functionally* executed against the real tree (every
 insert/delete mutates it and the GPU mirror ends up consistent); the
@@ -26,11 +32,11 @@ deferrals counted from the actual access pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.hbtree import HBPlusTree
+from repro.core.hbtree import SYNC_NODE_OVERHEAD_NS, HBPlusTree
 from repro.faults import FaultError
 from repro.platform.costmodel import CpuCostModel, CpuQueryProfile
 
@@ -45,10 +51,6 @@ ASYNC_PARALLEL_SPEEDUP = 3.0
 #: per-update slowdown of lock acquisition in the async method
 LOCK_OVERHEAD_FACTOR = 1.6
 
-#: per-node push overhead on the synchronizing thread's open stream
-#: (request bookkeeping; the stream amortizes the big T_init)
-SYNC_NODE_OVERHEAD_NS = 40.0
-
 
 @dataclass
 class UpdateStats:
@@ -60,9 +62,10 @@ class UpdateStats:
     lock_conflicts: int = 0
     modify_ns: float = 0.0
     transfer_ns: float = 0.0
+    #: inner nodes written to the mirror (every node on a rebuild)
     synced_nodes: int = 0
-    #: per-node pushes aborted by an injected fault; each one forces
-    #: the end-of-batch full mirror rebuild that restores consistency
+    #: pushes aborted by an injected fault; each one forces the
+    #: end-of-batch full mirror rebuild that restores consistency
     sync_faults: int = 0
 
     @property
@@ -231,6 +234,7 @@ class AsyncBatchUpdater:
             # within thread-count-sized windows of the actual pattern
             t = max(1, self.threads)
             touched = nodes[keep]
+            conflicts = 0
             if len(touched):
                 pad = (-len(touched)) % t
                 # pad with distinct sentinels so they never collide
@@ -238,7 +242,8 @@ class AsyncBatchUpdater:
                     [touched, -np.arange(1, pad + 1, dtype=np.int64)]
                 )
                 w = np.sort(w.reshape(-1, t), axis=1)
-                stats.lock_conflicts += int(np.sum(w[:, 1:] == w[:, :-1]))
+                conflicts = int(np.sum(w[:, 1:] == w[:, :-1]))
+            stats.lock_conflicts += conflicts
             # single-threaded pass over the deferred (splitting) updates
             for i in defer.tolist():
                 if is_up[i]:
@@ -249,7 +254,7 @@ class AsyncBatchUpdater:
             parallel_ns = len(keep) * per_update_ns * LOCK_OVERHEAD_FACTOR / min(
                 ASYNC_PARALLEL_SPEEDUP, self.threads
             )
-            conflict_ns = stats.lock_conflicts * per_update_ns * 0.5
+            conflict_ns = conflicts * per_update_ns * 0.5
             serial_ns = len(defer) * per_update_ns * 4.0  # splits are costly
             stats.modify_ns += parallel_ns + conflict_ns + serial_ns
         if transfer:
@@ -263,11 +268,12 @@ class SyncUpdater:
     """The synchronized update method (modifying + synchronizing thread).
 
     ``batched=True`` (the default) drains the synchronizing thread's
-    queue through :meth:`HBPlusTree.sync_nodes`, which deduplicates
-    repeatedly-modified nodes and coalesces adjacent dirty mirror slots
-    into ranged transfers — fewer pushes on the open copy stream for
-    the same final mirror state.  ``batched=False`` keeps the original
-    per-node push, one transfer per modified node.
+    queue once per batch through :meth:`HBPlusTree.sync_nodes`: the
+    exact dirty set from the version-stamp diff, deduplicated and
+    coalesced into ranged transfers — fewer pushes on the open copy
+    stream for the same final mirror state.  ``batched=False`` keeps
+    the original per-node push, one transfer per modified last-level
+    node, and rebuilds the mirror after any split or merge.
     """
 
     def __init__(self, tree: HBPlusTree, batched: bool = True):
@@ -284,26 +290,67 @@ class SyncUpdater:
         values = np.asarray(values, dtype=self.tree.spec.dtype)
         deletes = np.asarray(deletes, dtype=self.tree.spec.dtype)
         stats = UpdateStats()
-        cpu_tree = self.tree.cpu_tree
         per_update_ns = _per_update_ns(self.tree, keys, deletes)
+        if self.batched:
+            push_ns, rebuild_ns = self._apply_batched(
+                stats, keys, values, deletes
+            )
+        else:
+            push_ns, rebuild_ns = self._apply_per_node(
+                stats, keys, values, deletes
+            )
+        stats.modify_ns = stats.applied * per_update_ns
+        # the synchronizing thread overlaps the modifying thread; only
+        # the excess shows up as extra time.  Pushes ride one open copy
+        # stream: bandwidth per node plus bookkeeping per push, and one
+        # T_init for the stream.  A rebuild is one full upload instead.
+        stats.transfer_ns = (
+            max(0.0, push_ns - stats.modify_ns)
+            + (self.tree.machine.pcie.t_init_ns if push_ns else 0.0)
+            + rebuild_ns
+        )
+        return stats
+
+    def _apply_batched(self, stats, keys, values, deletes):
+        """Apply every op, then one dirty-set sync; returns the modeled
+        ``(push_ns, rebuild_ns)``."""
+        tree = self.tree
+        cpu_tree = tree.cpu_tree
+        mark = tree.mirror_mark()
+        for key, value in zip(keys.tolist(), values.tolist()):
+            cpu_tree.insert(key, value)
+        for key in deletes.tolist():
+            cpu_tree.delete(key)
+        stats.applied = len(keys) + len(deletes)
+        try:
+            mirror = tree.sync_nodes(mark)
+        except FaultError:
+            # a push aborted mid-flight; the mirror is stale for an
+            # unknown prefix — repair with one full rebuild
+            stats.sync_faults += 1
+            return 0.0, tree.mirror_i_segment()
+        stats.synced_nodes = mirror.nodes
+        if mirror.rebuilt:
+            return 0.0, mirror.time_ns
+        return mirror.stream_ns, 0.0
+
+    def _apply_per_node(self, stats, keys, values, deletes):
+        """One push per modified last-level node as each op lands; any
+        split, merge or faulted push forces one rebuild at the end."""
+        tree = self.tree
+        cpu_tree = tree.cpu_tree
         ops = [("upsert", int(k), int(v)) for k, v in zip(keys, values)]
         ops += [("delete", int(k), 0) for k in deletes]
-        # one batch descent over the whole op stream replaces the old
-        # per-op `_descend`: the ids are exact while the structure
-        # holds, and any structural change triggers the full mirror
-        # rebuild below, which restores consistency regardless
+        # one batch descent over the whole op stream: the ids are exact
+        # while the structure holds, and any structural change triggers
+        # the full mirror rebuild below, which restores consistency
         all_op_keys = np.concatenate([keys, deletes])
         op_nodes = (
             cpu_tree.descend_batch(all_op_keys)[0]
             if len(all_op_keys)
             else np.empty(0, dtype=np.int64)
         )
-
-        node_bytes = self.tree.node_stride * 8
         structural = 0
-        rebuilt = False
-        dirty: List[int] = []
-        push_overhead_units = 0  # per-push bookkeeping on the open stream
         for (op, key, value), node in zip(ops, op_nodes.tolist()):
             height_before = cpu_tree.height
             leaves_before = cpu_tree.leaves.count
@@ -315,53 +362,22 @@ class SyncUpdater:
             if (cpu_tree.leaves.count != leaves_before
                     or cpu_tree.height != height_before):
                 structural += 1
-            elif self.batched:
-                dirty.append(node)
-            else:
-                # enqueue the modified last-level inner node
-                try:
-                    self.tree.sync_node(0, node)
-                    stats.synced_nodes += 1
-                    push_overhead_units += 1
-                except FaultError:
-                    # the push aborted mid-flight; the mirror is stale
-                    # for this node — repair with the full rebuild below
-                    stats.sync_faults += 1
-                    structural += 1
-        if self.batched and dirty:
-            # drain the queue once: dedup + coalesce into ranged pushes
+                continue
             try:
-                mirror_stats = self.tree.sync_nodes(
-                    [(0, n) for n in dirty]
-                )
-                stats.synced_nodes = mirror_stats.nodes
-                push_overhead_units = mirror_stats.transfers
-                rebuilt = mirror_stats.rebuilt
+                tree.sync_node(0, node)
+                stats.synced_nodes += 1
             except FaultError:
+                # the push aborted mid-flight; the mirror is stale for
+                # this node — repair with the full rebuild below
                 stats.sync_faults += 1
                 structural += 1
-        rebuild_ns = 0.0
-        if structural and not rebuilt:
-            # splits/merges change node identities (and aborted pushes
-            # leave stale nodes): fall back to a full mirror rebuild,
-            # exactly once at the end
-            rebuild_ns = self.tree.mirror_i_segment()
-        stats.modify_ns = len(ops) * per_update_ns
-        # the synchronizing thread overlaps the modifying thread; only
-        # the excess shows up as extra time.  Pushes ride one open copy
-        # stream: bandwidth per node plus bookkeeping per push (the
-        # batched path issues fewer pushes for the same nodes)
-        modeled_push = (
-            stats.synced_nodes * node_bytes
-            / self.tree.machine.pcie.bandwidth_gbs
-            + push_overhead_units * SYNC_NODE_OVERHEAD_NS
+        node_bytes = tree.node_stride * 8
+        push_ns = stats.synced_nodes * (
+            node_bytes / tree.machine.pcie.bandwidth_gbs
+            + SYNC_NODE_OVERHEAD_NS
         )
-        stats.transfer_ns = (
-            max(0.0, modeled_push - stats.modify_ns)
-            + (self.tree.machine.pcie.t_init_ns if stats.synced_nodes else 0.0)
-            + rebuild_ns
-        )
-        return stats
+        rebuild_ns = tree.mirror_i_segment() if structural else 0.0
+        return push_ns, rebuild_ns
 
 
 def apply_cpu_only(

@@ -68,11 +68,13 @@ class _InnerPool:
 
     Write-barrier rule: every write to a node's ``keys``, ``refs`` or
     ``size`` ends in :meth:`allocate` or :meth:`refresh_index`.  Both
-    bump the pool's ``writes`` stamp, and the hybrid tree reuses its
-    packed device image while the stamps are unchanged
-    (``HBPlusTree.current_i_segment_image``), so a writer that skips the
-    barrier leaves that image stale.  ``validate_hybrid_regular``
-    checks the rule.
+    bump the pool's ``writes`` stamp and, for an existing node, its
+    ``version``.  The hybrid tree reuses its packed device image while
+    the stamps are unchanged (``HBPlusTree.current_i_segment_image``)
+    and pushes exactly the nodes whose version moved or that were
+    appended (``HBPlusTree.sync_nodes``), so a writer that skips the
+    barrier leaves the image and the mirror stale.
+    ``validate_hybrid_regular`` checks the rule.
     """
 
     def __init__(self, spec: KeySpec, capacity: int = 16):
@@ -113,6 +115,10 @@ class _InnerPool:
     def allocate(self) -> int:
         if self._free:
             node = self._free.pop()
+            # a reused slot's content changes: a write batch's version
+            # diff must see it even before its first refresh (a fresh
+            # slot is past the batch's starting count instead)
+            self.version[node] += 1
         else:
             if self.count >= self.keys.shape[0]:
                 self._grow()

@@ -11,6 +11,16 @@ through a counter-based RNG, so:
 * for a fixed ``(site, N)`` the underlying uniform draw is shared
   across plans with different rates — raising a rate can only add
   faults, never move them (common random numbers).
+
+The counter-based RNG is ``np.random.default_rng([seed, site_id, N])``.
+Building that generator costs ~20 µs, more than most operations it
+screens, so the hook sites read its first two doubles from a draw
+table instead: :func:`uniform_draws` computes them for a block of
+:data:`DRAW_BLOCK` consecutive indices at once, bit-identical to
+numpy's SeedSequence → PCG64 → ``random()`` chain.  Draws beyond the
+first two (a fired bit flip's position, the storage hooks) and indices
+past the table's 32-bit range still build the generator; every fault
+schedule is the same either way.
 """
 
 from __future__ import annotations
@@ -39,6 +49,122 @@ from repro.faults.plan import (
 def _site_id(site: str) -> int:
     """Stable 32-bit id of a site name (Python's hash() is salted)."""
     return zlib.crc32(site.encode("ascii"))
+
+
+#: consecutive operation indices per block of a site's draw table
+DRAW_BLOCK = 1024
+
+_U64 = np.uint64
+_M32 = _U64(0xFFFFFFFF)
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = _U64(0xCA01F9DD), _U64(0x4973F715)
+_POOL = 4
+# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit words and the
+# low word's 32-bit halves
+_PCG_HI, _PCG_LO = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)
+_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> _U64(32)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> List[np.uint64]:
+    """The first ``n`` multipliers of a SeedSequence hash sequence (it
+    depends on the call count only, never on the data)."""
+    out, h = [], init
+    for _ in range(n):
+        h = (h * mult) & 0xFFFFFFFF
+        out.append(_U64(h))
+    return out
+
+
+# mix_entropy: one hashmix per pool word, then one per ordered pair of
+# distinct pool words; generate_state: one per 32-bit output word
+_A_MUL = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
+_A_XOR = [_U64(_INIT_A)] + _A_MUL[:-1]
+_B_MUL = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_B_XOR = [_U64(_INIT_B)] + _B_MUL[:-1]
+
+
+def _mul_hi64(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of ``a * _PCG_LO`` (a 64x64 -> 128-bit product),
+    from 32-bit partial products."""
+    a0, a1 = a & _M32, a >> _U64(32)
+    p00, p01 = a0 * _PCG_LO0, a0 * _PCG_LO1
+    p10, p11 = a1 * _PCG_LO0, a1 * _PCG_LO1
+    mid = (p00 >> _U64(32)) + (p01 & _M32) + (p10 & _M32)
+    return (p11 + (p01 >> _U64(32)) + (p10 >> _U64(32))
+            + (mid >> _U64(32)))
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 state step, ``state * MULT + inc`` mod 2^128."""
+    new_hi = _mul_hi64(lo) + lo * _PCG_HI + hi * _PCG_LO
+    new_lo = lo * _PCG_LO
+    out_lo = new_lo + inc_lo
+    return new_hi + inc_hi + (out_lo < new_lo).astype(_U64), out_lo
+
+
+def uniform_draws(seed: int, site_id: int, start: int,
+                  n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first two ``random()`` doubles of
+    ``np.random.default_rng([seed, site_id, i])`` for ``i`` in
+    ``[start, start + n)``, as two float64 arrays.
+
+    A vectorised twin of numpy's chain, in explicit ``uint64``
+    arithmetic that keeps every 32-bit intermediate masked: SeedSequence
+    pool mixing of the three entropy words, ``generate_state(4,
+    uint64)``, PCG64 seeding and two XSL-RR outputs, each shifted to a
+    53-bit double.  Every entropy word must be below 2^32 (one
+    SeedSequence word each), so ``seed`` and ``site_id`` are 32-bit and
+    ``start + n <= 2**32``.
+    """
+    if not (0 <= seed < 1 << 32 and 0 <= site_id < 1 << 32
+            and 0 <= start and start + n <= 1 << 32):
+        raise ValueError("draw-table entropy words must be 32-bit")
+    words = [np.full(n, seed, dtype=_U64), np.full(n, site_id, dtype=_U64),
+             np.arange(start, start + n, dtype=_U64),
+             np.zeros(n, dtype=_U64)]
+    calls = iter(zip(_A_XOR, _A_MUL))
+
+    def hashmix(value):
+        xor, mul = next(calls)
+        value = ((value ^ xor) * mul) & _M32
+        return value ^ (value >> _U64(16))
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ (r >> _U64(16))
+
+    pool = [hashmix(w) for w in words]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    state = []
+    for i, (xor, mul) in enumerate(zip(_B_XOR, _B_MUL)):
+        value = ((pool[i % _POOL] ^ xor) * mul) & _M32
+        state.append(value ^ (value >> _U64(16)))
+    # little-endian pairs of 32-bit words -> seed (hi, lo), inc (hi, lo)
+    s_hi, s_lo, i_hi, i_lo = (state[2 * k] | (state[2 * k + 1] << _U64(32))
+                              for k in range(4))
+    # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1; step; add seed;
+    # step
+    inc_hi = (i_hi << _U64(1)) | (i_lo >> _U64(63))
+    inc_lo = (i_lo << _U64(1)) | _U64(1)
+    zero = np.zeros(n, dtype=_U64)
+    hi, lo = _lcg_step(zero, zero, inc_hi, inc_lo)
+    lo_sum = lo + s_lo
+    hi = hi + s_hi + (lo_sum < lo).astype(_U64)
+    hi, lo = _lcg_step(hi, lo_sum, inc_hi, inc_lo)
+    out = []
+    for _ in range(2):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> _U64(58)
+        x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+        out.append((x >> _U64(11)).astype(np.float64)
+                   * (1.0 / 9007199254740992.0))
+    return out[0], out[1]
 
 
 @dataclass
@@ -111,6 +237,9 @@ class FaultInjector:
         self.stats = FaultStats()
         self.events: List[FaultEvent] = []
         self._op_counts: Dict[str, int] = {}
+        #: site -> (block, first doubles, second doubles) of the block
+        #: of the draw table the site's counter is in
+        self._tables: Dict[str, Tuple[int, np.ndarray, np.ndarray]] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -143,6 +272,25 @@ class FaultInjector:
             [self.plan.seed & 0x7FFFFFFF, _site_id(site), index]
         )
 
+    def _draws(self, site: str, index: int) -> Tuple[float, float]:
+        """The first two doubles of ``self._rng(site, index)``, from
+        the site's draw table."""
+        if index >= 1 << 32:
+            # past the table's one-word index range
+            rng = self._rng(site, index)
+            return rng.random(), rng.random()
+        block = index // DRAW_BLOCK
+        table = self._tables.get(site)
+        if table is None or table[0] != block:
+            first, second = uniform_draws(
+                self.plan.seed & 0x7FFFFFFF, _site_id(site),
+                block * DRAW_BLOCK, DRAW_BLOCK,
+            )
+            table = (block, first, second)
+            self._tables[site] = table
+        off = index - block * DRAW_BLOCK
+        return table[1][off], table[2][off]
+
     def _record(self, kind: FaultKind, site: str, index: int,
                 detail: tuple = ()) -> None:
         self.events.append(FaultEvent(kind, site, index, detail))
@@ -158,8 +306,7 @@ class FaultInjector:
             return
         self.stats.transfer_ops += 1
         index = self._next_index(site)
-        rng = self._rng(site, index)
-        u_fail, u_timeout = rng.random(), rng.random()
+        u_fail, u_timeout = self._draws(site, index)
         if u_fail < self.plan.transfer_fail:
             self.stats.transfer_fails += 1
             self._record(FaultKind.TRANSFER_FAIL, site, index, (nbytes,))
@@ -178,8 +325,7 @@ class FaultInjector:
             return
         self.stats.kernel_ops += 1
         index = self._next_index(site)
-        rng = self._rng(site, index)
-        u_fail, u_hang = rng.random(), rng.random()
+        u_fail, u_hang = self._draws(site, index)
         if u_fail < self.plan.kernel_fail:
             self.stats.kernel_fails += 1
             self._record(FaultKind.KERNEL_FAIL, site, index)
@@ -199,7 +345,7 @@ class FaultInjector:
             return
         self.stats.sync_ops += 1
         index = self._next_index(site)
-        if self._rng(site, index).random() < self.plan.sync_interrupt:
+        if self._draws(site, index)[0] < self.plan.sync_interrupt:
             self.stats.sync_interrupts += 1
             self._record(FaultKind.SYNC_INTERRUPT, site, index)
             raise SyncInterrupted(site, index)
@@ -216,9 +362,11 @@ class FaultInjector:
             return []
         self.stats.mirror_ops += 1
         index = self._next_index(site)
-        rng = self._rng(site, index)
-        if rng.random() >= self.plan.bitflip:
+        if self._draws(site, index)[0] >= self.plan.bitflip:
             return []
+        # a fired flip draws its position from the same stream
+        rng = self._rng(site, index)
+        rng.random()
         flat = array.reshape(-1)
         elem = int(rng.integers(0, flat.size))
         bit = int(rng.integers(0, flat.dtype.itemsize * 8))

@@ -17,9 +17,32 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 
+def grow_array(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` lengthened to ``size`` elements, contents kept.
+
+    ``array`` is 1-D and either owns its allocation or is a prefix
+    view of one.  The result views the same allocation while ``size``
+    fits in it.  Past that, a new zeroed allocation of ``size + size
+    // 8`` elements takes the old contents: the slack is bounded by
+    1/8 of the array, and growth costs amortised O(1) per element.
+    Elements past the old length are zero.
+    """
+    if size < array.size:
+        raise ValueError("grow_array cannot shrink an array")
+    backing = array if array.base is None else array.base
+    if size > backing.size:
+        backing = np.zeros(size + size // 8, dtype=array.dtype)
+        backing[: array.size] = array
+    return backing[:size]
+
+
 @dataclass
 class DeviceBuffer:
-    """A named allocation in device memory."""
+    """A named allocation in device memory.
+
+    ``array`` may be a prefix view of a larger allocation that
+    :meth:`DeviceMemory.resize` grows into.
+    """
 
     name: str
     array: np.ndarray
@@ -27,6 +50,12 @@ class DeviceBuffer:
     @property
     def nbytes(self) -> int:
         return self.array.nbytes
+
+    @property
+    def allocated_bytes(self) -> int:
+        """Bytes of the allocation, slack included."""
+        base = self.array.base
+        return self.array.nbytes if base is None else base.nbytes
 
 
 @dataclass
@@ -114,7 +143,7 @@ class DeviceMemory:
 
     @property
     def used_bytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
+        return sum(buf.allocated_bytes for buf in self._buffers.values())
 
     @property
     def free_bytes(self) -> int:
@@ -146,6 +175,25 @@ class DeviceMemory:
             )
         buf = DeviceBuffer(name=name, array=host_array.copy())
         self._buffers[name] = buf
+        return buf
+
+    def resize(self, name: str, size: int) -> DeviceBuffer:
+        """Grow a 1-D buffer to ``size`` elements, keeping its contents.
+
+        A device-side allocation: nothing crosses PCIe.  The buffer
+        grows into its allocation's slack, or into a new allocation
+        with bounded slack (:func:`grow_array`); the first growth of a
+        buffer allocates its slack.  New elements are zero.
+        """
+        buf = self._buffers[name]
+        grown = grow_array(buf.array, size)
+        extra = grown.base.nbytes - buf.allocated_bytes
+        if extra > self.free_bytes:
+            raise MemoryError(
+                f"device memory exhausted: need {extra} bytes, "
+                f"{self.free_bytes} free of {self.capacity_bytes}"
+            )
+        buf.array = grown
         return buf
 
     def free(self, name: str) -> None:
