@@ -11,9 +11,10 @@ descent to the GPU exactly like the search path does:
 1. the update batch's keys transfer to GPU memory           (T1)
 2. the search kernel resolves every key to its big-leaf line (T2)
 3. the (node, line) codes transfer back                      (T3)
-4. the CPU applies the modifications grouped by leaf — no descent
-   needed; keys whose leaf splits mid-group re-descend on the CPU
-   (the same <1% tail the asynchronous method defers)
+4. the CPU applies the modifications grouped by leaf through
+   ``apply_batch`` with the located leaves — no descent for a leaf's
+   group rewrite; the ops it runs one at a time (lone ops and groups
+   that split or empty their leaf) re-descend on the CPU
 5. the whole I-segment uploads once (as in the asynchronous method)
 
 Compared with :class:`AsyncBatchUpdater`, the CPU-side cost per update
@@ -24,7 +25,7 @@ moves to the GPU where it overlaps via the bucket pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,33 +91,9 @@ class GpuAssistedUpdater:
         per_update_ns = _measure_update_cost_ns(tree, keys[:512])
         # GPU already descended: only the leaf modification remains
         leaf_modify_ns = per_update_ns * 0.45
-        groups: Dict[int, List[int]] = {}
-        for i, node in enumerate(nodes.tolist()):
-            groups.setdefault(int(node), []).append(i)
-        applied_without_descent = 0
-        for node, members in groups.items():
-            leaves_before = cpu_tree.leaves.count
-            for i in members:
-                key, value = int(keys[i]), int(values[i])
-                if cpu_tree.leaves.count != leaves_before:
-                    # this leaf split while we were applying the group:
-                    # the remaining GPU codes are stale, re-descend
-                    cpu_tree.insert(key, value)
-                    stats.redescended += 1
-                    continue
-                size = int(cpu_tree.leaves.size[node])
-                will_split = (
-                    size >= cpu_tree.leaves.capacity_pairs
-                    and cpu_tree.lookup(key, instrument=False) is None
-                )
-                if will_split:
-                    cpu_tree.insert(key, value)
-                    stats.redescended += 1
-                    continue
-                # in-place apply at the located leaf (no descent)
-                self._apply_at_leaf(node, key, value)
-                applied_without_descent += 1
-            stats.lock_acquisitions += 1
+        stats.redescended = cpu_tree.apply_batch(keys, values, nodes=nodes)
+        applied_without_descent = len(keys) - stats.redescended
+        stats.lock_acquisitions = len(np.unique(nodes))
         stats.applied = len(keys)
         stats.deferred = stats.redescended
 
@@ -131,36 +108,3 @@ class GpuAssistedUpdater:
             tree.mirror_i_segment()
         return stats
 
-    def _apply_at_leaf(self, node: int, key: int, value: int) -> None:
-        """Insert/overwrite inside an already-located big leaf."""
-        cpu_tree = self.tree.cpu_tree
-        leaf_keys = cpu_tree.leaves.keys[node]
-        size = int(cpu_tree.leaves.size[node])
-        # scalar must carry the array dtype (uint64 precision!)
-        pos = int(np.searchsorted(leaf_keys[:size],
-                                  cpu_tree.spec.dtype(key)))
-        if pos < size and int(leaf_keys[pos]) == key:
-            cpu_tree.leaves.values[node, pos] = value
-            return
-        leaf_keys[pos + 1: size + 1] = leaf_keys[pos:size]
-        cpu_tree.leaves.values[node, pos + 1: size + 1] = (
-            cpu_tree.leaves.values[node, pos:size]
-        )
-        leaf_keys[pos] = key
-        cpu_tree.leaves.values[node, pos] = value
-        cpu_tree.leaves.size[node] = size + 1
-        cpu_tree._refresh_last_level_keys(node)
-        # raise routing keys up the tree for keys beyond the old max
-        child = node
-        parent = int(cpu_tree.last.parent[node])
-        level = 1
-        while parent != -1:
-            psize = int(cpu_tree.upper.size[parent])
-            refs = cpu_tree.upper.refs[parent, :psize]
-            slot = int(np.where(refs == child)[0][0])
-            if int(cpu_tree.upper.keys[parent, slot]) < key:
-                cpu_tree._set_parent_key(level, parent, slot, key)
-            child = parent
-            parent = int(cpu_tree.upper.parent[parent])
-            level += 1
-        cpu_tree.num_tuples += 1

@@ -54,6 +54,24 @@ MUTEX_OVERHEAD = 1.25
 SYNC_FAULT_RETRIES = 8
 
 
+def _cost_sample(tree: HBPlusTree) -> Optional[Tuple[np.ndarray, float]]:
+    """The mixed engines' cost probe: up to 2048 stored keys drawn
+    without replacement (seed 67) and the plain CPU lookup cost over
+    them, or None on an empty tree.
+
+    Without replacement: the sample never exceeds the population, and
+    duplicates would skew the cache profile toward re-touched lines.
+    """
+    stored = tree.cpu_tree.stored_keys()
+    if len(stored) == 0:
+        return None
+    rng = np.random.default_rng(67)
+    sample = rng.choice(stored, size=min(2048, len(stored)), replace=False)
+    from repro.bench.profiling import profile_regular
+    profile = profile_regular(tree.cpu_tree, sample)
+    return sample, CpuCostModel(tree.machine.cpu).query_ns(profile)
+
+
 @dataclass
 class MixedRunResult:
     """Functional + temporal outcome of one mixed bucket."""
@@ -123,26 +141,12 @@ class ConcurrentQueryEngine:
         self._search_ns, self._update_ns = self._measure_costs()
 
     def _measure_costs(self):
-        tree = self.tree
-        all_keys = np.asarray(
-            [k for k, _v in tree.cpu_tree.items()], dtype=tree.spec.dtype
-        )
-        if len(all_keys) == 0:
+        sample = _cost_sample(self.tree)
+        if sample is None:
             return 100.0, 500.0
-        rng = np.random.default_rng(67)
-        # the sample never exceeds the population, so draw without
-        # replacement — with replacement the duplicates skew the cache
-        # profile toward re-touched lines (same fix as the adaptive
-        # controller's reprofile path)
-        stored = rng.choice(
-            all_keys, size=min(2048, len(all_keys)), replace=False
-        )
-        from repro.bench.profiling import profile_regular
-        profile = profile_regular(tree.cpu_tree, stored)
-        model = CpuCostModel(tree.machine.cpu)
-        search_ns = model.query_ns(profile) * MUTEX_OVERHEAD
-        update_ns = _measure_update_cost_ns(tree, stored) * MUTEX_OVERHEAD
-        return search_ns, update_ns
+        stored, lookup_ns = sample
+        update_ns = _measure_update_cost_ns(self.tree, stored)
+        return lookup_ns * MUTEX_OVERHEAD, update_ns * MUTEX_OVERHEAD
 
     def run(self, mix: QueryMix, method: str = "async") -> MixedRunResult:
         """Execute a mix; ``method`` picks the mirror maintenance."""
@@ -151,58 +155,40 @@ class ConcurrentQueryEngine:
         tree = self.tree
         cpu_tree = tree.cpu_tree
 
-        # one batch descent replaces the former per-op `_descend` calls;
-        # the node ids are exact while no structural change intervenes,
-        # and a structural change forces the full mirror rebuild below
-        # anyway, so a stale id can only cost a redundant modeled lock
-        upd_nodes = (
-            cpu_tree.descend_batch(mix.update_keys)[0]
-            if len(mix.update_keys)
-            else np.empty(0, dtype=np.int64)
-        )
-        del_nodes = (
-            cpu_tree.descend_batch(mix.delete_keys)[0]
-            if len(mix.delete_keys)
-            else np.empty(0, dtype=np.int64)
-        )
-
-        # functional execution + operation list for the scheduler
-        operations: List[Operation] = []
-        search_iter = iter(mix.search_keys)
-        update_iter = iter(zip(mix.update_keys.tolist(),
-                               mix.update_values.tolist(),
-                               upd_nodes.tolist()))
-        delete_iter = iter(zip(mix.delete_keys.tolist(), del_nodes.tolist()))
+        # the writes go in mix order as one op stream; its batch descent
+        # keys the modeled leaf locks (pre-batch ids: a structural
+        # change forces the full mirror rebuild below anyway, so a stale
+        # id can only cost a redundant modeled lock)
         is_delete = (
             mix.is_delete
             if mix.is_delete is not None
             else np.zeros(len(mix.is_update), dtype=bool)
         )
-        searches: List[int] = []
-        synced_nodes = 0
+        is_write = mix.is_update | is_delete
+        op_del = is_delete[is_write]
+        op_key = np.empty(len(op_del), dtype=tree.spec.dtype)
+        op_val = np.zeros(len(op_del), dtype=tree.spec.dtype)
+        op_key[op_del] = mix.delete_keys
+        op_key[~op_del] = mix.update_keys
+        op_val[~op_del] = mix.update_values
+        op_nodes = cpu_tree.descend_batch(op_key)[0]
+        cpu_tree.apply_batch(op_key, op_val, is_delete=op_del, nodes=op_nodes)
+
+        # the operation list for the scheduler
+        operations: List[Operation] = []
+        write_iter = iter(zip(op_del.tolist(), op_nodes.tolist()))
         # the update cost splits ~55% descent (lock-free) / 45% locked
         upd_work = self._update_ns * 0.55
         upd_locked = self._update_ns * 0.45
-        for is_update, is_del in zip(mix.is_update.tolist(),
-                                     is_delete.tolist()):
-            if is_del:
-                key, node = next(delete_iter)
-                cpu_tree.delete(int(key))
+        for write in is_write.tolist():
+            if write:
+                is_del, node = next(write_iter)
                 operations.append(Operation(
                     work_ns=upd_work, lock=("leaf", int(node)),
-                    locked_ns=upd_locked, tag="delete",
+                    locked_ns=upd_locked,
+                    tag="delete" if is_del else "update",
                 ))
-                synced_nodes += 1
-            elif is_update:
-                key, value, node = next(update_iter)
-                cpu_tree.insert(int(key), int(value))
-                operations.append(Operation(
-                    work_ns=upd_work, lock=("leaf", int(node)),
-                    locked_ns=upd_locked, tag="update",
-                ))
-                synced_nodes += 1
             else:
-                searches.append(int(next(search_iter)))
                 operations.append(Operation(
                     work_ns=self._search_ns, tag="search",
                 ))
@@ -213,19 +199,15 @@ class ConcurrentQueryEngine:
             node_bytes = tree.node_stride * 8
             push_ns = (node_bytes / tree.machine.pcie.bandwidth_gbs
                        + SYNC_NODE_OVERHEAD_NS)
-            sync_ns = synced_nodes * push_ns + (
-                tree.machine.pcie.t_init_ns if synced_nodes else 0.0
+            sync_ns = len(op_key) * push_ns + (
+                tree.machine.pcie.t_init_ns if len(op_key) else 0.0
             )
         else:
             sync_ns = 0.0  # async: one bulk transfer, excluded as in Fig 21
         tree.mirror_i_segment()
 
-        results = (
-            tree.cpu_tree.lookup_batch(
-                np.asarray(searches, dtype=tree.spec.dtype)
-            )
-            if searches
-            else np.empty(0, dtype=tree.spec.dtype)
+        results = cpu_tree.lookup_batch(
+            np.asarray(mix.search_keys, dtype=tree.spec.dtype)
         )
         return MixedRunResult(
             search_results=results,
@@ -251,7 +233,10 @@ class OptimisticMixedEngine:
       actual write: one pair for an in-place gap write, the shifted
       run for a short shift, a leaf rewrite for a split — measured
       per-op from the tree's :class:`~repro.cpu.gapped.GapStats`
-      deltas, not assumed;
+      deltas, not assumed.  That is why this engine writes one op at a
+      time through ``insert``/``delete`` rather than through
+      ``apply_batch``: a group rewrite would merge the ops it prices
+      separately;
     * the **mirror** is maintained by :meth:`HBPlusTree.sync_nodes`,
       the same dirty-set sync as the synchronized updater: the
       version-stamp diff of the inner pools flows through ranged
@@ -270,21 +255,12 @@ class OptimisticMixedEngine:
     # cost measurement
 
     def _measure_costs(self) -> Tuple[float, float]:
-        tree = self.tree
-        all_keys = tree.cpu_tree.stored_keys()
-        if len(all_keys) == 0:
+        sample = _cost_sample(self.tree)
+        if sample is None:
             return 80.0, 80.0
-        rng = np.random.default_rng(67)
-        stored = rng.choice(
-            all_keys, size=min(2048, len(all_keys)), replace=False
-        )
-        from repro.bench.profiling import profile_regular
-        profile = profile_regular(tree.cpu_tree, stored)
-        model = CpuCostModel(tree.machine.cpu)
         # latch-free read path: plain lookup cost, no mutex tax.  A
         # writer's unlocked phase is the same descent.
-        search_ns = model.query_ns(profile)
-        return search_ns, search_ns
+        return sample[1], sample[1]
 
     def _write_cost_ns(self, stats_delta: Tuple[int, int, int, int]) -> float:
         """Locked-phase cost of one write from its GapStats delta."""

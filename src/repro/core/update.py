@@ -23,10 +23,13 @@ Two methods with a batch-size-dependent trade-off (Figs 13-14):
   upper-level split, a height change, a faulted push or a mirror that
   was already behind rebuilds the whole mirror.
 
-Both methods are *functionally* executed against the real tree (every
-insert/delete mutates it and the GPU mirror ends up consistent); the
-thread-level parallelism is modeled in time, with lock conflicts and
-deferrals counted from the actual access pattern.
+Both methods write through the CPU tree's one batch primitive,
+:meth:`~repro.cpu.btree_regular.RegularCpuBPlusTree.apply_batch`: the
+upserts, then the deletes, in op order, with the result of per-op
+inserts and deletes; the GPU mirror ends up consistent.  What differs
+is the pricing and the mirror policy: the thread-level parallelism is
+modeled in time, with lock conflicts and deferrals counted from the
+actual access pattern.
 """
 
 from __future__ import annotations
@@ -137,6 +140,16 @@ def _per_update_ns(tree: HBPlusTree, keys: np.ndarray,
     return _measure_update_cost_ns(tree, sample[:512])
 
 
+def _op_stream(keys: np.ndarray, values: np.ndarray, deletes: np.ndarray):
+    """A batch as one op stream, upserts then deletes: the ``(keys,
+    values, is_delete)`` arguments of ``apply_batch``."""
+    return (
+        np.concatenate([keys, deletes]),
+        np.concatenate([values, np.zeros_like(deletes)]),
+        np.arange(len(keys) + len(deletes)) >= len(keys),
+    )
+
+
 class AsyncBatchUpdater:
     """The asynchronous parallel update method."""
 
@@ -160,16 +173,11 @@ class AsyncBatchUpdater:
         per_update_ns = _per_update_ns(self.tree, keys, deletes)
 
         spec = self.tree.spec
-        op_kind = np.concatenate([
-            np.zeros(len(keys), dtype=np.int8),
-            np.ones(len(deletes), dtype=np.int8),
-        ])
-        op_key = np.concatenate([keys, deletes])
-        op_val = np.concatenate([values, np.zeros(len(deletes), dtype=spec.dtype)])
+        op_key, op_val, op_del = _op_stream(keys, values, deletes)
         for start in range(0, len(op_key), ASYNC_GROUP_SIZE):
             gk = op_key[start: start + ASYNC_GROUP_SIZE]
-            gkind = op_kind[start: start + ASYNC_GROUP_SIZE]
             gv = op_val[start: start + ASYNC_GROUP_SIZE]
+            is_up = ~op_del[start: start + ASYNC_GROUP_SIZE]
             # classify the whole group in one vectorised pass: batch
             # descent + batch presence check + projected leaf occupancy
             # replace the former per-op descend/lookup pair
@@ -181,7 +189,6 @@ class AsyncBatchUpdater:
             _u, first_idx = np.unique(gk, return_index=True)
             is_first = np.zeros(len(gk), dtype=bool)
             is_first[first_idx] = True
-            is_up = gkind == 0
             is_new = is_up & ~present & is_first
             # per-op projected leaf size: starting occupancy plus the
             # net effect of every earlier op in the group on that leaf
@@ -206,28 +213,9 @@ class AsyncBatchUpdater:
             keep = np.flatnonzero(~deferred_mask)
             defer = np.flatnonzero(deferred_mask)
             stats.lock_acquisitions += len(keep)
-            keep_up = keep[is_up[keep]]
-            keep_del = keep[~is_up[keep]]
-            if len(keep_del) and len(keep_up) and len(
-                np.intersect1d(gk[keep_up], gk[keep_del])
-            ):
-                # an upsert and a delete of the same key inside one
-                # group: phase reordering would flip their order, so
-                # keep the original per-op interleaving for this group
-                for i in keep.tolist():
-                    if is_up[i]:
-                        cpu_tree.insert(int(gk[i]), int(gv[i]))
-                    else:
-                        cpu_tree.delete(int(gk[i]))
-            else:
-                # the vectorised scatter: every touched leaf is merged
-                # and rewritten once, reusing this group's batch
-                # descent instead of descending again per op
-                cpu_tree.insert_batch(
-                    gk[keep_up], gv[keep_up], nodes=nodes[keep_up]
-                )
-                for i in keep_del.tolist():
-                    cpu_tree.delete(int(gk[i]))
+            # the classification prices the group; the writes go in op
+            # order, reusing this group's batch descent
+            cpu_tree.apply_batch(gk, gv, is_delete=~is_up, nodes=nodes)
             stats.applied += len(keep)
             # lock conflicts: two logical threads hitting the same
             # last-level node simultaneously; estimated from collisions
@@ -244,12 +232,6 @@ class AsyncBatchUpdater:
                 w = np.sort(w.reshape(-1, t), axis=1)
                 conflicts = int(np.sum(w[:, 1:] == w[:, :-1]))
             stats.lock_conflicts += conflicts
-            # single-threaded pass over the deferred (splitting) updates
-            for i in defer.tolist():
-                if is_up[i]:
-                    cpu_tree.insert(int(gk[i]), int(gv[i]))
-                else:
-                    cpu_tree.delete(int(gk[i]))
             stats.deferred += len(defer)
             parallel_ns = len(keep) * per_update_ns * LOCK_OVERHEAD_FACTOR / min(
                 ASYNC_PARALLEL_SPEEDUP, self.threads
@@ -315,13 +297,10 @@ class SyncUpdater:
         """Apply every op, then one dirty-set sync; returns the modeled
         ``(push_ns, rebuild_ns)``."""
         tree = self.tree
-        cpu_tree = tree.cpu_tree
         mark = tree.mirror_mark()
-        for key, value in zip(keys.tolist(), values.tolist()):
-            cpu_tree.insert(key, value)
-        for key in deletes.tolist():
-            cpu_tree.delete(key)
-        stats.applied = len(keys) + len(deletes)
+        op_key, op_val, op_del = _op_stream(keys, values, deletes)
+        tree.cpu_tree.apply_batch(op_key, op_val, is_delete=op_del)
+        stats.applied = len(op_key)
         try:
             mirror = tree.sync_nodes(mark)
         except FaultError:
@@ -379,13 +358,3 @@ class SyncUpdater:
         rebuild_ns = tree.mirror_i_segment() if structural else 0.0
         return push_ns, rebuild_ns
 
-
-def apply_cpu_only(
-    cpu_tree, keys: Sequence[int], values: Sequence[int]
-) -> int:
-    """Upsert a batch into a plain CPU tree (baseline for Fig 13)."""
-    n = 0
-    for k, v in zip(np.asarray(keys).tolist(), np.asarray(values).tolist()):
-        cpu_tree.insert(int(k), int(v))
-        n += 1
-    return n

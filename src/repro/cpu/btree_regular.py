@@ -520,19 +520,28 @@ class RegularCpuBPlusTree:
             node = int(self.leaves.next[node])
         return np.asarray(chain, dtype=np.int64)
 
-    def stored_keys(self) -> np.ndarray:
-        """All stored keys in key order (vectorised :meth:`items` twin).
+    def _stored_mask(self, chain: np.ndarray) -> np.ndarray:
+        """Which slots of the ``chain`` leaves hold stored pairs (the
+        gapped pool also masks its gaps)."""
+        return (np.arange(self.leaves.capacity_pairs)
+                < self.leaves.size[chain][:, None])
 
-        Gathers per-leaf key prefixes with one mask instead of a Python
-        loop per tuple; freed pool slots (which keep stale keys) are
+    def stored_items(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All stored (keys, values) in key order (vectorised
+        :meth:`items` twin).
+
+        Gathers per-leaf pairs with one mask instead of a Python loop
+        per tuple; freed pool slots (which keep stale keys) are
         excluded by walking the leaf chain.
         """
         chain = self.leaf_chain()
-        if len(chain) == 0 or self.num_tuples == 0:
-            return np.zeros(0, dtype=self.spec.dtype)
-        sizes = self.leaves.size[chain]
-        mask = np.arange(self.leaves.capacity_pairs) < sizes[:, None]
-        return self.leaves.keys[chain][mask]
+        mask = self._stored_mask(chain)
+        return self.leaves.keys[chain][mask], self.leaves.values[chain][mask]
+
+    def stored_keys(self) -> np.ndarray:
+        """The keys of :meth:`stored_items`."""
+        chain = self.leaf_chain()
+        return self.leaves.keys[chain][self._stored_mask(chain)]
 
     def range_query_scalar(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Scalar reference walk of :meth:`range_query`.
@@ -841,9 +850,10 @@ class RegularCpuBPlusTree:
     def _raise_parent_keys(self, node: int, new_max: int) -> None:
         """Raise ancestor routing keys to cover ``new_max``.
 
-        Path-free twin of :meth:`_bubble_up_max` for the batch insert
-        path: walks the parent fragment upward from a last-level node,
-        locating the child slot the way ``_remove_child`` does.
+        Path-free twin of :meth:`_bubble_up_max` for
+        :meth:`apply_batch`: walks the parent fragment upward from a
+        last-level node, locating the child slot the way
+        ``_remove_child`` does.
         """
         child = node
         level = 0
@@ -865,7 +875,7 @@ class RegularCpuBPlusTree:
     ) -> None:
         """Overwrite a big leaf with sorted pairs (compact layout).
 
-        The layout hook of the batch insert path: writes the pairs as a
+        The layout hook of :meth:`apply_batch`: writes the pairs as a
         packed prefix with sentinel padding — exactly the state a
         sequence of single inserts leaves behind.  The gapped subclass
         re-spreads the pairs with interleaved gaps instead.
@@ -888,69 +898,127 @@ class RegularCpuBPlusTree:
             self.leaves.values[node, :size].copy(),
         )
 
-    def insert_batch(
+    def _stored_in(self, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Whether each key of ``q`` is stored in its big leaf ``nodes``
+        (the leaf line a lookup would probe; gaps duplicate real keys)."""
+        below = np.sum(self.last.keys[nodes] < q[:, None], axis=1)
+        line = np.minimum(below, np.maximum(self.last.size[nodes] - 1, 0))
+        return np.any(self._leaf_rows(nodes, line) == q[:, None], axis=1)
+
+    def apply_batch(
         self,
         keys: Sequence[int],
         values: Sequence[int],
+        is_delete: Optional[Sequence[bool]] = None,
         nodes: Optional[np.ndarray] = None,
     ) -> int:
-        """Vectorised upsert batch; returns the number of *new* keys.
+        """Apply one op stream in array order; returns the number of ops
+        run one at a time through :meth:`insert` / :meth:`delete`.
 
-        Groups the batch by target big leaf (one :meth:`descend_batch`)
-        and rewrites each touched leaf once with the merged pairs — a
-        scatter of grouped per-leaf inserts instead of a per-op descend
-        + shift.  Duplicate keys collapse to the last value, matching
-        sequential insert semantics.  A leaf whose merged occupancy
-        would exceed capacity falls back to per-op :meth:`insert` for
-        its group (the split path); everything else never splits, so
-        the final tree state is identical to the sequential loop.
-
-        ``nodes`` may carry precomputed descent targets (from a caller
-        that already classified the batch); they must come from this
-        tree with no structural change in between.
+        Op ``i`` upserts ``keys[i] -> values[i]``, or deletes ``keys[i]``
+        when ``is_delete[i]`` (its value is ignored).  The final state
+        equals calling :meth:`insert` / :meth:`delete` per op in array
+        order.  The ops are grouped by target big leaf (one
+        :meth:`descend_batch`, or the caller's ``nodes``, which must come
+        from this tree as it stands).  A group of two or more ops whose
+        running occupancy stays within ``[1, capacity]`` is merged into
+        its leaf with one rewrite (:meth:`_leaf_pairs` /
+        :meth:`_write_leaf_pairs`), which allocates nothing.  Every other
+        op runs scalar, in op order: lone ops, the ops of groups that
+        split or empty their leaf, and every group with an op at or past
+        the first op that empties a leaf (removing a leaf hands its key
+        range to a neighbour, so later targets no longer hold).  Rewrites
+        raise routing keys to the group's largest fresh key, as the
+        per-op inserts would, even when a later op deletes it.
         """
         bk = np.asarray(keys, dtype=self.spec.dtype)
         bv = np.asarray(values, dtype=self.spec.dtype)
-        if len(bk) == 0:
+        n = len(bk)
+        if n == 0:
             return 0
-        if len(bk) and int(bk.max()) >= self.spec.max_value:
+        dele = (np.zeros(n, dtype=bool) if is_delete is None
+                else np.asarray(is_delete, dtype=bool))
+        up = ~dele
+        if up.any() and int(bk[up].max()) >= self.spec.max_value:
             raise ValueError("key outside the valid (non-sentinel) domain")
-        # last value wins per duplicate key (sequential semantics)
-        _u, last_idx = np.unique(bk[::-1], return_index=True)
-        keep = np.sort(len(bk) - 1 - last_idx)
-        bk, bv = bk[keep], bv[keep]
-        if nodes is None:
-            nodes, _lines = self.descend_batch(bk)
-        else:
-            nodes = np.asarray(nodes, dtype=np.int64)[keep]
-        order = np.argsort(nodes, kind="stable")
-        bk, bv, nodes = bk[order], bv[order], nodes[order]
-        runs = np.r_[0, np.flatnonzero(nodes[1:] != nodes[:-1]) + 1, len(nodes)]
-        new_total = 0
-        cap = self.leaves.capacity_pairs
-        for i in range(len(runs) - 1):
-            lo, hi = int(runs[i]), int(runs[i + 1])
-            node = int(nodes[lo])
-            gk, gv = bk[lo:hi], bv[lo:hi]
+        nodes = (self.descend_batch(bk)[0] if nodes is None
+                 else np.asarray(nodes, dtype=np.int64))
+        by_leaf = np.argsort(nodes, kind="stable")
+        sn = nodes[by_leaf]
+        new_run = np.diff(sn, prepend=-1) != 0
+        starts = np.flatnonzero(new_run)
+        rewrite = np.zeros(n, dtype=bool)
+        if len(starts) < n:  # some leaf gets two or more ops
+            # presence before each op: the previous op on its key
+            # decides, the tree decides for the key's first op
+            by_key = np.argsort(bk, kind="stable")
+            sk = bk[by_key]
+            first = np.concatenate(([True], sk[1:] != sk[:-1]))
+            before = np.empty(n, dtype=bool)
+            before[by_key] = np.where(
+                first, self._stored_in(nodes[by_key], sk),
+                np.concatenate(([False], up[by_key][:-1])),
+            )
+            delta = (up & ~before).astype(np.int64) - (dele & before)
+            # occupancy of each op's leaf after the op, in op order
+            run_id = np.cumsum(new_run) - 1
+            d_leaf = delta[by_leaf]
+            csum = np.cumsum(d_leaf)
+            occ = (self.leaf_occupancy(sn[starts])
+                   - (csum - d_leaf)[starts])[run_id] + csum
+            emptied = by_leaf[occ < 1]
+            cut = emptied.min() if len(emptied) else n
+            bad = (occ > self.leaves.capacity_pairs) | (by_leaf >= cut)
+            size = np.diff(starts, append=n)
+            ok = (size >= 2) & (np.bincount(run_id, weights=bad,
+                                            minlength=len(starts)) == 0)
+            rewrite[by_leaf] = ok[run_id]
+            for g in np.flatnonzero(ok).tolist():
+                ops = by_leaf[starts[g]: starts[g] + size[g]]
+                self._rewrite_leaf(int(sn[starts[g]]), bk[ops], bv[ops],
+                                   dele[ops], delta[ops])
+        scalar = np.flatnonzero(~rewrite)
+        for i, k, v in zip(scalar.tolist(), bk[scalar].tolist(),
+                           bv[scalar].tolist()):
+            if dele[i]:
+                self.delete(k)
+            else:
+                self.insert(k, v)
+        return len(scalar)
+
+    def _rewrite_leaf(self, node: int, gk: np.ndarray, gv: np.ndarray,
+                      gdel: np.ndarray, delta: np.ndarray) -> None:
+        """Merge one leaf's ops (in op order) into it with one write.
+
+        The last op on each key decides it.  When the ops change the
+        key set the leaf is rewritten (refreshing its last-level node)
+        and routing keys rise to the largest fresh key; otherwise only
+        overwritten values change, as with per-op overwrites, which
+        leave the inner nodes untouched.
+        """
+        rev_first = np.unique(gk[::-1], return_index=True)[1]
+        last = len(gk) - 1 - rev_first
+        uk, uv, kept = gk[last], gv[last], ~gdel[last]
+        if delta.any():
             ek, ev = self._leaf_pairs(node)
-            # merge: existing keys hit by the group are overwritten
-            hit = np.isin(ek, gk, assume_unique=True)
-            n_new = len(gk) - int(np.count_nonzero(hit))
-            if len(ek) - int(np.count_nonzero(hit)) + len(gk) > cap:
-                # the group would overflow the leaf: sequential path
-                # (splits, re-descents) for exactly this group
-                for k, v in zip(gk.tolist(), gv.tolist()):
-                    new_total += int(self.insert(int(k), int(v)))
-                continue
-            mk = np.concatenate([ek[~hit], gk])
-            mv = np.concatenate([ev[~hit], gv])
+            old = ~np.isin(ek, uk, assume_unique=True)
+            mk = np.concatenate([ek[old], uk[kept]])
+            mv = np.concatenate([ev[old], uv[kept]])
             o = np.argsort(mk, kind="stable")
             self._write_leaf_pairs(node, mk[o], mv[o])
-            if n_new:
-                self._raise_parent_keys(node, int(mk[o][-1]))
-            self.num_tuples += n_new
-            new_total += n_new
-        return new_total
+            fresh = gk[delta > 0]
+            if len(fresh):
+                self._raise_parent_keys(node, int(fresh.max()))
+            self.num_tuples += int(delta.sum())
+        elif kept.any():
+            # every upserted key is stored; a gapped leaf repeats a
+            # pair in the gaps before it, so overwrite the whole run
+            row = self.leaves.keys[node, : int(self.leaves.size[node])]
+            lo = np.searchsorted(row, uk[kept])
+            hi = np.searchsorted(row, uk[kept], side="right")
+            self.leaves.values[node, _multi_arange(lo, hi - lo)] = np.repeat(
+                uv[kept], hi - lo)
+            self.leaves.version[node] += 1
 
     def _split_leaf(self, node: int, path: list) -> None:
         """Split a full big leaf (and its last-level inner) in half."""

@@ -155,15 +155,8 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
                     )
             node = int(self.leaves.next[node])
 
-    def stored_keys(self) -> np.ndarray:
-        chain = self.leaf_chain()
-        if len(chain) == 0 or self.num_tuples == 0:
-            return np.zeros(0, dtype=self.spec.dtype)
-        sizes = self.leaves.size[chain]
-        mask = (
-            np.arange(self.leaves.capacity_pairs) < sizes[:, None]
-        ) & ~self.leaves.gap[chain]
-        return self.leaves.keys[chain][mask]
+    def _stored_mask(self, chain: np.ndarray) -> np.ndarray:
+        return super()._stored_mask(chain) & ~self.leaves.gap[chain]
 
     def _slot_is_live(self, node: int, slot: int) -> bool:
         return not self.leaves.gap[node, slot]

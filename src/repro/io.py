@@ -55,11 +55,7 @@ def _contents(tree):
         values = np.asarray([v for _k, v in items], dtype=spec.dtype)
         return keys, values
     if isinstance(tree, RegularCpuBPlusTree):
-        items = list(tree.items())
-        spec = tree.spec
-        keys = np.asarray([k for k, _v in items], dtype=spec.dtype)
-        values = np.asarray([v for _k, v in items], dtype=spec.dtype)
-        return keys, values
+        return tree.stored_items()
     raise TypeError(f"cannot persist a {type(tree).__name__}")
 
 

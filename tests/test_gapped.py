@@ -158,7 +158,7 @@ class TestWritePaths:
         rng = np.random.default_rng(31)
         bk = rng.integers(1, 2**63, size=1024, dtype=np.uint64)
         bv = bk ^ 0xAB
-        batch_tree.insert_batch(bk, bv)
+        batch_tree.apply_batch(bk, bv)
         # keep-last dedup semantics: scalar replay in stream order
         for k, v in zip(bk.tolist(), bv.tolist()):
             scalar_tree.insert(int(k), int(v))

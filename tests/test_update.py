@@ -9,7 +9,6 @@ from repro.core.update import (
     AsyncBatchUpdater,
     SyncUpdater,
     UpdateStats,
-    apply_cpu_only,
 )
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.workloads.generators import generate_dataset
@@ -233,14 +232,14 @@ class TestCpuOnlyBaseline:
         keys, values = base_data
         tree = RegularCpuBPlusTree(keys, values, fill=0.7)
         upd_keys, upd_vals = make_insert_batch(keys, 100, 64, seed=61)
-        n = apply_cpu_only(tree, upd_keys, upd_vals)
-        assert n == 100
+        tree.apply_batch(upd_keys, upd_vals)
+        assert len(tree) == len(keys) + 100
         tree.check_invariants()
         assert np.array_equal(tree.lookup_batch(upd_keys), upd_vals)
 
 
 class TestVectorizedKeepPath:
-    """The async keep-path's per-leaf batch scatter (insert_batch)."""
+    """The batch write primitive (apply_batch) against the scalar loop."""
 
     def test_batch_matches_scalar_regular(self, base_data):
         keys, values = base_data
@@ -249,7 +248,7 @@ class TestVectorizedKeepPath:
         rng = np.random.default_rng(73)
         bk = rng.integers(1, 2**63, size=900, dtype=np.uint64)
         bv = bk ^ 0x55
-        batch_tree.insert_batch(bk, bv)
+        batch_tree.apply_batch(bk, bv)
         for k, v in zip(bk.tolist(), bv.tolist()):
             scalar_tree.insert(int(k), int(v))
         assert list(batch_tree.items()) == list(scalar_tree.items())
@@ -261,7 +260,7 @@ class TestVectorizedKeepPath:
         k = int(keys[0]) + 1
         bk = np.asarray([k, k, k], dtype=np.uint64)
         bv = np.asarray([1, 2, 3], dtype=np.uint64)
-        tree.insert_batch(bk, bv)
+        tree.apply_batch(bk, bv)
         assert tree.lookup(k) == 3
         tree.check_invariants()
 
