@@ -45,7 +45,6 @@ from repro.core.mixed import (
 )
 from repro.core.update import (
     AsyncBatchUpdater,
-    ImplicitRebuildStats,
     SyncUpdater,
     UpdateStats,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "AsyncBatchUpdater",
     "SyncUpdater",
     "UpdateStats",
-    "ImplicitRebuildStats",
     "ConcurrentQueryEngine",
     "MixedRunResult",
     "OptimisticMixedEngine",

@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.hybrid import (
     CostProfile,
     kernel_transactions,
+    pack_levels,
     profile_implicit_levels,
 )
 from repro.core.load_balance import SplitCostModel, split_lookup
@@ -209,20 +210,9 @@ class CssTreeAdapter:
 
     def _mirror(self) -> None:
         t = self.cpu_tree
-        parts, offsets, sizes = [], [], []
-        elem = 0
-        for level in t.directory:
-            flat = level.reshape(-1)
-            offsets.append(elem)
-            sizes.append(flat.size)
-            parts.append(flat)
-            elem += flat.size
-        if parts:
-            image = np.concatenate(parts)
-        else:
-            image = np.full(t.fanout, t.spec.max_value, dtype=t.spec.dtype)
-            offsets, sizes = [0], [t.fanout]
-        self.level_offsets, self.level_sizes = offsets, sizes
+        image, self.level_offsets, self.level_sizes = pack_levels(
+            t.directory, t.fanout, t.spec
+        )
         self.link.to_device(self.device.memory, "css_dir", image)
         self.dir_buffer = self.device.memory.get("css_dir")
 

@@ -23,7 +23,7 @@ implemented in :mod:`repro.core.update`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.core.hybrid import HybridTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm, probe_leaf_slots
+from repro.faults import FaultError
 from repro.gpusim.kernels.regular_search import (
     launch_regular_search,
     regular_search_vectorized,
@@ -61,6 +62,8 @@ class MirrorSyncStats:
     #: :data:`SYNC_NODE_OVERHEAD_NS` per push, one ``T_init`` excluded
     #: (0 on a rebuild)
     stream_ns: float = 0.0
+    #: injected faults the sync absorbed with its full rebuild
+    faults: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,18 @@ class HBPlusTree(HybridTree):
         """Elements per mirrored node: index line + keys + refs."""
         kpl = self.spec.keys_per_line
         return kpl + 2 * self.cpu_tree.fanout
+
+    def push_ns(self, nodes: int = 1) -> float:
+        """Link bandwidth time of pushing ``nodes`` mirrored nodes,
+        without ``T_init`` or per-push overhead.  Takes the node count,
+        rather than being multiplied by it, so a sum is one rounding."""
+        return nodes * self.node_stride * 8 / self.machine.pcie.bandwidth_gbs
+
+    def mirror_layout(self) -> Dict[str, int]:
+        return {
+            "last_base": int(self.last_base),
+            "node_stride": int(self.node_stride),
+        }
 
     def _pack_nodes(self, pool, nodes: np.ndarray) -> np.ndarray:
         """Device images of many pool nodes at once, one row per node.
@@ -312,8 +327,8 @@ class HBPlusTree(HybridTree):
         The dirty set is exact: the nodes whose version stamp moved
         (every inner write ends in ``refresh_index`` or ``allocate``,
         which bump it on an existing node) plus the last-level nodes
-        appended since the mark.  Adjacent dirty mirror slots coalesce into one ranged
-        ``update_device`` transfer each.  Appended nodes first grow the
+        appended since the mark.  Adjacent dirty mirror slots coalesce
+        into one ranged transfer each.  Appended nodes first grow the
         device buffer and the expected image at their tail, a
         device-side allocation with no PCIe bytes; the image layout
         stays :meth:`pack_i_segment`'s ``[upper | last]``.  The
@@ -323,18 +338,27 @@ class HBPlusTree(HybridTree):
         Falls back to one full :meth:`mirror_i_segment` when the mark
         was ``behind``, when the upper pool grew or the height changed
         (every last-level slot moves), or when the ranged pushes would
-        cost more on the open copy stream than the full upload.  On an
-        injected transfer fault the exception propagates with
-        ``mirror_stale`` left True, exactly like :meth:`sync_node`.
+        cost more on the open copy stream than the full upload.  An
+        injected fault in a push or in that rebuild leaves the mirror
+        stale for an unknown prefix; one full rebuild absorbs it and
+        counts it in ``faults``.  A fault in the absorbing rebuild
+        propagates with ``mirror_stale`` left True.
         """
+        try:
+            return self._push_dirty(mark)
+        except FaultError:
+            stats = self._rebuild_sync()
+            stats.faults = 1
+            return stats
+
+    def _push_dirty(self, mark: MirrorMark) -> MirrorSyncStats:
         tree = self.cpu_tree
         upper, last = tree.upper, tree.last
         stride = self.node_stride
-        node_bytes = stride * 8
         rows = upper.count + last.count
         if (mark.behind or upper.count != mark.upper_count
                 or tree.height != mark.height):
-            return self._rebuild_sync(rows)
+            return self._rebuild_sync()
         dirty_upper = np.flatnonzero(
             upper.version[: mark.upper_count] != mark.upper_versions
         )
@@ -352,12 +376,11 @@ class HBPlusTree(HybridTree):
         starts = slots[np.r_[0, breaks]]
         ends = slots[np.r_[breaks, len(slots)] - 1] + 1
         stream_ns = (
-            len(slots) * node_bytes / self.machine.pcie.bandwidth_gbs
-            + len(starts) * SYNC_NODE_OVERHEAD_NS
+            self.push_ns(len(slots)) + len(starts) * SYNC_NODE_OVERHEAD_NS
         )
         if (stream_ns + self.machine.pcie.t_init_ns
-                > self.link.time_ns(rows * node_bytes)):
-            return self._rebuild_sync(rows)
+                > self.link.time_ns(rows * stride * 8)):
+            return self._rebuild_sync()
         image = self._packed[1]
         if image.size != rows * stride:
             image = grow_array(image, rows * stride)
@@ -373,12 +396,7 @@ class HBPlusTree(HybridTree):
         with self.obs.span("hbtree.sync_nodes", nodes=len(slots),
                            ranges=len(starts)):
             for s, e in zip(starts.tolist(), ends.tolist()):
-                stats.time_ns += self.link.update_device(
-                    self.device.memory,
-                    "iseg_regular",
-                    image[s * stride: e * stride],
-                    offset_elems=s * stride,
-                )
+                stats.time_ns += self.push_mirror_rows(s, e)
                 stats.transfers += 1
         self.mirror_stale = was_stale
         self._mirror_stamp = self._packed[0]
@@ -386,10 +404,46 @@ class HBPlusTree(HybridTree):
         self.obs.count("live.hbtree.sync_transfers", stats.transfers)
         return stats
 
-    def _rebuild_sync(self, rows: int) -> MirrorSyncStats:
+    def _rebuild_sync(self) -> MirrorSyncStats:
         t = self.mirror_i_segment()
-        return MirrorSyncStats(nodes=rows, transfers=1, time_ns=t,
-                               rebuilt=True)
+        tree = self.cpu_tree
+        return MirrorSyncStats(nodes=tree.upper.count + tree.last.count,
+                               transfers=1, time_ns=t, rebuilt=True)
+
+    def push_mirror_rows(self, start: int, end: int) -> float:
+        """Upload rows (nodes) ``[start, end)`` of the expected image
+        to the device mirror as one transfer; returns its time in ns.
+        A repair pushes one row per transfer."""
+        stride = self.node_stride
+        return self.link.update_device(
+            self.device.memory,
+            "iseg_regular",
+            self.current_i_segment_image()[start * stride: end * stride],
+            offset_elems=start * stride,
+        )
+
+    def verify_mirror(self) -> Optional[np.ndarray]:
+        """Screen the device mirror through the injector's corruption
+        site, then compare it with :meth:`current_i_segment_image`.
+
+        Returns the mirror rows (nodes) that differ, empty when the
+        mirror is healthy, or None when its size no longer matches the
+        expected image's (inner nodes were added since the last sync),
+        which only a full :meth:`mirror_i_segment` repairs.  The compare is element by
+        element, so it detects every difference a CRC-32 of the image
+        would, including every single-bit flip the injector makes, at
+        a fraction of the cost of hashing the image.
+        """
+        mirror = self.iseg_buffer.array
+        if self.injector is not None:
+            self.injector.maybe_corrupt(mirror)
+        expected = self.current_i_segment_image()
+        if mirror.size != expected.size:
+            return None
+        if np.array_equal(mirror, expected):
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.flatnonzero(mirror != expected)
+                         // self.node_stride)
 
     @property
     def gpu_levels(self) -> int:

@@ -20,7 +20,7 @@ Updates rebuild the whole tree and re-upload the I-segment
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.core.hybrid import (
     GpuSearchResult,
     HybridTree,
     kernel_transactions,
+    pack_levels,
     profile_implicit_levels,
 )
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree, descend_top
@@ -102,36 +103,30 @@ class ImplicitHBPlusTree(HybridTree):
             segment_prefix="hb_implicit",
         )
         self.last_rebuild: Optional[RebuildTimes] = None
-        self._mirror_i_segment()
+        self.mirror_i_segment()
 
     # ------------------------------------------------------------------
     # GPU mirror
 
-    def _mirror_i_segment(self) -> float:
+    def pack_i_segment(self) -> np.ndarray:
+        """The flat breadth-first I-segment image (:func:`pack_levels`)."""
+        tree = self.cpu_tree
+        return pack_levels(tree.inner_levels, tree.fanout, self.spec)[0]
+
+    def mirror_layout(self) -> Dict[str, int]:
+        return {"gpu_depth": int(self.gpu_depth)}
+
+    def mirror_i_segment(self) -> float:
         """(Re)build + upload the flat breadth-first I-segment mirror.
 
         Returns the simulated transfer time in ns.
         """
-        fanout = self.cpu_tree.fanout
-        parts: List[np.ndarray] = []
-        offsets: List[int] = []
-        sizes: List[int] = []
-        elem = 0
-        for level in self.cpu_tree.inner_levels:
-            flat = level.reshape(-1)
-            offsets.append(elem)
-            sizes.append(flat.size)
-            parts.append(flat)
-            elem += flat.size
-        if parts:
-            flat_iseg = np.concatenate(parts)
-        else:  # single-leaf tree: a trivial one-node I-segment
-            flat_iseg = np.full(fanout, self.spec.max_value, dtype=self.spec.dtype)
-            offsets, sizes = [0], [fanout]
-        self.level_offsets = offsets
-        self.level_sizes = sizes
-        self.gpu_depth = len(self.cpu_tree.inner_levels)
-        t = self.link.to_device(self.device.memory, "iseg", flat_iseg)
+        tree = self.cpu_tree
+        image, self.level_offsets, self.level_sizes = pack_levels(
+            tree.inner_levels, tree.fanout, self.spec
+        )
+        self.gpu_depth = len(tree.inner_levels)
+        t = self.link.to_device(self.device.memory, "iseg", image)
         self.iseg_buffer = self.device.memory.get("iseg")
         return t
 
@@ -333,7 +328,7 @@ class ImplicitHBPlusTree(HybridTree):
         """Rebuild both segments in main memory, then re-upload the
         I-segment to GPU memory."""
         self.cpu_tree.rebuild(keys, values)
-        transfer_ns = self._mirror_i_segment()
+        transfer_ns = self.mirror_i_segment()
         bw = self.machine.cpu.mem_bandwidth_gbs
         l_ns = self.l_segment_bytes * REBUILD_PASSES / bw
         i_ns = self.i_segment_bytes * REBUILD_PASSES / bw
@@ -356,7 +351,7 @@ class ImplicitHBPlusTree(HybridTree):
         (``MERGE_PASSES`` vs ``REBUILD_PASSES``).
         """
         self.cpu_tree.merge_update(upsert_keys, upsert_values, deletes)
-        transfer_ns = self._mirror_i_segment()
+        transfer_ns = self.mirror_i_segment()
         bw = self.machine.cpu.mem_bandwidth_gbs
         times = RebuildTimes(
             l_segment_ns=self.l_segment_bytes * MERGE_PASSES / bw,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,6 +111,18 @@ def profile_implicit_levels(tree, mem: MemorySystem, queries: np.ndarray
     return profiles, node, streams
 
 
+def pack_levels(levels: Sequence[np.ndarray], fanout: int, spec
+                ) -> Tuple[np.ndarray, List[int], List[int]]:
+    """The flat breadth-first device image of an implicit layout's
+    inner levels (root first), with each level's element offset and
+    size.  A layout without inner levels packs one all-maximum node."""
+    if not levels:
+        return np.full(fanout, spec.max_value, dtype=spec.dtype), [0], [fanout]
+    sizes = [level.size for level in levels]
+    offsets = list(accumulate(sizes[:-1], initial=0))
+    return np.concatenate([lvl.reshape(-1) for lvl in levels]), offsets, sizes
+
+
 def kernel_transactions(tree, streams: np.ndarray) -> Dict[str, int]:
     """Each kernel's transactions for a full descent whose per-level
     node ids are ``streams`` (one column per query): one windowed
@@ -179,6 +192,31 @@ class HybridTree:
         per-level costs of :class:`repro.core.load_balance.SplitCostModel`
         come from here."""
         raise NotImplementedError
+
+    # -- the mirror protocol --------------------------------------------
+
+    def pack_i_segment(self) -> np.ndarray:
+        """The device image of the I-segment, packed from the CPU tree
+        (the source of truth).  Touches neither the GPU nor the
+        injector."""
+        raise NotImplementedError
+
+    def mirror_layout(self) -> Dict[str, int]:
+        """The layout parameters of the device mirror as last
+        uploaded, which a rebuilt mirror must reproduce."""
+        raise NotImplementedError
+
+    def mirror_i_segment(self) -> float:
+        """Pack and upload the whole I-segment; returns the transfer
+        time in ns."""
+        raise NotImplementedError
+
+    def mirror_matches(self) -> bool:
+        """True when the device mirror equals :meth:`pack_i_segment`
+        bit for bit.  Reads the mirror without screening it through
+        the injector."""
+        return bool(np.array_equal(self.iseg_buffer.array,
+                                   self.pack_i_segment()))
 
     def cost_profile(self, sample: np.ndarray) -> CostProfile:
         """:meth:`level_profiles` of ``sample`` plus each kernel's

@@ -196,9 +196,7 @@ class ConcurrentQueryEngine:
 
         # mirror maintenance
         if method == "sync":
-            node_bytes = tree.node_stride * 8
-            push_ns = (node_bytes / tree.machine.pcie.bandwidth_gbs
-                       + SYNC_NODE_OVERHEAD_NS)
+            push_ns = tree.push_ns() + SYNC_NODE_OVERHEAD_NS
             sync_ns = len(op_key) * push_ns + (
                 tree.machine.pcie.t_init_ns if len(op_key) else 0.0
             )
@@ -289,39 +287,33 @@ class OptimisticMixedEngine:
     # ------------------------------------------------------------------
     # mirror maintenance
 
-    def _rebuild_with_retries(self) -> Tuple[float, int]:
-        """Full mirror rebuild, absorbing injected faults; returns
-        ``(time_ns, faults_absorbed)``."""
-        faults = 0
-        last: Optional[FaultError] = None
-        for _attempt in range(SYNC_FAULT_RETRIES):
+    def _sync_dirty(self, mark: MirrorMark) -> MirrorSyncStats:
+        """:meth:`HBPlusTree.sync_nodes`, retrying its fault-absorbing
+        rebuild when that faulted too: at most ``SYNC_FAULT_RETRIES``
+        rebuilds follow the first fault.  On exhaustion (a rate-1.0
+        plan, or genuinely dead hardware) the typed fault propagates,
+        so callers such as a ResilientHBPlusTree wrapper can degrade
+        on it."""
+        tree = self.tree
+        try:
+            return tree.sync_nodes(mark)
+        except FaultError as exc:
+            last = exc
+        # the first fault, and the rebuild sync_nodes absorbed it with
+        faults = 2
+        for _attempt in range(SYNC_FAULT_RETRIES - 1):
             try:
-                return self.tree.mirror_i_segment(), faults
+                t = tree.mirror_i_segment()
             except FaultError as exc:
                 faults += 1
                 last = exc
-        # the ladder is exhausted (a rate-1.0 plan, or genuinely dead
-        # hardware): propagate the typed fault so callers — e.g. a
-        # ResilientHBPlusTree wrapper — can degrade on it
-        assert last is not None
-        raise last
-
-    def _sync_dirty(self, mark: MirrorMark) -> Tuple[MirrorSyncStats, int]:
-        """Dirty-set mirror sync with the fault retry ladder."""
-        try:
-            return self.tree.sync_nodes(mark), 0
-        except FaultError:
-            # the ranged push aborted mid-flight; the mirror is stale
-            # for an unknown prefix — repair with the full rebuild
-            t, faults = self._rebuild_with_retries()
-            cpu_tree = self.tree.cpu_tree
-            return (
-                MirrorSyncStats(
-                    nodes=cpu_tree.upper.count + cpu_tree.last.count,
-                    transfers=1, time_ns=t, rebuilt=True,
-                ),
-                faults + 1,
+                continue
+            cpu_tree = tree.cpu_tree
+            return MirrorSyncStats(
+                nodes=cpu_tree.upper.count + cpu_tree.last.count,
+                transfers=1, time_ns=t, rebuilt=True, faults=faults,
             )
+        raise last
 
     # ------------------------------------------------------------------
     # execution
@@ -431,7 +423,7 @@ class OptimisticMixedEngine:
 
         # --- mirror maintenance: version diff -> ranged transfers ------
         bytes0 = tree.link.stats.bytes_to_device
-        sync_stats, sync_faults = self._sync_dirty(mark)
+        sync_stats = self._sync_dirty(mark)
         if sync_stats.rebuilt:
             modeled_sync_ns = sync_stats.time_ns
         else:
@@ -461,7 +453,7 @@ class OptimisticMixedEngine:
             sync_transfers=sync_stats.transfers,
             sync_bytes=int(sync_bytes),
             mirror_rebuilt=sync_stats.rebuilt,
-            sync_faults=sync_faults,
+            sync_faults=sync_stats.faults,
             gap_writes=gs.gap_writes if gs else 0,
             shift_writes=gs.shift_writes if gs else 0,
             splits=gs.splits if gs else 0,

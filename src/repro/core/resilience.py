@@ -18,10 +18,11 @@ Mechanisms (bottom-up):
   (failures and timeouts), with every wasted nanosecond accounted;
 * **bounded kernel timeout with relaunch** — a hung kernel is charged
   its watchdog budget and relaunched, a failed launch retried;
-* **verification + targeted repair** of the I-segment mirror: the
-  expected image is packed from the CPU tree (the source of truth),
-  compared with the mirror before every hybrid batch, and corrupted
-  nodes are individually re-uploaded;
+* **verification + targeted repair** of the I-segment mirror before
+  every hybrid batch: the tree compares its device mirror with its own
+  expected image (:meth:`HBPlusTree.verify_mirror`) and this layer
+  re-uploads each corrupted node (:meth:`HBPlusTree.push_mirror_rows`)
+  under the transfer retry policy; it holds no image of its own;
 * **stale-mirror repair** — an interrupted sync leaves
   ``HBPlusTree.mirror_stale`` set; the mirror is re-uploaded before the
   GPU is allowed to serve again;
@@ -81,9 +82,6 @@ class ResilienceConfig:
     transfer_timeout_ns: float = 50_000.0
     #: watchdog budget charged when a kernel hangs
     kernel_timeout_ns: float = 100_000.0
-    #: verify the mirror against the expected image before every
-    #: hybrid batch
-    verify_checksum: bool = True
     #: consecutive batch-level GPU failures that open the breaker
     breaker_threshold: int = 3
     #: degraded batches between recovery probes
@@ -292,7 +290,6 @@ class ResilientHBPlusTree:
                 )
         self.adaptive = adaptive
         self._calibrate()
-        self._snapshot_expected()
         self._maybe_trip_adaptive()
 
     @property
@@ -323,12 +320,6 @@ class ResilientHBPlusTree:
                 + sum(model.query_ns(p) for p in profiles)
             )
             self.cpu_only_query_ns = per_query / model.threads
-
-    def _snapshot_expected(self) -> None:
-        """Take the expected mirror image from the CPU tree, reusing the
-        image the last full mirror upload packed, or the last dirty-node
-        sync patched, when it is current."""
-        self._expected = self.tree.current_i_segment_image()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -399,62 +390,33 @@ class ResilientHBPlusTree:
     # mirror health
 
     def _refresh_mirror(self) -> None:
-        """Full I-segment re-upload with retries; refreshes the
-        expected image on success."""
+        """Full I-segment re-upload with retries."""
         t = self._transfer_with_retry(self.tree.mirror_i_segment)
         self.stats.repair_transfer_ns += t
         self._charge_penalty(t)
         self.stats.mirror_refreshes += 1
-        self._snapshot_expected()
 
-    def _repair_corruption(self) -> None:
-        """Compare the device mirror against the expected image and
-        re-upload only the corrupted nodes."""
-        buf = self.tree.iseg_buffer.array
-        expected = self._expected
-        if buf.size != expected.size:
-            # structure drifted (shouldn't happen outside stale windows,
-            # which _ensure_healthy_mirror repairs first) — full refresh
+    def _ensure_healthy_mirror(self) -> None:
+        """Make the mirror safe to search: repair staleness, let the
+        tree screen and verify its mirror, re-upload each node that
+        differs (or the whole mirror when its size moved)."""
+        tree = self.tree
+        if tree.mirror_stale:
+            self._refresh_mirror()
+        rows = tree.verify_mirror()
+        if rows is not None and len(rows) == 0:
+            return
+        self.stats.checksum_failures += 1
+        self._handle_fault()
+        if rows is None:
             self._refresh_mirror()
             return
-        diff = np.nonzero(buf != expected)[0]
-        if diff.size == 0:
-            return
-        stride = self.tree.node_stride
-        slots = np.unique(diff // stride)
-        for slot in slots.tolist():
-            src = expected[slot * stride: (slot + 1) * stride]
-            t = self._transfer_with_retry(
-                self.tree.link.update_device,
-                self.tree.device.memory,
-                "iseg_regular",
-                src,
-                offset_elems=slot * stride,
-            )
+        for row in rows.tolist():
+            t = self._transfer_with_retry(tree.push_mirror_rows, row,
+                                          row + 1)
             self.stats.repair_transfer_ns += t
             self._charge_penalty(t)
             self.stats.repaired_nodes += 1
-
-    def _ensure_healthy_mirror(self) -> None:
-        """Make the mirror safe to search: repair staleness, tick the
-        corruption site, verify the mirror, repair what flipped.
-
-        Verification compares the mirror with the expected image
-        element by element.  That detects every difference, so it is at
-        least as strong as a CRC-32 of the image, which also detects
-        every single-bit flip the injector makes: the same batches fail
-        the check, at a fraction of the cost of hashing the image.
-        """
-        if self.tree.mirror_stale:
-            self._refresh_mirror()
-        if self.injector is not None:
-            self.injector.maybe_corrupt(self.tree.iseg_buffer.array)
-        if self.config.verify_checksum:
-            if not np.array_equal(self.tree.iseg_buffer.array,
-                                  self._expected):
-                self.stats.checksum_failures += 1
-                self._handle_fault()
-                self._repair_corruption()
 
     # ------------------------------------------------------------------
     # serving
@@ -744,7 +706,6 @@ class ResilientHBPlusTree:
                     if self.breaker.record_failure():
                         self.stats.degradations += 1
                         self._note_degrade("consecutive_failures")
-            self._snapshot_expected()
         return stats
 
     # ------------------------------------------------------------------

@@ -67,8 +67,8 @@ class UpdateStats:
     transfer_ns: float = 0.0
     #: inner nodes written to the mirror (every node on a rebuild)
     synced_nodes: int = 0
-    #: pushes aborted by an injected fault; each one forces the
-    #: end-of-batch full mirror rebuild that restores consistency
+    #: pushes aborted by an injected fault; each one forces a full
+    #: mirror rebuild that restores consistency
     sync_faults: int = 0
 
     @property
@@ -89,19 +89,6 @@ class UpdateStats:
             # downstream aggregation (means, JSON) never sees inf
             return 0.0
         return total * 1e9 / t
-
-
-@dataclass
-class ImplicitRebuildStats:
-    """Phase breakdown of an implicit HB+-tree update (Fig 15)."""
-
-    l_segment_ns: float
-    i_segment_ns: float
-    transfer_ns: float
-
-    @property
-    def total_ns(self) -> float:
-        return self.l_segment_ns + self.i_segment_ns + self.transfer_ns
 
 
 def _measure_update_cost_ns(tree: HBPlusTree, sample_keys: np.ndarray) -> float:
@@ -301,14 +288,9 @@ class SyncUpdater:
         op_key, op_val, op_del = _op_stream(keys, values, deletes)
         tree.cpu_tree.apply_batch(op_key, op_val, is_delete=op_del)
         stats.applied = len(op_key)
-        try:
-            mirror = tree.sync_nodes(mark)
-        except FaultError:
-            # a push aborted mid-flight; the mirror is stale for an
-            # unknown prefix — repair with one full rebuild
-            stats.sync_faults += 1
-            return 0.0, tree.mirror_i_segment()
+        mirror = tree.sync_nodes(mark)
         stats.synced_nodes = mirror.nodes
+        stats.sync_faults = mirror.faults
         if mirror.rebuilt:
             return 0.0, mirror.time_ns
         return mirror.stream_ns, 0.0
@@ -350,10 +332,8 @@ class SyncUpdater:
                 # this node — repair with the full rebuild below
                 stats.sync_faults += 1
                 structural += 1
-        node_bytes = tree.node_stride * 8
         push_ns = stats.synced_nodes * (
-            node_bytes / tree.machine.pcie.bandwidth_gbs
-            + SYNC_NODE_OVERHEAD_NS
+            tree.push_ns() + SYNC_NODE_OVERHEAD_NS
         )
         rebuild_ns = tree.mirror_i_segment() if structural else 0.0
         return push_ns, rebuild_ns

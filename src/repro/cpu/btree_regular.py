@@ -756,11 +756,6 @@ class RegularCpuBPlusTree:
     # ------------------------------------------------------------------
     # key maintenance
 
-    def _line_max_keys(self, leaf: int) -> np.ndarray:
-        """Per-cache-line max keys of a big leaf (MAX beyond its size)."""
-        p = self.spec.leaf_pairs_per_line
-        return self.leaves.keys[leaf].reshape(self.fanout, p)[:, -1]
-
     def leaf_occupancy(self, nodes: np.ndarray) -> np.ndarray:
         """Stored pairs per big leaf (vectorised).
 

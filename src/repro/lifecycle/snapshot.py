@@ -5,10 +5,9 @@ A snapshot captures everything a node needs to resume serving:
 * the **L-segment** — the sorted key/value contents (the source of
   truth for every tree kind);
 * the **I-segment mirror metadata** — the CRC of the packed device
-  image plus its layout parameters (``last_base`` / ``node_stride``
-  for the regular hybrid, ``gpu_depth`` for the implicit), so a
-  restore can prove the rebuilt mirror is bit-identical to the one
-  that was serving;
+  image (``pack_i_segment()``) plus its layout parameters
+  (``mirror_layout()``), so a restore can prove the rebuilt mirror is
+  bit-identical to the one that was serving;
 * the **committed (D, R) split** — the adaptive controller's last
   applied operating point, so a warm restart serves at it from the
   first bucket instead of re-discovering from scratch.
@@ -33,8 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
-from repro.core.hbtree import HBPlusTree
-from repro.core.hbtree_implicit import ImplicitHBPlusTree
+from repro.core.hybrid import HybridTree
 from repro.faults.plan import FaultError
 from repro.io import _KINDS, _contents, _parse_meta, build_index
 from repro.lifecycle.format import (
@@ -63,28 +61,12 @@ def mirror_image(tree) -> Optional[np.ndarray]:
 
     None for CPU-only kinds — they have no mirror to verify.
     """
-    if isinstance(tree, HBPlusTree):
-        return tree.pack_i_segment()
-    if isinstance(tree, ImplicitHBPlusTree):
-        parts = [lvl.reshape(-1) for lvl in tree.cpu_tree.inner_levels]
-        if parts:
-            return np.concatenate(parts)
-        return np.full(
-            tree.cpu_tree.fanout, tree.spec.max_value, dtype=tree.spec.dtype
-        )
-    return None
+    return tree.pack_i_segment() if isinstance(tree, HybridTree) else None
 
 
 def _mirror_meta(tree) -> Dict[str, int]:
     """Layout parameters the rebuilt mirror must reproduce exactly."""
-    if isinstance(tree, HBPlusTree):
-        return {
-            "last_base": int(tree.last_base),
-            "node_stride": int(tree.node_stride),
-        }
-    if isinstance(tree, ImplicitHBPlusTree):
-        return {"gpu_depth": int(tree.gpu_depth)}
-    return {}
+    return tree.mirror_layout() if isinstance(tree, HybridTree) else {}
 
 
 @dataclass
@@ -466,9 +448,7 @@ def warm_restart(
         machine=machine, mem=mem, fill=fill, cold_source=cold_source
     )
     controller = None
-    if result.split is not None and isinstance(
-        result.tree, (HBPlusTree, ImplicitHBPlusTree)
-    ):
+    if result.split is not None and isinstance(result.tree, HybridTree):
         controller = AdaptiveController.warm_start(
             result.tree, result.split, config=config,
             bucket_size=bucket_size, obs=obs,

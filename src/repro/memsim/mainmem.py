@@ -436,18 +436,6 @@ class MemorySystem:
         c.tlb_misses_huge = tc.tlb_misses_huge
         return misses
 
-    def publish_metrics(self, metrics, **labels) -> None:
-        """Export the access counters into a
-        :class:`repro.obs.MetricsRegistry` as ``mem.*`` gauges.
-
-        Pull-style on purpose: the touch loops are the simulator's
-        hottest paths, so observability reads the accumulated counters
-        on demand instead of instrumenting every access.
-        """
-        from repro.obs.export import publish_memory
-
-        publish_memory(metrics, self, **labels)
-
     def reset_counters(self) -> None:
         """Zero all counters (keeps cache/TLB *contents* warm)."""
         self.counters.reset()

@@ -95,13 +95,6 @@ class LatencyRecorder:
             self._ops += ops
             self._busy_ns += int(ns)
 
-    def percentile_ns(self, p: float) -> float:
-        with self._lock:
-            if not self._lat_ns:
-                return 0.0
-            lats = sorted(self._lat_ns)
-            return float(lats[nearest_rank_index(p, len(lats))])
-
     def summary(self) -> Dict[str, float]:
         with self._lock:
             lats = sorted(self._lat_ns)

@@ -93,13 +93,7 @@ def validate_hybrid_implicit(tree: ImplicitHBPlusTree,
     """CPU structure + GPU mirror consistency (literal kernel replay)."""
     validate_implicit(tree.cpu_tree)
     # the flat device image must equal the CPU inner levels
-    flat = tree.iseg_buffer.array
-    for level, (off, size) in enumerate(
-        zip(tree.level_offsets, tree.level_sizes)
-    ):
-        cpu_level = tree.cpu_tree.inner_levels[level].reshape(-1)
-        _require(bool(np.array_equal(flat[off: off + size], cpu_level)),
-                 f"hybrid implicit: GPU mirror stale at level {level}")
+    _require(tree.mirror_matches(), "hybrid implicit: GPU mirror is stale")
     # literal SIMT kernel must agree with the CPU descent
     stored = tree.cpu_tree.leaf_keys.reshape(-1)
     stored = stored[stored != tree.spec.max_value]
@@ -124,6 +118,10 @@ def validate_hybrid_regular(tree: HBPlusTree,
     _require(bool(np.array_equal(tree.current_i_segment_image(),
                                  tree.pack_i_segment())),
              "hybrid regular: reused I-segment image is stale")
+    # a mirror not flagged stale must hold that image
+    if not tree.mirror_stale:
+        _require(tree.mirror_matches(),
+                 "hybrid regular: GPU mirror differs from the CPU tree")
     stored = np.asarray(tree.cpu_tree.stored_keys(), dtype=tree.spec.dtype)
     if len(stored):
         rng = np.random.default_rng(13)

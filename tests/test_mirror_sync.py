@@ -161,7 +161,8 @@ class TestDirtySetSync:
             r.apply_updates(ups, ups, dels, method="sync")
         assert packs == []
         monkeypatch.undo()
-        np.testing.assert_array_equal(r._expected, tree.pack_i_segment())
+        np.testing.assert_array_equal(tree.current_i_segment_image(),
+                                      tree.pack_i_segment())
         _assert_mirror_current(tree)
 
 
@@ -259,7 +260,8 @@ def test_resilient_sync_validates_under_transfer_faults(specs):
     for spec in specs:
         ups, vals, dels = _batch(tree, spec)
         r.apply_updates(ups, vals, dels, method="sync")
-        np.testing.assert_array_equal(r._expected, tree.pack_i_segment())
+        np.testing.assert_array_equal(tree.current_i_segment_image(),
+                                      tree.pack_i_segment())
         if not tree.mirror_stale:
             validate_hybrid_regular(tree)
         np.testing.assert_array_equal(r.lookup_batch(ups), vals)

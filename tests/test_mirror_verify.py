@@ -128,7 +128,8 @@ class TestOnePackPerUpdateBatch:
             ups = rng.integers(1, 2**40, size=96, dtype=np.uint64)
             dels = rng.choice(keys, 32)
             r.apply_updates(ups, ups, dels, method=method)
-            np.testing.assert_array_equal(r._expected, tree.pack_i_segment())
+            np.testing.assert_array_equal(tree.current_i_segment_image(),
+                                          tree.pack_i_segment())
 
     def test_async_batch_packs_once(self, monkeypatch):
         keys, values = generate_dataset(1 << 13, seed=5)
@@ -146,7 +147,8 @@ class TestOnePackPerUpdateBatch:
         r.apply_updates(ups, ups, method="async")
         assert len(packs) == 1
         monkeypatch.undo()
-        np.testing.assert_array_equal(r._expected, tree.pack_i_segment())
+        np.testing.assert_array_equal(tree.current_i_segment_image(),
+                                      tree.pack_i_segment())
 
     def test_stale_image_is_repacked(self):
         keys, values = generate_dataset(1 << 12, seed=5)
@@ -202,11 +204,13 @@ class TestOnePackPerUpdateBatch:
         rng = np.random.default_rng(4)
         ups = rng.integers(1, 2**40, size=1500, dtype=np.uint64)
         r.apply_updates(ups, ups, method="sync")
-        np.testing.assert_array_equal(r._expected, tree.pack_i_segment())
+        np.testing.assert_array_equal(tree.current_i_segment_image(),
+                                      tree.pack_i_segment())
         peak = tree.cpu_tree.height
         doomed = np.concatenate([keys, ups])
         for chunk in np.array_split(doomed, 8):
             r.apply_updates(np.empty(0, np.uint64), np.empty(0, np.uint64),
                             chunk, method="sync")
-            np.testing.assert_array_equal(r._expected, tree.pack_i_segment())
+            np.testing.assert_array_equal(tree.current_i_segment_image(),
+                                          tree.pack_i_segment())
         assert tree.cpu_tree.height < peak, "the root never collapsed"
