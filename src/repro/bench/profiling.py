@@ -1,15 +1,13 @@
-"""Fast instrumented profiling of CPU-side tree search.
+"""Instrumented profiling of CPU-side tree search for the figures.
 
-The scalar ``tree.lookup(..., instrument=True)`` path exercises the
-whole SIMD-emulation machinery and is too slow for benchmark sweeps.
-These helpers reproduce exactly the *memory access sequence* of a
-software-pipelined multi-query run (level by level across the query
-batch — the order Algorithm 2 generates) using vectorised descent plus
-per-access ``touch_line`` calls, and convert the resulting counters
-into a :class:`CpuQueryProfile`.
-
-The test suite verifies that these profiles match what the slow
-instrumented lookups measure.
+The regular and implicit profilers live with the walks they run
+(:func:`repro.core.hybrid.profile_regular` /
+:func:`~repro.core.hybrid.profile_implicit`, re-exported here): each
+replays the memory access sequence of a software-pipelined multi-query
+run (level by level across the batch, Algorithm 2's order) through one
+vectorised walk, on a warm-up half and then a measured half.  FAST
+runs its scalar instrumented lookups.  :func:`cpu_tree_performance`
+turns a profile into throughput and latency.
 """
 
 from __future__ import annotations
@@ -18,6 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+# profile_regular / profile_implicit are re-exported
+from repro.core.hybrid import profile_implicit, profile_regular, steady_profile
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.fast_tree import FastTree
@@ -26,91 +26,9 @@ from repro.platform.configs import MachineConfig
 from repro.platform.costmodel import CpuCostModel, CpuQueryProfile
 
 
-
-def _split_warm(q: np.ndarray, warm: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Split a query stream into a warm-up half and a measurement half.
-
-    Measuring the same queries that warmed the cache overstates the hit
-    rate (their exact lines are still resident); a steady-state profile
-    needs fresh queries against a representatively warm cache, so the
-    first half warms and the disjoint second half is measured.
-    """
-    if not warm or len(q) < 2:
-        return q[:0], q
-    half = len(q) // 2
-    return q[:half], q[half:]
-
-
-def profile_implicit(
-    tree: ImplicitCpuBPlusTree, queries: np.ndarray, warm: bool = True
-) -> CpuQueryProfile:
-    """Memory profile of implicit-tree lookups (H+1 lines per query)."""
-    if tree.mem is None or tree.i_segment is None:
-        raise ValueError("tree must be built with a MemorySystem to profile")
-    q = np.asarray(queries, dtype=tree.spec.dtype)
-    warm_q, measure_q = _split_warm(q, warm)
-    for p, q in enumerate((warm_q, measure_q) if warm else (measure_q,)):
-        if len(q) == 0:
-            continue
-        if q is measure_q:
-            tree.mem.reset_counters()
-        node = np.zeros(len(q), dtype=np.int64)
-        for level, level_keys in enumerate(tree.inner_levels):
-            offset = tree._level_line_offset(level)
-            for n in node.tolist():
-                tree.mem.touch_line(tree.i_segment, offset + int(n))
-            keys = level_keys[node]
-            k = np.sum(keys < q[:, None], axis=1).astype(np.int64)
-            next_size = (
-                tree.inner_levels[level + 1].shape[0]
-                if level + 1 < len(tree.inner_levels)
-                else tree.num_leaves
-            )
-            node = np.minimum(node * tree.fanout + k, next_size - 1)
-        for n in node.tolist():
-            tree.mem.touch_line(tree.l_segment, int(n))
-    counters = tree.mem.counters
-    counters.queries = len(measure_q)
-    return CpuQueryProfile.from_counters(
-        counters, node_searches_per_query=tree.height + 1
-    )
-
-
-def profile_regular(
-    tree: RegularCpuBPlusTree, queries: np.ndarray, warm: bool = True
-) -> CpuQueryProfile:
-    """Memory profile of regular-tree lookups (3 lines per inner node)."""
-    if tree.mem is None:
-        raise ValueError("tree must be built with a MemorySystem to profile")
-    tree._ensure_segments()
-    q = np.asarray(queries, dtype=tree.spec.dtype)
-    kpl = tree.spec.keys_per_line
-    warm_q, measure_q = _split_warm(q, warm)
-    for p, q in enumerate((warm_q, measure_q) if warm else (measure_q,)):
-        if len(q) == 0:
-            continue
-        if q is measure_q:
-            tree.mem.reset_counters()
-        node = np.full(len(q), tree.root, dtype=np.int64)
-        for level in range(tree.height - 1, -1, -1):
-            pool = tree.last if level == 0 else tree.upper
-            keys = pool.keys[node]
-            slot = np.sum(keys < q[:, None], axis=1)
-            slot = np.minimum(slot, np.maximum(pool.size[node] - 1, 0))
-            groups = (slot // kpl).tolist()
-            for n, g in zip(node.tolist(), groups):
-                tree._touch_inner(level, int(n), int(g))
-            if level == 0:
-                lines = slot.tolist()
-                for n, ln in zip(node.tolist(), lines):
-                    tree._touch_leaf_line(int(n), int(ln))
-            else:
-                node = pool.refs[node, slot].astype(np.int64)
-    counters = tree.mem.counters
-    counters.queries = len(measure_q)
-    return CpuQueryProfile.from_counters(
-        counters, node_searches_per_query=2.0 * tree.height + 1
-    )
+def _fast_walk(tree: FastTree, queries: np.ndarray) -> None:
+    for key in queries.tolist():
+        tree.lookup(int(key), instrument=True)
 
 
 def profile_fast(
@@ -119,20 +37,8 @@ def profile_fast(
     """Memory profile of FAST lookups (one line per d_L binary levels)."""
     if tree.mem is None:
         raise ValueError("tree must be built with a MemorySystem to profile")
-    q = np.asarray(queries, dtype=tree.spec.dtype)
-    warm_q, measure_q = _split_warm(q, warm)
-    for q in (warm_q, measure_q) if warm else (measure_q,):
-        if len(q) == 0:
-            continue
-        if q is measure_q:
-            tree.mem.reset_counters()
-        for key in q.tolist():
-            tree.lookup(int(key), instrument=True)
-    counters = tree.mem.counters
-    counters.queries = len(measure_q)
-    return CpuQueryProfile.from_counters(
-        counters, node_searches_per_query=tree.lines_per_query
-    )
+    return steady_profile(tree, queries, warm, _fast_walk,
+                          tree.lines_per_query)
 
 
 def cpu_tree_performance(

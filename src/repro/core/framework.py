@@ -29,8 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.hybrid import (
-    CostProfile,
-    kernel_transactions,
+    HybridTree,
     pack_levels,
     profile_implicit_levels,
 )
@@ -203,6 +202,7 @@ class CssTreeAdapter:
 
     def __init__(self, tree: CssTree, machine: MachineConfig):
         self.cpu_tree = tree
+        self.mem = tree.mem
         self.machine = machine
         self.device = GpuDevice(machine.gpu)
         self.link = PcieLink(machine.pcie)
@@ -271,51 +271,46 @@ class CssTreeAdapter:
         codes, _txns = self.gpu_descend_from(q, zeros, zeros)
         return self.cpu_finish_bucket(q, codes)
 
-    def level_profiles(self, sample):
-        profile = self.cost_profile(sample)
-        return profile.levels, profile.leaf
+    # the hybrid trees' pricing, over this layout's walk
+    level_profiles = HybridTree.level_profiles
+    cost_profile = HybridTree.cost_profile
+    _walk_sample = HybridTree._walk_sample
 
-    def cost_profile(self, sample) -> CostProfile:
-        """Level profiles and every kernel's transactions from one
-        instrumented walk (see :meth:`ImplicitHBPlusTree.cost_profile`:
-        the directory descent is the same implicit step)."""
-        profiles, leaf, streams = _css_profiles(self.cpu_tree, sample)
-        return CostProfile(profiles, leaf, kernel_transactions(self, streams))
+    def _profile_walk(self, queries):
+        """The CSS layout's instrumented walk: the directory levels
+        (:func:`profile_implicit_levels`), then each query's run of the
+        sorted data array, every run's lines in one ``touch_lines``
+        call (``touch`` settles a run line by line, so the state is
+        the same)."""
+        tree, mem = self.cpu_tree, self.mem
+        n = max(1, len(queries))
+        profiles, node, streams = profile_implicit_levels(tree, mem, queries)
+        before = mem.counters.cache_misses
+        tlb_before = mem.counters.tlb_misses_small
+        pair = 2 * tree.spec.size_bytes
+        lo = node * tree.fanout
+        start = lo * pair
+        end = start + np.maximum(
+            pair, (np.minimum(lo + tree.fanout, tree.num_tuples) - lo) * pair
+        )
+        first = start // mem.line_size
+        count = (end - 1) // mem.line_size - first + 1
+        mem.touch_lines(
+            tree.l_segment,
+            np.repeat(first - count.cumsum() + count, count)
+            + np.arange(count.sum()),
+        )
+        leaf = CpuQueryProfile(
+            lines=2.0,
+            misses=(mem.counters.cache_misses - before) / n,
+            tlb_small=(mem.counters.tlb_misses_small - tlb_before) / n,
+            tlb_huge=0.0,
+            node_searches=1.0,
+        )
+        return profiles, leaf, streams
 
     def modeled_transactions(self, queries, kernel=None) -> int:
         """Device transactions of a full directory descent (pure)."""
         q = np.asarray(queries, dtype=self.spec.dtype)
         zeros = np.zeros(len(q), dtype=np.int64)
         return self.gpu_descend_from(q, zeros, zeros, kernel)[1]
-
-
-# ----------------------------------------------------------------------
-# instrumented measurement of the CSS-tree
-
-
-def _css_profiles(tree: CssTree, sample):
-    """Instrumented descent of ``sample``: one I-segment line per query
-    and directory level, then each query's run of the sorted data
-    array.  Returns the per-level profiles, the leaf profile and the
-    per-level node streams the walk visited."""
-    mem = tree.mem
-    if mem is None:
-        raise ValueError("CssTree must be built with a MemorySystem")
-    q = np.asarray(sample, dtype=tree.spec.dtype)
-    mem.reset_counters()
-    profiles, node, streams = profile_implicit_levels(tree, mem, q)
-    before = mem.counters.cache_misses
-    tlb_before = mem.counters.tlb_misses_small
-    pair = 2 * tree.spec.size_bytes
-    for n in node.tolist():
-        lo = int(n) * tree.fanout
-        hi = min(lo + tree.fanout, tree.num_tuples)
-        mem.touch(tree.l_segment, lo * pair, max(pair, (hi - lo) * pair))
-    leaf = CpuQueryProfile(
-        lines=2.0,
-        misses=(mem.counters.cache_misses - before) / len(q),
-        tlb_small=(mem.counters.tlb_misses_small - tlb_before) / len(q),
-        tlb_huge=0.0,
-        node_searches=1.0,
-    )
-    return profiles, leaf, streams

@@ -23,11 +23,11 @@ implemented in :mod:`repro.core.update`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.hybrid import HybridTree
+from repro.core.hybrid import HybridTree, regular_walk
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm, probe_leaf_slots
@@ -39,7 +39,6 @@ from repro.gpusim.kernels.regular_search import (
 from repro.gpusim.memory import grow_array
 from repro.memsim.mainmem import MemorySystem, PageConfig
 from repro.platform.configs import MachineConfig
-from repro.platform.costmodel import CpuQueryProfile
 
 #: per-push overhead on the synchronizing thread's open copy stream
 #: (request bookkeeping; the stream amortizes the big T_init)
@@ -532,46 +531,9 @@ class HBPlusTree(HybridTree):
     # ------------------------------------------------------------------
     # profiling / cost model
 
-    def profile_leaf_stage(self, sample_queries: np.ndarray) -> CpuQueryProfile:
-        q = np.asarray(sample_queries, dtype=self.spec.dtype)
-        codes, _txns = self.gpu_descend(q)
-        tree = self.cpu_tree
-        node = (codes // tree.fanout).astype(np.int64)
-        line = (codes % tree.fanout).astype(np.int64)
-        self.mem.reset_counters()
-        tree._ensure_segments()
-        tree._touch_leaf_lines(node, line)
-        counters = self.mem.counters
-        counters.queries = len(q)
-        return CpuQueryProfile.from_counters(counters, node_searches_per_query=1.0)
+    def _profile_walk(self, queries: np.ndarray):
+        return regular_walk(self.cpu_tree, queries)
 
-    def level_profiles(
-        self, sample: np.ndarray
-    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
-        """Per-inner-level CPU profiles (root first) and the leaf
-        profile, from one instrumented descent of ``sample``: each
-        level runs the 3-line node search, the leaf stage probes the
-        addressed big-leaf line."""
-        tree = self.cpu_tree
-        mem = self.mem
-        q = np.asarray(sample, dtype=self.spec.dtype)
-        tree._ensure_segments()
-        kpl = self.spec.keys_per_line
-        mem.reset_counters()
-        profiles: List[CpuQueryProfile] = []
-        for level, node, _below, slot in tree._walk(q):
-            # the three lines each key's node search reads, key by key
-            lines = tree._inner_lines(level, node, slot // kpl)
-            misses = mem.touch_lines(
-                tree.i_segment, np.stack(lines, axis=1)
-            ) / len(q)
-            profiles.append(CpuQueryProfile(
-                lines=3.0, misses=misses, tlb_small=0.0, tlb_huge=0.0,
-                node_searches=2.0,
-            ))
-        leaf_misses = tree._touch_leaf_lines(node, slot) / len(q)
-        leaf = CpuQueryProfile(
-            lines=1.0, misses=leaf_misses, tlb_small=0.5, tlb_huge=0.0,
-            node_searches=1.0,
-        )
-        return profiles, leaf
+    def _touch_leaves(self, codes: np.ndarray) -> None:
+        fanout = self.cpu_tree.fanout
+        self.cpu_tree._touch_leaf_lines(codes // fanout, codes % fanout)

@@ -20,17 +20,15 @@ Updates rebuild the whole tree and re-upload the I-segment
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.hybrid import (
-    CostProfile,
     GpuSearchResult,
     HybridTree,
-    kernel_transactions,
+    implicit_walk,
     pack_levels,
-    profile_implicit_levels,
 )
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree, descend_top
 from repro.cpu.node_search import NodeSearchAlgorithm
@@ -44,7 +42,6 @@ from repro.gpusim.kernels.implicit_search import (
 )
 from repro.memsim.mainmem import MemorySystem, PageConfig
 from repro.platform.configs import MachineConfig
-from repro.platform.costmodel import CpuQueryProfile
 
 
 @dataclass
@@ -276,50 +273,11 @@ class ImplicitHBPlusTree(HybridTree):
     # ------------------------------------------------------------------
     # instrumented profiling (feeds the cost model)
 
-    def level_profiles(
-        self, sample: np.ndarray
-    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
-        """Per-inner-level CPU profiles (root first) and the leaf
-        profile, from one instrumented descent of ``sample``."""
-        profile = self.cost_profile(sample)
-        return profile.levels, profile.leaf
+    def _profile_walk(self, queries: np.ndarray):
+        return implicit_walk(self.cpu_tree, queries)
 
-    def cost_profile(self, sample: np.ndarray) -> CostProfile:
-        """One instrumented descent of ``sample`` — each level touches
-        one I-segment line per query, the leaf stage one L-segment
-        line — and every kernel's transactions from the same walk: the
-        CPU descent visits on each level the node the GPU stage reads
-        for each query, so its node streams are the stream matrix of
-        :meth:`gpu_descend`, and each kernel's count is one windowed
-        distinct pass over them."""
-        q = np.asarray(sample, dtype=self.spec.dtype)
-        n = len(q)
-        mem = self.mem
-        mem.reset_counters()
-        c = mem.counters
-        profiles, leaf_pos, streams = profile_implicit_levels(
-            self.cpu_tree, mem, q
-        )
-        before = (c.cache_misses, c.tlb_misses_small, c.tlb_misses_huge)
-        mem.touch_lines(self.cpu_tree.l_segment, leaf_pos)
-        leaf = CpuQueryProfile(
-            lines=1.0,
-            misses=(c.cache_misses - before[0]) / n,
-            tlb_small=(c.tlb_misses_small - before[1]) / n,
-            tlb_huge=(c.tlb_misses_huge - before[2]) / n,
-            node_searches=1.0,
-        )
-        return CostProfile(profiles, leaf, kernel_transactions(self, streams))
-
-    def profile_leaf_stage(self, sample_queries: np.ndarray) -> CpuQueryProfile:
-        """Measure the CPU leaf stage's per-query memory behaviour."""
-        q = np.asarray(sample_queries, dtype=self.spec.dtype)
-        leaf = self._leaves_of(self.gpu_descend(q)[0])
-        self.mem.reset_counters()
-        self.mem.touch_lines(self.cpu_tree.l_segment, leaf)
-        counters = self.mem.counters
-        counters.queries = len(q)
-        return CpuQueryProfile.from_counters(counters, node_searches_per_query=1.0)
+    def _touch_leaves(self, codes: np.ndarray) -> None:
+        self.mem.touch_lines(self.cpu_tree.l_segment, self._leaves_of(codes))
 
     # ------------------------------------------------------------------
     # updates (rebuild, section 5.6 / Fig 15)

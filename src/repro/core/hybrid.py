@@ -5,9 +5,15 @@ I-segment to one per-query code (T2), the CPU finishes in the
 L-segment (T4).  :class:`HybridTree` holds that flow — launch
 screening, the charged descent, the full lookup, range-scan starts and
 the sampled T1-T4 cost model — so each tree supplies only its layout:
-``gpu_descend``, ``cpu_finish_bucket``, ``profile_leaf_stage``,
-``level_profiles``, how a code names a leaf, its stored-key sample and
-its GPU level count.
+``gpu_descend``, ``cpu_finish_bucket``, ``_profile_walk`` (its one
+instrumented CPU walk), ``_touch_leaves``, how a code names a leaf,
+its stored keys and its GPU level count.
+
+Every CPU-side price reads one instrumented walk per layout, level by
+level across the sample (Algorithm 2's order): :func:`regular_walk` and
+:func:`implicit_walk`.  The walks also return the node streams a full
+GPU descent charges, so :meth:`HybridTree.cost_profile` prices every
+kernel without descending on the GPU.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ def profile_implicit_levels(tree, mem: MemorySystem, queries: np.ndarray
     row ``level`` of ``streams`` holds each query's node on that level,
     the stream matrix a full GPU descent of the mirrored levels charges
     (:func:`~repro.gpusim.kernels.implicit_search.implicit_descend`).
+    An empty ``queries`` touches nothing and profiles zero misses.
     """
     n = len(queries)
     c = mem.counters
@@ -104,11 +111,114 @@ def profile_implicit_levels(tree, mem: MemorySystem, queries: np.ndarray
         before = c.cache_misses
         mem.touch_lines(tree.i_segment, tree._level_line_offset(level) + node)
         profiles.append(CpuQueryProfile(
-            lines=1.0, misses=(c.cache_misses - before) / n,
+            lines=1.0, misses=(c.cache_misses - before) / max(1, n),
             tlb_small=0.0, tlb_huge=0.0, node_searches=1.0,
         ))
         node = tree.descend_level(level, node, queries)
     return profiles, node, streams
+
+
+#: an instrumented walk: inner-level profiles (root first), the leaf
+#: profile, and the node streams a full GPU descent of it charges
+Walk = Tuple[List[CpuQueryProfile], CpuQueryProfile, np.ndarray]
+
+
+def implicit_walk(tree, queries: np.ndarray) -> Walk:
+    """The implicit layout's instrumented walk: the inner levels
+    (:func:`profile_implicit_levels`), then each query's leaf line."""
+    mem = tree.mem
+    c = mem.counters
+    n = max(1, len(queries))
+    levels, leaf_pos, streams = profile_implicit_levels(tree, mem, queries)
+    before = (c.cache_misses, c.tlb_misses_small, c.tlb_misses_huge)
+    mem.touch_lines(tree.l_segment, leaf_pos)
+    leaf = CpuQueryProfile(
+        lines=1.0,
+        misses=(c.cache_misses - before[0]) / n,
+        tlb_small=(c.tlb_misses_small - before[1]) / n,
+        tlb_huge=(c.tlb_misses_huge - before[2]) / n,
+        node_searches=1.0,
+    )
+    return levels, leaf, streams
+
+
+def regular_walk(tree, queries: np.ndarray) -> Walk:
+    """The regular layout's instrumented walk over a
+    :class:`~repro.cpu.btree_regular.RegularCpuBPlusTree`: each level
+    touches every query's index, key and ref line in one
+    :meth:`MemorySystem.touch_lines` call, the leaf stage each query's
+    big-leaf line.  Its ``(3h - 1) x n`` streams (per level the node,
+    the (node, key line) and, above the last level, the (node, slot))
+    are those of ``regular_search_vectorized``: the clamped slot is the
+    child the mirrored node, its last used key pinned to the maximum,
+    picks.
+    """
+    tree._ensure_segments()
+    mem = tree.mem
+    n = max(1, len(queries))
+    kpl = tree.spec.keys_per_line
+    streams = np.empty((3 * tree.height - 1, len(queries)), dtype=np.int64)
+    levels: List[CpuQueryProfile] = []
+    for row, (level, node, _below, slot) in zip(
+        range(0, len(streams), 3), tree._walk(queries)
+    ):
+        group = slot // kpl
+        misses = mem.touch_lines(
+            tree.i_segment,
+            np.stack(tree._inner_lines(level, node, group), axis=1),
+        )
+        levels.append(CpuQueryProfile(
+            lines=3.0, misses=misses / n, tlb_small=0.0, tlb_huge=0.0,
+            node_searches=2.0,
+        ))
+        streams[row] = node
+        streams[row + 1] = node * kpl + group
+        if level:
+            streams[row + 2] = node * tree.fanout + slot
+    leaf = CpuQueryProfile(
+        lines=1.0, misses=tree._touch_leaf_lines(node, slot) / n,
+        tlb_small=0.5, tlb_huge=0.0, node_searches=1.0,
+    )
+    return levels, leaf, streams
+
+
+def steady_profile(tree, queries: np.ndarray, warm: bool, walk,
+                   node_searches: float) -> CpuQueryProfile:
+    """Profile of ``walk`` over ``queries``; with ``warm`` the first
+    half only warms the cache and the disjoint second half is measured
+    (re-measuring the warm-up queries would overstate the hit rate)."""
+    q = np.asarray(queries, dtype=tree.spec.dtype)
+    measured = q
+    if warm and len(q) >= 2:
+        measured = q[len(q) // 2:]
+        walk(tree, q[:len(q) // 2])
+    tree.mem.reset_counters()
+    walk(tree, measured)
+    counters = tree.mem.counters
+    counters.queries = len(measured)
+    return CpuQueryProfile.from_counters(
+        counters, node_searches_per_query=node_searches
+    )
+
+
+def profile_implicit(tree, queries: np.ndarray,
+                     warm: bool = True) -> CpuQueryProfile:
+    """Memory profile of implicit-tree lookups (H+1 lines per query),
+    from :func:`implicit_walk`."""
+    if tree.mem is None or tree.i_segment is None:
+        raise ValueError("tree must be built with a MemorySystem to profile")
+    return steady_profile(tree, queries, warm, implicit_walk,
+                          tree.height + 1)
+
+
+def profile_regular(tree, queries: np.ndarray,
+                    warm: bool = True) -> CpuQueryProfile:
+    """Memory profile of regular-tree lookups (3 lines per inner node),
+    from :func:`regular_walk`."""
+    if tree.mem is None:
+        raise ValueError("tree must be built with a MemorySystem to profile")
+    return steady_profile(tree, queries, warm, regular_walk,
+                          2.0 * tree.height + 1)
 
 
 def pack_levels(levels: Sequence[np.ndarray], fanout: int, spec
@@ -127,7 +237,7 @@ def kernel_transactions(tree, streams: np.ndarray) -> Dict[str, int]:
     """Each kernel's transactions for a full descent whose per-level
     node ids are ``streams`` (one column per query): one windowed
     distinct count per kernel, over ``tree.coalescing_window`` —
-    exactly what the implicit descent charges, since a kernel moves
+    exactly what either layout's descent charges, since a kernel moves
     only that window."""
     n_queries = streams.shape[1]
     return {
@@ -177,20 +287,20 @@ class HybridTree:
         raise NotImplementedError
 
     def _stored_keys(self) -> np.ndarray:
-        """Every stored key, the population :meth:`bucket_costs` samples."""
+        """Every stored key, the population :meth:`key_sample` draws."""
         raise NotImplementedError
 
     def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
         """The leaf each GPU code lands in (where a range scan starts)."""
         raise NotImplementedError
 
-    def level_profiles(
-        self, sample: np.ndarray
-    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
-        """Instrumented CPU profiles of ``sample``'s descent: one per
-        inner level (root first) and one for the leaf stage.  The
-        per-level costs of :class:`repro.core.load_balance.SplitCostModel`
-        come from here."""
+    def _profile_walk(self, queries: np.ndarray) -> Walk:
+        """This layout's one instrumented CPU walk of ``queries`` (in
+        the key dtype): :func:`regular_walk` or :func:`implicit_walk`."""
+        raise NotImplementedError
+
+    def _touch_leaves(self, codes: np.ndarray) -> None:
+        """Touch the L-segment line each GPU code addresses, in order."""
         raise NotImplementedError
 
     # -- the mirror protocol --------------------------------------------
@@ -218,15 +328,6 @@ class HybridTree:
         return bool(np.array_equal(self.iseg_buffer.array,
                                    self.pack_i_segment()))
 
-    def cost_profile(self, sample: np.ndarray) -> CostProfile:
-        """:meth:`level_profiles` of ``sample`` plus each kernel's
-        full-descent transactions, priced through
-        :meth:`modeled_transactions` (one pure descent per kernel)."""
-        profiles, leaf = self.level_profiles(sample)
-        return CostProfile(profiles, leaf, {
-            kern: self.modeled_transactions(sample, kernel=kern)
-            for kern in KERNELS
-        })
 
     # ------------------------------------------------------------------
 
@@ -359,6 +460,66 @@ class HybridTree:
     # ------------------------------------------------------------------
     # cost model
 
+    def key_sample(self, seed: int, size: int, replace: bool = False,
+                   fill: bool = False) -> np.ndarray:
+        """The one seeded pricing sample of the stored keys.
+
+        Draws ``min(size, stored)`` keys, without replacement unless
+        ``replace``.  ``fill`` always draws ``size`` keys and replaces
+        only on a smaller tree: duplicate draws inflate a sample's
+        distinct fraction, so replacement is a tiny-tree fallback.  An
+        empty tree gives an empty sample, which every walk prices as
+        zero work.
+        """
+        stored = self._stored_keys()
+        if len(stored) == 0:
+            return stored
+        rng = np.random.default_rng(seed)
+        if fill:
+            return rng.choice(stored, size=size, replace=len(stored) < size)
+        return rng.choice(stored, size=min(size, len(stored)),
+                          replace=replace)
+
+    def _walk_sample(self, sample: np.ndarray) -> Walk:
+        self.mem.reset_counters()
+        return self._profile_walk(np.asarray(sample, dtype=self.spec.dtype))
+
+    def level_profiles(
+        self, sample: np.ndarray
+    ) -> Tuple[List[CpuQueryProfile], CpuQueryProfile]:
+        """Instrumented CPU profiles of ``sample``'s descent: one per
+        inner level (root first) and one for the leaf stage.  The
+        per-level costs of :class:`repro.core.load_balance.SplitCostModel`
+        come from here."""
+        levels, leaf, _streams = self._walk_sample(sample)
+        return levels, leaf
+
+    def cost_profile(self, sample: np.ndarray) -> CostProfile:
+        """:meth:`level_profiles` of ``sample`` plus each kernel's
+        full-descent transactions, from the same walk: on each level
+        the CPU walk visits the nodes the GPU stage reads for each
+        query, so its node streams are the stream matrix of
+        :meth:`gpu_descend`, and each kernel's count is one windowed
+        distinct pass over them (:func:`kernel_transactions`)."""
+        levels, leaf, streams = self._walk_sample(sample)
+        return CostProfile(levels, leaf, kernel_transactions(self, streams))
+
+    def profile_leaf_stage(self, sample_queries: np.ndarray,
+                           codes: Optional[np.ndarray] = None
+                           ) -> CpuQueryProfile:
+        """Measure the CPU leaf stage's per-query memory behaviour on
+        the leaves the GPU codes ``codes`` address (default: a pure
+        descent of ``sample_queries``)."""
+        q = np.asarray(sample_queries, dtype=self.spec.dtype)
+        if codes is None:
+            codes = self.gpu_descend(q)[0]
+        self.mem.reset_counters()
+        self._touch_leaves(np.asarray(codes, dtype=np.int64))
+        counters = self.mem.counters
+        counters.queries = len(q)
+        return CpuQueryProfile.from_counters(counters,
+                                             node_searches_per_query=1.0)
+
     def bucket_costs(
         self,
         bucket_size: Optional[int] = None,
@@ -376,22 +537,13 @@ class HybridTree:
         """
         bucket_size = bucket_size or self.machine.bucket_size
         if sample is None:
-            stored = self._stored_keys()
-            if len(stored) == 0:
+            sample = self.key_sample(self.COST_SAMPLE_SEED, 4096, fill=True)
+            if len(sample) == 0:
                 raise ValueError(
                     "bucket_costs needs stored keys to sample a workload; "
                     "the tree is empty — add keys first or pass "
                     "sample= explicitly"
                 )
-            rng = np.random.default_rng(self.COST_SAMPLE_SEED)
-            # draw without replacement whenever the tree can fill the
-            # bucket — duplicate draws inflate the sample's
-            # unique_fraction and bias the sorted gain the planner
-            # commits; replacement survives only as the tiny-tree
-            # fallback
-            size = 4096
-            sample = rng.choice(stored, size=size,
-                                replace=len(stored) < size)
         sample = np.asarray(sample, dtype=self.spec.dtype)
         if len(sample) == 0:
             raise ValueError("bucket_costs sample must be non-empty")
@@ -404,8 +556,8 @@ class HybridTree:
             sample = plan.sorted_unique
         # priced through the pure descent: no launch, no device counter,
         # no injector draw
-        _codes, txns = self.gpu_descend(sample)
-        leaf_profile = self.profile_leaf_stage(sample)
+        codes, txns = self.gpu_descend(sample)
+        leaf_profile = self.profile_leaf_stage(sample, codes)
         return hybrid_bucket_costs(
             self.machine,
             self.spec,

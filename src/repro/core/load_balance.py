@@ -94,7 +94,7 @@ class SplitCostModel:
     :meth:`reprofile` measures the tree through its ``cost_profile``:
     ``cpu_level_ns`` (top level first) and ``leaf_ns`` from the
     instrumented CPU walk, ``gpu_level_ns_by_kernel`` from each
-    kernel's modeled transactions.  :meth:`sample_times` /
+    kernel's transactions over the same walk's node streams.  :meth:`sample_times` /
     :meth:`balanced_cost_ns` price a split (Equation 4) and
     :meth:`discover` finds one (Algorithm 1).  The implicit tree's
     :class:`LoadBalancer`, the regular tree's two-mode
@@ -185,24 +185,20 @@ class SplitCostModel:
         here, so the per-level costs track the traffic actually being
         served.  When omitted, a seeded sample of stored keys is drawn
         without replacement (sampling *with* replacement skews
-        per-level miss rates on small trees).
+        per-level miss rates on small trees); an empty tree's sample is
+        empty and prices zero work.
 
         Both sides come from the tree's ``cost_profile``: the
         instrumented CPU walk, and each kernel's full-descent
-        transactions through the pure transaction model (an implicit
-        layout prices every kernel from the CPU walk's own node
-        streams).  Profiling never counts a kernel launch or mutates
+        transactions counted from the walk's own node streams.
+        Profiling never counts a kernel launch or mutates
         device counters — a re-profile in the middle of an engine run
         leaves the engine's modeled counters bit-identical to an
         unprofiled run.
         """
         tree = self.tree
         if sample is None:
-            stored = tree._stored_keys()
-            rng = np.random.default_rng(23)
-            sample = rng.choice(
-                stored, size=min(sample_size, len(stored)), replace=False
-            )
+            sample = tree.key_sample(23, sample_size)
         else:
             sample = np.asarray(sample, dtype=tree.spec.dtype)
             if len(sample) == 0:

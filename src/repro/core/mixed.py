@@ -39,6 +39,7 @@ from repro.core.hbtree import (
     MirrorMark,
     MirrorSyncStats,
 )
+from repro.core.hybrid import profile_regular
 from repro.core.update import _measure_update_cost_ns
 from repro.faults import FaultError
 from repro.platform.costmodel import CpuCostModel
@@ -62,12 +63,9 @@ def _cost_sample(tree: HBPlusTree) -> Optional[Tuple[np.ndarray, float]]:
     Without replacement: the sample never exceeds the population, and
     duplicates would skew the cache profile toward re-touched lines.
     """
-    stored = tree.cpu_tree.stored_keys()
-    if len(stored) == 0:
+    sample = tree.key_sample(67, 2048)
+    if len(sample) == 0:
         return None
-    rng = np.random.default_rng(67)
-    sample = rng.choice(stored, size=min(2048, len(stored)), replace=False)
-    from repro.bench.profiling import profile_regular
     profile = profile_regular(tree.cpu_tree, sample)
     return sample, CpuCostModel(tree.machine.cpu).query_ns(profile)
 

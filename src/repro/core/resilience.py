@@ -57,7 +57,11 @@ from repro.faults import (
     TransferTimeout,
 )
 from repro.obs import NULL_OBS
-from repro.platform.costmodel import CpuCostModel, HYBRID_STAGE_OVERHEAD_NS
+from repro.platform.costmodel import (
+    CpuCostModel,
+    HYBRID_STAGE_OVERHEAD_NS,
+    hybrid_bucket_costs,
+)
 
 
 class GpuUnavailable(RuntimeError):
@@ -305,15 +309,21 @@ class ResilientHBPlusTree:
         batch: hybrid per-bucket cost and CPU-only per-query cost."""
         ctx = self.injector.paused() if self.injector else nullcontext()
         with ctx:
-            machine = self.tree.machine
-            rng = np.random.default_rng(11)
-            stored = self.tree.cpu_tree.stored_keys()
-            sample = rng.choice(stored, size=min(2048, len(stored)))
+            tree = self.tree
+            machine = tree.machine
+            sample = tree.key_sample(11, 2048, replace=True)
             self._probe_queries = sample[:8].copy()
-            costs = self.tree.bucket_costs(sample=sample)
+            costs = tree.bucket_costs(sample=sample) if len(sample) else None
             self.bucket_size = machine.bucket_size
+            profiles, leaf = tree.level_profiles(sample)
+            if costs is None:
+                # an empty tree has no key to sample: price its bucket
+                # with no GPU transaction and the empty walk's leaf
+                costs = hybrid_bucket_costs(
+                    machine, tree.spec, machine.bucket_size, 0.0,
+                    float(tree.gpu_levels), leaf,
+                )
             self.hybrid_bucket_ns = costs.double_buffered
-            profiles, leaf = self.tree.level_profiles(sample)
             model = CpuCostModel(machine.cpu)
             per_query = (
                 model.query_ns(leaf) + HYBRID_STAGE_OVERHEAD_NS

@@ -119,9 +119,11 @@ class CssTree:
             max(1, self.num_directory_nodes) * line,
             self.page_config.inner_kind,
         )
-        data_bytes = self.num_tuples * 2 * self.spec.size_bytes
+        # whole cache lines: a run's lines are touched as lines
+        data_lines = -(-self.num_tuples * 2 * self.spec.size_bytes // line)
         self.l_segment = self.mem.allocate(
-            f"{prefix}.L", max(line, data_bytes), self.page_config.leaf_kind
+            f"{prefix}.L", max(1, data_lines) * line,
+            self.page_config.leaf_kind
         )
 
     # ------------------------------------------------------------------

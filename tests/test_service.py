@@ -52,6 +52,47 @@ def _mixed_queries(rng, keys, n):
     return np.concatenate([hits, misses])
 
 
+def _answers(ref, q):
+    """What a sorted map ``ref`` answers; the sentinel marks a miss."""
+    miss = int(np.iinfo(np.uint64).max)
+    return np.array([ref.get(int(k), miss) for k in q.tolist()],
+                    dtype=np.uint64)
+
+
+class TestEmptyRegularShards:
+    """Topology changes over emptied hb-regular shards, under a fault
+    drill, a mode controller, or neither: the new shards calibrate and
+    profile an empty tree without failing."""
+
+    @pytest.mark.parametrize("policy", ["drill", "adaptive", "plain"])
+    @pytest.mark.parametrize("op", ["merge", "split"])
+    def test_topology_change_over_empty_shards(self, data, m1, policy, op):
+        keys, values = data
+        extra = {
+            "drill": {"fault_plan": FaultPlan(seed=3, kernel_fail=0.05)},
+            "adaptive": {"adaptive": True},
+            "plain": {},
+        }[policy]
+        svc = IndexService.build(keys, values, ServiceConfig(
+            n_shards=2, machine=m1, **extra))
+        first = int(svc.shards[0].contents()[0][0])
+        none = np.zeros(0, dtype=np.uint64)
+        svc.apply_updates(none, none, keys)
+        ref = {}
+        rng = np.random.default_rng(17)
+        q = _mixed_queries(rng, keys, 200)
+        assert np.array_equal(svc.lookup_batch(q), _answers(ref, q))
+        if op == "merge":
+            svc.merge_shards(0)
+        else:
+            svc.split_shard(0, cut=first)
+        assert np.array_equal(svc.lookup_batch(q), _answers(ref, q))
+        new = rng.choice(keys, 300, replace=False)
+        svc.apply_updates(new, new + np.uint64(1), none)
+        ref.update(zip(new.tolist(), (new + np.uint64(1)).tolist()))
+        assert np.array_equal(svc.lookup_batch(q), _answers(ref, q))
+
+
 class TestRangeRouter:
     def test_shard_of_respects_cuts(self):
         r = RangeRouter([10, 20])
