@@ -271,10 +271,15 @@ class CssTreeAdapter:
         codes, _txns = self.gpu_descend_from(q, zeros, zeros)
         return self.cpu_finish_bucket(q, codes)
 
-    # the hybrid trees' pricing, over this layout's walk
+    # the hybrid trees' sampling and pricing, over this layout's keys
+    # and walk
+    key_sample = HybridTree.key_sample
     level_profiles = HybridTree.level_profiles
     cost_profile = HybridTree.cost_profile
     _walk_sample = HybridTree._walk_sample
+
+    def _stored_keys(self) -> np.ndarray:
+        return self.cpu_tree.sorted_keys
 
     def _profile_walk(self, queries):
         """The CSS layout's instrumented walk: the directory levels

@@ -33,7 +33,7 @@ from repro.cpu.node_search import (
     probe_leaf_slots,
     search_leaf_line,
 )
-from repro.keys import KeySpec, key_spec
+from repro.keys import KeySpec, key_spec, sorted_pairs
 from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
@@ -105,10 +105,7 @@ class ImplicitCpuBPlusTree:
                 "keys must be strictly below the maximum value "
                 "(reserved as the padding sentinel)"
             )
-        order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], values[order]
-        if len(keys) > 1 and np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate keys are not supported")
+        keys, values = sorted_pairs(keys, values)
 
         self.num_tuples = len(keys)
         cap = self.spec.leaf_pairs_per_line
@@ -135,10 +132,10 @@ class ImplicitCpuBPlusTree:
             )
             # key j of node i = max key in the subtree of child i*F + j
             kpn = min(self.spec.keys_per_line, self.fanout)
-            for j in range(kpn):
-                child = np.arange(n_nodes) * self.fanout + j
-                valid = child < n_children
-                level[valid, j] = child_max[child[valid]]
+            grid = np.full(n_nodes * self.fanout, sentinel,
+                           dtype=self.spec.dtype)
+            grid[:n_children] = child_max
+            level[:, :kpn] = grid.reshape(n_nodes, self.fanout)[:, :kpn]
             if self.fanout == self.spec.keys_per_line:
                 # hybrid style (section 5.2): the last key is pinned to
                 # the maximum value so every query sets at least one GPU
@@ -150,12 +147,9 @@ class ImplicitCpuBPlusTree:
                 last_children = n_children - (n_nodes - 1) * self.fanout
                 level[n_nodes - 1, last_children - 1] = sentinel
             self.inner_levels.append(level)
-            node_max = np.empty(n_nodes, dtype=self.spec.dtype)
-            for i in range(n_nodes):
-                lo = i * self.fanout
-                hi = min(lo + self.fanout, n_children)
-                node_max[i] = child_max[lo:hi].max()
-            child_max = node_max
+            child_max = np.maximum.reduceat(
+                child_max, np.arange(0, n_children, self.fanout)
+            )
             n_children = n_nodes
         self.inner_levels.reverse()  # root first
         self._allocate_segments()

@@ -27,7 +27,7 @@ from repro.cpu.node_search import (
     get_search_function,
     implicit_step,
 )
-from repro.keys import KeySpec, key_spec
+from repro.keys import KeySpec, key_spec, sorted_pairs
 from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
@@ -66,13 +66,13 @@ class CssTree:
             raise ValueError("cannot build a tree over zero tuples")
         if int(keys.max()) >= self.spec.max_value:
             raise ValueError("keys must be strictly below the sentinel value")
-        order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[order]
-        self.sorted_values = values[order]
-        if len(keys) > 1 and np.any(
-            self.sorted_keys[1:] == self.sorted_keys[:-1]
-        ):
-            raise ValueError("duplicate keys are not supported")
+        sorted_keys, sorted_values = sorted_pairs(keys, values)
+        if sorted_keys is keys:
+            # presorted input comes back as the caller's arrays, which
+            # the caller may go on to change
+            sorted_keys, sorted_values = keys.copy(), values.copy()
+        self.sorted_keys = sorted_keys
+        self.sorted_values = sorted_values
         self.num_tuples = len(keys)
 
         sentinel = self.spec.max_value
@@ -94,13 +94,12 @@ class CssTree:
             # the maximum key route down the rightmost path)
             level[n_nodes - 1,
                   (n_children - 1) - (n_nodes - 1) * self.fanout] = sentinel
-            node_max = np.array(
-                [child_max[min((i + 1) * self.fanout, n_children) - 1]
-                 for i in range(n_nodes)],
-                dtype=self.spec.dtype,
-            )
             self.directory.append(level)
-            child_max = node_max
+            # the keys are sorted, so a node's maximum is its last child's
+            child_max = child_max[
+                np.minimum(np.arange(1, n_nodes + 1) * self.fanout,
+                           n_children) - 1
+            ]
             n_children = n_nodes
         self.directory.reverse()  # root first
         self.num_runs = n_runs

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.keys import KeySpec, key_spec
+from repro.keys import KeySpec, key_spec, sorted_pairs
 from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
@@ -75,11 +75,11 @@ class FastTree:
             raise ValueError("cannot build a tree over zero tuples")
         if int(keys.max()) >= self.spec.max_value:
             raise ValueError("keys must be strictly below the sentinel value")
-        order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[order]
-        self.sorted_values = values[order]
-        if len(keys) > 1 and np.any(self.sorted_keys[1:] == self.sorted_keys[:-1]):
-            raise ValueError("duplicate keys are not supported")
+        sorted_keys, sorted_values = sorted_pairs(keys, values)
+        if sorted_keys is keys:  # the caller's arrays: see CssTree._build
+            sorted_keys, sorted_values = keys.copy(), values.copy()
+        self.sorted_keys = sorted_keys
+        self.sorted_values = sorted_values
         self.num_tuples = len(keys)
         # complete binary tree depth over the tuples
         self.depth = max(1, math.ceil(math.log2(self.num_tuples + 1)))

@@ -80,6 +80,18 @@ class GapStats:
         self.leaf_rewrites = 0
 
 
+def _spread_slots(m: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The layout of ``m`` sorted pairs spread evenly over ``cap``
+    slots: for each slot of the extent the pair it holds (a gap holds
+    the next real pair's), and the gap mask.  The extent ends on the
+    last pair."""
+    pos = (np.arange(m, dtype=np.int64) * cap) // m
+    src = np.searchsorted(pos, np.arange(pos[-1] + 1, dtype=np.int64))
+    gaps = np.ones(len(src), dtype=bool)
+    gaps[pos] = False
+    return src, gaps
+
+
 class _GappedLeafPool(_LeafPool):
     """Big leaves with a per-slot gap mask and a live-pair counter."""
 
@@ -88,10 +100,10 @@ class _GappedLeafPool(_LeafPool):
         self.gap = np.zeros((capacity, self.capacity_pairs), dtype=bool)
         self.live = np.zeros(capacity, dtype=np.int64)
 
-    def _grow(self) -> None:
+    def _grow(self, capacity: int) -> None:
         old = (self.gap, self.live)
         n = self.keys.shape[0]
-        super()._grow()
+        super()._grow(capacity)
         for new_arr, old_arr in zip((self.gap, self.live), old):
             new_arr[:n] = old_arr
 
@@ -204,23 +216,10 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
             lv.live[node] = 0
             self._refresh_last_level_keys(node)
             return
-        pos = (np.arange(m, dtype=np.int64) * cap) // m
-        extent = int(pos[-1]) + 1
-        row_k = np.full(extent, self.spec.max_value, dtype=self.spec.dtype)
-        row_v = np.zeros(extent, dtype=self.spec.dtype)
-        row_k[pos] = keys
-        row_v[pos] = values
-        # index of the next real slot at/after each slot (backward fill)
-        nxt = np.full(extent, extent, dtype=np.int64)
-        nxt[pos] = pos
-        nxt = np.minimum.accumulate(nxt[::-1])[::-1]
-        gaps = np.ones(extent, dtype=bool)
-        gaps[pos] = False
-        gidx = np.flatnonzero(gaps)
-        row_k[gidx] = row_k[nxt[gidx]]
-        row_v[gidx] = row_v[nxt[gidx]]
-        lv.keys[node, :extent] = row_k
-        lv.values[node, :extent] = row_v
+        src, gaps = _spread_slots(m, cap)
+        extent = len(src)
+        lv.keys[node, :extent] = keys[src]
+        lv.values[node, :extent] = values[src]
         lv.keys[node, extent:] = self.spec.max_value
         lv.values[node, extent:] = 0
         lv.gap[node, :extent] = gaps
@@ -376,17 +375,29 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
     # bulk build
 
     def bulk_build(self, keys, values, fill: float = 1.0) -> None:
-        """Build with interleaved (not suffix) gaps at ``fill``."""
+        """Build with interleaved (not suffix) gaps at ``fill``.
+
+        The inherited build packs each leaf's pairs as a prefix; one
+        re-spread of every leaf then interleaves the free slots instead
+        (all full leaves share one slot pattern, the last leaf has its
+        own), refreshing each leaf a second time as a per-leaf
+        :meth:`_write_leaf_spread` would.
+        """
         super().bulk_build(keys, values, fill=fill)
-        # re-spread every built leaf: the base packed each leaf's pairs
-        # as a prefix; spreading interleaves the free slots instead
-        for node in self.leaf_chain().tolist():
-            k, v = (
-                self.leaves.keys[node, : int(self.leaves.size[node])].copy(),
-                self.leaves.values[node, : int(self.leaves.size[node])].copy(),
-            )
-            real = k != self.spec.dtype(self.spec.max_value)
-            self._write_leaf_spread(int(node), k[real], v[real])
+        lv = self.leaves
+        last = lv.count - 1
+        for rows in (slice(0, last), slice(last, last + 1)):
+            if rows.stop == rows.start:
+                continue
+            m = int(lv.size[rows.start])
+            src, gaps = _spread_slots(m, lv.capacity_pairs)
+            extent = len(src)
+            lv.keys[rows, :extent] = lv.keys[rows, :m][:, src]
+            lv.values[rows, :extent] = lv.values[rows, :m][:, src]
+            lv.gap[rows, :extent] = gaps
+            lv.size[rows] = extent
+            lv.live[rows] = m
+        self._refresh_last_level_range(slice(0, lv.count))
 
     # ------------------------------------------------------------------
     # invariants

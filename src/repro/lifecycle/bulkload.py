@@ -3,7 +3,10 @@
 Every restore and rebuild in :mod:`repro.lifecycle` goes through
 :func:`bulk_load` — sort once, then build each level bottom-up in
 bulk, the way the paper's batch-rebuild pipeline (and FliX-style GPU
-index reconstruction) assumes.  :func:`cold_build_per_key` is the
+index reconstruction) assumes.  The one sort is the tree build's own,
+and it runs only when the keys are not already strictly increasing,
+so presorted contents (every snapshot restore and shard split) are
+not sorted at all.  :func:`cold_build_per_key` is the
 anti-pattern kept as a measured baseline: an empty tree grown one
 ``insert`` at a time, which is what a naive cold start would do and
 what the ``lifecycle`` gate (:mod:`repro.bench.gates`) shows losing
@@ -36,19 +39,18 @@ def bulk_load(
 ):
     """Sort-based bottom-up build of any supported tree kind.
 
-    Unlike :func:`repro.io.build_index` (which trusts archive order),
-    this accepts contents in any order: it sorts by key once and
-    bulk-builds, so a rebuild from an unsorted delta log costs one
-    ``argsort`` plus the linear bottom-up pass — never N inserts.
+    Accepts contents in any order, range-checked through
+    :meth:`repro.keys.KeySpec.coerce`: every tree's build sorts by key
+    only when the keys are not strictly increasing, so a rebuild from
+    an unsorted delta log costs one ``argsort`` plus the linear
+    bottom-up pass — never N inserts — and presorted contents skip the
+    sort.
     """
     spec = key_spec(key_bits)
     keys = spec.coerce(keys)
     values = np.asarray(values, dtype=spec.dtype)
     if len(keys) != len(values):
         raise ValueError("keys and values must have equal length")
-    if len(keys) > 1 and not np.all(keys[:-1] <= keys[1:]):
-        order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], values[order]
     return build_index(
         kind, keys, values, key_bits=key_bits, fanout=fanout,
         mem=mem, machine=machine, fill=fill,

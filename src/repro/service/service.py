@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.pipeline import nearest_rank_index
 from repro.faults.plan import FaultPlan
+from repro.keys import sorted_pairs
 from repro.obs import NULL_OBS
 from repro.platform.configs import MachineConfig
 from repro.service.admission import AdmissionPolicy
@@ -147,21 +148,28 @@ class IndexService:
     @classmethod
     def build(cls, keys, values, config: Optional[ServiceConfig] = None,
               obs=None, snapshot_manager=None) -> "IndexService":
-        """Partition ``(keys, values)`` and stand the service up."""
+        """Partition ``(keys, values)`` and stand the service up.
+
+        The pairs are sorted once, here (not at all when the keys are
+        already strictly increasing): range shards are then contiguous
+        slices, and no shard's build sorts again.
+        """
         config = config or ServiceConfig()
-        keys = np.asarray(keys)
-        values = np.asarray(values)
+        keys, values = sorted_pairs(np.asarray(keys), np.asarray(values))
         if config.router == "range":
             router = RangeRouter.from_keys(keys, config.n_shards)
+            bounds = np.concatenate(
+                ([0], np.searchsorted(keys, router.cuts), [len(keys)])
+            )
+            parts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         elif config.router == "hash":
             router = HashRouter(config.n_shards)
+            parts = group_by_shard(router.shard_of(keys), router.n_shards)
         else:
             raise ValueError(f"unknown router kind: {config.router!r}")
-        sids = router.shard_of(keys)
-        groups = group_by_shard(sids, router.n_shards)
         shards = [
-            cls._make_shard(pos, keys[g], values[g], config, obs)
-            for pos, g in enumerate(groups)
+            cls._make_shard(pos, keys[part], values[part], config, obs)
+            for pos, part in enumerate(parts)
         ]
         quotas = config.quota.build()
         return cls(router, shards, config, quotas, obs=obs,

@@ -9,6 +9,7 @@ from repro.bench.figures.common import dataset_and_queries
 from repro.core.framework import CssTreeAdapter, HybridFramework
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
+from repro.core.load_balance import SplitCostModel
 from repro.cpu.css_tree import CssTree
 from repro.memsim.mainmem import MemorySystem
 from repro.workloads.generators import generate_dataset
@@ -195,6 +196,19 @@ class TestAdapters:
         keys, values, sample = data
         adapter = make_adapter(kind, keys, values, m1)
         assert adapter.modeled_transactions(sample[:512]) > 0
+
+    @pytest.mark.parametrize("kind", ADAPTERS)
+    def test_split_model_draws_its_own_sample(self, data, m1, kind):
+        """A SplitCostModel profiles any adapter from the one stored-key
+        sampler, exactly as from an explicit ``key_sample(23, 2048)``."""
+        keys, values, _sample = data
+        drawn = SplitCostModel(make_adapter(kind, keys, values, m1))
+        adapter = make_adapter(kind, keys, values, m1)
+        given = SplitCostModel(adapter, reprofile_on_init=False)
+        given.reprofile(adapter.key_sample(23, 2048))
+        assert drawn.cpu_level_ns == given.cpu_level_ns
+        assert drawn.leaf_ns == given.leaf_ns
+        assert drawn.gpu_level_ns_by_kernel == given.gpu_level_ns_by_kernel
 
 
 class TestPlanningIsPure:

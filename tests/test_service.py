@@ -11,7 +11,7 @@ from repro.core.batching import BatchingEngine
 from repro.core.update import SyncUpdater
 from repro.faults import FaultInjector, FaultPlan
 from repro.io import _contents
-from repro.lifecycle import SnapshotManager
+from repro.lifecycle import SnapshotManager, capture_payload
 from repro.lifecycle.bulkload import bulk_load
 from repro.obs import MetricsRegistry, Observability, publish_service
 from repro.service import (
@@ -198,6 +198,77 @@ class TestBitIdentity:
         bk, bv = _contents(tree)
         assert np.array_equal(sk, bk)
         assert np.array_equal(sv, bv)
+
+
+class TestBuildInputPath:
+    """The build sorts the pairs once (not at all when they arrive
+    sorted): sorted and shuffled input give the same service, and
+    neither keeps the caller's arrays."""
+
+    @pytest.mark.parametrize("kind", ["hb-regular", "hb-implicit"])
+    def test_sorted_and_shuffled_input_build_the_same(self, data, m1, kind):
+        keys, values = data
+        order = np.random.default_rng(4).permutation(len(keys))
+        config = ServiceConfig(n_shards=4, kind=kind, machine=m1)
+        svcs = [IndexService.build(k, v, config)
+                for k, v in ((keys, values), (keys[order], values[order]))]
+        a, b = svcs
+        assert np.array_equal(a.router.cuts, b.router.cuts)
+        assert a.router.cuts.dtype == b.router.cuts.dtype
+        assert a.router.epoch == b.router.epoch
+        for sa, sb in zip(a.shards, b.shards):
+            for x, y in zip(sa.contents(), sb.contents()):
+                assert np.array_equal(x, y)
+            assert capture_payload(sa.tree) == capture_payload(sb.tree)
+
+    @pytest.mark.parametrize("router", ["range", "hash"])
+    @pytest.mark.parametrize("kind", ["hb-regular", "hb-implicit"])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_build_sorts_once(self, data, m1, monkeypatch, shuffled, kind,
+                              router):
+        import repro.cpu.btree_implicit
+        import repro.cpu.btree_regular
+        import repro.keys
+        import repro.service.router
+        import repro.service.service
+
+        sorts = []
+
+        def counting(real):
+            def wrapper(keys, *rest):
+                if not repro.keys.strictly_increasing(np.asarray(keys)):
+                    sorts.append(len(keys))
+                return real(keys, *rest)
+            return wrapper
+
+        for module, name in ((repro.service.service, "sorted_pairs"),
+                             (repro.service.router, "sorted_unique"),
+                             (repro.cpu.btree_regular, "sorted_pairs"),
+                             (repro.cpu.btree_implicit, "sorted_pairs")):
+            monkeypatch.setattr(module, name,
+                                counting(getattr(module, name)))
+        keys, values = data
+        if shuffled:
+            order = np.random.default_rng(7).permutation(len(keys))
+            keys, values = keys[order], values[order]
+        IndexService.build(keys, values, ServiceConfig(
+            n_shards=4, kind=kind, router=router, machine=m1))
+        assert sorts == ([len(keys)] if shuffled else [])
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_callers_arrays_stay_the_callers(self, data, m1, shuffled):
+        keys, values = (np.array(a) for a in data)
+        if shuffled:
+            order = np.random.default_rng(5).permutation(len(keys))
+            keys, values = keys[order], values[order]
+        svc = IndexService.build(keys, values, ServiceConfig(
+            n_shards=4, machine=m1))
+        q = _mixed_queries(np.random.default_rng(6), keys, 400)
+        want = _answers(dict(zip(keys.tolist(), values.tolist())), q)
+        keys[:] = 0
+        values[:] = 0
+        assert np.array_equal(svc.lookup_batch(q), want)
+        assert [len(s) for s in svc.shards] == [512] * 4
 
 
 class TestFaultDrill:

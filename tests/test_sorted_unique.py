@@ -18,6 +18,15 @@ def test_matches_np_unique(dtype, n):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 17])
+def test_strictly_increasing_input_is_not_sorted(monkeypatch, n):
+    x = np.arange(n, dtype=np.uint64) * 3
+    monkeypatch.setattr(np, "sort", None)  # any sort call would raise
+    got = sorted_unique(x)
+    assert got.dtype == x.dtype
+    np.testing.assert_array_equal(got, x)
+
+
 def test_input_left_unsorted():
     x = np.asarray([5, 1, 5, 3], dtype=np.uint64)
     sorted_unique(x)
