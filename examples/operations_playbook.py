@@ -114,10 +114,7 @@ def main() -> None:
     tuples_per_scan = engine.stats.scan_tuples / len(los)
     # Algorithm-1 discovery profiles the implicit breadth-first
     # layout; price the split on an implicit twin of today's tuples
-    cur_keys = np.asarray([k for k, _v in tree.cpu_tree.items()],
-                          dtype=np.uint64)
-    cur_vals = np.asarray([v for _k, v in tree.cpu_tree.items()],
-                          dtype=np.uint64)
+    cur_keys, cur_vals = tree.stored_items()
     implicit = ImplicitHBPlusTree(cur_keys, cur_vals, machine=machine)
     balancer = LoadBalancer(implicit, bucket_size=4096)
     lookup_split = balancer.discover()
@@ -135,9 +132,7 @@ def main() -> None:
 
     # 5. nightly write burst, GPU assisted
     burst_keys, burst_vals = make_insert_batch(
-        np.asarray([k for k, _v in tree.cpu_tree.items()],
-                   dtype=np.uint64),
-        8_192, 64,
+        tree.stored_keys(), 8_192, 64,
     )
     burst = GpuAssistedUpdater(tree).apply(burst_keys, burst_vals)
     print(
@@ -151,10 +146,7 @@ def main() -> None:
     print(f"validated and re-persisted to {final}")
 
     # 6. GPU incident: degrade gracefully, then recover
-    served_keys = np.asarray(
-        [k for k, _v in tree.cpu_tree.items()], dtype=np.uint64
-    )
-    lut = dict(tree.cpu_tree.items())
+    served_keys, served_vals = tree.stored_items()
     injector = FaultInjector(FaultPlan.none(seed=7))
     resilient = ResilientHBPlusTree(
         tree, injector=injector, config=ResilienceConfig(probe_interval=2)
@@ -166,9 +158,7 @@ def main() -> None:
         for _ in range(batches):
             q = rng.choice(served_keys, size=resilient.bucket_size)
             out = resilient.lookup_batch(q)
-            expected = np.asarray(
-                [lut[int(k)] for k in q], dtype=out.dtype
-            )
+            expected = served_vals[np.searchsorted(served_keys, q)]
             assert np.array_equal(out, expected), "wrong answer under faults"
         dq = resilient.stats.served_queries - q0
         dt = resilient.stats.served_ns - t0

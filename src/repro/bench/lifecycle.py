@@ -32,11 +32,23 @@ import numpy as np
 from repro.core.adaptive import AdaptiveController
 from repro.core.hbtree import HBPlusTree
 from repro.faults import FaultInjector, FaultPlan
-from repro.lifecycle import SnapshotManager, cold_build_per_key, warm_restart
+from repro.lifecycle import SnapshotManager, warm_restart
 from repro.obs import Observability
 from repro.obs.export import collect_all
-from repro.platform.configs import machine_m1
+from repro.platform.configs import MachineConfig, machine_m1
 from repro.workloads.generators import generate_dataset
+
+
+def cold_build_per_key(keys, values, machine: MachineConfig) -> HBPlusTree:
+    """The naive cold start: per-key inserts into an empty hybrid
+    tree, then one full mirror upload.  The baseline the bulk load
+    and the restore are timed against."""
+    tree = HBPlusTree((), (), machine=machine)
+    for k, v in zip(tree.spec.coerce(keys).tolist(),
+                    np.asarray(values, dtype=tree.spec.dtype).tolist()):
+        tree.cpu_tree.insert(k, v)
+    tree.mirror_i_segment()
+    return tree
 
 
 def _probe(keys: np.ndarray, size: int = 4096) -> np.ndarray:

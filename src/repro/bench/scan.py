@@ -12,7 +12,7 @@ Answers the three questions DESIGN.md §15 leaves to measurement:
 2. **Does the vectorised leaf-chain scan pay for itself?**  The gate
    requires the gap-mask-aware vectorised leaf scan
    (``range_scan_from``) to beat the scalar reference walk
-   (``range_scan_from_scalar``) by at least ``VECTOR_SPEEDUP_GATE``x
+   (:func:`range_scan_from_scalar`) by at least ``VECTOR_SPEEDUP_GATE``x
    wall-clock at 1K-tuple scans, with results and modeled cache
    counters identical between the two.  The start leaves are
    descended once outside the timed region: the descent is the same
@@ -46,6 +46,7 @@ from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.core.load_balance import LoadBalancer
 from repro.core.resilience import ResilientHBPlusTree
+from repro.cpu.btree_regular import _NIL
 from repro.faults import FaultInjector, FaultPlan
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset
@@ -108,6 +109,56 @@ def _identity_rows(keys, values, machine, los, his,
     return rows
 
 
+def range_scan_from_scalar(tree, node: int, lo: int,
+                           hi: int) -> List[Tuple[int, int]]:
+    """Slot-by-slot reference walk of a regular or gapped tree's
+    ``range_scan_from``: the baseline gate 2 times the vectorised
+    leaf-chain scan against, with the same results and counters.
+
+    One Python iteration per visited slot, starting at big leaf
+    ``node`` with no descent.  Like the vectorised scan it tolerates a
+    start leaf at-or-before the true one: it keeps seeking ``lo`` leaf
+    by leaf until a leaf holds a key at-or-after it.
+    """
+    if lo > hi or tree.num_tuples == 0:
+        return []
+    leaves = tree.leaves
+    gaps = getattr(leaves, "gap", None)  # gapped leaves mask their gaps
+    node = int(node)
+    counters = tree.mem.counters if tree.mem else None
+    p = tree.spec.leaf_pairs_per_line
+    lo_t = tree.spec.dtype(lo)
+    results: List[Tuple[int, int]] = []
+    seeking = True
+    while node != _NIL:
+        size = int(leaves.size[node])
+        if size:
+            start = (int(np.searchsorted(leaves.keys[node, :size], lo_t))
+                     if seeking else 0)
+            if start < size:
+                seeking = False
+                touched_line = -1
+                while start < size:
+                    cur_line = start // p
+                    if cur_line != touched_line:
+                        tree._touch_leaf_line(node, cur_line)
+                        touched_line = cur_line
+                    key = int(leaves.keys[node, start])
+                    if key > hi:
+                        if counters is not None:
+                            counters.queries += 1
+                        return results
+                    if gaps is None or not gaps[node, start]:
+                        results.append(
+                            (key, int(leaves.values[node, start]))
+                        )
+                    start += 1
+        node = int(leaves.next[node])
+    if counters is not None:
+        counters.queries += 1
+    return results
+
+
 def _time_scans(fn, triples: List[Tuple[int, int, int]],
                 repeats: int) -> float:
     best = float("inf")
@@ -142,7 +193,7 @@ def _speedup_row(keys, values, machine, scan_tuples: int,
 
     before = dict(vars(scalar_tree.mem.counters))
     scalar_results = [
-        scalar_tree.range_scan_from_scalar(node, lo, hi)
+        range_scan_from_scalar(scalar_tree, node, lo, hi)
         for node, lo, hi in triples
     ]
     scalar_counters = {
@@ -157,8 +208,10 @@ def _speedup_row(keys, values, machine, scan_tuples: int,
         k: v - before[k] for k, v in vars(vector_tree.mem.counters).items()
     }
 
-    scalar_s = _time_scans(scalar_tree.range_scan_from_scalar, triples,
-                           repeats)
+    scalar_s = _time_scans(
+        lambda node, lo, hi: range_scan_from_scalar(scalar_tree, node, lo, hi),
+        triples, repeats,
+    )
     vector_s = _time_scans(vector_tree.range_scan_from, triples, repeats)
     return {
         "scan_tuples": scan_tuples,

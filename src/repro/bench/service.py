@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.core.batching import BatchingEngine
 from repro.faults import FaultInjector, FaultPlan
-from repro.io import _contents
 from repro.lifecycle import SnapshotManager
 from repro.lifecycle.bulkload import bulk_load
 from repro.platform.configs import machine_m1
@@ -110,7 +109,7 @@ def _identity_rows(keys, values, machine, smoke: bool
             from repro.core.update import SyncUpdater
             SyncUpdater(base_tree).apply(upk, upv, dlk)
             sk, sv = svc.contents()
-            bk, bv = _contents(base_tree)
+            bk, bv = base_tree.stored_items()
             updates_ok = bool(np.array_equal(sk, bk)
                               and np.array_equal(sv, bv))
             faults = sum(s.stats().faults for s in svc.shards)

@@ -45,8 +45,10 @@ from typing import Any, Callable, Dict, List
 import numpy as np
 
 from repro.core.batching import BatchingEngine, measure_sorted_delta
-from repro.core.hbtree import HBPlusTree
+from repro.core.buckets import iter_buckets
+from repro.core.hbtree import SYNC_NODE_OVERHEAD_NS, HBPlusTree
 from repro.core.update import AsyncBatchUpdater, SyncUpdater
+from repro.faults import FaultError
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset, generate_skewed_queries
 from repro.workloads.queries import make_insert_batch, make_point_queries
@@ -71,6 +73,116 @@ def time_best_ns(fn: Callable[[], Any], repeats: int = 3) -> float:
     return best
 
 
+def pack_i_segment_scalar(tree: HBPlusTree) -> np.ndarray:
+    """Per-node packing loop of :meth:`HBPlusTree.pack_i_segment`: the
+    equivalence and speedup baseline of the vectorised packer."""
+    cpu = tree.cpu_tree
+    kpl = tree.spec.keys_per_line
+    fanout = cpu.fanout
+    stride = tree.node_stride
+    flat = np.zeros((cpu.upper.count + cpu.last.count) * stride,
+                    dtype=np.uint64)
+
+    def pack_one(pool, node):
+        keys = pool.keys[node].copy()
+        size = max(1, int(pool.size[node]))
+        keys[size - 1] = tree.spec.max_value
+        out = np.empty(stride, dtype=np.uint64)
+        out[:kpl] = keys.reshape(kpl, kpl)[:, -1].astype(np.uint64)
+        out[kpl: kpl + fanout] = keys.astype(np.uint64)
+        out[kpl + fanout:] = pool.refs[node].astype(np.uint64)
+        return out
+
+    nodes = [(cpu.upper, n) for n in range(cpu.upper.count)]
+    nodes += [(cpu.last, n) for n in range(cpu.last.count)]
+    for slot, (pool, node) in enumerate(nodes):
+        flat[slot * stride: (slot + 1) * stride] = pack_one(pool, node)
+    return flat
+
+
+def sync_node(tree: HBPlusTree, node: int) -> float:
+    """Push last-level inner node ``node`` to ``tree``'s GPU mirror
+    (the per-node synchronizing thread of section 5.6); returns the
+    transfer ns.
+
+    Falls back to a full mirror rebuild when the node lies past the
+    mirrored capacity (new nodes from splits).
+    """
+    stride = tree.node_stride
+    slot = tree.last_base + node
+    if (slot + 1) * stride > tree.iseg_buffer.array.size:
+        return tree.mirror_i_segment()
+    packed = tree._pack_nodes(tree.cpu_tree.last, np.asarray([node]))[0]
+    was_stale = tree.mirror_stale
+    tree.mirror_stale = True
+    t = tree.link.update_device(
+        tree.device.memory, "iseg_regular", packed,
+        offset_elems=slot * stride,
+    )
+    tree.mirror_stale = was_stale
+    return t
+
+
+class PerNodeSyncUpdater(SyncUpdater):
+    """The synchronized method with the original synchronizing thread:
+    one push per modified last-level node as each op lands, and one
+    mirror rebuild at the end after any split, merge or faulted push.
+    The baseline the batched dirty-set sync is gated against."""
+
+    def _write_and_sync(self, stats, keys, values, deletes):
+        tree = self.tree
+        cpu_tree = tree.cpu_tree
+        ops = [("upsert", int(k), int(v)) for k, v in zip(keys, values)]
+        ops += [("delete", int(k), 0) for k in deletes]
+        # one batch descent over the whole op stream: the ids are exact
+        # while the structure holds, and any structural change triggers
+        # the full mirror rebuild below, which restores consistency
+        all_op_keys = np.concatenate([keys, deletes])
+        op_nodes = (
+            cpu_tree.descend_batch(all_op_keys)[0]
+            if len(all_op_keys)
+            else np.empty(0, dtype=np.int64)
+        )
+        structural = 0
+        for (op, key, value), node in zip(ops, op_nodes.tolist()):
+            height_before = cpu_tree.height
+            leaves_before = cpu_tree.leaves.count
+            if op == "upsert":
+                cpu_tree.insert(key, value)
+            else:
+                cpu_tree.delete(key)
+            stats.applied += 1
+            if (cpu_tree.leaves.count != leaves_before
+                    or cpu_tree.height != height_before):
+                structural += 1
+                continue
+            try:
+                sync_node(tree, node)
+                stats.synced_nodes += 1
+            except FaultError:
+                # the push aborted mid-flight; the mirror is stale for
+                # this node — repair with the full rebuild below
+                stats.sync_faults += 1
+                structural += 1
+        push_ns = stats.synced_nodes * (
+            tree.push_ns() + SYNC_NODE_OVERHEAD_NS
+        )
+        rebuild_ns = tree.mirror_i_segment() if structural else 0.0
+        return push_ns, rebuild_ns
+
+
+def arrival_order_transactions(engine: BatchingEngine, queries) -> int:
+    """Modeled GPU transactions ``engine``'s buckets of ``queries``
+    cost in arrival order, under the engine's kernel: the unsorted
+    baseline of what :meth:`BatchingEngine.lookup_batch` charges."""
+    tree = engine.tree
+    return sum(
+        tree.modeled_transactions(bucket, kernel=engine.kernel)
+        for bucket in iter_buckets(tree.spec.coerce(queries),
+                                   engine.bucket_size)
+    )
+
+
 def _bench_build(keys, values, machine) -> Dict[str, Any]:
     t0 = time.perf_counter_ns()
     tree = HBPlusTree(keys, values, machine=machine)
@@ -90,7 +202,8 @@ def _bench_build(keys, values, machine) -> Dict[str, Any]:
 
 def _bench_mirror(tree: HBPlusTree, repeats: int) -> Dict[str, Any]:
     pack_vec_ns = time_best_ns(tree.pack_i_segment, repeats)
-    pack_scalar_ns = time_best_ns(tree.pack_i_segment_scalar, repeats)
+    pack_scalar_ns = time_best_ns(lambda: pack_i_segment_scalar(tree),
+                                  repeats)
     mirror_ns = time_best_ns(tree.mirror_i_segment, repeats)
     return {
         "pack_vectorized_wall_ns": pack_vec_ns,
@@ -102,12 +215,14 @@ def _bench_mirror(tree: HBPlusTree, repeats: int) -> Dict[str, Any]:
 
 def _bench_lookup(tree: HBPlusTree, queries, zipf_queries,
                   repeats: int) -> Dict[str, Any]:
-    engine = BatchingEngine(tree, measure_baseline=True)
+    engine = BatchingEngine(tree)
     naive_ns = time_best_ns(lambda: tree.lookup_batch(queries), repeats)
     sorted_ns = time_best_ns(lambda: engine.lookup_batch(queries), repeats)
     delta = measure_sorted_delta(tree, zipf_queries)
-    skew_engine = BatchingEngine(tree, measure_baseline=True)
+    skew_engine = BatchingEngine(tree)
     skew_engine.lookup_batch(zipf_queries)
+    skew = skew_engine.stats
+    baseline = arrival_order_transactions(skew_engine, zipf_queries)
     return {
         "queries": int(len(queries)),
         "naive_lookup_wall_ns": naive_ns,
@@ -118,12 +233,12 @@ def _bench_lookup(tree: HBPlusTree, queries, zipf_queries,
             "sorted_transactions_per_query": delta.sorted_per_query,
             "unsorted_transactions_per_query": delta.unsorted_per_query,
             "transaction_reduction": delta.gain,
-            "engine_transactions_per_query":
-                skew_engine.stats.transactions_per_query,
+            "engine_transactions_per_query": skew.transactions_per_query,
             "engine_baseline_transactions_per_query":
-                skew_engine.stats.baseline_transactions_per_query,
-            "engine_sorted_gain": skew_engine.stats.sorted_gain,
-            "duplicate_fraction": skew_engine.stats.duplicate_fraction,
+                baseline / skew.queries if skew.queries else 0.0,
+            "engine_sorted_gain":
+                1.0 - skew.transactions / baseline if baseline > 0 else 0.0,
+            "duplicate_fraction": skew.duplicate_fraction,
         },
     }
 
@@ -139,14 +254,14 @@ def _bench_update(keys, values, machine, batch_size: int) -> Dict[str, Any]:
     tree_b = HBPlusTree(keys, values, machine=machine, fill=0.7)
     tree_b.link.stats.reset()
     t0 = time.perf_counter_ns()
-    sync_b = SyncUpdater(tree_b, batched=True).apply(upd_keys, upd_vals)
+    sync_b = SyncUpdater(tree_b).apply(upd_keys, upd_vals)
     sync_batched_ns = time.perf_counter_ns() - t0
     batched_transfers = tree_b.link.stats.transfers
 
     tree_p = HBPlusTree(keys, values, machine=machine, fill=0.7)
     tree_p.link.stats.reset()
     t0 = time.perf_counter_ns()
-    sync_p = SyncUpdater(tree_p, batched=False).apply(upd_keys, upd_vals)
+    sync_p = PerNodeSyncUpdater(tree_p).apply(upd_keys, upd_vals)
     sync_pernode_ns = time.perf_counter_ns() - t0
     pernode_transfers = tree_p.link.stats.transfers
 

@@ -18,11 +18,9 @@ stage:
    inverse permutation — callers observe bit-identical output to the
    naive unsorted path.
 
-The engine optionally measures the arrival-order baseline through the
-same transaction model, surfacing the sorted-vs-unsorted delta through
-:class:`GpuSearchResult.baseline_transactions` / ``sorted_gain`` and
-the aggregated :class:`BatchStats`, which is how ``bucket_costs`` and
-the load balancer see the gain.
+:func:`measure_sorted_delta` prices a workload's arrival-order
+baseline through the same transaction model; ``bucket_costs`` and the
+load balancer see the sorted gain through ``unique_fraction``.
 
 The engine runs over both hybrid trees
 (:class:`repro.core.hybrid.HybridTree`): it only needs
@@ -107,10 +105,6 @@ class BatchStats:
     unique: int = 0
     #: modeled GPU transactions actually charged (sorted batches)
     transactions: int = 0
-    #: modeled transactions the same queries cost in arrival order
-    #: (accumulated only when the engine measures baselines)
-    baseline_transactions: int = 0
-    baselines_measured: int = 0
     #: range scans executed through :meth:`BatchingEngine.run_scans`
     scans: int = 0
     #: tuples those scans returned (the leaf-chain work the cost model
@@ -131,45 +125,23 @@ class BatchStats:
         return self.transactions / self.queries
 
     @property
-    def baseline_transactions_per_query(self) -> float:
-        if self.queries == 0:
-            return 0.0
-        return self.baseline_transactions / self.queries
-
-    @property
     def duplicate_fraction(self) -> float:
         if self.queries == 0:
             return 0.0
         return 1.0 - self.unique / self.queries
 
-    @property
-    def sorted_gain(self) -> float:
-        """Fraction of modeled transactions saved vs arrival order."""
-        if self.baseline_transactions <= 0:
-            return 0.0
-        return 1.0 - self.transactions / self.baseline_transactions
-
 
 class BatchingEngine:
-    """Executes buckets sorted + deduplicated over a hybrid tree.
-
-    ``measure_baseline`` additionally runs the arrival-order bucket
-    through the pure transaction model (no device-counter side
-    effects), so every :class:`GpuSearchResult` carries its
-    ``baseline_transactions`` and the engine's :class:`BatchStats`
-    report the measured sorted-vs-unsorted delta.
-    """
+    """Executes buckets sorted + deduplicated over a hybrid tree."""
 
     def __init__(self, tree, bucket_size: Optional[int] = None,
-                 measure_baseline: bool = False, obs=None, balancer=None,
-                 kernel: Optional[str] = None):
+                 obs=None, balancer=None, kernel: Optional[str] = None):
         self.tree = tree
         self.bucket_size = bucket_size or getattr(
             getattr(tree, "machine", None), "bucket_size", DEFAULT_BUCKET_SIZE
         )
         if self.bucket_size <= 0:
             raise ValueError("bucket size must be positive")
-        self.measure_baseline = measure_baseline
         #: explicit GPU kernel override; ``None`` defers to the
         #: balancer's discovered kernel, then the tree default
         self.kernel = validate_kernel(kernel) if kernel is not None else None
@@ -216,12 +188,10 @@ class BatchingEngine:
     def _descend(self, plan: BucketPlan, note: bool = True):
         """The inner-level stage, split per the balancer when present.
 
-        Returns ``(GpuSearchResult, kernel)``, the kernel being the one
-        the bucket ran with (None = tree default).  A split moves levels
-        between processors and a kernel moves the traversal schedule,
-        never results: (D=0, R=0) reproduces ``gpu_search_bucket``
-        exactly (codes *and* transaction count), and every kernel
-        returns bit-identical leaves.
+        A split moves levels between processors and a kernel moves the
+        traversal schedule, never results: (D=0, R=0) reproduces
+        ``gpu_search_bucket`` exactly (codes *and* transaction count),
+        and every kernel returns bit-identical leaves.
 
         The balancer is read and fed once per bucket.  The split and
         kernel are read *before* the bucket's arrival-order queries are
@@ -235,7 +205,7 @@ class BatchingEngine:
         if self.balancer is None:
             return self.tree.gpu_search_bucket(
                 plan.sorted_unique, kernel=kernel
-            ), kernel
+            )
         depth, ratio = self.balancer.split()
         if note:
             self.balancer.note_bucket(plan.queries)
@@ -243,7 +213,7 @@ class BatchingEngine:
         nodes = self.tree.cpu_descend_top(plan.sorted_unique, levels)
         return self.tree.gpu_search_bucket_from(
             plan.sorted_unique, levels, nodes, kernel=kernel
-        ), kernel
+        )
 
     def execute_bucket(self, queries: Sequence):
         """Run one bucket; returns ``(values, GpuSearchResult)``.
@@ -266,14 +236,7 @@ class BatchingEngine:
         with obs.span("bucket", bucket=index, n_queries=plan.n_queries,
                       n_unique=plan.n_unique):
             with obs.span("gpu_descend", bucket=index):
-                result, kernel = self._descend(plan)
-            if self.measure_baseline:
-                # the arrival-order bucket under the kernel that ran
-                result.baseline_transactions = self.tree.modeled_transactions(
-                    plan.queries, kernel=kernel
-                )
-                self.stats.baseline_transactions += result.baseline_transactions
-                self.stats.baselines_measured += 1
+                result = self._descend(plan)
             with obs.span("cpu_finish", bucket=index):
                 per_unique = self.tree.cpu_finish_bucket(
                     plan.sorted_unique, result.codes
@@ -337,7 +300,7 @@ class BatchingEngine:
         with obs.span("scan_bucket", bucket=index,
                       n_queries=plan.n_queries, n_unique=plan.n_unique):
             with obs.span("gpu_descend", bucket=index):
-                result, _kernel = self._descend(plan, note=False)
+                result = self._descend(plan, note=False)
             with obs.span("cpu_scan", bucket=index):
                 codes = result.codes[plan.inverse]
                 scans = self.tree.cpu_scan_bucket(plan.queries, his, codes)

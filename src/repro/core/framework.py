@@ -277,9 +277,7 @@ class CssTreeAdapter:
     level_profiles = HybridTree.level_profiles
     cost_profile = HybridTree.cost_profile
     _walk_sample = HybridTree._walk_sample
-
-    def _stored_keys(self) -> np.ndarray:
-        return self.cpu_tree.sorted_keys
+    stored_keys = HybridTree.stored_keys
 
     def _profile_walk(self, queries):
         """The CSS layout's instrumented walk: the directory levels

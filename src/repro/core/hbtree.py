@@ -169,8 +169,9 @@ class HBPlusTree(HybridTree):
     def _pack_nodes(self, pool, nodes: np.ndarray) -> np.ndarray:
         """Device images of many pool nodes at once, one row per node.
 
-        Bulk twin of the old per-node packing loop: the MAX catch-all
-        pin, the index-line derivation and the ref cast all happen as
+        Bulk form of a per-node packing loop (the ``wallclock`` gate's
+        ``pack_i_segment_scalar``): the MAX catch-all pin, the
+        index-line derivation and the ref cast all happen as
         whole-array operations.
         """
         kpl = self.spec.keys_per_line
@@ -188,10 +189,6 @@ class HBPlusTree(HybridTree):
         out[:, kpl: kpl + fanout] = keys
         out[:, kpl + fanout:] = pool.refs[nodes].astype(np.uint64)
         return out
-
-    def _pack_node(self, pool, node: int) -> np.ndarray:
-        """Device image of one inner node (with the MAX catch-all pin)."""
-        return self._pack_nodes(pool, np.asarray([node]))[0]
 
     def pack_i_segment(self) -> np.ndarray:
         """The device image of the full I-segment, packed from the CPU
@@ -224,39 +221,6 @@ class HBPlusTree(HybridTree):
             self._packed = (stamp, self.pack_i_segment())
         return self._packed[1]
 
-    def pack_i_segment_scalar(self) -> np.ndarray:
-        """Reference per-node packing loop.
-
-        Kept as the equivalence/speedup baseline for the vectorised
-        :meth:`pack_i_segment` (asserted in tests and timed by the
-        wall-clock benchmark); not used on any hot path.
-        """
-        tree = self.cpu_tree
-        kpl = self.spec.keys_per_line
-        fanout = self.cpu_tree.fanout
-        upper_n = tree.upper.count
-        last_n = tree.last.count
-        stride = self.node_stride
-        flat = np.zeros((upper_n + last_n) * stride, dtype=np.uint64)
-
-        def pack_one(pool, node):
-            keys = pool.keys[node].copy()
-            size = max(1, int(pool.size[node]))
-            keys[size - 1] = self.spec.max_value
-            index_line = keys.reshape(kpl, kpl)[:, -1]
-            out = np.empty(stride, dtype=np.uint64)
-            out[:kpl] = index_line.astype(np.uint64)
-            out[kpl: kpl + fanout] = keys.astype(np.uint64)
-            out[kpl + fanout:] = pool.refs[node].astype(np.uint64)
-            return out
-
-        for node in range(upper_n):
-            flat[node * stride: (node + 1) * stride] = pack_one(tree.upper, node)
-        for node in range(last_n):
-            slot = upper_n + node
-            flat[slot * stride: (slot + 1) * stride] = pack_one(tree.last, node)
-        return flat
-
     def mirror_i_segment(self) -> float:
         """Rebuild + upload the full I-segment mirror; returns time ns.
 
@@ -278,30 +242,6 @@ class HBPlusTree(HybridTree):
             self.mirror_stale = False
             self._mirror_stamp = self._packed[0]
         self.obs.count("live.hbtree.mirror_uploads")
-        return t
-
-    def sync_node(self, level: int, node: int) -> float:
-        """Push one modified inner node to the GPU mirror (section 5.6
-        synchronized update).  Returns the transfer time in ns.
-
-        Falls back to a full mirror rebuild when the pools outgrew the
-        mirrored capacity (new nodes from splits).
-        """
-        tree = self.cpu_tree
-        stride = self.node_stride
-        slot = node + (self.last_base if level == 0 else 0)
-        if (slot + 1) * stride > self.iseg_buffer.array.size or (
-            level > 0 and node >= self.last_base
-        ):
-            return self.mirror_i_segment()
-        pool = tree.last if level == 0 else tree.upper
-        packed = self._pack_node(pool, node)
-        was_stale = self.mirror_stale
-        self.mirror_stale = True
-        t = self.link.update_device(
-            self.device.memory, "iseg_regular", packed, offset_elems=slot * stride
-        )
-        self.mirror_stale = was_stale
         return t
 
     def mirror_mark(self) -> MirrorMark:
@@ -448,9 +388,6 @@ class HBPlusTree(HybridTree):
     def gpu_levels(self) -> int:
         # the 3-step node search walks three lines per inner level
         return 3 * self.cpu_tree.height
-
-    def _stored_keys(self) -> np.ndarray:
-        return self.cpu_tree.stored_keys()
 
     def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
         # a code packs (big-leaf node, line); the node is the leaf

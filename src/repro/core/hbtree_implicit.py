@@ -135,10 +135,6 @@ class ImplicitHBPlusTree(HybridTree):
     def gpu_levels(self) -> int:
         return self.gpu_depth
 
-    def _stored_keys(self) -> np.ndarray:
-        stored = self.cpu_tree.leaf_keys.reshape(-1)
-        return stored[stored != self.spec.max_value]
-
     def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
         # codes are leaf indices; clamp like :meth:`cpu_finish_bucket`
         return np.minimum(codes, self.cpu_tree.num_leaves - 1)

@@ -56,23 +56,12 @@ class GpuSearchResult:
 
     codes: np.ndarray
     transactions: int
-    #: modeled transactions the same bucket costs in *arrival* order;
-    #: set by the batch engine (:mod:`repro.core.batching`) when it
-    #: measured the unsorted baseline of a sorted bucket
-    baseline_transactions: Optional[int] = None
 
     @property
     def transactions_per_query(self) -> float:
         if len(self.codes) == 0:
             return 0.0
         return self.transactions / len(self.codes)
-
-    @property
-    def sorted_gain(self) -> float:
-        """Fraction of modeled transactions saved vs arrival order."""
-        if not self.baseline_transactions:
-            return 0.0
-        return 1.0 - self.transactions / self.baseline_transactions
 
 
 class CostProfile(NamedTuple):
@@ -286,10 +275,6 @@ class HybridTree:
         """Inner levels the GPU stage walks (0 launches nothing)."""
         raise NotImplementedError
 
-    def _stored_keys(self) -> np.ndarray:
-        """Every stored key, the population :meth:`key_sample` draws."""
-        raise NotImplementedError
-
     def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
         """The leaf each GPU code lands in (where a range scan starts)."""
         raise NotImplementedError
@@ -408,9 +393,9 @@ class HybridTree:
         """Transactions the GPU stage would charge for ``queries``.
 
         Pure measurement through the coalescing model — no launch, no
-        device counters.  Used by the batch engine to price the
-        arrival-order baseline of a sorted bucket, and by the balancers
-        to price each kernel when they profile.
+        device counters.  Used to price the arrival-order baseline of
+        a sorted bucket (:func:`repro.core.batching.measure_sorted_delta`)
+        and by the balancers to price each kernel when they profile.
         """
         _codes, txns = self.gpu_descend(queries, kernel=kernel)
         return txns
@@ -471,7 +456,7 @@ class HybridTree:
         empty tree gives an empty sample, which every walk prices as
         zero work.
         """
-        stored = self._stored_keys()
+        stored = self.stored_keys()
         if len(stored) == 0:
             return stored
         rng = np.random.default_rng(seed)
@@ -578,6 +563,14 @@ class HybridTree:
 
     def __len__(self) -> int:
         return len(self.cpu_tree)
+
+    def stored_items(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The CPU tree's stored ``(keys, values)``, in key order."""
+        return self.cpu_tree.stored_items()
+
+    def stored_keys(self) -> np.ndarray:
+        """Every stored key, the population :meth:`key_sample` draws."""
+        return self.cpu_tree.stored_keys()
 
     def __contains__(self, key: int) -> bool:
         return self.lookup(key) is not None

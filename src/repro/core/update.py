@@ -39,8 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.hbtree import SYNC_NODE_OVERHEAD_NS, HBPlusTree
-from repro.faults import FaultError
+from repro.core.hbtree import HBPlusTree
 from repro.platform.costmodel import CpuCostModel, CpuQueryProfile
 
 #: group size of the asynchronous method (section 5.6)
@@ -236,18 +235,14 @@ class AsyncBatchUpdater:
 class SyncUpdater:
     """The synchronized update method (modifying + synchronizing thread).
 
-    ``batched=True`` (the default) drains the synchronizing thread's
-    queue once per batch through :meth:`HBPlusTree.sync_nodes`: the
-    exact dirty set from the version-stamp diff, deduplicated and
-    coalesced into ranged transfers — fewer pushes on the open copy
-    stream for the same final mirror state.  ``batched=False`` keeps
-    the original per-node push, one transfer per modified last-level
-    node, and rebuilds the mirror after any split or merge.
+    The synchronizing thread's queue drains once per batch through
+    :meth:`HBPlusTree.sync_nodes`: the exact dirty set from the
+    version-stamp diff, deduplicated and coalesced into ranged
+    transfers on the open copy stream.
     """
 
-    def __init__(self, tree: HBPlusTree, batched: bool = True):
+    def __init__(self, tree: HBPlusTree):
         self.tree = tree
-        self.batched = batched
 
     def apply(
         self,
@@ -260,14 +255,9 @@ class SyncUpdater:
         deletes = np.asarray(deletes, dtype=self.tree.spec.dtype)
         stats = UpdateStats()
         per_update_ns = _per_update_ns(self.tree, keys, deletes)
-        if self.batched:
-            push_ns, rebuild_ns = self._apply_batched(
-                stats, keys, values, deletes
-            )
-        else:
-            push_ns, rebuild_ns = self._apply_per_node(
-                stats, keys, values, deletes
-            )
+        push_ns, rebuild_ns = self._write_and_sync(
+            stats, keys, values, deletes
+        )
         stats.modify_ns = stats.applied * per_update_ns
         # the synchronizing thread overlaps the modifying thread; only
         # the excess shows up as extra time.  Pushes ride one open copy
@@ -280,7 +270,7 @@ class SyncUpdater:
         )
         return stats
 
-    def _apply_batched(self, stats, keys, values, deletes):
+    def _write_and_sync(self, stats, keys, values, deletes):
         """Apply every op, then one dirty-set sync; returns the modeled
         ``(push_ns, rebuild_ns)``."""
         tree = self.tree
@@ -294,47 +284,3 @@ class SyncUpdater:
         if mirror.rebuilt:
             return 0.0, mirror.time_ns
         return mirror.stream_ns, 0.0
-
-    def _apply_per_node(self, stats, keys, values, deletes):
-        """One push per modified last-level node as each op lands; any
-        split, merge or faulted push forces one rebuild at the end."""
-        tree = self.tree
-        cpu_tree = tree.cpu_tree
-        ops = [("upsert", int(k), int(v)) for k, v in zip(keys, values)]
-        ops += [("delete", int(k), 0) for k in deletes]
-        # one batch descent over the whole op stream: the ids are exact
-        # while the structure holds, and any structural change triggers
-        # the full mirror rebuild below, which restores consistency
-        all_op_keys = np.concatenate([keys, deletes])
-        op_nodes = (
-            cpu_tree.descend_batch(all_op_keys)[0]
-            if len(all_op_keys)
-            else np.empty(0, dtype=np.int64)
-        )
-        structural = 0
-        for (op, key, value), node in zip(ops, op_nodes.tolist()):
-            height_before = cpu_tree.height
-            leaves_before = cpu_tree.leaves.count
-            if op == "upsert":
-                cpu_tree.insert(key, value)
-            else:
-                cpu_tree.delete(key)
-            stats.applied += 1
-            if (cpu_tree.leaves.count != leaves_before
-                    or cpu_tree.height != height_before):
-                structural += 1
-                continue
-            try:
-                tree.sync_node(0, node)
-                stats.synced_nodes += 1
-            except FaultError:
-                # the push aborted mid-flight; the mirror is stale for
-                # this node — repair with the full rebuild below
-                stats.sync_faults += 1
-                structural += 1
-        push_ns = stats.synced_nodes * (
-            tree.push_ns() + SYNC_NODE_OVERHEAD_NS
-        )
-        rebuild_ns = tree.mirror_i_segment() if structural else 0.0
-        return push_ns, rebuild_ns
-

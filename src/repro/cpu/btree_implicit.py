@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cpu.contents import SortedContents
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     get_search_function,
@@ -38,7 +39,7 @@ from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
 
-class ImplicitCpuBPlusTree:
+class ImplicitCpuBPlusTree(SortedContents):
     """A breadth-first-array B+-tree over sorted key/value pairs.
 
     Parameters
@@ -274,35 +275,6 @@ class ImplicitCpuBPlusTree:
             self.spec.max_value,
         )
 
-    def range_query_scalar(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """Scalar reference walk of :meth:`range_query`.
-
-        One Python iteration per visited slot — kept as the baseline
-        the vectorised scan is checked (and benchmarked) against.
-        """
-        if lo > hi:
-            return []
-        leaf = self._descend(int(lo), instrument=True)
-        counters = self.mem.counters if self.mem else None
-        results: List[Tuple[int, int]] = []
-        sentinel = self.spec.max_value
-        while leaf < self.num_leaves:
-            if self.mem is not None and self.l_segment is not None:
-                self.mem.touch_line(self.l_segment, leaf)
-            row = self.leaf_keys[leaf]
-            for j in range(row.shape[0]):
-                key = int(row[j])
-                if key == sentinel or key > hi:
-                    if counters is not None:
-                        counters.queries += 1
-                    return results
-                if key >= lo:
-                    results.append((key, int(self.leaf_values[leaf, j])))
-            leaf += 1
-        if counters is not None:
-            counters.queries += 1
-        return results
-
     def _scan_from_leaf(self, leaf: int, lo: int,
                         hi: int) -> List[Tuple[int, int]]:
         """Vectorised leaf scan shared by :meth:`range_query` and
@@ -311,10 +283,10 @@ class ImplicitCpuBPlusTree:
         The implicit build packs leaves densely (sentinels only pad the
         last leaf), so the flattened key array is a sorted prefix of
         length ``num_tuples`` and two global ``searchsorted`` calls
-        bound the whole result.  The touched-leaf set is exactly the
-        scalar walk's: every leaf from ``leaf`` through the leaf where
-        the scalar probe terminates (first key ``> hi``, the sentinel,
-        or running off the last leaf).
+        bound the whole result.  The touched-leaf set is exactly a
+        slot-by-slot walk's: every leaf from ``leaf`` through the leaf
+        where that walk's probe terminates (first key ``> hi``, the
+        sentinel, or running off the last leaf).
         """
         counters = self.mem.counters if self.mem else None
         cap = self.leaf_keys.shape[1]
@@ -349,7 +321,7 @@ class ImplicitCpuBPlusTree:
         Exploits the sequential leaf arrangement: after locating the
         first leaf, successor leaves are adjacent lines (section 4.1).
         Vectorised — identical results and identical modeled leaf-line
-        counters to :meth:`range_query_scalar`.
+        counters to a slot-by-slot walk of the leaves.
         """
         if lo > hi:
             return []
@@ -399,10 +371,7 @@ class ImplicitCpuBPlusTree:
             if np.any(up_k[1:] == up_k[:-1]):
                 raise ValueError("duplicate keys within the update batch")
 
-        flat_keys = self.leaf_keys.reshape(-1)
-        mask = flat_keys != self.spec.max_value
-        old_k = flat_keys[mask]
-        old_v = self.leaf_values.reshape(-1)[mask]
+        old_k, old_v = self.stored_items()
         drop = up_k
         if len(del_k):
             drop = np.union1d(drop, del_k) if len(drop) else np.sort(del_k)
@@ -419,13 +388,18 @@ class ImplicitCpuBPlusTree:
             raise ValueError("merge would leave the tree empty")
         self._build(merged_k, merged_v)
 
-    def items(self) -> List[Tuple[int, int]]:
-        """All stored (key, value) pairs in key order."""
-        sentinel = self.spec.max_value
-        mask = self.leaf_keys.reshape(-1) != sentinel
-        ks = self.leaf_keys.reshape(-1)[mask]
-        vs = self.leaf_values.reshape(-1)[mask]
-        return list(zip(ks.tolist(), vs.tolist()))
+    def _stored_mask(self) -> np.ndarray:
+        """The flattened leaf slots that hold pairs: the sentinel pads
+        only the unused slots, and no stored key can equal it."""
+        return self.leaf_keys.reshape(-1) != self.spec.max_value
+
+    def stored_items(self) -> Tuple[np.ndarray, np.ndarray]:
+        mask = self._stored_mask()
+        return (self.leaf_keys.reshape(-1)[mask],
+                self.leaf_values.reshape(-1)[mask])
+
+    def stored_keys(self) -> np.ndarray:
+        return self.leaf_keys.reshape(-1)[self._stored_mask()]
 
     def __len__(self) -> int:
         return self.num_tuples

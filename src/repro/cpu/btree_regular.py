@@ -33,6 +33,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cpu.contents import SortedContents
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     leaf_hit,
@@ -256,7 +257,7 @@ class _LeafPool:
         return self.spec.regular_fanout + 1
 
 
-class RegularCpuBPlusTree:
+class RegularCpuBPlusTree(SortedContents):
     """A fully dynamic B+-tree with the paper's cache-blocked layout.
 
     ``height`` counts inner levels; it is at least 1 because the
@@ -568,8 +569,7 @@ class RegularCpuBPlusTree:
                 < self.leaves.size[chain][:, None])
 
     def stored_items(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All stored (keys, values) in key order (vectorised
-        :meth:`items` twin).
+        """All stored (keys, values) in key order.
 
         Gathers per-leaf pairs with one mask instead of a Python loop
         per tuple; freed pool slots (which keep stale keys) are
@@ -583,103 +583,6 @@ class RegularCpuBPlusTree:
         """The keys of :meth:`stored_items`."""
         chain = self.leaf_chain()
         return self.leaves.keys[chain][self._stored_mask(chain)]
-
-    def range_query_scalar(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """Scalar reference walk of :meth:`range_query`.
-
-        One Python iteration per visited slot — kept as the baseline
-        the vectorised scan is checked (and benchmarked) against, the
-        same way ``pack_i_segment_scalar`` anchors the packing path.
-        """
-        if lo > hi or self.num_tuples == 0:
-            return []
-        node, line, _ = self._descend(int(lo), instrument=True)
-        counters = self.mem.counters if self.mem else None
-        p = self.spec.leaf_pairs_per_line
-        start = int(
-            np.searchsorted(self.leaves.keys[node, : self.leaves.size[node]],
-                            self.spec.dtype(lo))
-        )
-        results: List[Tuple[int, int]] = []
-        touched_line = -1
-        while node != _NIL:
-            size = int(self.leaves.size[node])
-            while start < size:
-                cur_line = start // p
-                if cur_line != touched_line:
-                    self._touch_leaf_line(node, cur_line)
-                    touched_line = cur_line
-                key = int(self.leaves.keys[node, start])
-                if key > hi:
-                    if counters is not None:
-                        counters.queries += 1
-                    return results
-                if self._slot_is_live(node, start):
-                    results.append(
-                        (key, int(self.leaves.values[node, start]))
-                    )
-                start += 1
-            node = int(self.leaves.next[node])
-            start = 0
-            touched_line = -1
-        if counters is not None:
-            counters.queries += 1
-        return results
-
-    def range_scan_from_scalar(self, node: int, lo: int,
-                               hi: int) -> List[Tuple[int, int]]:
-        """Scalar reference walk of :meth:`range_scan_from`.
-
-        One Python iteration per visited slot, starting at big leaf
-        ``node`` with no descent — the baseline the vectorised
-        leaf-chain scan is benchmarked against stage-for-stage.  Like
-        the vectorised twin it tolerates a start leaf at-or-before
-        the true one: it keeps seeking ``lo`` leaf by leaf until a
-        leaf holds a key at-or-after it.
-        """
-        if lo > hi or self.num_tuples == 0:
-            return []
-        node = int(node)
-        counters = self.mem.counters if self.mem else None
-        p = self.spec.leaf_pairs_per_line
-        lo_t = self.spec.dtype(lo)
-        results: List[Tuple[int, int]] = []
-        seeking = True
-        while node != _NIL:
-            size = int(self.leaves.size[node])
-            if size:
-                if seeking:
-                    start = int(np.searchsorted(
-                        self.leaves.keys[node, :size], lo_t
-                    ))
-                else:
-                    start = 0
-                if start < size:
-                    seeking = False
-                    touched_line = -1
-                    while start < size:
-                        cur_line = start // p
-                        if cur_line != touched_line:
-                            self._touch_leaf_line(node, cur_line)
-                            touched_line = cur_line
-                        key = int(self.leaves.keys[node, start])
-                        if key > hi:
-                            if counters is not None:
-                                counters.queries += 1
-                            return results
-                        if self._slot_is_live(node, start):
-                            results.append(
-                                (key, int(self.leaves.values[node, start]))
-                            )
-                        start += 1
-            node = int(self.leaves.next[node])
-        if counters is not None:
-            counters.queries += 1
-        return results
-
-    def _slot_is_live(self, node: int, slot: int) -> bool:
-        """Whether leaf slot holds a real pair (gapped pool overrides)."""
-        return True
 
     def _gather_pairs(self, nodes: np.ndarray, a: np.ndarray,
                       b: np.ndarray,
@@ -702,7 +605,8 @@ class RegularCpuBPlusTree:
         starts at slot 0) and in the terminating leaf (detected by one
         last-key comparison).  The touched-line stream and the result
         gather are each issued as one batched call at scan end, in the
-        exact order the scalar walk produces them: identical results,
+        exact order a slot-by-slot walk produces them (the scalar
+        reference walk in ``repro.bench.scan``): identical results,
         identical modeled counters.
         """
         counters = self.mem.counters if (instrument and self.mem) else None
@@ -774,7 +678,7 @@ class RegularCpuBPlusTree:
         """All (key, value) pairs with ``lo <= key <= hi`` in order.
 
         Vectorised: identical results and identical modeled leaf-line
-        counters to :meth:`range_query_scalar`.
+        counters to a slot-by-slot walk (see :meth:`_scan_chain`).
         """
         if lo > hi or self.num_tuples == 0:
             return []
@@ -1373,17 +1277,6 @@ class RegularCpuBPlusTree:
 
     # ------------------------------------------------------------------
     # iteration / invariants
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Yield all (key, value) pairs in key order via the leaf chain."""
-        node = self._first_leaf
-        while node != _NIL:
-            size = int(self.leaves.size[node])
-            for i in range(size):
-                yield int(self.leaves.keys[node, i]), int(
-                    self.leaves.values[node, i]
-                )
-            node = int(self.leaves.next[node])
 
     def __len__(self) -> int:
         return self.num_tuples

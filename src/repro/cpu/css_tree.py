@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cpu.contents import SortedContents
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     get_search_function,
@@ -32,7 +33,7 @@ from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
 
-class CssTree:
+class CssTree(SortedContents):
     """A static CSS-tree over sorted key/value arrays."""
 
     def __init__(
@@ -223,6 +224,9 @@ class CssTree:
                            max(pair, (end - start) * pair))
         return list(zip(self.sorted_keys[start:end].tolist(),
                         self.sorted_values[start:end].tolist()))
+
+    def stored_items(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.sorted_keys.copy(), self.sorted_values.copy()
 
     def __len__(self) -> int:
         return self.num_tuples

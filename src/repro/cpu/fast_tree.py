@@ -21,16 +21,17 @@ subtree of depth 3 (7 keys, 1 slot padding); with 32-bit keys depth 4
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cpu.contents import SortedContents
 from repro.keys import KeySpec, key_spec, sorted_pairs
 from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
 
-class FastTree:
+class FastTree(SortedContents):
     """An implicit, cache-line-blocked binary search tree.
 
     The index tree is a complete binary tree over the sorted keys
@@ -193,6 +194,9 @@ class FastTree:
         out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
         out[found] = self.sorted_values[pos_c[found]]
         return out
+
+    def stored_items(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.sorted_keys.copy(), self.sorted_values.copy()
 
     def __len__(self) -> int:
         return self.num_tuples

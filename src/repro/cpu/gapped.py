@@ -34,7 +34,7 @@ short shifts and splits separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -156,22 +156,8 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
             self.leaves.values[node, :size][real],
         )
 
-    def items(self) -> Iterator[Tuple[int, int]]:
-        node = self._first_leaf
-        while node != _NIL:
-            size = int(self.leaves.size[node])
-            for i in range(size):
-                if not self.leaves.gap[node, i]:
-                    yield int(self.leaves.keys[node, i]), int(
-                        self.leaves.values[node, i]
-                    )
-            node = int(self.leaves.next[node])
-
     def _stored_mask(self, chain: np.ndarray) -> np.ndarray:
         return super()._stored_mask(chain) & ~self.leaves.gap[chain]
-
-    def _slot_is_live(self, node: int, slot: int) -> bool:
-        return not self.leaves.gap[node, slot]
 
     def _gather_pairs(self, nodes: np.ndarray, a: np.ndarray,
                       b: np.ndarray,
@@ -179,9 +165,9 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
         """Gap-mask-aware slot gather: only real pairs are emitted.
 
         The inherited :meth:`range_query` / :meth:`range_scan_from`
-        chain walk touches gap slots' lines like the scalar walk does
-        (a gap occupies the line whether or not it holds data); only
-        the pair gather differs.
+        chain walk touches gap slots' lines like a slot-by-slot walk
+        does (a gap occupies the line whether or not it holds data);
+        only the pair gather differs.
         """
         cap = self.leaves.capacity_pairs
         idx = _multi_arange(nodes * cap + a, b - a)

@@ -38,27 +38,6 @@ _KINDS = {
 _SUPPORTED_VERSIONS = {"1"}
 
 
-def _contents(tree):
-    """(keys, values) of any supported tree, in key order."""
-    if isinstance(tree, (ImplicitHBPlusTree, HBPlusTree)):
-        tree = tree.cpu_tree
-    if isinstance(tree, (CssTree, FastTree)):
-        spec = tree.spec
-        return (
-            tree.sorted_keys.astype(spec.dtype, copy=True),
-            tree.sorted_values.astype(spec.dtype, copy=True),
-        )
-    if isinstance(tree, ImplicitCpuBPlusTree):
-        items = tree.items()
-        spec = tree.spec
-        keys = np.asarray([k for k, _v in items], dtype=spec.dtype)
-        values = np.asarray([v for _k, v in items], dtype=spec.dtype)
-        return keys, values
-    if isinstance(tree, RegularCpuBPlusTree):
-        return tree.stored_items()
-    raise TypeError(f"cannot persist a {type(tree).__name__}")
-
-
 def save_index(tree, path: Union[str, Path]) -> Path:
     """Serialize a tree's contents + build parameters to ``path``.
 
@@ -72,7 +51,7 @@ def save_index(tree, path: Union[str, Path]) -> Path:
             break
     else:
         raise TypeError(f"cannot persist a {type(tree).__name__}")
-    keys, values = _contents(tree)
+    keys, values = tree.stored_items()
     spec = tree.spec
     meta = {
         "kind": kind,

@@ -14,7 +14,7 @@ both holes:
   :class:`SnapshotManager` restore ladder (newest intact snapshot →
   older snapshots → cold bulk-build), and :func:`warm_restart`;
 * :mod:`repro.lifecycle.bulkload` — the sort-based bottom-up rebuild
-  every rung uses, plus the per-key baseline it replaces.
+  every rung uses.
 
 Storage faults (torn write, at-rest bitflip, partial read) inject
 through :mod:`repro.faults` at dedicated sites, so every crash drill
@@ -23,7 +23,7 @@ replays deterministically; the ``lifecycle`` gate of
 outcomes in CI.
 """
 
-from repro.lifecycle.bulkload import bulk_load, cold_build_per_key
+from repro.lifecycle.bulkload import bulk_load
 from repro.lifecycle.format import (
     FORMAT_VERSION,
     MAGIC,
@@ -67,5 +67,4 @@ __all__ = [
     "WarmRestart",
     "warm_restart",
     "bulk_load",
-    "cold_build_per_key",
 ]

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.hybrid import HybridTree
 from repro.faults.plan import FaultError
-from repro.io import _KINDS, _contents, _parse_meta, build_index
+from repro.io import _KINDS, _parse_meta, build_index
 from repro.lifecycle.format import (
     SUFFIX,
     SnapshotCorrupt,
@@ -97,7 +97,7 @@ def capture_payload(tree, split: Optional[Split] = None,
             break
     else:
         raise TypeError(f"cannot snapshot a {type(tree).__name__}")
-    keys, values = _contents(tree)
+    keys, values = tree.stored_items()
     meta = {
         "payload_version": PAYLOAD_VERSION,
         "kind": kind,

@@ -32,7 +32,6 @@ from repro.core.resilience import ResilientHBPlusTree
 from repro.core.update import SyncUpdater
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.io import _contents
 from repro.lifecycle.bulkload import bulk_load
 from repro.obs import NULL_OBS
 from repro.platform.configs import MachineConfig, machine_m1
@@ -205,7 +204,7 @@ class Shard:
 
     def contents(self):
         """(keys, values) this shard stores, in key order."""
-        return _contents(self.tree)
+        return self.tree.stored_items()
 
     def __len__(self) -> int:
         return len(self.tree)

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.wallclock import (
+    arrival_order_transactions,
+    pack_i_segment_scalar,
+)
 from repro.core.batching import (
     BatchingEngine,
     measure_sorted_delta,
@@ -149,21 +153,11 @@ class TestSortedGain:
         delta = measure_sorted_delta(tree, queries)
         assert delta.unique < delta.queries  # duplicate-heavy indeed
         assert delta.gain > 0.5
-        engine = BatchingEngine(tree, measure_baseline=True)
+        engine = BatchingEngine(tree)
         engine.lookup_batch(queries)
-        assert engine.stats.sorted_gain > 0.5
+        baseline = arrival_order_transactions(engine, queries)
+        assert 1.0 - engine.stats.transactions / baseline > 0.5
         assert engine.stats.duplicate_fraction > 0.0
-
-    def test_result_carries_baseline(self, tree_fixture, request, data):
-        tree = request.getfixturevalue(tree_fixture)
-        keys, _values = data
-        rng = np.random.default_rng(23)
-        queries = rng.choice(keys, size=1024, replace=True)
-        engine = BatchingEngine(tree, measure_baseline=True)
-        _values_out, result = engine.execute_bucket(queries)
-        assert result.baseline_transactions is not None
-        assert result.baseline_transactions >= result.transactions
-        assert 0.0 <= result.sorted_gain < 1.0
 
 
 class TestEngineHypothesis:
@@ -183,10 +177,11 @@ class TestEngineHypothesis:
             # duplicate-heavy: fold the domain onto a few stored keys
             q = keys[q % np.uint64(16)]
         q = np.minimum(q, np.uint64(hbr.spec.max_value - 1))
-        engine = BatchingEngine(hbr, measure_baseline=True)
+        engine = BatchingEngine(hbr)
         assert np.array_equal(engine.lookup_batch(q), hbr.lookup_batch(q))
         # the measured baseline can never be beaten by arrival order
-        assert engine.stats.transactions <= engine.stats.baseline_transactions
+        assert engine.stats.transactions <= arrival_order_transactions(
+            engine, q)
 
 
 class TestEngineInputs:
@@ -258,7 +253,7 @@ class TestBucketCosts:
 class TestVectorizedPacking:
     def test_pack_matches_scalar_reference(self, hbr):
         assert np.array_equal(
-            hbr.pack_i_segment(), hbr.pack_i_segment_scalar()
+            hbr.pack_i_segment(), pack_i_segment_scalar(hbr)
         )
 
     def test_pack_matches_after_updates(self, data, m1):
@@ -267,7 +262,7 @@ class TestVectorizedPacking:
         for k in range(100):
             tree.cpu_tree.insert(int(keys[-1]) + 2 * k + 2, k)
         assert np.array_equal(
-            tree.pack_i_segment(), tree.pack_i_segment_scalar()
+            tree.pack_i_segment(), pack_i_segment_scalar(tree)
         )
 
 

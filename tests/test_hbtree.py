@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.wallclock import sync_node
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.memsim.allocator import PageKind
@@ -136,7 +137,7 @@ class TestRegularHybrid:
         new_key = int(keys.max()) + 1
         hbr.cpu_tree.insert(new_key, 42)
         node, _line, _path = hbr.cpu_tree._descend(new_key, instrument=False)
-        hbr.sync_node(0, node)
+        sync_node(hbr, node)
         assert hbr.lookup(new_key) == 42
 
     def test_stale_mirror_detected_by_lookup(self, hbr, data):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.wallclock import arrival_order_transactions
 from repro.core.adaptive import StaticSplit
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
@@ -81,7 +82,7 @@ def itree():
 def _queries(tree, data, n):
     """Stored keys, misses above the largest key, both key extremes,
     in sorted, arrival or duplicate-heavy order."""
-    stored = tree._stored_keys()
+    stored = tree.stored_keys()
     top = tree.spec.max_value - 1
     pool = np.concatenate([
         stored,
@@ -245,7 +246,7 @@ def _golden_queries(tree):
     """Uniform hits, misses above the largest key, a Zipf run and a
     sorted repeat: 2152 queries, five 512-query buckets."""
     rng = np.random.default_rng(1415)
-    stored = tree._stored_keys()
+    stored = tree.stored_keys()
     uniform = rng.choice(stored, 1024)
     misses = rng.integers(int(stored.max()) + 1, 2**64 - 1, 128,
                           dtype=np.uint64)
@@ -306,10 +307,8 @@ def test_baseline_priced_with_the_bucket_kernel(kernel):
     tree = ImplicitHBPlusTree(keys, values, machine=machine_m1())
     rng = np.random.default_rng(5)
     q = rng.choice(keys, 2048)
-    engine = BatchingEngine(tree, bucket_size=2048, measure_baseline=True,
-                            kernel=kernel)
-    _values, result = engine.execute_bucket(q)
-    assert result.baseline_transactions == tree.modeled_transactions(
-        q, kernel=kernel)
+    engine = BatchingEngine(tree, bucket_size=2048, kernel=kernel)
+    baseline = arrival_order_transactions(engine, q)
+    assert baseline == tree.modeled_transactions(q, kernel=kernel)
     if kernel == FRONTIER:
-        assert result.baseline_transactions != tree.modeled_transactions(q)
+        assert baseline != tree.modeled_transactions(q)

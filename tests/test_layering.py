@@ -1,4 +1,5 @@
-"""The library below ``repro.bench`` never imports from it.
+"""The library below ``repro.bench`` never imports from it, and its
+product classes carry no reference twins.
 
 ``repro.bench`` holds the figures, gates and their drivers; it builds
 on the rest of the package, never the other way round.  Every import
@@ -6,9 +7,13 @@ statement counts, function-local ones included.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import repro
+import repro.io
+from repro.core.batching import BatchingEngine
+from repro.core.update import SyncUpdater
 
 SRC = Path(repro.__file__).parent
 BENCH = SRC / "bench"
@@ -49,3 +54,72 @@ def test_the_scan_sees_function_local_imports(tmp_path):
     assert bench_imports(probe) == [
         (2, "repro.bench.profiling"), (3, "repro.bench"),
     ]
+
+
+# -- the product surface ------------------------------------------------
+#
+# Each operation is implemented once in the product classes.  Slot-by-
+# slot reference walks, per-node sync paths and baseline measurements
+# live next to their only callers: the gate drivers in ``repro.bench``
+# and the oracles in ``tests/``.
+
+#: methods that only a gate baseline or a test oracle calls
+REFERENCE_ONLY = {"sync_node", "_pack_node", "_slot_is_live",
+                  "_apply_per_node"}
+
+
+def reference_methods(path: Path):
+    """``(class, method)`` of every reference-only method a file's
+    classes define."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        found += [
+            (node.name, item.name) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (item.name.endswith("_scalar")
+                 or item.name in REFERENCE_ONLY)
+        ]
+    return found
+
+
+def test_product_classes_define_no_reference_twins():
+    offenders = {
+        str(path.relative_to(SRC)): hits
+        for package in ("cpu", "core")
+        for path in sorted((SRC / package).rglob("*.py"))
+        if (hits := reference_methods(path))
+    }
+    assert offenders == {}
+
+
+def test_the_twin_scan_sees_methods_not_functions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def pack_scalar():\n    pass\n"
+        "class T:\n"
+        "    def range_query_scalar(self):\n        pass\n"
+        "    def sync_node(self):\n        pass\n"
+        "    def sync_nodes(self):\n        pass\n"
+    )
+    assert reference_methods(probe) == [
+        ("T", "range_query_scalar"), ("T", "sync_node"),
+    ]
+
+
+def test_engine_and_updater_take_no_baseline_options():
+    assert "batched" not in inspect.signature(SyncUpdater).parameters
+    assert "measure_baseline" not in \
+        inspect.signature(BatchingEngine).parameters
+
+
+def test_io_reads_contents_without_a_type_ladder():
+    tree = ast.parse((SRC / "io.py").read_text())
+    calls = [
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+    ]
+    assert calls == []
+    assert not hasattr(repro.io, "_contents")

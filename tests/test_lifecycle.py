@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.lifecycle import cold_build_per_key
 from repro.core.adaptive import AdaptiveController
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
@@ -25,7 +26,6 @@ from repro.lifecycle import (
     SnapshotManager,
     bulk_load,
     capture_payload,
-    cold_build_per_key,
     parse_payload,
     peek_version,
     read_envelope,

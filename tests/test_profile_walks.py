@@ -195,17 +195,17 @@ class TestKeySample:
         s = tree.key_sample(23, 2048)
         assert len(s) == 100 and len(np.unique(s)) == 100
         assert np.array_equal(s, np.random.default_rng(23).choice(
-            tree._stored_keys(), size=100, replace=False))
+            tree.stored_keys(), size=100, replace=False))
 
     def test_replacement_rule_is_kept(self, tree):
         s = tree.key_sample(11, 2048, replace=True)
         assert np.array_equal(s, np.random.default_rng(11).choice(
-            tree._stored_keys(), size=100))
+            tree.stored_keys(), size=100))
 
     def test_fill_replaces_only_on_a_small_tree(self, tree, m1):
         s = tree.key_sample(5, 4096, fill=True)
         assert np.array_equal(s, np.random.default_rng(5).choice(
-            tree._stored_keys(), size=4096, replace=True))
+            tree.stored_keys(), size=4096, replace=True))
         keys = np.arange(1, 5001, dtype=np.uint64)
         big = HBPlusTree(keys, keys, machine=m1)
         assert len(np.unique(big.key_sample(5, 4096, fill=True))) == 4096

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.scan import range_scan_from_scalar
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
@@ -35,6 +36,7 @@ from repro.cpu.gapped import GappedCpuBPlusTree
 from repro.faults import FaultInjector, FaultPlan
 from repro.workloads.generators import generate_dataset
 from repro.workloads.queries import make_scan_queries
+from tests.scan_oracles import range_query_scalar
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +88,7 @@ class TestScalarVectorEquivalence:
         ts = HBPlusTree(keys, values, machine=m1, **kwargs).cpu_tree
         tv = HBPlusTree(keys, values, machine=m1, **kwargs).cpu_tree
         rs, ds = _counter_delta(
-            ts, lambda: [ts.range_query_scalar(lo, hi) for lo, hi in cases]
+            ts, lambda: [range_query_scalar(ts, lo, hi) for lo, hi in cases]
         )
         rv, dv = _counter_delta(
             tv, lambda: [tv.range_query(lo, hi) for lo, hi in cases]
@@ -100,7 +102,7 @@ class TestScalarVectorEquivalence:
         ts = ImplicitHBPlusTree(keys, values, machine=m1).cpu_tree
         tv = ImplicitHBPlusTree(keys, values, machine=m1).cpu_tree
         rs, ds = _counter_delta(
-            ts, lambda: [ts.range_query_scalar(lo, hi) for lo, hi in cases]
+            ts, lambda: [range_query_scalar(ts, lo, hi) for lo, hi in cases]
         )
         rv, dv = _counter_delta(
             tv, lambda: [tv.range_query(lo, hi) for lo, hi in cases]
@@ -127,7 +129,7 @@ class TestScalarVectorEquivalence:
             if prev >= 0:
                 triples.append((prev, lo, hi))
         rs, ds = _counter_delta(ts, lambda: [
-            ts.range_scan_from_scalar(n, lo, hi) for n, lo, hi in triples
+            range_scan_from_scalar(ts, n, lo, hi) for n, lo, hi in triples
         ])
         rv, dv = _counter_delta(tv, lambda: [
             tv.range_scan_from(n, lo, hi) for n, lo, hi in triples
@@ -299,7 +301,7 @@ def test_layouts_agree_with_sorted_model(keys, data):
     ]
     for tree in trees:
         assert tree.range_query(lo, hi) == model
-        assert tree.range_query_scalar(lo, hi) == model
+        assert range_query_scalar(tree, lo, hi) == model
 
 
 @settings(max_examples=15, deadline=None)
@@ -315,7 +317,7 @@ def test_leaf_stage_twins_agree_on_any_start_leaf(keys):
         tree = cls(keys, values, **kwargs)
         for node in tree.leaf_chain().tolist():
             assert tree.range_scan_from(node, lo, hi) \
-                == tree.range_scan_from_scalar(node, lo, hi)
+                == range_scan_from_scalar(tree, node, lo, hi)
 
 
 def test_empty_and_single_leaf_trees():
@@ -323,7 +325,7 @@ def test_empty_and_single_leaf_trees():
     for cls in (RegularCpuBPlusTree, GappedCpuBPlusTree):
         tree = cls(empty_keys, empty_keys)
         assert tree.range_query(0, 1 << 40) == []
-        assert tree.range_query_scalar(0, 1 << 40) == []
+        assert range_query_scalar(tree, 0, 1 << 40) == []
     keys = np.asarray([10, 20, 30], dtype=np.uint64)
     values = np.asarray([1, 2, 3], dtype=np.uint64)
     for cls in (RegularCpuBPlusTree, GappedCpuBPlusTree,

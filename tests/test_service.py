@@ -10,7 +10,6 @@ import pytest
 from repro.core.batching import BatchingEngine
 from repro.core.update import SyncUpdater
 from repro.faults import FaultInjector, FaultPlan
-from repro.io import _contents
 from repro.lifecycle import SnapshotManager, capture_payload
 from repro.lifecycle.bulkload import bulk_load
 from repro.obs import MetricsRegistry, Observability, publish_service
@@ -195,7 +194,7 @@ class TestBitIdentity:
         svc.apply_updates(upk, upv, dlk)
         SyncUpdater(tree).apply(upk, upv, dlk)
         sk, sv = svc.contents()
-        bk, bv = _contents(tree)
+        bk, bv = tree.stored_items()
         assert np.array_equal(sk, bk)
         assert np.array_equal(sv, bv)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.wallclock import PerNodeSyncUpdater
 from repro.core.hbtree import HBPlusTree
 from repro.core.update import (
     ASYNC_GROUP_SIZE,
@@ -144,14 +145,14 @@ class TestSyncUpdater:
 
         t_batched = HBPlusTree(keys, values, machine=m1, fill=0.7)
         t_batched.link.stats.reset()
-        stats_b = SyncUpdater(t_batched, batched=True).apply(
+        stats_b = SyncUpdater(t_batched).apply(
             upd_keys, upd_vals
         )
         batched_transfers = t_batched.link.stats.transfers
 
         t_pernode = HBPlusTree(keys, values, machine=m1, fill=0.7)
         t_pernode.link.stats.reset()
-        stats_p = SyncUpdater(t_pernode, batched=False).apply(
+        stats_p = PerNodeSyncUpdater(t_pernode).apply(
             upd_keys, upd_vals
         )
         pernode_transfers = t_pernode.link.stats.transfers
@@ -172,7 +173,7 @@ class TestSyncUpdater:
 
     def test_legacy_pernode_path_still_works(self, tree, batch):
         upd_keys, upd_vals = batch
-        stats = SyncUpdater(tree, batched=False).apply(upd_keys, upd_vals)
+        stats = PerNodeSyncUpdater(tree).apply(upd_keys, upd_vals)
         tree.cpu_tree.check_invariants()
         assert stats.applied == len(upd_keys)
         assert np.array_equal(tree.lookup_batch(upd_keys), upd_vals)
