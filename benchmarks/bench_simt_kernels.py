@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
+from repro.gpusim.kernels.frontier_search import launch_frontier_search
+from repro.gpusim.kernels.implicit_search import launch_implicit_search
 from repro.gpusim.memory import coalesce
 from repro.workloads.generators import generate_dataset
 
@@ -26,8 +28,11 @@ def test_literal_simt_kernel_cost(benchmark, small_tree):
     tree, keys = small_tree
     sample = np.asarray(keys[:32], dtype=np.uint64)
     benchmark.pedantic(
-        lambda: tree.gpu_search_bucket_literal(sample), rounds=3,
-        iterations=1,
+        lambda: launch_implicit_search(
+            tree.device, tree.iseg_buffer, tree.level_offsets,
+            tree.gpu_depth, tree.cpu_tree.fanout, sample,
+        ),
+        rounds=3, iterations=1,
     )
 
 
@@ -36,7 +41,11 @@ def test_literal_frontier_kernel_cost(benchmark, small_tree):
     tree, keys = small_tree
     sample = np.asarray(keys[:32], dtype=np.uint64)
     benchmark.pedantic(
-        lambda: tree.gpu_search_bucket_literal(sample, kernel="frontier"),
+        lambda: launch_frontier_search(
+            tree.device, tree.iseg_buffer, tree.level_offsets,
+            tree.gpu_depth, tree.cpu_tree.fanout, sample,
+            level_sizes=tree.level_sizes,
+        ),
         rounds=3, iterations=1,
     )
 

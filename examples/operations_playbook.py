@@ -68,8 +68,13 @@ from repro.workloads.trace import replay_trace, synthesize_trace
 
 
 def main() -> None:
+    # every archive and snapshot lives in one directory a run removes
+    with tempfile.TemporaryDirectory(prefix="hbtree_ops_") as tmp:
+        run_playbook(Path(tmp))
+
+
+def run_playbook(workdir: Path) -> None:
     machine = machine_m1()
-    workdir = Path(tempfile.mkdtemp(prefix="hbtree_ops_"))
 
     # 1. build + persist
     keys, values = generate_dataset(1 << 16, seed=2026)

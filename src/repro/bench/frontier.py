@@ -18,9 +18,11 @@ Answers the two questions DESIGN.md §13 leaves to measurement:
    Algorithm 1 with the kernel dimension open
    (:meth:`~repro.core.load_balance.SplitCostModel.discover`),
    cross-checks the committed (kernel, D, R) against an exhaustive
-   per-kernel argmin, and replays the adaptive engine against the
-   unbalanced reference — results must stay bit-identical whatever
-   kernel the controller commits.
+   per-kernel argmin, and checks that the adaptive controller commits
+   the same kernel.
+
+That both kernels return the same leaves and launch the same buckets
+is a tier-1 test (``tests/test_frontier.py``).
 
 ``run_frontier`` returns one JSON-serialisable dict and
 :func:`gate_failures` is its gate; ``python -m repro.bench.gates
@@ -59,11 +61,10 @@ def _engine_run(keys, values, machine, queries, bucket: int,
     tree = ImplicitHBPlusTree(keys, values, machine=machine)
     engine = BatchingEngine(tree, bucket_size=bucket, kernel=kernel)
     t0 = time.perf_counter_ns()
-    out = engine.lookup_batch(queries)
+    engine.lookup_batch(queries)
     wall_ns = time.perf_counter_ns() - t0
     return {
         "kernel": kernel,
-        "out": out,
         "transactions": int(engine.stats.transactions),
         "transactions_per_query": engine.stats.transactions_per_query,
         "kernel_launches": int(tree.device.kernel_launches),
@@ -73,7 +74,7 @@ def _engine_run(keys, values, machine, queries, bucket: int,
 
 def _workload_compare(keys, values, machine, queries, bucket: int,
                       label: str) -> Dict[str, Any]:
-    """Both kernels over one workload: per-kernel counts + parity."""
+    """Both kernels over one workload: per-kernel counts."""
     runs = {
         kern: _engine_run(keys, values, machine, queries, bucket, kern)
         for kern in KERNELS
@@ -82,12 +83,6 @@ def _workload_compare(keys, values, machine, queries, bucket: int,
     row: Dict[str, Any] = {
         "workload": label,
         "queries": int(len(queries)),
-        "bit_identical": bool(
-            np.array_equal(per_query.pop("out"), frontier.pop("out"))
-        ),
-        "launches_identical": (
-            per_query["kernel_launches"] == frontier["kernel_launches"]
-        ),
         "per_query": per_query,
         "frontier": frontier,
         "transaction_reduction": (
@@ -124,20 +119,19 @@ def run_frontier(smoke: bool = False) -> Dict[str, Any]:
         tree.gpu_depth, tree.cpu_tree.fanout, probe, zeros, zeros,
     )
     t0 = time.perf_counter_ns()
-    pq_leaf, pq_txns = implicit_descend(
+    pq_txns = implicit_descend(
         *args, tree.coalescing_window(PER_QUERY, len(probe))
-    )
+    )[1]
     pq_wall = time.perf_counter_ns() - t0
     t0 = time.perf_counter_ns()
-    fr_leaf, fr_txns = implicit_descend(
+    fr_txns = implicit_descend(
         *args, tree.coalescing_window(FRONTIER, len(probe))
-    )
+    )[1]
     fr_wall = time.perf_counter_ns() - t0
     single_bucket = {
         "bucket_queries": int(len(probe)),
         "gpu_depth": int(tree.gpu_depth),
         "fanout": int(tree.cpu_tree.fanout),
-        "bit_identical": bool(np.array_equal(pq_leaf, fr_leaf)),
         "per_query_transactions": int(pq_txns),
         "frontier_transactions": int(fr_txns),
         "per_query_wall_ns": float(pq_wall),
@@ -156,15 +150,7 @@ def run_frontier(smoke: bool = False) -> Dict[str, Any]:
             "cost_ns": float(max(best[2], best[3])),
         }
     cheapest = min(exhaustive, key=lambda k: exhaustive[k]["cost_ns"])
-
     controller = AdaptiveController.for_tree(tree, bucket_size=bucket)
-    reference = BatchingEngine(tree, bucket_size=bucket)
-    balanced = BatchingEngine(tree, bucket_size=bucket, balancer=controller)
-    sel_queries = uniform[: max(bucket * 4, 1)]
-    selection_identical = bool(np.array_equal(
-        balanced.lookup_batch(sel_queries),
-        reference.lookup_batch(sel_queries),
-    ))
 
     return {
         "benchmark": "frontier",
@@ -186,7 +172,6 @@ def run_frontier(smoke: bool = False) -> Dict[str, Any]:
             "exhaustive": exhaustive,
             "cheapest_kernel": cheapest,
             "adaptive_kernel": controller.kernel,
-            "bit_identical": selection_identical,
         },
     }
 
@@ -195,15 +180,6 @@ def gate_failures(report: Dict[str, Any]) -> List[str]:
     """The regression gate: empty list when the report passes."""
     failures = []
     rows = {row["workload"]: row for row in report["workloads"]}
-    for label, row in rows.items():
-        if not row["bit_identical"]:
-            failures.append(
-                f"{label}: frontier results diverged from per-query"
-            )
-        if not row["launches_identical"]:
-            failures.append(
-                f"{label}: kernel choice moved the launch count"
-            )
     uniform, zipf = rows["uniform"], rows["zipf"]
     if (uniform["frontier"]["transactions"]
             >= uniform["per_query"]["transactions"]):
@@ -222,8 +198,6 @@ def gate_failures(report: Dict[str, Any]) -> List[str]:
             f" txns/query regresses the {floor} floor"
         )
     sb = report["single_bucket"]
-    if not sb["bit_identical"]:
-        failures.append("single bucket: leaf indices diverged")
     if sb["frontier_transactions"] >= sb["per_query_transactions"]:
         failures.append(
             "single bucket: frontier not strictly cheaper "
@@ -247,9 +221,5 @@ def gate_failures(report: Dict[str, Any]) -> List[str]:
         failures.append(
             "AdaptiveController committed a different kernel than "
             "offline discovery on the same profile"
-        )
-    if not sel["bit_identical"]:
-        failures.append(
-            "kernel-selected engine diverged from the unbalanced reference"
         )
     return failures

@@ -18,8 +18,7 @@ import traceback
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple
 
-from repro.bench import adaptive, frontier, lifecycle, mixed, scan, service
-from repro.bench import wallclock
+from repro.bench import adaptive, frontier, lifecycle, mixed, scan, wallclock
 
 #: the Perfetto-loadable trace the ``trace`` gate exports
 TRACE_FILE = "BENCH_pr4.trace.json"
@@ -48,8 +47,6 @@ GATES = (
          frontier.gate_failures),
     Gate("mixed", "BENCH_pr8.json", mixed.run_mixed, mixed.gate_failures),
     Gate("scan", "BENCH_pr9.json", scan.run_scan, scan.gate_failures),
-    Gate("service", "BENCH_pr10.json", service.run_service,
-         service.gate_failures),
 )
 
 

@@ -25,11 +25,11 @@ transactions and batched sync must not add PCIe transfers.
 ``run_trace`` exercises the observability layer (:mod:`repro.obs`): a
 batch-engine run with tracing off (explicit ``NULL_OBS``) and the same
 run with a live :class:`~repro.obs.Observability` bundle attached,
-checking the layer's guarantee — bit-identical results and identical
-modeled device counters either way — measuring the tracing overhead,
-and exporting the Chrome-trace-event JSON (Perfetto-loadable) with the
-caller's bucket spans on one thread track; :func:`trace_gate_failures`
-is its gate.
+measuring the tracing overhead and exporting the Chrome-trace-event
+JSON (Perfetto-loadable); :func:`trace_gate_failures` is its gate.
+That tracing never changes results or modeled counters is a tier-1
+test (``tests/test_obs.py``), and CI validates the exported trace with
+``python -m repro.obs.validate``.
 
 ``python -m repro.bench.gates [--smoke] wallclock trace`` runs both
 gates and writes ``BENCH_pr2.json``, ``BENCH_pr4.json`` and the
@@ -316,36 +316,24 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _device_counters(tree) -> Dict[str, int]:
-    c = tree.device.memory.counters
-    return {
-        "kernel_launches": int(tree.device.kernel_launches),
-        "transactions_64": int(c.transactions_64),
-        "bytes_moved": int(c.bytes_moved),
-    }
-
-
 def run_trace(smoke: bool = False, trace_path: str = None) -> Dict[str, Any]:
     """Benchmark the observability layer; returns the BENCH_pr4 payload.
 
     Runs the batch engine over the same tree and query stream,
     alternating untraced runs (explicit ``NULL_OBS`` override, tree
     detached) with traced runs (a live
-    :class:`~repro.obs.Observability` bundle attached to the tree), and
-    verifies the layer's core guarantee: enabling tracing never changes
-    results or modeled counters.  The report records
+    :class:`~repro.obs.Observability` bundle attached to the tree).
+    The report records
 
-    * ``bit_identical`` / ``counters_match`` — the guarantee,
     * ``overhead_ratio`` — the median traced / untraced wall-clock
       ratio over alternating pairs of runs (``untraced_wall_ns`` and
       ``traced_wall_ns`` are each side's best),
-    * ``trace`` — span counts, thread-track names, inline schema
-      validation (:func:`repro.obs.validate_events`), and the exported
-      file path when ``trace_path`` is given,
+    * ``trace`` — event and span counts, and the exported file path
+      when ``trace_path`` is given,
     * ``metrics`` — a sample of the unified registry snapshot
       (``collect_all`` over tree + engine).
     """
-    from repro.obs import NULL_OBS, Observability, validate_events
+    from repro.obs import NULL_OBS, Observability
     from repro.obs.export import collect_all
 
     if smoke:
@@ -366,9 +354,8 @@ def run_trace(smoke: bool = False, trace_path: str = None) -> Dict[str, Any]:
     def timed(engine):
         tree.device.reset_counters()
         t0 = time.perf_counter_ns()
-        result = engine.lookup_batch(queries)
-        ns = float(time.perf_counter_ns() - t0)
-        return result, ns, _device_counters(tree)
+        engine.lookup_batch(queries)
+        return float(time.perf_counter_ns() - t0)
 
     # untraced and traced runs alternate, and the overhead is the median
     # of the pairs' ratios: neighbouring runs share the host's state, so
@@ -377,16 +364,14 @@ def run_trace(smoke: bool = False, trace_path: str = None) -> Dict[str, Any]:
     plain_ns = traced_ns = float("inf")
     for _ in range(repeats):
         tree.attach_obs(NULL_OBS)
-        ref, p_ns, ref_counters = timed(plain)
+        p_ns = timed(plain)
         tree.attach_obs(obs)
         obs.reset()  # keep only the final repeat's events in the trace
-        out, t_ns, traced_counters = timed(traced)
+        t_ns = timed(traced)
         ratios.append(t_ns / max(1.0, p_ns))
         plain_ns = min(plain_ns, p_ns)
         traced_ns = min(traced_ns, t_ns)
 
-    errors = validate_events(obs.tracer.events)
-    thread_names = sorted(obs.tracer.thread_names().values())
     metrics_snapshot = collect_all(
         obs.metrics, tree=tree, engine=traced, engine_label="batch"
     )
@@ -398,18 +383,12 @@ def run_trace(smoke: bool = False, trace_path: str = None) -> Dict[str, Any]:
         "keys": int(n_keys),
         "queries": int(n_queries),
         "bucket_size": int(bucket),
-        "bit_identical": bool(np.array_equal(out, ref)),
-        "counters_match": traced_counters == ref_counters,
-        "counters": {"untraced": ref_counters, "traced": traced_counters},
         "untraced_wall_ns": plain_ns,
         "traced_wall_ns": traced_ns,
         "overhead_ratio": float(np.median(ratios)),
         "trace": {
             "events": len(obs.tracer.events),
             "spans": obs.tracer.span_count(),
-            "thread_names": thread_names,
-            "valid": not errors,
-            "validation_errors": errors[:20],
             "path": trace_path,
         },
         "metrics": metrics_snapshot,
@@ -482,22 +461,7 @@ def gate_failures(report: Dict[str, Any]) -> List[str]:
 
 def trace_gate_failures(report: Dict[str, Any]) -> List[str]:
     """The observability gate: empty list when the report passes."""
-    trace = report["trace"]
     failures = []
-    if not report["bit_identical"]:
-        failures.append("tracing-enabled run is not bit-identical to disabled")
-    if not report["counters_match"]:
-        failures.append(
-            "modeled device counters diverged under tracing "
-            f"({report['counters']['traced']} vs "
-            f"{report['counters']['untraced']})"
-        )
-    if not trace["valid"]:
-        failures.append(
-            f"trace failed schema validation: {trace['validation_errors']}"
-        )
-    if not trace["thread_names"]:
-        failures.append("trace is missing the caller track")
     if report["overhead_ratio"] > MAX_TRACE_OVERHEAD:
         failures.append(
             f"tracing overhead {report['overhead_ratio']:.2f}x exceeds "

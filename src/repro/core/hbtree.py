@@ -32,10 +32,7 @@ from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm, probe_leaf_slots
 from repro.faults import FaultError
-from repro.gpusim.kernels.regular_search import (
-    launch_regular_search,
-    regular_search_vectorized,
-)
+from repro.gpusim.kernels.regular_search import regular_search_vectorized
 from repro.gpusim.memory import grow_array
 from repro.memsim.mainmem import MemorySystem, PageConfig
 from repro.platform.configs import MachineConfig
@@ -424,22 +421,6 @@ class HBPlusTree(HybridTree):
             q,
             group,
         )
-
-    def gpu_search_bucket_literal(self, queries: np.ndarray) -> np.ndarray:
-        """Stage 2 on the literal SIMT interpreter (slow; for tests)."""
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        codes, _stats = launch_regular_search(
-            self.device,
-            self.iseg_buffer,
-            self.node_stride,
-            self.spec.keys_per_line,
-            self.cpu_tree.fanout,
-            self.cpu_tree.height,
-            self.cpu_tree.root,
-            self.last_base,
-            q,
-        )
-        return codes
 
     def cpu_finish_bucket(
         self, queries: np.ndarray, codes: np.ndarray

@@ -32,14 +32,7 @@ from repro.core.hybrid import (
 )
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree, descend_top
 from repro.cpu.node_search import NodeSearchAlgorithm
-from repro.gpusim.kernels.frontier_search import (
-    FRONTIER,
-    launch_frontier_search,
-)
-from repro.gpusim.kernels.implicit_search import (
-    implicit_descend,
-    launch_implicit_search,
-)
+from repro.gpusim.kernels.implicit_search import implicit_descend
 from repro.memsim.mainmem import MemorySystem, PageConfig
 from repro.platform.configs import MachineConfig
 
@@ -230,32 +223,6 @@ class ImplicitHBPlusTree(HybridTree):
         return self._charged(
             *self.gpu_descend_from(q, start, start_nodes, kernel=kern)
         )
-
-    def gpu_search_bucket_literal(
-        self, queries: np.ndarray, kernel: Optional[str] = None
-    ) -> np.ndarray:
-        """Stage 2 on the literal SIMT interpreter (slow; for tests)."""
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        if self._resolve_kernel(kernel) == FRONTIER:
-            leaf, _stats = launch_frontier_search(
-                self.device,
-                self.iseg_buffer,
-                self.level_offsets,
-                self.gpu_depth,
-                self.cpu_tree.fanout,
-                q,
-                level_sizes=self.level_sizes,
-            )
-            return leaf
-        leaf, _stats = launch_implicit_search(
-            self.device,
-            self.iseg_buffer,
-            self.level_offsets,
-            self.gpu_depth,
-            self.cpu_tree.fanout,
-            q,
-        )
-        return leaf
 
     def cpu_finish_bucket(
         self, queries: np.ndarray, codes: np.ndarray

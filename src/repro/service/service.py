@@ -327,33 +327,41 @@ class IndexService:
                     cut: Optional[int] = None) -> Tuple[int, int]:
         """Split the shard at position ``pos`` online.
 
-        Protocol: quiesce the shard → best-effort snapshot (a storage
-        fault is contained: counted, split proceeds from the live
-        contents) → partition at ``cut`` (default: the shard's
-        traffic-aware suggestion) → bulk-load two children with
-        warm-started controllers → swap the table atomically.
-        Returns the two child positions ``(pos, pos + 1)``.
+        Protocol: quiesce the shard → read its contents once → pick
+        ``cut`` (default: the shard's traffic-aware suggestion) →
+        best-effort snapshot (a storage fault is contained: counted,
+        split proceeds from the live contents) → partition at ``cut``
+        → bulk-load two children with warm-started controllers → swap
+        the table atomically.  Returns the two child positions
+        ``(pos, pos + 1)``.
         """
         if not isinstance(self.router, RangeRouter):
             raise ValueError("only a range-routed service can split")
+        if self._split(pos, cut) is None:
+            raise ValueError(
+                f"shard at position {pos} is too small to split"
+            )
+        return pos, pos + 1
+
+    def _split(self, pos: int, cut: Optional[int]) -> Optional[int]:
+        """:meth:`split_shard`'s body; returns the cut, or None with
+        nothing changed when the shard is too small to split."""
         with self._write_lock:
             router, shards = self._table
             parent = shards[pos]
             with self.obs.span("service.split", pos=pos,
                                sid=parent.sid):
                 with parent.quiesce():
+                    keys, values = parent.contents()
+                    if cut is None:
+                        cut = parent.suggest_cut(keys)
+                    if cut is None:
+                        return None
                     if self.snapshots is not None:
                         if parent.snapshot_to(self.snapshots) is None:
                             self.snapshot_failures += 1
                             self.obs.count(
                                 "live.service.snapshot_failures")
-                    keys, values = parent.contents()
-                if cut is None:
-                    cut = parent.suggest_cut()
-                if cut is None:
-                    raise ValueError(
-                        f"shard at position {pos} is too small to split"
-                    )
                 new_router = router.split(pos, cut)  # validates cut
                 left = keys < np.asarray(cut, dtype=keys.dtype)
                 warm = (parent.controller.split()
@@ -377,7 +385,7 @@ class IndexService:
                 self.obs.emit("service_split", pos=pos, cut=int(cut),
                               epoch=new_router.epoch,
                               left=len(child_l), right=len(child_r))
-        return pos, pos + 1
+        return cut
 
     def merge_shards(self, pos: int) -> int:
         """Merge the shards at positions ``pos`` and ``pos + 1``."""
@@ -432,8 +440,7 @@ class IndexService:
         hot = int(np.argmax(shares))
         if (shares[hot] > self.config.hot_share
                 and len(shards) < self.config.max_shards
-                and shards[hot].suggest_cut() is not None):
-            self.split_shard(hot)
+                and self._split(hot, None) is not None):
             return f"split position {hot} (share {shares[hot]:.2f})"
         if len(shards) > 1:
             pair_shares = [shares[i] + shares[i + 1]

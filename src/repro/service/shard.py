@@ -219,11 +219,11 @@ class Shard:
         split = self.controller.split() if self.controller else None
         return manager.save_engine(self.engine, split=split)
 
-    def suggest_cut(self) -> Optional[int]:
-        """A split point for this shard: the median of the traffic the
-        controller last sampled (hot-spot aware), else the median
+    def suggest_cut(self, keys: np.ndarray) -> Optional[int]:
+        """A split point for this shard, given its stored ``keys`` (the
+        caller's read of :meth:`contents`): the median of the traffic
+        the controller last sampled (hot-spot aware), else the median
         stored key.  None when the shard is too small to split."""
-        keys, _ = self.contents()
         if len(keys) < 2:
             return None
         lo = int(keys[0])

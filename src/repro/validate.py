@@ -3,8 +3,9 @@
 ``validate_index(tree)`` runs the deepest consistency checks available
 for the structure and raises ``ValidationError`` with a description on
 the first violation.  For hybrid trees this includes cross-checking the
-GPU mirror against the CPU structure by replaying a sample of real
-queries through the *literal* SIMT kernel.
+GPU mirror against the CPU structure: a sample of stored keys descends
+through the GPU stage (``gpu_descend``) and through the CPU tree, and
+both must reach the same leaf line.
 
 Deployments call this after batch updates or reloads; the test suite
 uses it as an oracle.
@@ -90,24 +91,24 @@ def validate_fast(tree: FastTree) -> None:
 
 def validate_hybrid_implicit(tree: ImplicitHBPlusTree,
                              mirror_sample: int = 64) -> None:
-    """CPU structure + GPU mirror consistency (literal kernel replay)."""
+    """CPU structure + GPU mirror consistency."""
     validate_implicit(tree.cpu_tree)
     # the flat device image must equal the CPU inner levels
     _require(tree.mirror_matches(), "hybrid implicit: GPU mirror is stale")
-    # literal SIMT kernel must agree with the CPU descent
+    # the GPU stage over that image must agree with the CPU descent
     stored = tree.cpu_tree.leaf_keys.reshape(-1)
     stored = stored[stored != tree.spec.max_value]
     if len(stored):
         rng = np.random.default_rng(13)
         sample = rng.choice(stored, size=min(mirror_sample, len(stored)))
-        literal = tree.gpu_search_bucket_literal(sample)
+        codes, _txns = tree.gpu_descend(sample)
         cpu = np.asarray(
             [tree.cpu_tree._descend(int(k), instrument=False)
              for k in sample],
             dtype=np.int64,
         )
-        _require(bool(np.array_equal(literal, cpu)),
-                 "hybrid implicit: SIMT kernel disagrees with CPU descent")
+        _require(bool(np.array_equal(codes, cpu)),
+                 "hybrid implicit: GPU descent disagrees with CPU descent")
 
 
 def validate_hybrid_regular(tree: HBPlusTree,
@@ -126,11 +127,12 @@ def validate_hybrid_regular(tree: HBPlusTree,
     if len(stored):
         rng = np.random.default_rng(13)
         sample = rng.choice(stored, size=min(mirror_sample, len(stored)))
-        literal = tree.gpu_search_bucket_literal(sample)
-        vector, _txns = tree.gpu_descend(sample)
-        _require(bool(np.array_equal(literal, vector)),
-                 "hybrid regular: SIMT kernel disagrees with twin")
-        out = tree.cpu_finish_bucket(sample, literal)
+        codes, _txns = tree.gpu_descend(sample)
+        node, line = tree.cpu_tree.descend_batch(sample)
+        _require(bool(np.array_equal(codes,
+                                     node * tree.cpu_tree.fanout + line)),
+                 "hybrid regular: GPU descent disagrees with CPU descent")
+        out = tree.cpu_finish_bucket(sample, codes)
         _require(bool(np.all(out != tree.spec.max_value)),
                  "hybrid regular: a stored key fails the hybrid lookup")
 

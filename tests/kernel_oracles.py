@@ -5,12 +5,47 @@ These are the straightforward forms of the vectorised kernels in
 node and compares every key, and each level's line stream is counted
 on its own with a per-window sort.  The production kernels (lower-bound
 node search, one accounting pass per bucket) must return identical
-codes and identical transaction counts.
+codes and identical transaction counts.  :func:`literal_codes` runs a
+hybrid tree's stage 2 on the literal SIMT interpreter instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.hbtree_implicit import ImplicitHBPlusTree
+from repro.gpusim.kernels.frontier_search import (
+    FRONTIER,
+    launch_frontier_search,
+)
+from repro.gpusim.kernels.implicit_search import launch_implicit_search
+from repro.gpusim.kernels.regular_search import launch_regular_search
+
+
+def literal_codes(tree, queries, kernel=None) -> np.ndarray:
+    """Stage 2 of a hybrid tree on the literal SIMT interpreter, over
+    the tree's device mirror: the codes its ``gpu_search_bucket``
+    must return.  ``kernel`` picks the implicit tree's per-query or
+    frontier kernel (default: the tree's)."""
+    q = np.asarray(queries, dtype=tree.spec.dtype)
+    fanout = tree.cpu_tree.fanout
+    if not isinstance(tree, ImplicitHBPlusTree):
+        codes, _stats = launch_regular_search(
+            tree.device, tree.iseg_buffer, tree.node_stride,
+            tree.spec.keys_per_line, fanout, tree.cpu_tree.height,
+            tree.cpu_tree.root, tree.last_base, q,
+        )
+    elif tree._resolve_kernel(kernel) == FRONTIER:
+        codes, _stats = launch_frontier_search(
+            tree.device, tree.iseg_buffer, tree.level_offsets,
+            tree.gpu_depth, fanout, q, level_sizes=tree.level_sizes,
+        )
+    else:
+        codes, _stats = launch_implicit_search(
+            tree.device, tree.iseg_buffer, tree.level_offsets,
+            tree.gpu_depth, fanout, q,
+        )
+    return codes
 
 
 def warp_distinct_ref(values: np.ndarray, group: int) -> int:

@@ -13,6 +13,7 @@ from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
 from repro.gpusim.kernels.implicit_search import implicit_descend
 from repro.workloads.generators import generate_dataset
+from tests.kernel_oracles import literal_codes
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestImplicitKernel:
     def test_literal_equals_vectorized(self, hb_implicit):
         tree, keys, _values = hb_implicit
         sample = keys[:96]
-        literal = tree.gpu_search_bucket_literal(sample)
+        literal = literal_codes(tree, sample)
         vector = tree.gpu_search_bucket(sample).codes
         assert np.array_equal(literal, vector)
 
@@ -48,7 +49,7 @@ class TestImplicitKernel:
         probe = np.asarray([int(keys.max()) + 5, 0], dtype=np.uint64)
         leaf = tree.gpu_search_bucket(probe).codes
         assert np.all(leaf < tree.cpu_tree.num_leaves)
-        literal = tree.gpu_search_bucket_literal(probe)
+        literal = literal_codes(tree, probe)
         assert np.array_equal(literal, leaf)
 
     def test_transactions_at_most_depth_per_query(self, hb_implicit):
@@ -129,7 +130,7 @@ class TestRegularKernel:
     def test_literal_equals_vectorized(self, hb_regular):
         tree, keys, _values = hb_regular
         sample = keys[:96]
-        literal = tree.gpu_search_bucket_literal(sample)
+        literal = literal_codes(tree, sample)
         vector = tree.gpu_search_bucket(sample).codes
         assert np.array_equal(literal, vector)
 
@@ -154,7 +155,7 @@ class TestRegularKernel:
         tree, keys, _values = hb_regular
         probe = np.asarray([int(keys.max()) + 77], dtype=np.uint64)
         codes = tree.gpu_search_bucket(probe).codes
-        literal = tree.gpu_search_bucket_literal(probe)
+        literal = literal_codes(tree, probe)
         assert np.array_equal(codes, literal)
         assert tree.cpu_finish_bucket(probe, codes)[0] == tree.spec.max_value
 
@@ -165,7 +166,7 @@ class Test32BitKernels:
         tree = ImplicitHBPlusTree(keys, values, machine=m1_module,
                                   key_bits=32)
         sample = keys[:64]
-        literal = tree.gpu_search_bucket_literal(sample)
+        literal = literal_codes(tree, sample)
         vector = tree.gpu_search_bucket(sample).codes
         assert np.array_equal(literal, vector)
         assert np.array_equal(tree.lookup_batch(keys), values)

@@ -8,6 +8,7 @@ from repro.core.hbtree import HBPlusTree
 from repro.core.update import AsyncBatchUpdater
 from repro.workloads.generators import generate_dataset
 from repro.workloads.queries import make_insert_batch
+from tests.kernel_oracles import literal_codes
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ class TestFunctional:
     def test_mirror_consistent_after(self, tree, batch):
         upd_keys, upd_vals = batch
         GpuAssistedUpdater(tree).apply(upd_keys, upd_vals)
-        literal = tree.gpu_search_bucket_literal(upd_keys[:48])
+        literal = literal_codes(tree, upd_keys[:48])
         vector = tree.gpu_search_bucket(upd_keys[:48]).codes
         assert np.array_equal(literal, vector)
 

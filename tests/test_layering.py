@@ -59,9 +59,9 @@ def test_the_scan_sees_function_local_imports(tmp_path):
 # -- the product surface ------------------------------------------------
 #
 # Each operation is implemented once in the product classes.  Slot-by-
-# slot reference walks, per-node sync paths and baseline measurements
-# live next to their only callers: the gate drivers in ``repro.bench``
-# and the oracles in ``tests/``.
+# slot reference walks, literal SIMT replays, per-node sync paths and
+# baseline measurements live next to their only callers: the gate
+# drivers in ``repro.bench`` and the oracles in ``tests/``.
 
 #: methods that only a gate baseline or a test oracle calls
 REFERENCE_ONLY = {"sync_node", "_pack_node", "_slot_is_live",
@@ -78,7 +78,7 @@ def reference_methods(path: Path):
         found += [
             (node.name, item.name) for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and (item.name.endswith("_scalar")
+            and (item.name.endswith(("_scalar", "_literal"))
                  or item.name in REFERENCE_ONLY)
         ]
     return found

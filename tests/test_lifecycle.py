@@ -204,6 +204,22 @@ class TestManager:
         assert result.skipped == 1
         assert manager.stats.cold_builds == 1
 
+    def test_cold_rung_answers_like_the_lost_tree(self, tree, data, m1,
+                                                  tmp_path):
+        keys, values = data
+        inj = FaultInjector(FaultPlan(seed=13, storage_bitflip=1.0))
+        manager = SnapshotManager(tmp_path, injector=inj)
+        manager.save(tree)  # silently corrupt
+        result = manager.restore_latest(
+            machine=m1,
+            cold_source=lambda: HBPlusTree(keys, values, machine=m1),
+        )
+        assert result.source == "cold"
+        probe = _probe(keys)
+        assert np.array_equal(
+            result.tree.lookup_batch(probe), tree.lookup_batch(probe)
+        )
+
     def test_torn_write_contained(self, tree, data, tmp_path):
         """A torn write costs the snapshot — never the live tree or
         the directory's existing snapshots."""

@@ -7,6 +7,7 @@ from repro.core.hbtree import HBPlusTree
 from repro.core.mixed import ConcurrentQueryEngine, OptimisticMixedEngine
 from repro.workloads.generators import generate_dataset
 from repro.workloads.queries import make_update_mix
+from tests.kernel_oracles import literal_codes
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ class TestFunctional:
         mix = make_update_mix(keys, 600, 0.4)
         ConcurrentQueryEngine(tree).run(mix)
         probe = mix.update_keys[:32]
-        literal = tree.gpu_search_bucket_literal(probe)
+        literal = literal_codes(tree, probe)
         vector = tree.gpu_search_bucket(probe).codes
         assert np.array_equal(literal, vector)
 

@@ -541,6 +541,15 @@ class TestBatchingEngineTracing:
         # the tree-level instrumentation recorded live counters too
         assert obs.metrics.snapshot()["live.gpu.kernel_launches"] > 0
 
+    def test_engine_spans_land_on_a_named_caller_track(self):
+        tree, keys = shared_tree()
+        obs = Observability()
+        BatchingEngine(tree, bucket_size=128, obs=obs).lookup_batch(
+            keys[:300])
+        names = obs.tracer.thread_names()
+        tracks = {e["tid"] for e in obs.tracer.events if e["ph"] == "B"}
+        assert tracks and tracks <= set(names)
+
     def test_bucket_hooks_fire_per_bucket(self):
         tree, keys = shared_tree()
         obs = Observability()

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.scan import range_scan_from_scalar
+from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
@@ -147,19 +148,32 @@ class TestScalarVectorEquivalence:
 
 
 class TestEngineBitIdentity:
-    @pytest.mark.parametrize("cls", [HBPlusTree, ImplicitHBPlusTree],
-                             ids=["regular", "implicit"])
-    def test_batching_matches_walk(self, data, m1, cls):
+    @pytest.mark.parametrize(
+        "cls,adaptive",
+        [(HBPlusTree, False), (ImplicitHBPlusTree, False),
+         (ImplicitHBPlusTree, True)],
+        ids=["regular", "implicit", "implicit-adaptive"])
+    def test_batching_matches_walk(self, data, m1, cls, adaptive):
         keys, values = data
         los, his = make_scan_queries(keys, 96, 48, dist="geometric",
                                      seed=5)
         ref_tree = cls(keys, values, machine=m1)
         ref = [ref_tree.range_query(int(lo), int(hi))
                for lo, hi in zip(los.tolist(), his.tolist())]
-        batch = BatchingEngine(cls(keys, values, machine=m1),
-                               bucket_size=32)
+        tree = cls(keys, values, machine=m1)
+        # the adaptive loop closes a window every two scan buckets and
+        # must apply the live scan profile without moving an answer
+        controller = AdaptiveController.for_tree(
+            tree, config=AdaptiveConfig(window_buckets=2,
+                                        min_window_queries=32,
+                                        sample_size=256),
+        ) if adaptive else None
+        batch = BatchingEngine(tree, bucket_size=32, balancer=controller)
         assert batch.run_scans(los, his) == ref
         assert batch.stats.scan_tuples == sum(len(r) for r in ref)
+        if adaptive:
+            assert controller.stats.windows > 0
+            assert controller.balancer.scan_share > 0.0
 
     def test_resilient_matches_walk_under_faults(self, data, m1):
         keys, values = data

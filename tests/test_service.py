@@ -21,10 +21,12 @@ from repro.service import (
     QuotaExceeded,
     RangeRouter,
     ServiceConfig,
+    Shard,
     ShardOverloaded,
     group_by_shard,
 )
 from repro.service.admission import ShardQueue
+from repro.service.service import LatencyRecorder
 from repro.service.shard import shard_fault_plan
 
 
@@ -158,21 +160,46 @@ class TestGroupByShard:
         assert np.array_equal(out, ids)
 
 
-@pytest.mark.parametrize("router", ["range", "hash"])
+#: (router, GPU fault rate) of each identity case; a drilled service
+#: must answer what the fault-free unsharded tree answers.  The drill's
+#: seed makes every drilled case inject at least one fault.
+DRILL_SEED = 7
+IDENTITY_CASES = [("range", 0.0), ("hash", 0.0), ("range", 0.2),
+                  ("hash", 0.2)]
+
+
+@pytest.mark.parametrize("router,fault_rate", IDENTITY_CASES,
+                         ids=["range", "hash", "range-drill", "hash-drill"])
 class TestBitIdentity:
-    def test_lookups_match_unsharded(self, data, baseline, m1, router):
+    @staticmethod
+    def _service(data, m1, router, fault_rate, n_shards):
         keys, values = data
-        svc = IndexService.build(keys, values, ServiceConfig(
-            n_shards=4, router=router, machine=m1))
+        plan = (FaultPlan.uniform(fault_rate, seed=DRILL_SEED)
+                if fault_rate else None)
+        return IndexService.build(keys, values, ServiceConfig(
+            n_shards=n_shards, router=router, machine=m1,
+            fault_plan=plan))
+
+    @staticmethod
+    def _drilled(svc, fault_rate):
+        """No drill, or a drill that injected faults."""
+        return (fault_rate == 0.0
+                or sum(s.stats().faults for s in svc.shards) > 0)
+
+    def test_lookups_match_unsharded(self, data, baseline, m1, router,
+                                     fault_rate):
+        keys, _values = data
+        svc = self._service(data, m1, router, fault_rate, 4)
         rng = np.random.default_rng(1)
         q = _mixed_queries(rng, keys, 600)
         assert np.array_equal(svc.lookup_batch(q),
                               baseline.lookup_batch(q))
+        assert self._drilled(svc, fault_rate)
 
-    def test_scans_match_unsharded(self, data, baseline, m1, router):
-        keys, values = data
-        svc = IndexService.build(keys, values, ServiceConfig(
-            n_shards=4, router=router, machine=m1))
+    def test_scans_match_unsharded(self, data, baseline, m1, router,
+                                   fault_rate):
+        keys, _values = data
+        svc = self._service(data, m1, router, fault_rate, 4)
         rng = np.random.default_rng(2)
         los = np.sort(rng.choice(keys, 24))
         his = los + rng.integers(1, 1 << 40, 24, dtype=np.uint64)
@@ -180,11 +207,11 @@ class TestBitIdentity:
         want = baseline.run_scans(los, his)
         assert [[tuple(r) for r in s] for s in got] \
             == [[tuple(r) for r in s] for s in want]
+        assert self._drilled(svc, fault_rate)
 
-    def test_updates_match_unsharded(self, data, m1, router):
+    def test_updates_match_unsharded(self, data, m1, router, fault_rate):
         keys, values = data
-        svc = IndexService.build(keys, values, ServiceConfig(
-            n_shards=3, router=router, machine=m1))
+        svc = self._service(data, m1, router, fault_rate, 3)
         tree = bulk_load("hb-regular", keys, values, machine=m1)
         rng = np.random.default_rng(3)
         # repeated keys in one batch: arrival order must decide
@@ -197,6 +224,7 @@ class TestBitIdentity:
         bk, bv = tree.stored_items()
         assert np.array_equal(sk, bk)
         assert np.array_equal(sv, bv)
+        assert self._drilled(svc, fault_rate)
 
 
 class TestBuildInputPath:
@@ -525,6 +553,29 @@ class TestRebalance:
         assert action is not None and "merged" in action
         assert svc.n_shards == 3
 
+    @pytest.mark.parametrize("how", ["split_shard", "maybe_rebalance"])
+    def test_split_reads_contents_once(self, data, m1, monkeypatch, how):
+        keys, values = data
+        svc = IndexService.build(keys, values, ServiceConfig(
+            n_shards=2, machine=m1, hot_share=0.8,
+            min_rebalance_ops=256))
+        svc.lookup_batch(keys[keys < svc.router.cuts[0]][:512])
+        reads = []
+        contents = Shard.contents
+
+        def counted(shard):
+            reads.append(shard.sid)
+            return contents(shard)
+
+        monkeypatch.setattr(Shard, "contents", counted)
+        parent = svc.shards[0].sid
+        if how == "split_shard":
+            svc.split_shard(0)
+        else:
+            assert "split" in svc.maybe_rebalance()
+        assert svc.n_shards == 3
+        assert reads == [parent]
+
     def test_below_min_ops_is_noop(self, data, m1):
         keys, values = data
         svc = IndexService.build(keys, values, ServiceConfig(
@@ -532,6 +583,25 @@ class TestRebalance:
         svc.lookup_batch(keys[:64])
         assert svc.maybe_rebalance() is None
         assert svc.n_shards == 2
+
+
+class TestLatencyRecorder:
+    def test_ceil_nearest_rank_percentiles(self):
+        rec = LatencyRecorder()
+        empty = rec.summary()
+        assert (empty["batches"], empty["throughput_ops_s"]) == (0, 0.0)
+        for us in [7, 20, 1, 13, 2, 19, 3, 18, 4, 17, 5, 16, 6, 15, 8, 14,
+                   9, 12, 10, 11]:  # 1..20 us, out of order
+            rec.record(us * 1000, ops=4)
+        s = rec.summary()
+        assert s["percentile_method"] == "ceil_nearest_rank"
+        # ranks ceil(0.5 * 20) = 10, ceil(0.95 * 20) = 19,
+        # ceil(0.99 * 20) = 20
+        assert (s["p50_ns"], s["p95_ns"], s["p99_ns"]) \
+            == (10_000.0, 19_000.0, 20_000.0)
+        assert (s["batches"], s["ops"]) == (20, 80)
+        # 80 ops over 210 us of batch latency
+        assert s["throughput_ops_s"] == pytest.approx(80 / 210e-6)
 
 
 class TestObservability:

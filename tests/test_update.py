@@ -14,6 +14,7 @@ from repro.core.update import (
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.workloads.generators import generate_dataset
 from repro.workloads.queries import make_insert_batch
+from tests.kernel_oracles import literal_codes
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ class TestAsyncUpdater:
     def test_mirror_consistent_after_update(self, tree, batch):
         upd_keys, upd_vals = batch
         AsyncBatchUpdater(tree).apply(upd_keys, upd_vals)
-        literal = tree.gpu_search_bucket_literal(upd_keys[:64])
+        literal = literal_codes(tree, upd_keys[:64])
         vector = tree.gpu_search_bucket(upd_keys[:64]).codes
         assert np.array_equal(literal, vector)
 
@@ -121,7 +122,7 @@ class TestSyncUpdater:
     def test_mirror_consistent(self, tree, batch):
         upd_keys, upd_vals = batch
         SyncUpdater(tree).apply(upd_keys, upd_vals)
-        literal = tree.gpu_search_bucket_literal(upd_keys[:64])
+        literal = literal_codes(tree, upd_keys[:64])
         vector = tree.gpu_search_bucket(upd_keys[:64]).codes
         assert np.array_equal(literal, vector)
 
