@@ -115,10 +115,7 @@ def sync_node(tree: HBPlusTree, node: int) -> float:
     packed = tree._pack_nodes(tree.cpu_tree.last, np.asarray([node]))[0]
     was_stale = tree.mirror_stale
     tree.mirror_stale = True
-    t = tree.link.update_device(
-        tree.device.memory, "iseg_regular", packed,
-        offset_elems=slot * stride,
-    )
+    t = tree.push_mirror_rows(slot, slot + 1, packed)
     tree.mirror_stale = was_stale
     return t
 

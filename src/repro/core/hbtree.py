@@ -23,7 +23,7 @@ implemented in :mod:`repro.core.update`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +131,12 @@ class HBPlusTree(HybridTree):
         #: write stamp at which the device mirror last equalled the
         #: expected image (a full upload or a complete sync)
         self._mirror_stamp: Optional[tuple] = None
+        #: the write ledger: arrays of the mirror rows that may differ
+        #: from the expected image, or None when only a whole-image
+        #: compare can tell (see :meth:`verify_mirror`)
+        self._ledger: Optional[List[np.ndarray]] = None
+        #: total length of the ledger's arrays
+        self._ledger_size = 0
         self.mirror_i_segment()
         if injector is not None:
             self.attach_injector(injector)
@@ -216,6 +222,7 @@ class HBPlusTree(HybridTree):
         stamp = self._write_stamp()
         if self._packed is None or self._packed[0] != stamp:
             self._packed = (stamp, self.pack_i_segment())
+            self._ledger = None
         return self._packed[1]
 
     def mirror_i_segment(self) -> float:
@@ -228,6 +235,7 @@ class HBPlusTree(HybridTree):
         """
         with self.obs.span("hbtree.mirror_i_segment"):
             self.mirror_stale = True
+            self._ledger = None
             if self.injector is not None:
                 self.injector.on_sync()
             flat = self.pack_i_segment()
@@ -238,6 +246,7 @@ class HBPlusTree(HybridTree):
             self.iseg_buffer = self.device.memory.get("iseg_regular")
             self.mirror_stale = False
             self._mirror_stamp = self._packed[0]
+            self._reset_ledger(np.empty(0, dtype=np.int64))
         self.obs.count("live.hbtree.mirror_uploads")
         return t
 
@@ -321,9 +330,13 @@ class HBPlusTree(HybridTree):
         if image.size != rows * stride:
             image = grow_array(image, rows * stride)
             self.device.memory.resize("iseg_regular", rows * stride)
+            self._ledger = None
         grid = image.reshape(rows, stride)
         grid[dirty_upper] = self._pack_nodes(upper, dirty_upper)
         grid[dirty_last + upper.count] = self._pack_nodes(last, dirty_last)
+        # the pushes below enter the patched rows in the write ledger;
+        # a faulted push drops it, and a push that never ran leaves
+        # ``mirror_stale`` set
         self._packed = (self._write_stamp(), image)
         stats = MirrorSyncStats(nodes=len(slots), transfers=0, time_ns=0.0,
                                 stream_ns=stream_ns)
@@ -346,17 +359,44 @@ class HBPlusTree(HybridTree):
         return MirrorSyncStats(nodes=tree.upper.count + tree.last.count,
                                transfers=1, time_ns=t, rebuilt=True)
 
-    def push_mirror_rows(self, start: int, end: int) -> float:
+    def push_mirror_rows(self, start: int, end: int,
+                         image: Optional[np.ndarray] = None) -> float:
         """Upload rows (nodes) ``[start, end)`` of the expected image
         to the device mirror as one transfer; returns its time in ns.
-        A repair pushes one row per transfer."""
+        A repair pushes one row per transfer.  ``image`` replaces the
+        expected rows with packed node images the caller built (the
+        per-node synchronizing thread of a gate baseline); either way
+        the rows enter the write ledger."""
         stride = self.node_stride
-        return self.link.update_device(
-            self.device.memory,
-            "iseg_regular",
-            self.current_i_segment_image()[start * stride: end * stride],
-            offset_elems=start * stride,
-        )
+        if image is None:
+            image = self.current_i_segment_image()[start * stride:
+                                                   end * stride]
+        self._note_rows(np.arange(start, end))
+        try:
+            return self.link.update_device(
+                self.device.memory, "iseg_regular", image,
+                offset_elems=start * stride,
+            )
+        except FaultError:
+            self._ledger = None
+            raise
+
+    def _note_rows(self, rows: np.ndarray) -> None:
+        """Enter mirror rows a writer touched, on either side, in the
+        write ledger.  Past one entry per image row the ledger gives
+        up for a whole-image compare, so it stays bounded while no
+        verify runs."""
+        if self._ledger is None:
+            return
+        self._ledger_size += len(rows)
+        if self._ledger_size * self.node_stride > self.iseg_buffer.array.size:
+            self._ledger = None
+        else:
+            self._ledger.append(rows)
+
+    def _reset_ledger(self, rows: np.ndarray) -> None:
+        self._ledger = [rows]
+        self._ledger_size = len(rows)
 
     def verify_mirror(self) -> Optional[np.ndarray]:
         """Screen the device mirror through the injector's corruption
@@ -365,21 +405,46 @@ class HBPlusTree(HybridTree):
         Returns the mirror rows (nodes) that differ, empty when the
         mirror is healthy, or None when its size no longer matches the
         expected image's (inner nodes were added since the last sync),
-        which only a full :meth:`mirror_i_segment` repairs.  The compare is element by
-        element, so it detects every difference a CRC-32 of the image
-        would, including every single-bit flip the injector makes, at
-        a fraction of the cost of hashing the image.
+        which only a full :meth:`mirror_i_segment` repairs.  The compare
+        is element by element, so it detects every difference a CRC-32
+        of the image would, including every single-bit flip the
+        injector makes.
+
+        It compares only the rows in the write ledger plus the row the
+        screen flipped.  Every write to either side goes through a
+        method of this tree that enters its rows: the full upload
+        empties the ledger, a ranged push adds its rows (a sync pushes
+        every row it patches in the expected image), and a compare
+        leaves exactly the rows it found different.  A row outside the ledger is therefore equal
+        on both sides, and the result is the row set a whole-image
+        compare returns.  The ledger falls back to that compare after
+        a re-pack of the expected image, a size change, a faulted push
+        or while ``mirror_stale`` is set.
         """
         mirror = self.iseg_buffer.array
+        flips: list = []
         if self.injector is not None:
-            self.injector.maybe_corrupt(mirror)
+            flips = self.injector.maybe_corrupt(mirror)
         expected = self.current_i_segment_image()
         if mirror.size != expected.size:
             return None
-        if np.array_equal(mirror, expected):
+        stride = self.node_stride
+        if self._ledger is None or self.mirror_stale:
+            if np.array_equal(mirror, expected):
+                diff = np.empty(0, dtype=np.int64)
+            else:
+                diff = np.unique(np.flatnonzero(mirror != expected) // stride)
+        elif not self._ledger_size and not flips:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.flatnonzero(mirror != expected)
-                         // self.node_stride)
+        else:
+            flipped = [elem // stride for elem, _bit in flips]
+            rows = np.unique(np.concatenate(
+                self._ledger + [np.asarray(flipped, dtype=np.int64)]))
+            differs = (mirror.reshape(-1, stride)[rows]
+                       != expected.reshape(-1, stride)[rows]).any(axis=1)
+            diff = rows[differs]
+        self._reset_ledger(diff)
+        return diff
 
     @property
     def gpu_levels(self) -> int:

@@ -8,6 +8,18 @@ import pytest
 from repro.memsim.mainmem import MemorySystem
 from repro.platform.configs import machine_m1, machine_m2
 from repro.workloads.generators import generate_dataset
+from tests.mirror_oracles import LedgerShadow
+
+
+@pytest.fixture(scope="session", autouse=True)
+def mirror_ledger_shadow():
+    """Every ``HBPlusTree.verify_mirror`` call in the suite runs the
+    whole-image compare beside the write ledger and fails on the first
+    difference (:mod:`tests.mirror_oracles`)."""
+    shadow = LedgerShadow()
+    shadow.install()
+    yield shadow
+    shadow.uninstall()
 
 
 @pytest.fixture(scope="session")

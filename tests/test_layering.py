@@ -1,5 +1,6 @@
-"""The library below ``repro.bench`` never imports from it, and its
-product classes carry no reference twins.
+"""The library below ``repro.bench`` never imports from it, its
+product classes carry no reference twins, and only the hybrid trees
+write their device mirrors.
 
 ``repro.bench`` holds the figures, gates and their drivers; it builds
 on the rest of the package, never the other way round.  Every import
@@ -123,3 +124,64 @@ def test_io_reads_contents_without_a_type_ladder():
     ]
     assert calls == []
     assert not hasattr(repro.io, "_contents")
+
+
+# -- mirror writers ------------------------------------------------------
+#
+# ``HBPlusTree.verify_mirror`` compares only the rows its write ledger
+# names, so every write to a device mirror must go through the tree
+# that owns it.
+
+#: device-memory writers: the link's uploads and ranged pushes, and
+#: the buffer's growth
+MIRROR_WRITES = {"update_device", "to_device", "resize", "upload"}
+MIRROR_BUFFERS = {"iseg", "iseg_regular"}
+MIRROR_OWNERS = {"core/hbtree.py", "core/hbtree_implicit.py"}
+
+
+def _names_a_mirror(expr) -> bool:
+    return any(
+        (isinstance(node, ast.Constant) and node.value in MIRROR_BUFFERS)
+        or (isinstance(node, ast.Attribute) and node.attr == "iseg_buffer")
+        for node in ast.walk(expr)
+    )
+
+
+def mirror_writes(path: Path):
+    """``(line, method)`` of every device write a file makes to a
+    mirror buffer."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MIRROR_WRITES
+                and any(_names_a_mirror(arg) for arg in
+                        node.args + [kw.value for kw in node.keywords])):
+            found.append((node.lineno, node.func.attr))
+    return found
+
+
+def test_only_the_hybrid_trees_write_their_mirrors():
+    offenders = {
+        rel: hits
+        for path in sorted(SRC.rglob("*.py"))
+        if (rel := str(path.relative_to(SRC))) not in MIRROR_OWNERS
+        and (hits := mirror_writes(path))
+    }
+    assert offenders == {}
+
+
+def test_the_mirror_scan_sees_every_writer(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(tree, flat):\n"
+        "    tree.link.update_device(tree.device.memory, 'iseg_regular',\n"
+        "                            flat, offset_elems=0)\n"
+        "    tree.link.to_device(mem, name='iseg', host_array=flat)\n"
+        "    tree.device.memory.resize(tree.iseg_buffer.name, 9)\n"
+        "    tree.link.to_device(mem, 'css_dir', flat)\n"
+        "    np.resize(flat, 9)\n"
+    )
+    assert mirror_writes(probe) == [
+        (2, "update_device"), (4, "to_device"), (5, "resize"),
+    ]
