@@ -26,11 +26,12 @@ The engine runs over both hybrid trees
 (:class:`repro.core.hybrid.HybridTree`): it only needs
 ``gpu_search_bucket`` / ``cpu_finish_bucket`` / ``cpu_scan_bucket`` /
 ``modeled_transactions`` and the key ``spec``.  It is the one bucket
-pipeline — plan, split, descend, finish or scan, scatter — that every
-serving path runs: :class:`repro.core.resilience.ResilientHBPlusTree`
-wraps an engine in retry and circuit-breaker policy, and the sharded
-service runs one per shard.  The CPU/GPU overlap of the paper's Figs
-5-6 is modeled by :mod:`repro.core.pipeline`, not executed here.
+pipeline — plan, split, descend, finish or scan, scatter — and every
+shard of the service reads through one.  A
+:class:`repro.core.resilience.ResilientHBPlusTree` installs itself as
+the engine's ``policy``, which then serves each lookup call and each
+scan bucket.  The CPU/GPU overlap of the paper's Figs 5-6 is modeled
+by :mod:`repro.core.pipeline`, not executed here.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ class BatchingEngine:
         #: :class:`~repro.core.adaptive.StaticSplit`; consulted once
         #: per bucket, at dispatch, and fed the dispatched queries
         self.balancer = balancer
+        #: the :class:`~repro.core.resilience.ResilientHBPlusTree` that
+        #: serves each lookup call and scan bucket; None runs them directly
+        self.policy = None
         if balancer is not None and not tree.supports_split_descent:
             raise ValueError(
                 "a (D, R) balancer needs a tree with a mid-tree GPU "
@@ -252,27 +256,32 @@ class BatchingEngine:
         )
         return plan.scatter(per_unique), result
 
-    def lookup_bucket(self, queries: Sequence) -> np.ndarray:
-        """One bucket's values in arrival order."""
-        values, _result = self.execute_bucket(queries)
-        return values
-
     def lookup_batch(self, queries: Sequence) -> np.ndarray:
         """Stream an arbitrary query array through sorted buckets.
 
         Keys of any integer dtype coerce once (with overflow check) via
         :meth:`repro.keys.KeySpec.coerce` — identical input handling to
-        ``HBPlusTree.lookup_batch``.
+        ``HBPlusTree.lookup_batch``.  A ``policy`` serves the call.
         """
         q = self.tree.spec.coerce(queries)
         if len(q) == 0:
             return np.zeros(0, dtype=self.tree.spec.dtype)
         with self._serve_lock:
-            parts = [
-                self.lookup_bucket(bucket)
-                for bucket in iter_buckets(q, self.bucket_size)
-            ]
-        return np.concatenate(parts)
+            if self.policy is not None:
+                return self.policy.serve_lookups(q)
+            return self.lookup_buckets(q)
+
+    def lookup_buckets(self, q: np.ndarray) -> np.ndarray:
+        """The bucket loop over coerced keys, values in arrival order.
+
+        No lock and no policy: the caller holds the serve lock.  Zero
+        keys return an empty array (an empty tree's recovery probe).
+        """
+        parts = [
+            self.execute_bucket(bucket)[0]
+            for bucket in iter_buckets(q, self.bucket_size)
+        ]
+        return np.concatenate(parts) if parts else q.copy()
 
     # ------------------------------------------------------------------
     # range scans
@@ -330,7 +339,8 @@ class BatchingEngine:
         bit-identical to the sequential per-tree walk.  Start-key
         descents go through the GPU bucket path (sharing the balancer's
         committed (kernel, D, R) and the fault-injection sites); the
-        leaf-chain scans run vectorised on the L-segment.
+        leaf-chain scans run vectorised on the L-segment.  A ``policy``
+        serves each bucket.
         """
         lo_arr = self.tree.spec.coerce(los)
         hi_arr = self.tree.spec.coerce(his)
@@ -342,11 +352,11 @@ class BatchingEngine:
         with self._serve_lock, self.obs.span(
             "engine.run_scans", scans=len(lo_arr)
         ):
+            serve = (self.scan_bucket if self.policy is None
+                     else self.policy.serve_scan_bucket)
             for start in range(0, len(lo_arr), self.bucket_size):
                 stop = start + self.bucket_size
-                out.extend(
-                    self.scan_bucket(lo_arr[start:stop], hi_arr[start:stop])
-                )
+                out.extend(serve(lo_arr[start:stop], hi_arr[start:stop]))
         return out
 
     @contextmanager

@@ -5,12 +5,14 @@ the I-segment mirror are perfect.  This layer removes that assumption
 while preserving the tree's one hard guarantee: **faults may cost time,
 never correctness**.
 
-Resilience is policy around the one bucket pipeline: hybrid lookups,
-range scans and recovery probes all run through one
-:class:`~repro.core.batching.BatchingEngine` over the same tree — the
-one passed as ``engine=`` (for example with its own bucket size or
-kernel), otherwise a default one — and this layer decides whether, how
-often and at what modeled cost to run them.
+Resilience is a policy the one bucket pipeline runs: the wrapper
+installs itself on one :class:`~repro.core.batching.BatchingEngine`
+over the same tree — the one passed as ``engine=`` (for example a
+shard's, or one with its own bucket size or kernel), otherwise a
+default one — and that engine calls it once per lookup call and once
+per scan bucket.  The policy decides whether, how often and at what
+modeled cost the engine's bucket loop runs, or serves the call from
+the CPU instead; recovery probes run the same bucket loop.
 
 Mechanisms (bottom-up):
 
@@ -228,14 +230,16 @@ class CircuitBreaker:
 
 
 class ResilientHBPlusTree:
-    """Fault-tolerant wrapper around a regular :class:`HBPlusTree`.
+    """Fault-tolerant serving policy for a regular :class:`HBPlusTree`.
 
-    Lookups (:meth:`lookup_batch`) and scans (:meth:`run_scans`) are
-    served through the engine while the GPU is healthy and from the
-    CPU-only path when the circuit breaker is open, repairing the
-    mirror and probing for recovery along the way.  Updates flow
-    through :meth:`apply_updates`, which restores mirror consistency no
-    matter where a fault interrupts the sync.  All three hold the
+    The engine's lookups and scans run under this policy
+    (:meth:`serve_lookups`, :meth:`serve_scan_bucket`): through the
+    bucket loop while the GPU is healthy and from the CPU-only path
+    when the circuit breaker is open, repairing the mirror and probing
+    for recovery along the way.  :meth:`lookup_batch` and
+    :meth:`run_scans` forward to the engine.  Updates flow through
+    :meth:`apply_updates`, which restores mirror consistency no matter
+    where a fault interrupts the sync.  Reads and updates hold the
     tree's serve lock, so an engine ``quiesce()`` parks them.
     """
 
@@ -245,16 +249,11 @@ class ResilientHBPlusTree:
         injector: Optional[FaultInjector] = None,
         config: Optional[ResilienceConfig] = None,
         engine=None,
-        obs=None,
         adaptive=None,
     ):
         self.tree = tree
-        if obs is not None:
-            # thread the bundle through the tree (and so the link and
-            # device); engines over the same tree follow automatically
-            tree.attach_obs(obs)
-        #: the engine hybrid batches run through — ``engine=`` (over
-        #: the *same* tree) or a plain batch engine
+        #: the engine that runs this policy — ``engine=`` (over the
+        #: *same* tree) or a plain batch engine
         if engine is not None and engine.tree is not tree:
             raise ValueError("the engine must wrap the same HBPlusTree")
         self.engine = engine if engine is not None else BatchingEngine(tree)
@@ -295,6 +294,7 @@ class ResilientHBPlusTree:
         self.adaptive = adaptive
         self._calibrate()
         self._maybe_trip_adaptive()
+        self.engine.policy = self
 
     @property
     def obs(self):
@@ -432,11 +432,12 @@ class ResilientHBPlusTree:
     # serving
 
     def _with_kernel_retry(self, serve: Callable, *args):
-        """One engine call, relaunched on kernel faults.
+        """One run of the engine's bucket loop or scan bucket,
+        relaunched on kernel faults.
 
-        Engines raise only after draining in-flight buckets and joining
-        every worker, so each retry (and the eventual degradation)
-        starts from a quiesced pipeline with deterministic counters.
+        A kernel fault aborts the call before the failed bucket is
+        counted, and each retry replays the whole call, so the counters
+        stay a deterministic function of the fault schedule.
         """
         cfg = self.config
         for attempt in range(cfg.max_kernel_retries):
@@ -455,10 +456,6 @@ class ResilientHBPlusTree:
                     ) from err
                 self._backoff(attempt)
 
-    def _cpu_lookup(self, q: np.ndarray) -> np.ndarray:
-        """The whole descent and the leaf search on the CPU."""
-        return self.tree.cpu_tree.lookup_batch(q)
-
     def _cpu_scans(self, los: np.ndarray, his: np.ndarray) -> list:
         tree = self.tree.cpu_tree
         return [
@@ -466,28 +463,30 @@ class ResilientHBPlusTree:
             for lo, hi in zip(los.tolist(), his.tolist())
         ]
 
-    def _serve_cpu_only(self, n: int, serve: Callable):
-        out = serve()
+    def _serve_cpu_only(self, n: int, serve: Callable, *args):
+        out = serve(*args)
         self.stats.served_cpu += n
         self.stats.served_ns += n * self.cpu_only_query_ns
         return out
 
-    def _serve(self, span: str, n: int, hybrid: Callable,
-               cpu_only: Callable, **span_args):
-        """Serve one batch of ``n`` lookups or scans under the breaker.
+    def _serve(self, span: str, hybrid: Callable, cpu_only: Callable,
+               *args, **span_args):
+        """Serve one batch of lookups or scans (the ``args[0]`` keys)
+        under the breaker.
 
-        ``hybrid`` runs the batch through the engine (with kernel
-        retries), ``cpu_only`` is the degraded path.  While the breaker
-        is open every batch serves CPU-only and every
+        ``hybrid(*args)`` runs the batch through the engine (with
+        kernel retries), ``cpu_only(*args)`` is the degraded path.
+        While the breaker is open every batch serves CPU-only and every
         ``probe_interval``-th one probes for recovery; otherwise the
         mirror is repaired first, a batch the GPU cannot finish falls
         back to the CPU, and each batch's measured per-query cost feeds
         the economic EWMA.
         """
+        n = len(args[0])
         self.stats.batches += 1
         if self.breaker.open:
             with self.obs.span(span, mode="cpu_only", **span_args):
-                out = self._serve_cpu_only(n, cpu_only)
+                out = self._serve_cpu_only(n, cpu_only, *args)
                 if self.breaker.note_degraded_batch():
                     self._probe_recovery()
             return out
@@ -495,7 +494,7 @@ class ResilientHBPlusTree:
         with self.obs.span(span, mode="hybrid", **span_args):
             try:
                 self._ensure_healthy_mirror()
-                out = self._with_kernel_retry(hybrid)
+                out = self._with_kernel_retry(hybrid, *args)
                 self.stats.served_hybrid += n
                 hybrid_ns = self.hybrid_bucket_ns * n / self.bucket_size
                 self.stats.served_ns += hybrid_ns
@@ -506,7 +505,7 @@ class ResilientHBPlusTree:
                 if self.breaker.record_failure():
                     self.stats.degradations += 1
                     self._note_degrade("consecutive_failures")
-                out = self._serve_cpu_only(n, cpu_only)
+                out = self._serve_cpu_only(n, cpu_only, *args)
                 # a failed hybrid attempt costs its penalties *plus* the
                 # CPU-only fallback — that is its effective hybrid cost
                 batch_ns = (
@@ -577,8 +576,9 @@ class ResilientHBPlusTree:
         try:
             self._refresh_mirror()
             q = np.asarray(self._probe_queries, dtype=self.tree.spec.dtype)
-            gpu_ans = self._with_kernel_retry(self.engine.lookup_batch, q)
-            ok = bool(np.array_equal(gpu_ans, self._cpu_lookup(q)))
+            gpu_ans = self._with_kernel_retry(self.engine.lookup_buckets, q)
+            ok = bool(np.array_equal(gpu_ans,
+                                     self.tree.cpu_tree.lookup_batch(q)))
         except GpuUnavailable:
             ok = False
         obs = self.obs
@@ -605,28 +605,41 @@ class ResilientHBPlusTree:
             self._maybe_trip_adaptive()
         return True
 
-    def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
-        """Fault-tolerant batch lookup; sentinel marks not-found.
+    def serve_lookups(self, q: np.ndarray) -> np.ndarray:
+        """Serve one engine lookup call (coerced, non-empty ``q``; the
+        engine holds the serve lock); sentinel marks not-found.
 
         Never raises on injected faults and never returns a wrong
         value: the worst case is CPU-only service at CPU-only speed.
         """
-        q = self.tree.spec.coerce(queries)
-        if len(q) == 0:
-            return q.copy()
-        with self.tree.serve_lock:
-            if self.adaptive is not None:
-                # serially, in batch order — the mode schedule is a
-                # deterministic function of the batch sequence; a
-                # window closing here may move the mode for *this* batch
-                self.adaptive.note_bucket(q)
-                self._maybe_trip_adaptive()
-            return self._serve(
-                "resilient.lookup_batch", len(q),
-                lambda: self.engine.lookup_batch(q),
-                lambda: self._cpu_lookup(q),
-                queries=len(q),
-            )
+        if self.adaptive is not None:
+            # serially, in batch order — the mode schedule is a
+            # deterministic function of the batch sequence; a window
+            # closing here may move the mode for *this* batch
+            self.adaptive.note_bucket(q)
+            self._maybe_trip_adaptive()
+        return self._serve("resilient.lookup_batch",
+                           self.engine.lookup_buckets,
+                           self.tree.cpu_tree.lookup_batch, q,
+                           queries=len(q))
+
+    def serve_scan_bucket(self, los: np.ndarray, his: np.ndarray) -> list:
+        """Serve one engine scan bucket, bit-identical to the sequential
+        walk: a fault can at worst demote it to the CPU-only walk."""
+        rows = self._serve("resilient.scan_bucket", self.engine.scan_bucket,
+                           self._cpu_scans, los, his, scans=len(los))
+        if self.adaptive is not None:
+            # scan buckets feed the mode controller like lookup calls
+            # do; the tuple volume is only known after the walk, so the
+            # note lands post-serve (a window closing here moves the
+            # mode for the *next* bucket)
+            self.adaptive.note_scan_bucket(los, sum(len(r) for r in rows))
+            self._maybe_trip_adaptive()
+        return rows
+
+    def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
+        """Fault-tolerant batch lookup (the engine runs this policy)."""
+        return self.engine.lookup_batch(queries)
 
     def lookup(self, key: int) -> Optional[int]:
         out = self.lookup_batch(
@@ -635,48 +648,10 @@ class ResilientHBPlusTree:
         val = int(out[0])
         return None if val == self.tree.spec.max_value else val
 
-    # ------------------------------------------------------------------
-    # range scans
-
     def run_scans(self, los: Sequence[int], his: Sequence[int]) -> list:
-        """Fault-tolerant batched range scans.
-
-        Per-query results are bit-identical to the sequential
-        ``tree.range_query`` walk: the worst an injected fault can do
-        is demote a bucket to the CPU-only leaf-chain scan.  Holds the
-        tree's serve lock, so a concurrent ``quiesce()``/snapshot never
-        observes a half-served scan bucket.
-        """
-        spec = self.tree.spec
-        lo_arr = spec.coerce(los)
-        hi_arr = spec.coerce(his)
-        if len(lo_arr) != len(hi_arr):
-            raise ValueError("run_scans needs matching lo/hi arrays")
-        if len(lo_arr) == 0:
-            return []
-        out = []
-        with self.tree.serve_lock, self.obs.span("resilient.run_scans",
-                                                 scans=len(lo_arr)):
-            for start in range(0, len(lo_arr), self.bucket_size):
-                los_b = lo_arr[start: start + self.bucket_size]
-                his_b = hi_arr[start: start + self.bucket_size]
-                rows = self._serve(
-                    "resilient.scan_bucket", len(los_b),
-                    lambda: self.engine.run_scans(los_b, his_b),
-                    lambda: self._cpu_scans(los_b, his_b),
-                    scans=len(los_b),
-                )
-                if self.adaptive is not None:
-                    # scan buckets feed the mode controller like lookup
-                    # buckets do; the tuple volume is only known after
-                    # the walk, so the note lands post-serve (a window
-                    # closing here moves the mode for the *next* bucket)
-                    self.adaptive.note_scan_bucket(
-                        los_b, sum(len(r) for r in rows)
-                    )
-                    self._maybe_trip_adaptive()
-                out.extend(rows)
-        return out
+        """Fault-tolerant batched range scans (the engine runs this
+        policy per scan bucket)."""
+        return self.engine.run_scans(los, his)
 
     # ------------------------------------------------------------------
     # updates

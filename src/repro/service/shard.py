@@ -10,11 +10,13 @@ its own :class:`~repro.faults.FaultInjector` namespace (a per-shard
 derived seed: shard 3's fault schedule never changes when shard 2
 takes an extra batch), and its own bounded admission window.
 
-Fault-drilled shards (``fault_plan`` given) must be ``hb-regular``
-and are served through :class:`~repro.core.resilience.ResilientHBPlusTree`
-wrapped around the shard's one engine — lookups and scans stay correct
-under injected GPU faults, which is what lets the service promise
-bit-identity even during a fault drill.
+Every shard reads through its one engine.  Fault-drilled shards
+(``fault_plan`` given) must be ``hb-regular``; on them, and on
+mode-adaptive regular shards, a
+:class:`~repro.core.resilience.ResilientHBPlusTree` installs its
+policy on that engine — lookups and scans stay correct under injected
+GPU faults, which is what lets the service promise bit-identity even
+during a fault drill.
 """
 
 from __future__ import annotations
@@ -135,16 +137,11 @@ class Shard:
                                      balancer=engine_balancer)
         self.resilient: Optional[ResilientHBPlusTree] = None
         if wants_resilient:
-            # the wrapper serves through this shard's one engine, so
-            # ``quiesce()`` (the engine's serve lock) parks it too
+            # the policy runs inside this shard's one engine
             self.resilient = ResilientHBPlusTree(
-                self.tree, injector=self.injector, obs=obs,
+                self.tree, injector=self.injector,
                 adaptive=resilient_adaptive, engine=self.engine,
             )
-        #: what lookups and scans run through: the resilient wrapper
-        #: on fault-drilled or mode-adaptive shards, else the engine
-        self._server = (self.resilient if self.resilient is not None
-                        else self.engine)
 
         self.queue = ShardQueue(self.sid, queue_capacity, policy,
                                 timeout_s=queue_timeout_s)
@@ -169,7 +166,7 @@ class Shard:
         with self.queue.admit(len(queries)):
             with self.obs.span("shard.lookup", sid=self.sid,
                                queries=len(queries)):
-                out = self._server.lookup_batch(queries)
+                out = self.engine.lookup_batch(queries)
         self._count(lookups=len(queries))
         return out
 
@@ -179,7 +176,7 @@ class Shard:
         with self.queue.admit(len(los)):
             with self.obs.span("shard.scan", sid=self.sid,
                                scans=len(los)):
-                out = self._server.run_scans(los, his)
+                out = self.engine.run_scans(los, his)
         self._count(scans=len(los))
         return out
 

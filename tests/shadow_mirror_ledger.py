@@ -13,18 +13,26 @@ the counted window) twice:
 Every answer is checked against the workload's reference map, and the
 two runs must leave every shard with the same fault schedule
 (``injector.schedule()``), the same ``ResilienceStats`` and the same
-modeled counters.  Not a tier-1 test (the file is not named
+modeled counters.  At seed 1 that record must also equal the golden in
+``golden/drill_resilience_seed1.json``, so a change that moves a fault
+draw, a resilience counter or a modeled counter fails here even when
+both runs agree.  Not a tier-1 test (the file is not named
 ``test_*``): it builds a 2^20-key service.  Run from the repository
 root::
 
     python tests/shadow_mirror_ledger.py [--seed N]
 
-Exits 0 when the ledger held, 1 otherwise.
+Exits 0 when the ledger held and the record matches the golden, 1
+otherwise.  To re-record the golden (only when a change is meant to
+move those counters)::
+
+    python tests/shadow_mirror_ledger.py --record > tests/golden/drill_resilience_seed1.json
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -43,6 +51,8 @@ from tests.mirror_oracles import (
 from workloads import WORKLOADS
 
 WORKLOAD = "mixed_rw_drill"
+GOLDEN_SEED = 1
+GOLDEN = os.path.join(HERE, "golden", "drill_resilience_seed1.json")
 
 
 def drive(seed: int):
@@ -65,10 +75,48 @@ def drive(seed: int):
     return shards, modeled_snapshot(runner.svc)
 
 
+def as_json(record):
+    """The record in the golden's form (JSON has no tuples)."""
+    shards, modeled = record
+    return json.loads(json.dumps({
+        "shards": [{"schedule": schedule, "resilience": stats}
+                   for schedule, stats in shards],
+        "modeled": modeled,
+    }))
+
+
+def golden_diff(record) -> list:
+    """Where ``record`` departs from the stored golden."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    got = as_json(record)
+    if len(got["shards"]) != len(golden["shards"]):
+        return [f"{len(got['shards'])} shards, golden has "
+                f"{len(golden['shards'])}"]
+    pairs = list(enumerate(zip(got["shards"], golden["shards"])))
+    diffs = [f"shard {sid} fault schedule" for sid, (a, b) in pairs
+             if a["schedule"] != b["schedule"]]
+    tables = [(f"shard {sid}", a["resilience"], b["resilience"])
+              for sid, (a, b) in pairs]
+    tables.append(("modeled", got["modeled"], golden["modeled"]))
+    for where, a, b in tables:
+        diffs += [f"{where} {key} {a.get(key)} != golden {b.get(key)}"
+                  for key in sorted(set(a) | set(b))
+                  if a.get(key) != b.get(key)]
+    return diffs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=GOLDEN_SEED)
+    parser.add_argument("--record", action="store_true",
+                        help="print the seed's record as golden JSON "
+                             "and exit")
     args = parser.parse_args(argv)
+    if args.record:
+        json.dump(as_json(drive(args.seed)), sys.stdout, indent=1)
+        sys.stdout.write("\n")
+        return 0
 
     shadow = LedgerShadow()
     shadow.install()
@@ -97,6 +145,13 @@ def main(argv=None) -> int:
             print(f"shadow: FAIL modeled counters {shadowed[1]} != "
                   f"{whole_image[1]}")
         return 1
+    if args.seed == GOLDEN_SEED:
+        diffs = golden_diff(shadowed)
+        if diffs:
+            for diff in diffs:
+                print(f"shadow: FAIL {diff}")
+            return 1
+        print(f"shadow: record equals {os.path.relpath(GOLDEN, ROOT)}")
     print("shadow: PASS: every verify equalled the whole-image compare; "
           "schedules, resilience stats and counters are identical")
     return 0

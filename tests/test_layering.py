@@ -1,6 +1,6 @@
 """The library below ``repro.bench`` never imports from it, its
-product classes carry no reference twins, and only the hybrid trees
-write their device mirrors.
+product classes carry no reference twins, every shard reads through
+its one engine, and only the hybrid trees write their device mirrors.
 
 ``repro.bench`` holds the figures, gates and their drivers; it builds
 on the rest of the package, never the other way round.  Every import
@@ -11,10 +11,17 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import repro
 import repro.io
 from repro.core.batching import BatchingEngine
+from repro.core.resilience import ResilientHBPlusTree
 from repro.core.update import SyncUpdater
+from repro.faults import FaultPlan
+from repro.platform.configs import machine_m1
+from repro.service.shard import Shard
+from repro.workloads.generators import generate_dataset
 
 SRC = Path(repro.__file__).parent
 BENCH = SRC / "bench"
@@ -124,6 +131,49 @@ def test_io_reads_contents_without_a_type_ladder():
     ]
     assert calls == []
     assert not hasattr(repro.io, "_contents")
+
+
+# -- one read path per shard ---------------------------------------------
+#
+# A shard reads only through its engine.  On a drilled shard the
+# resilience policy runs inside that engine, once per lookup call and
+# once per scan bucket, not in a second read loop around it.
+
+
+def test_shards_hold_no_second_read_object():
+    assert "obs" not in inspect.signature(ResilientHBPlusTree).parameters
+    keys = np.arange(1, 2001, dtype=np.uint64)
+    for extra in ({}, {"fault_plan": FaultPlan.none(seed=1)}):
+        shard = Shard(0, keys, keys, machine=machine_m1(), **extra)
+        assert not hasattr(shard, "_server")
+
+
+def test_drilled_shards_read_without_the_wrapper_entry_points(monkeypatch):
+    keys, values = generate_dataset(1 << 12, seed=3)
+    plain = Shard(0, keys, values, machine=machine_m1())
+    drilled = Shard(0, keys, values, machine=machine_m1(),
+                    fault_plan=FaultPlan.uniform(0.2, seed=5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shard read through the wrapper")
+
+    monkeypatch.setattr(ResilientHBPlusTree, "lookup_batch", refuse)
+    monkeypatch.setattr(ResilientHBPlusTree, "run_scans", refuse)
+    rng = np.random.default_rng(11)
+    batches = drilled.resilient.stats.batches
+    for _ in range(6):
+        q = np.concatenate([
+            rng.choice(keys, 600),
+            rng.integers(1, 2**40, size=100, dtype=np.uint64),
+        ])
+        np.testing.assert_array_equal(drilled.lookup_batch(q),
+                                      plain.lookup_batch(q))
+        los = rng.choice(keys, 12)
+        his = los + np.uint64(2**30)
+        assert drilled.run_scans(los, his) == plain.run_scans(los, his)
+    # one policy batch per lookup call and per (single-bucket) scan call
+    assert drilled.resilient.stats.batches == batches + 12
+    assert drilled.injector.stats.total_faults > 0
 
 
 # -- mirror writers ------------------------------------------------------

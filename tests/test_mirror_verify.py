@@ -38,10 +38,11 @@ class RefMap:
 
 def guard_engine(r: ResilientHBPlusTree, seen: list) -> None:
     """Check the mirror equals the CPU tree's image whenever the engine
-    is about to compute a hybrid answer."""
+    is about to compute a hybrid answer: the bucket loop and the scan
+    bucket the resilience policy runs once it has verified the mirror."""
     tree = r.tree
     engine = r.engine
-    for name in ("lookup_batch", "run_scans"):
+    for name in ("lookup_buckets", "scan_bucket"):
         inner = getattr(engine, name)
 
         def guarded(*args, _inner=inner, **kwargs):

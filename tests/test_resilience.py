@@ -322,3 +322,24 @@ class TestEdgeInputs:
         out = r.lookup_batch(np.asarray([], dtype=np.uint64))
         assert len(out) == 0
         assert r.stats.batches == 0
+
+    def test_empty_tree_degrades_and_recovers(self):
+        """The recovery probe of an empty tree searches zero keys."""
+        none = np.zeros(0, dtype=np.uint64)
+        tree = HBPlusTree(none, none, machine=machine_m1())
+        injector = FaultInjector(FaultPlan.uniform(1.0, seed=9))
+        r = ResilientHBPlusTree(tree, injector=injector,
+                                config=ResilienceConfig(probe_interval=2))
+        q = np.arange(1, 300, dtype=np.uint64)
+        missing = np.full(len(q), tree.spec.max_value, dtype=np.uint64)
+        for _ in range(4):
+            np.testing.assert_array_equal(r.lookup_batch(q), missing)
+        assert r.degraded
+        injector.plan = FaultPlan.none(seed=9)
+        for _ in range(4):
+            np.testing.assert_array_equal(r.lookup_batch(q), missing)
+            assert [list(rows) for rows in r.run_scans(q[:3], q[:3] + 9)] \
+                == [[], [], []]
+        assert not r.degraded
+        assert r.stats.recoveries == 1
+        assert r.stats.probes >= 1
