@@ -37,7 +37,12 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.core.hbtree import HBPlusTree
-from repro.core.mixed import ConcurrentQueryEngine, OptimisticMixedEngine
+from repro.core.mixed import (
+    ConcurrentQueryEngine,
+    OptimisticMixedEngine,
+    OptimisticRunResult,
+)
+from repro.obs.export import MIXED_COUNTERS
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset
 from repro.workloads.queries import QueryMix, make_update_mix
@@ -62,15 +67,11 @@ def _result_row(result) -> Dict[str, Any]:
         "total_ns": float(result.total_ns),
         "throughput_ops": float(result.throughput_ops),
     }
-    for name in ("retries", "retry_ns", "dirty_nodes", "sync_transfers",
-                 "sync_bytes", "sync_faults", "gap_writes", "shift_writes",
-                 "splits"):
+    for name in MIXED_COUNTERS:
         value = getattr(result, name, None)
         if value is not None:
-            row[name] = float(value) if name == "retry_ns" else int(value)
-    rebuilt = getattr(result, "mirror_rebuilt", None)
-    if rebuilt is not None:
-        row["mirror_rebuilt"] = bool(rebuilt)
+            # as the type of the field's default: numpy scalars are not JSON
+            row[name] = type(getattr(OptimisticRunResult, name))(value)
     return row
 
 

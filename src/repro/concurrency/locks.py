@@ -8,12 +8,14 @@ simply a release timestamp in the future.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
+
+from repro.obs.stats import Stats
 
 
 @dataclass
-class LockStats:
+class LockStats(Stats):
     """Aggregate contention counters."""
 
     acquisitions: int = 0
@@ -25,15 +27,6 @@ class LockStats:
         if self.acquisitions == 0:
             return 0.0
         return self.contended_acquisitions / self.acquisitions
-
-    def reset(self) -> None:
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-        self.total_wait_ns = 0.0
-
-    def copy(self) -> "LockStats":
-        """A detached snapshot; later acquisitions won't mutate it."""
-        return replace(self)
 
 
 class LockTable:

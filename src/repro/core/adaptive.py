@@ -38,9 +38,8 @@ transaction model).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from repro.core.load_balance import (
 )
 from repro.gpusim.kernels.frontier_search import PER_QUERY, validate_kernel
 from repro.obs import NULL_OBS
+from repro.obs.stats import Stats
 
 Split = Tuple[int, float]
 
@@ -75,7 +75,7 @@ class AdaptiveConfig:
 
 
 @dataclass
-class AdaptiveStats:
+class AdaptiveStats(Stats):
     """Counters of one controller's life."""
 
     buckets: int = 0
@@ -92,9 +92,6 @@ class AdaptiveStats:
     depth: int = 0
     ratio: float = 0.0
     kernel: str = PER_QUERY
-
-    def snapshot(self) -> Dict[str, float]:
-        return dataclasses.asdict(self)
 
 
 class StaticSplit:

@@ -47,6 +47,7 @@ from repro.core.buckets import DEFAULT_BUCKET_SIZE, iter_buckets
 from repro.core.load_balance import split_levels
 from repro.gpusim.kernels.frontier_search import validate_kernel
 from repro.obs import NULL_OBS
+from repro.obs.stats import Stats
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def plan_bucket(queries: Sequence, dtype=None) -> BucketPlan:
 
 
 @dataclass
-class BatchStats:
+class BatchStats(Stats):
     """Aggregated accounting of an engine's executed buckets."""
 
     buckets: int = 0
@@ -111,6 +112,8 @@ class BatchStats:
     #: tuples those scans returned (the leaf-chain work the cost model
     #: prices separately from point lookups)
     scan_tuples: int = 0
+
+    exported = ("mean_scan_length",)
 
     @property
     def mean_scan_length(self) -> float:

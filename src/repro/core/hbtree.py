@@ -35,6 +35,7 @@ from repro.faults import FaultError
 from repro.gpusim.kernels.regular_search import regular_search_vectorized
 from repro.gpusim.memory import grow_array
 from repro.memsim.mainmem import MemorySystem, PageConfig
+from repro.obs.stats import Stats
 from repro.platform.configs import MachineConfig
 
 #: per-push overhead on the synchronizing thread's open copy stream
@@ -43,7 +44,7 @@ SYNC_NODE_OVERHEAD_NS = 40.0
 
 
 @dataclass
-class MirrorSyncStats:
+class MirrorSyncStats(Stats):
     """Outcome of one dirty-node mirror sync."""
 
     #: inner nodes written to the device (every node on a rebuild)

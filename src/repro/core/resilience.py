@@ -59,6 +59,7 @@ from repro.faults import (
     TransferTimeout,
 )
 from repro.obs import NULL_OBS
+from repro.obs.stats import Stats
 from repro.platform.costmodel import (
     CpuCostModel,
     HYBRID_STAGE_OVERHEAD_NS,
@@ -120,7 +121,7 @@ class ResilienceConfig:
 
 
 @dataclass
-class ResilienceStats:
+class ResilienceStats(Stats):
     """Every fault/retry/degradation event, counted; plus modeled time."""
 
     batches: int = 0
@@ -152,30 +153,10 @@ class ResilienceStats:
     snapshot_failures: int = 0
 
     def snapshot(self) -> Dict[str, float]:
-        """Flat dict of all counters (for tables and replay checks)."""
-        return {
-            "batches": self.batches,
-            "served_hybrid": self.served_hybrid,
-            "served_cpu": self.served_cpu,
-            "served_ns": round(self.served_ns, 3),
-            "penalty_ns": round(self.penalty_ns, 3),
-            "backoff_ns": round(self.backoff_ns, 3),
-            "timeout_ns": round(self.timeout_ns, 3),
-            "repair_transfer_ns": round(self.repair_transfer_ns, 3),
-            "transfer_retries": self.transfer_retries,
-            "kernel_retries": self.kernel_retries,
-            "mirror_refreshes": self.mirror_refreshes,
-            "checksum_failures": self.checksum_failures,
-            "repaired_nodes": self.repaired_nodes,
-            "gpu_batch_failures": self.gpu_batch_failures,
-            "degradations": self.degradations,
-            "economic_degradations": self.economic_degradations,
-            "faults_handled": self.faults_handled,
-            "probes": self.probes,
-            "recoveries": self.recoveries,
-            "snapshots": self.snapshots,
-            "snapshot_failures": self.snapshot_failures,
-        }
+        """Flat dict of all counters, the modeled times rounded to 3
+        decimals (tables and replay goldens compare them exactly)."""
+        return {name: round(value, 3) if isinstance(value, float) else value
+                for name, value in super().snapshot().items()}
 
     @property
     def served_queries(self) -> int:

@@ -40,6 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.hbtree import HBPlusTree
+from repro.obs.stats import Stats
 from repro.platform.costmodel import CpuCostModel, CpuQueryProfile
 
 #: group size of the asynchronous method (section 5.6)
@@ -55,7 +56,7 @@ LOCK_OVERHEAD_FACTOR = 1.6
 
 
 @dataclass
-class UpdateStats:
+class UpdateStats(Stats):
     """Result of applying one update batch."""
 
     applied: int = 0

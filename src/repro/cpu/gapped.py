@@ -33,7 +33,7 @@ short shifts and splits separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -44,10 +44,11 @@ from repro.cpu.btree_regular import (
     _LeafPool,
     _multi_arange,
 )
+from repro.obs.stats import Stats
 
 
 @dataclass
-class GapStats:
+class GapStats(Stats):
     """Accumulated write-path behaviour of a gapped tree."""
 
     #: inserts resolved by writing straight into a gap (zero shift)
@@ -63,21 +64,12 @@ class GapStats:
     #: whole-leaf rewrites by the batch scatter path
     leaf_rewrites: int = 0
 
+    exported = ("in_place_fraction",)
+
     @property
     def in_place_fraction(self) -> float:
         total = self.gap_writes + self.shift_writes
         return self.gap_writes / total if total else 0.0
-
-    def copy(self) -> "GapStats":
-        return replace(self)
-
-    def reset(self) -> None:
-        self.gap_writes = 0
-        self.shift_writes = 0
-        self.shifted_pairs = 0
-        self.gap_deletes = 0
-        self.splits = 0
-        self.leaf_rewrites = 0
 
 
 def _spread_slots(m: int, cap: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ model converts into time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
@@ -24,10 +24,11 @@ from repro.cpu.node_search import (
     leaf_hit,
     search_leaf_line,
 )
+from repro.obs.stats import Stats
 
 
 @dataclass
-class PipelineStats:
+class PipelineStats(Stats):
     """Execution statistics of one software-pipelined batch run."""
 
     queries: int = 0
@@ -37,15 +38,6 @@ class PipelineStats:
     overlapped_misses: int = 0
     #: cache misses with nothing to overlap (exposed latency)
     exposed_misses: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def copy(self) -> "PipelineStats":
-        """A detached snapshot; mutating the live stats won't touch it."""
-        return replace(self)
 
 
 class SoftwarePipeline:

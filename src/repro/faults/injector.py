@@ -44,6 +44,7 @@ from repro.faults.plan import (
     TransferFault,
     TransferTimeout,
 )
+from repro.obs.stats import Stats
 
 
 def _site_id(site: str) -> int:
@@ -168,8 +169,10 @@ def uniform_draws(seed: int, site_id: int, start: int,
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Stats):
     """How often each fault kind fired (and how often it could have)."""
+
+    exported = ("total_faults",)
 
     transfer_ops: int = 0
     kernel_ops: int = 0
@@ -195,27 +198,6 @@ class FaultStats:
             + self.kernel_hangs + self.bitflips + self.sync_interrupts
             + self.torn_writes + self.storage_bitflips + self.partial_reads
         )
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "transfer_ops": self.transfer_ops,
-            "kernel_ops": self.kernel_ops,
-            "mirror_ops": self.mirror_ops,
-            "sync_ops": self.sync_ops,
-            "storage_write_ops": self.storage_write_ops,
-            "storage_media_ops": self.storage_media_ops,
-            "storage_read_ops": self.storage_read_ops,
-            "transfer_fails": self.transfer_fails,
-            "transfer_timeouts": self.transfer_timeouts,
-            "kernel_fails": self.kernel_fails,
-            "kernel_hangs": self.kernel_hangs,
-            "bitflips": self.bitflips,
-            "sync_interrupts": self.sync_interrupts,
-            "torn_writes": self.torn_writes,
-            "storage_bitflips": self.storage_bitflips,
-            "partial_reads": self.partial_reads,
-            "total_faults": self.total_faults,
-        }
 
 
 class FaultInjector:

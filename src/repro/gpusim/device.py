@@ -71,7 +71,7 @@ class GpuDevice:
             grid_dim=grid_dim,
         ):
             stats = launch.run(*args)
-        self.stats.merge(stats)
+        self.stats.add(stats)
         return stats
 
     def concurrent_queries(self, threads_per_query: int) -> int:

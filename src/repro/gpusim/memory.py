@@ -16,6 +16,8 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from repro.obs.stats import Stats
+
 
 def grow_array(array: np.ndarray, size: int) -> np.ndarray:
     """``array`` lengthened to ``size`` elements, contents kept.
@@ -59,7 +61,7 @@ class DeviceBuffer:
 
 
 @dataclass
-class MemoryCounters:
+class MemoryCounters(Stats):
     """Transaction statistics for one device."""
 
     transactions_32: int = 0
@@ -71,13 +73,6 @@ class MemoryCounters:
     @property
     def transactions(self) -> int:
         return self.transactions_32 + self.transactions_64 + self.transactions_128
-
-    def reset(self) -> None:
-        self.transactions_32 = 0
-        self.transactions_64 = 0
-        self.transactions_128 = 0
-        self.bytes_moved = 0
-        self.warp_accesses = 0
 
 
 def coalesce(ranges: Iterable[Tuple[int, int]],

@@ -38,10 +38,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.gpusim.memory import DeviceBuffer, DeviceMemory
+from repro.obs.stats import Stats
 
 
 @dataclass
-class GpuKernelStats:
+class GpuKernelStats(Stats):
     """Execution statistics of one kernel launch."""
 
     blocks: int = 0
@@ -54,16 +55,6 @@ class GpuKernelStats:
     barriers: int = 0
     #: rounds in which a warp's threads did not execute one common op
     divergent_rounds: int = 0
-
-    def merge(self, other: "GpuKernelStats") -> None:
-        self.blocks += other.blocks
-        self.threads += other.threads
-        self.warp_instructions += other.warp_instructions
-        self.global_transactions += other.global_transactions
-        self.shared_accesses += other.shared_accesses
-        self.bank_conflicts += other.bank_conflicts
-        self.barriers += other.barriers
-        self.divergent_rounds += other.divergent_rounds
 
 
 class SharedMemory:
@@ -176,7 +167,7 @@ class KernelLaunch:
         stats = GpuKernelStats()
         for block in range(self.grid_dim):
             block_stats = self._run_block(block, args)
-            stats.merge(block_stats)
+            stats.add(block_stats)
         stats.blocks = self.grid_dim
         return stats
 

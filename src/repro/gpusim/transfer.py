@@ -24,11 +24,12 @@ import numpy as np
 
 from repro.gpusim.memory import DeviceBuffer, DeviceMemory
 from repro.obs import NULL_OBS
+from repro.obs.stats import Stats
 from repro.platform.configs import PcieSpec
 
 
 @dataclass
-class TransferStats:
+class TransferStats(Stats):
     """Accumulated link activity."""
 
     transfers: int = 0
@@ -38,13 +39,6 @@ class TransferStats:
     #: transfers aborted by an injected fault or timeout; their wire
     #: time is included in ``total_time_ns`` but no bytes are counted
     failed_transfers: int = 0
-
-    def reset(self) -> None:
-        self.transfers = 0
-        self.bytes_to_device = 0
-        self.bytes_to_host = 0
-        self.total_time_ns = 0.0
-        self.failed_transfers = 0
 
 
 class PcieLink:

@@ -43,6 +43,7 @@ from repro.lifecycle.format import (
 )
 from repro.memsim.mainmem import MemorySystem
 from repro.obs import NULL_OBS
+from repro.obs.stats import Stats
 from repro.platform.configs import MachineConfig
 
 #: payload schema version (independent of the envelope format version)
@@ -168,7 +169,7 @@ def parse_payload(payload: bytes) -> SnapshotContents:
 
 
 @dataclass
-class LifecycleStats:
+class LifecycleStats(Stats):
     """Snapshot/restore activity, mirrored to ``live.lifecycle.*``."""
 
     snapshots: int = 0
@@ -180,19 +181,6 @@ class LifecycleStats:
     corrupt_snapshots: int = 0
     cold_builds: int = 0
     mirror_drift: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "snapshots": self.snapshots,
-            "snapshot_failures": self.snapshot_failures,
-            "snapshot_bytes": self.snapshot_bytes,
-            "pruned": self.pruned,
-            "restores": self.restores,
-            "restore_fallbacks": self.restore_fallbacks,
-            "corrupt_snapshots": self.corrupt_snapshots,
-            "cold_builds": self.cold_builds,
-            "mirror_drift": self.mirror_drift,
-        }
 
 
 class RestoreError(RuntimeError):

@@ -7,11 +7,13 @@ figure's expected outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.obs.stats import Stats
 
 
 @dataclass
-class AccessCounters:
+class AccessCounters(Stats):
     """Event counts collected while a workload runs against the models."""
 
     #: cache-line reads issued by the workload
@@ -35,15 +37,6 @@ class AccessCounters:
     #: lines brought in by the stream prefetcher (bandwidth, no stall)
     prefetches: int = 0
 
-    def add(self, other: "AccessCounters") -> None:
-        """Accumulate ``other`` into this counter set in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     @property
     def tlb_misses(self) -> int:
         return self.tlb_misses_small + self.tlb_misses_huge
@@ -59,7 +52,3 @@ class AccessCounters:
         if self.line_accesses == 0:
             return 0.0
         return self.cache_hits / self.line_accesses
-
-    def snapshot(self) -> dict:
-        """A plain-dict copy, convenient for assertions and reports."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}

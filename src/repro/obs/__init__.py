@@ -5,9 +5,10 @@ tracing with Chrome trace-event / Perfetto export
 (:class:`~repro.obs.trace.Tracer`), a unified metrics registry with
 labeled counters/gauges/histograms
 (:class:`~repro.obs.metrics.MetricsRegistry`), synchronous profiling
-hooks (:class:`~repro.obs.hooks.HookSet`), exporters that fold every
-existing stats object into one snapshot (:mod:`repro.obs.export`), and
-a trace-schema validator used by CI (:mod:`repro.obs.validate`).
+hooks (:class:`~repro.obs.hooks.HookSet`), one base for the layers'
+stats records (:class:`~repro.obs.stats.Stats`) and one export path
+that folds them into one snapshot (:mod:`repro.obs.export`), and a
+trace-schema validator used by CI (:mod:`repro.obs.validate`).
 
 The one object components hold is the
 :class:`~repro.obs.bundle.Observability` bundle; everything defaults to
@@ -20,17 +21,8 @@ from repro.obs.bundle import NULL_OBS, Observability
 from repro.obs.export import (
     collect_all,
     publish,
-    publish_adaptive,
-    publish_device,
     publish_engine,
-    publish_gap_occupancy,
-    publish_lifecycle,
-    publish_link,
-    publish_mixed,
-    publish_memory,
-    publish_resilience,
     publish_service,
-    publish_tree,
     stats_dict,
 )
 from repro.obs.hooks import HookSet
@@ -41,6 +33,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
 )
+from repro.obs.stats import Stats
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 from repro.obs.validate import validate_events, validate_trace_file
 
@@ -55,20 +48,12 @@ __all__ = [
     "HookSet",
     "MetricsRegistry",
     "Observability",
+    "Stats",
     "Tracer",
     "collect_all",
     "publish",
-    "publish_adaptive",
-    "publish_device",
     "publish_engine",
-    "publish_gap_occupancy",
-    "publish_lifecycle",
-    "publish_link",
-    "publish_mixed",
-    "publish_memory",
-    "publish_resilience",
     "publish_service",
-    "publish_tree",
     "stats_dict",
     "validate_events",
     "validate_trace_file",

@@ -1,14 +1,15 @@
 """Named counters/gauges/histograms with labeled dimensions.
 
-Today's accounting is scattered over per-module stats dataclasses
-(``BatchStats``, ``ResilienceStats``, ``MirrorSyncStats``,
-``TransferStats``, ``AccessCounters``, ...).
-:class:`MetricsRegistry` is the unifying surface: every instrument is
-addressed by a name plus a label set (``engine="batch"``,
-``bucket=3``, ``state="degraded"``), created on first use, and exported
-through one ``snapshot()`` / ``reset()`` API.  The exporters in
-:mod:`repro.obs.export` bridge the existing stats objects into a
-registry without the components having to know about each other.
+Each layer counts its events in its own stats record (``BatchStats``,
+``ResilienceStats``, ``TransferStats``, ``AccessCounters``, ...; see
+:mod:`repro.obs.stats`).  :class:`MetricsRegistry` is the unifying
+surface: every instrument is addressed by a name plus a label set
+(``engine="batch"``, ``shard=3``, ``reason="economic"``), created on
+first use, and exported through one ``snapshot()`` / ``reset()`` API.
+:func:`repro.obs.export.publish` copies the records into gauges
+without the components having to know about the registry, and
+``drop_gauges`` lets a re-publish retire the series its source no
+longer has.
 
 Thread safety: instrument creation and every mutation take the
 registry's lock — observability runs at bucket granularity, so a lock
@@ -228,6 +229,17 @@ class MetricsRegistry:
             inst.series: inst._export()
             for inst in sorted(self.instruments(), key=lambda i: i.series)
         }
+
+    def drop_gauges(self, prefix: str, labels: Dict[str, Any]) -> None:
+        """Unregister the gauges named ``prefix.*`` whose labels include
+        ``labels`` (other kinds and other label values stay)."""
+        start = prefix + "."
+        scope = set(_label_key(labels))
+        with self._lock:
+            for slot in [s for s in self._series
+                         if s[0] == Gauge.kind and s[1].startswith(start)
+                         and scope <= set(s[2])]:
+                del self._series[slot]
 
     def reset(self) -> None:
         """Zero every instrument in place (registrations survive, so

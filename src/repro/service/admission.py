@@ -19,7 +19,9 @@ import enum
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
+
+from repro.obs.stats import Stats
 
 
 class AdmissionPolicy(enum.Enum):
@@ -46,7 +48,7 @@ class ShardOverloaded(RuntimeError):
 
 
 @dataclass
-class AdmissionStats:
+class AdmissionStats(Stats):
     """One shard queue's lifetime accounting."""
 
     submitted_batches: int = 0
@@ -57,16 +59,6 @@ class AdmissionStats:
     blocked_waits: int = 0
     #: highest in-flight op count observed
     max_depth: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "submitted_batches": self.submitted_batches,
-            "admitted_batches": self.admitted_batches,
-            "shed_batches": self.shed_batches,
-            "shed_ops": self.shed_ops,
-            "blocked_waits": self.blocked_waits,
-            "max_depth": self.max_depth,
-        }
 
 
 class ShardQueue:

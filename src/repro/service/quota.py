@@ -21,6 +21,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from repro.obs.stats import Stats
+
 
 class QuotaExceeded(RuntimeError):
     """A tenant's batch did not fit its remaining quota."""
@@ -103,7 +105,7 @@ class TokenBucket:
 
 
 @dataclass
-class TenantQuotaStats:
+class TenantQuotaStats(Stats):
     """One tenant's lifetime admission accounting."""
 
     tenant: str

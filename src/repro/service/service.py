@@ -62,9 +62,6 @@ class ServiceConfig:
     admission: AdmissionPolicy = AdmissionPolicy.BLOCK
     queue_timeout_s: Optional[float] = None
     quota: QuotaConfig = field(default_factory=QuotaConfig)
-    #: snapshot directory for split/merge durability (None = in-memory
-    #: rebuilds only)
-    snapshot_dir: Optional[str] = None
     machine: Optional[MachineConfig] = None
     #: rebalance thresholds: a shard serving more than ``hot_share`` of
     #: recent traffic splits; two adjacent shards together under

@@ -36,6 +36,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.lifecycle.bulkload import bulk_load
 from repro.obs import NULL_OBS
+from repro.obs.stats import Stats
 from repro.platform.configs import MachineConfig, machine_m1
 from repro.service.admission import AdmissionPolicy, ShardQueue
 
@@ -52,7 +53,7 @@ def shard_fault_plan(plan: FaultPlan, sid: int) -> FaultPlan:
 
 
 @dataclass
-class ShardStats:
+class ShardStats(Stats):
     """One shard's lifetime serving accounting."""
 
     sid: int
@@ -63,9 +64,6 @@ class ShardStats:
     batches: int
     admission: Dict[str, int]
     faults: int
-
-    def snapshot(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
 
 
 class Shard:

@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 
 from repro.keys import key_spec
+from repro.obs.stats import Stats
 
 
 class OpKind(enum.IntEnum):
@@ -216,7 +217,7 @@ def synthesize_drift_lookups(
 
 
 @dataclass
-class ReplayStats:
+class ReplayStats(Stats):
     """Functional outcome of replaying one trace."""
 
     lookups: int = 0

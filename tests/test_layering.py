@@ -8,6 +8,7 @@ statement counts, function-local ones included.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from repro.core.resilience import ResilientHBPlusTree
 from repro.core.update import SyncUpdater
 from repro.faults import FaultPlan
 from repro.platform.configs import machine_m1
+from repro.service import ServiceConfig
 from repro.service.shard import Shard
 from repro.workloads.generators import generate_dataset
 
@@ -120,6 +122,13 @@ def test_engine_and_updater_take_no_baseline_options():
     assert "batched" not in inspect.signature(SyncUpdater).parameters
     assert "measure_baseline" not in \
         inspect.signature(BatchingEngine).parameters
+
+
+def test_service_config_has_no_dead_snapshot_dir():
+    """Split/merge durability comes from ``IndexService.build(
+    snapshot_manager=)``; no config field promises it."""
+    assert "snapshot_dir" not in {
+        f.name for f in dataclasses.fields(ServiceConfig)}
 
 
 def test_io_reads_contents_without_a_type_ladder():
