@@ -162,7 +162,7 @@ def run_playbook(workdir: Path) -> None:
         q0, t0 = resilient.stats.served_queries, resilient.stats.served_ns
         for _ in range(batches):
             q = rng.choice(served_keys, size=resilient.bucket_size)
-            out = resilient.lookup_batch(q)
+            out = resilient.engine.lookup_batch(q)
             expected = served_vals[np.searchsorted(served_keys, q)]
             assert np.array_equal(out, expected), "wrong answer under faults"
         dq = resilient.stats.served_queries - q0

@@ -41,7 +41,7 @@ runs (→ ``BENCH_pr5.json``):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 

@@ -59,7 +59,7 @@ def _serve_and_check(
     wrong = 0
     for _ in range(batches):
         q = rng.choice(keys, size=batch_size)
-        out = r.lookup_batch(q)
+        out = r.engine.lookup_batch(q)
         expected = np.asarray([lut[int(k)] for k in q], dtype=out.dtype)
         wrong += int(np.count_nonzero(out != expected))
     return wrong

@@ -47,7 +47,6 @@ from repro.core.load_balance import (
     DiscoveryResult,
     LoadBalancer,
     SplitCostModel,
-    split_levels,  # re-exported: callers import it from here
 )
 from repro.gpusim.kernels.frontier_search import PER_QUERY, validate_kernel
 from repro.obs import NULL_OBS

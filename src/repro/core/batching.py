@@ -25,13 +25,13 @@ load balancer see the sorted gain through ``unique_fraction``.
 The engine runs over both hybrid trees
 (:class:`repro.core.hybrid.HybridTree`): it only needs
 ``gpu_search_bucket`` / ``cpu_finish_bucket`` / ``cpu_scan_bucket`` /
-``modeled_transactions`` and the key ``spec``.  It is the one bucket
-pipeline — plan, split, descend, finish or scan, scatter — and every
-shard of the service reads through one.  A
-:class:`repro.core.resilience.ResilientHBPlusTree` installs itself as
-the engine's ``policy``, which then serves each lookup call and each
-scan bucket.  The CPU/GPU overlap of the paper's Figs 5-6 is modeled
-by :mod:`repro.core.pipeline`, not executed here.
+``modeled_transactions`` / ``write_batch`` and the key ``spec``.  It is
+the one bucket pipeline — plan, split, descend, finish or scan,
+scatter — and the one write entry; every shard of the service reads
+and writes through one.  A :class:`repro.core.resilience.ResilientHBPlusTree`
+installs itself as the engine's ``policy``, which then serves each
+lookup call, scan bucket and update batch.  The CPU/GPU overlap of the
+paper's Figs 5-6 is modeled by :mod:`repro.core.pipeline`.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ class BatchingEngine:
         #: per bucket, at dispatch, and fed the dispatched queries
         self.balancer = balancer
         #: the :class:`~repro.core.resilience.ResilientHBPlusTree` that
-        #: serves each lookup call and scan bucket; None runs them directly
+        #: serves each lookup call, scan bucket and update batch; None
+        #: runs them directly
         self.policy = None
         if balancer is not None and not tree.supports_split_descent:
             raise ValueError(
@@ -362,11 +363,26 @@ class BatchingEngine:
                 out.extend(serve(lo_arr[start:stop], hi_arr[start:stop]))
         return out
 
+    # ------------------------------------------------------------------
+    # writes
+
+    def apply_updates(self, keys: Sequence, values: Sequence,
+                      deletes: Sequence = ()):
+        """Write one update batch with the tree's ``write_batch`` under
+        the serve lock (so :meth:`quiesce` parks writers too); a
+        ``policy`` wraps the write.  Returns the write's stats."""
+        with self._serve_lock:
+            if self.policy is not None:
+                return self.policy.serve_updates(
+                    self.tree.write_batch, keys, values, deletes
+                )
+            return self.tree.write_batch(keys, values, deletes)
+
     @contextmanager
     def quiesce(self):
         """Hold serving still between batches (snapshot-under-load).
 
-        Blocks until any in-flight :meth:`lookup_batch` drains, then
+        Blocks until any in-flight batch (reads or writes) drains, then
         keeps new batches parked while the caller (typically
         :meth:`repro.lifecycle.SnapshotManager.save_engine`) reads the
         tree.  Concurrent lookups before and after the window are

@@ -297,6 +297,14 @@ class HBPlusTree(HybridTree):
             stats.faults = 1
             return stats
 
+    def write_batch(self, keys: Sequence[int], values: Sequence[int],
+                    deletes: Sequence[int] = ()):
+        """The engine's one batch write: the synchronized update method
+        (section 5.6).  Returns its :class:`~repro.core.update.UpdateStats`."""
+        from repro.core.update import SyncUpdater  # update imports hbtree
+
+        return SyncUpdater(self).apply(keys, values, deletes)
+
     def _push_dirty(self, mark: MirrorMark) -> MirrorSyncStats:
         tree = self.cpu_tree
         upper, last = tree.upper, tree.last

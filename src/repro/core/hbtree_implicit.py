@@ -281,3 +281,8 @@ class ImplicitHBPlusTree(HybridTree):
         )
         self.last_rebuild = times
         return times
+
+    def write_batch(self, keys: Sequence[int], values: Sequence[int],
+                    deletes: Sequence[int] = ()) -> RebuildTimes:
+        """The engine's one batch write: :meth:`merge_rebuild`."""
+        return self.merge_rebuild(keys, values, deletes)

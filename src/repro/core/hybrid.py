@@ -263,9 +263,9 @@ class HybridTree:
         #: it per bucket via ``kernel=``
         self.kernel = PER_QUERY
         #: serializes every serving path over this tree — engine
-        #: batches, direct range scans, resilient serving, shard
-        #: updates — against engine ``quiesce()`` windows (engines adopt
-        #: this lock), so a snapshot never observes a mid-split chain
+        #: reads and writes (``write_batch``), direct range scans —
+        #: against engine ``quiesce()`` windows (engines adopt this
+        #: lock), so a snapshot never observes a mid-split chain
         self.serve_lock = threading.RLock()
 
     # -- per-tree layout hooks ------------------------------------------

@@ -289,9 +289,9 @@ class OptimisticMixedEngine:
         """:meth:`HBPlusTree.sync_nodes`, retrying its fault-absorbing
         rebuild when that faulted too: at most ``SYNC_FAULT_RETRIES``
         rebuilds follow the first fault.  On exhaustion (a rate-1.0
-        plan, or genuinely dead hardware) the typed fault propagates,
-        so callers such as a ResilientHBPlusTree wrapper can degrade
-        on it."""
+        plan, or genuinely dead hardware) the typed fault propagates
+        to the caller, which may degrade on it the way the resilience
+        policy's ``serve_updates`` does for an engine write."""
         tree = self.tree
         try:
             return tree.sync_nodes(mark)

@@ -9,10 +9,12 @@ Resilience is a policy the one bucket pipeline runs: the wrapper
 installs itself on one :class:`~repro.core.batching.BatchingEngine`
 over the same tree — the one passed as ``engine=`` (for example a
 shard's, or one with its own bucket size or kernel), otherwise a
-default one — and that engine calls it once per lookup call and once
-per scan bucket.  The policy decides whether, how often and at what
-modeled cost the engine's bucket loop runs, or serves the call from
-the CPU instead; recovery probes run the same bucket loop.
+default one — and that engine calls it once per lookup call, scan
+bucket and update batch.  The policy decides whether, how often and at
+what modeled cost the engine's bucket loop runs, or serves the call
+from the CPU instead; recovery probes run the same bucket loop.  It
+runs the tree's own write and handles only a faulted mirror sync.  It
+has no read or write entry of its own: callers use ``engine``.
 
 Mechanisms (bottom-up):
 
@@ -50,7 +52,7 @@ import numpy as np
 
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
-from repro.core.update import AsyncBatchUpdater, SyncUpdater, UpdateStats
+from repro.core.update import UpdateStats
 from repro.faults import (
     FaultError,
     FaultInjector,
@@ -217,11 +219,11 @@ class ResilientHBPlusTree:
     (:meth:`serve_lookups`, :meth:`serve_scan_bucket`): through the
     bucket loop while the GPU is healthy and from the CPU-only path
     when the circuit breaker is open, repairing the mirror and probing
-    for recovery along the way.  :meth:`lookup_batch` and
-    :meth:`run_scans` forward to the engine.  Updates flow through
-    :meth:`apply_updates`, which restores mirror consistency no matter
-    where a fault interrupts the sync.  Reads and updates hold the
-    tree's serve lock, so an engine ``quiesce()`` parks them.
+    for recovery along the way.  The engine's update batches run
+    through :meth:`serve_updates`, which restores mirror consistency no
+    matter where a fault interrupts the sync.  The engine holds the
+    tree's serve lock around every hook, so its ``quiesce()`` parks
+    reads and writes alike.
     """
 
     def __init__(
@@ -618,61 +620,31 @@ class ResilientHBPlusTree:
             self._maybe_trip_adaptive()
         return rows
 
-    def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
-        """Fault-tolerant batch lookup (the engine runs this policy)."""
-        return self.engine.lookup_batch(queries)
+    def serve_updates(self, write: Callable, keys: Sequence[int],
+                      values: Sequence[int],
+                      deletes: Sequence[int] = ()):
+        """Run one engine update batch, ``write(keys, values, deletes)``
+        (the engine holds the serve lock), and return its stats.
 
-    def lookup(self, key: int) -> Optional[int]:
-        out = self.lookup_batch(
-            np.asarray([key], dtype=self.tree.spec.dtype)
-        )
-        val = int(out[0])
-        return None if val == self.tree.spec.max_value else val
-
-    def run_scans(self, los: Sequence[int], his: Sequence[int]) -> list:
-        """Fault-tolerant batched range scans (the engine runs this
-        policy per scan bucket)."""
-        return self.engine.run_scans(los, his)
-
-    # ------------------------------------------------------------------
-    # updates
-
-    def apply_updates(
-        self,
-        keys: Sequence[int],
-        values: Sequence[int],
-        deletes: Sequence[int] = (),
-        method: str = "async",
-    ) -> UpdateStats:
-        """Apply a batch of updates, restoring mirror consistency even
-        when the sync path faults mid-flight.
-
-        The CPU tree always absorbs every update (it never faults); an
-        interrupted I-segment sync is retried, and on exhaustion the
-        breaker opens — lookups keep serving correctly from the CPU.
-        Holds the tree's serve lock, so ``quiesce()`` parks writers too.
+        The CPU tree always absorbs every update (it never faults).  A
+        write whose mirror sync faults returns empty
+        :class:`~repro.core.update.UpdateStats`: the mirror is
+        re-uploaded with retries, and on exhaustion the breaker counts
+        a failure — lookups keep serving correctly from the CPU.
         """
-        if method == "async":
-            updater = AsyncBatchUpdater(self.tree)
-        elif method == "sync":
-            updater = SyncUpdater(self.tree)
-        else:
-            raise ValueError(f"unknown update method: {method!r}")
-        with self.tree.serve_lock:
+        try:
+            return write(keys, values, deletes)
+        except FaultError:
+            # the end-of-batch mirror sync aborted; the CPU tree holds
+            # every update, only the mirror is stale
             try:
-                stats = updater.apply(keys, values, deletes)
-            except FaultError:
-                # the end-of-batch mirror sync aborted; the CPU tree
-                # holds every update, only the mirror is stale
-                stats = UpdateStats()
-                try:
-                    self._refresh_mirror()
-                except GpuUnavailable:
-                    self.stats.gpu_batch_failures += 1
-                    if self.breaker.record_failure():
-                        self.stats.degradations += 1
-                        self._note_degrade("consecutive_failures")
-        return stats
+                self._refresh_mirror()
+            except GpuUnavailable:
+                self.stats.gpu_batch_failures += 1
+                if self.breaker.record_failure():
+                    self.stats.degradations += 1
+                    self._note_degrade("consecutive_failures")
+            return UpdateStats()
 
     # ------------------------------------------------------------------
 
@@ -680,9 +652,6 @@ class ResilientHBPlusTree:
     def degraded(self) -> bool:
         """True while the breaker is open (CPU-only service)."""
         return self.breaker.open
-
-    def __len__(self) -> int:
-        return len(self.tree)
 
     def __repr__(self) -> str:
         mode = "cpu-only(degraded)" if self.degraded else "hybrid"

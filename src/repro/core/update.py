@@ -23,6 +23,10 @@ Two methods with a batch-size-dependent trade-off (Figs 13-14):
   upper-level split, a height change, a faulted push or a mirror that
   was already behind rebuilds the whole mirror.
 
+A serving engine writes with the synchronized method only
+(:meth:`HBPlusTree.write_batch`); the asynchronous one serves the
+update figures (Figs 13, 14, 21).
+
 Both methods write through the CPU tree's one batch primitive,
 :meth:`~repro.cpu.btree_regular.RegularCpuBPlusTree.apply_batch`: the
 upserts, then the deletes, in op order, with the result of per-op

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.stats import Stats

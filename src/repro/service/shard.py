@@ -10,13 +10,15 @@ its own :class:`~repro.faults.FaultInjector` namespace (a per-shard
 derived seed: shard 3's fault schedule never changes when shard 2
 takes an extra batch), and its own bounded admission window.
 
-Every shard reads through its one engine.  Fault-drilled shards
+Every shard reads and writes through its one engine; the tree picks
+the write (``write_batch``: the synchronized update on the regular
+tree, a merge rebuild on the implicit one).  Fault-drilled shards
 (``fault_plan`` given) must be ``hb-regular``; on them, and on
 mode-adaptive regular shards, a
 :class:`~repro.core.resilience.ResilientHBPlusTree` installs its
-policy on that engine — lookups and scans stay correct under injected
-GPU faults, which is what lets the service promise bit-identity even
-during a fault drill.
+policy on that engine — lookups, scans and updates stay correct under
+injected GPU faults, which is what lets the service promise
+bit-identity even during a fault drill.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from repro.core.adaptive import AdaptiveController
 from repro.core.batching import BatchingEngine
 from repro.core.resilience import ResilientHBPlusTree
-from repro.core.update import SyncUpdater
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.lifecycle.bulkload import bulk_load
@@ -109,7 +110,7 @@ class Shard:
 
         # adaptivity: the implicit tree's (D, R) controller rides the
         # engine; the regular tree's {hybrid, cpu-only} mode controller
-        # rides the resilient wrapper.  Either way the controller is
+        # rides the resilience policy.  Either way the controller is
         # private to this shard and drifts with this shard's traffic.
         self.controller: Optional[AdaptiveController] = None
         engine_balancer = None
@@ -180,19 +181,13 @@ class Shard:
 
     def apply_updates(self, keys: Sequence[int], values: Sequence[int],
                       deletes: Sequence[int] = ()) -> None:
-        """Absorb this shard's slice of an update batch (under the
-        tree's serve lock, so ``quiesce()`` parks writers too)."""
+        """Absorb this shard's slice of an update batch through the
+        engine (under its serve lock, so ``quiesce()`` parks writers
+        too)."""
         ops = len(keys) + len(deletes)
         with self.queue.admit(ops):
-            with self.obs.span("shard.update", sid=self.sid, ops=ops), \
-                    self.tree.serve_lock:
-                if self.kind == "hb-implicit":
-                    self.tree.merge_rebuild(keys, values, deletes)
-                elif self.resilient is not None:
-                    self.resilient.apply_updates(keys, values, deletes,
-                                                 method="sync")
-                else:
-                    SyncUpdater(self.tree).apply(keys, values, deletes)
+            with self.obs.span("shard.update", sid=self.sid, ops=ops):
+                self.engine.apply_updates(keys, values, deletes)
         self._count(update_ops=ops)
 
     # -- lifecycle ------------------------------------------------------

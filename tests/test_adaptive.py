@@ -11,12 +11,15 @@ from repro.core.adaptive import (
     AdaptiveController,
     RegularModeBalancer,
     StaticSplit,
-    split_levels,
 )
 from repro.core.batching import BatchingEngine
 from repro.core.hbtree import HBPlusTree
 from repro.core.hbtree_implicit import ImplicitHBPlusTree
-from repro.core.load_balance import DiscoveryResult, SplitCostModel
+from repro.core.load_balance import (
+    DiscoveryResult,
+    SplitCostModel,
+    split_levels,
+)
 from repro.core.resilience import ResilienceConfig, ResilientHBPlusTree
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import Observability
@@ -383,7 +386,7 @@ class TestResilienceHandshake:
         rng = np.random.default_rng(5)
         for _ in range(6):
             q = rng.choice(keys, size=512)
-            out = r.lookup_batch(q)
+            out = r.engine.lookup_batch(q)
             expected = np.asarray([lut[int(k)] for k in q], dtype=out.dtype)
             np.testing.assert_array_equal(out, expected)
         assert r.degraded
@@ -399,12 +402,12 @@ class TestResilienceHandshake:
         lut = {int(k): int(v) for k, v in zip(keys, values)}
         rng = np.random.default_rng(5)
         for _ in range(6):
-            r.lookup_batch(rng.choice(keys, size=512))
+            r.engine.lookup_batch(rng.choice(keys, size=512))
         assert r.degraded and adaptive.cpu_only
         r.tree.injector.disable()
         for _ in range(8):
             q = rng.choice(keys, size=512)
-            out = r.lookup_batch(q)
+            out = r.engine.lookup_batch(q)
             expected = np.asarray([lut[int(k)] for k in q], dtype=out.dtype)
             np.testing.assert_array_equal(out, expected)
         assert not r.degraded
@@ -425,7 +428,7 @@ class TestResilienceHandshake:
         assert r.degraded
         assert r.stats.economic_degradations >= 1
         keys, values = data
-        out = r.lookup_batch(keys[:512])
+        out = r.engine.lookup_batch(keys[:512])
         np.testing.assert_array_equal(out, values[:512])
         assert r.stats.served_cpu > 0
 
@@ -440,5 +443,5 @@ class TestResilienceHandshake:
         assert not r.degraded
         assert r.tree.kernel == "frontier"
         keys, values = data
-        out = r.lookup_batch(keys[:512])
+        out = r.engine.lookup_batch(keys[:512])
         np.testing.assert_array_equal(out, values[:512])

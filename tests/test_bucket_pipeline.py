@@ -104,7 +104,7 @@ def test_resilient_lookups_serve_like_the_engine(m1, plan):
     for t in (resilient.tree, engine.tree):
         t.device.reset_counters()
     for q in batches:
-        got = resilient.lookup_batch(q)
+        got = resilient.engine.lookup_batch(q)
         # the engine with the wrapper's relaunch budget
         for attempt in range(config.max_kernel_retries):
             try:

@@ -160,7 +160,7 @@ def test_republish_retires_a_recovered_breaker_state(data, m1):
                             config=ResilienceConfig(probe_interval=2))
     reg = MetricsRegistry()
     for _ in range(4):
-        r.lookup_batch(keys[:256])
+        r.engine.lookup_batch(keys[:256])
     assert r.degraded
     snap = collect_all(reg, resilient=r)
     assert {k: v for k, v in snap.items()
@@ -168,7 +168,7 @@ def test_republish_retires_a_recovered_breaker_state(data, m1):
         == {"resilience.degraded": 1}
     injector.plan = FaultPlan.none(seed=9)
     for _ in range(4):
-        r.lookup_batch(keys[:256])
+        r.engine.lookup_batch(keys[:256])
     assert not r.degraded
     snap = collect_all(reg, resilient=r)
     assert {k: v for k, v in snap.items()
@@ -215,7 +215,7 @@ def seven_sources(keys, values, m1, tmp_path):
         HBPlusTree(keys, values, machine=m1),
         injector=FaultInjector(FaultPlan.uniform(0.3, seed=4)))
     for start in range(0, 2048, 256):
-        resilient.lookup_batch(keys[start:start + 256])
+        resilient.engine.lookup_batch(keys[start:start + 256])
 
     itree = ImplicitHBPlusTree(keys, values, machine=m1)
     controller = AdaptiveController.for_tree(itree, config=EAGER,

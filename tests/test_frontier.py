@@ -279,7 +279,7 @@ class TestKernelEquivalence:
     )
     def test_from_counted_matches_per_query(self, itree, picks,
                                             depth_frac, ratio):
-        from repro.core.adaptive import split_levels
+        from repro.core.load_balance import split_levels
 
         keys = itree.cpu_tree.leaf_keys.reshape(-1)
         keys = keys[keys != itree.spec.max_value]

@@ -1,6 +1,7 @@
 """The library below ``repro.bench`` never imports from it, its
-product classes carry no reference twins, every shard reads through
-its one engine, and only the hybrid trees write their device mirrors.
+product classes carry no reference twins, every shard reads and
+writes through its one engine, and only the hybrid trees write their
+device mirrors.
 
 ``repro.bench`` holds the figures, gates and their drivers; it builds
 on the rest of the package, never the other way round.  Every import
@@ -10,6 +11,7 @@ statement counts, function-local ones included.
 import ast
 import dataclasses
 import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -142,11 +144,12 @@ def test_io_reads_contents_without_a_type_ladder():
     assert not hasattr(repro.io, "_contents")
 
 
-# -- one read path per shard ---------------------------------------------
+# -- one read and one write path per shard -------------------------------
 #
-# A shard reads only through its engine.  On a drilled shard the
-# resilience policy runs inside that engine, once per lookup call and
-# once per scan bucket, not in a second read loop around it.
+# A shard reads and writes only through its engine.  On a drilled shard
+# the resilience policy runs inside that engine, once per lookup call,
+# once per scan bucket and once per update batch, not in a second read
+# or write loop around it, and it has no entry point of its own.
 
 
 def test_shards_hold_no_second_read_object():
@@ -157,17 +160,11 @@ def test_shards_hold_no_second_read_object():
         assert not hasattr(shard, "_server")
 
 
-def test_drilled_shards_read_without_the_wrapper_entry_points(monkeypatch):
+def test_drilled_engines_serve_bit_identical_reads():
     keys, values = generate_dataset(1 << 12, seed=3)
     plain = Shard(0, keys, values, machine=machine_m1())
     drilled = Shard(0, keys, values, machine=machine_m1(),
                     fault_plan=FaultPlan.uniform(0.2, seed=5))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a shard read through the wrapper")
-
-    monkeypatch.setattr(ResilientHBPlusTree, "lookup_batch", refuse)
-    monkeypatch.setattr(ResilientHBPlusTree, "run_scans", refuse)
     rng = np.random.default_rng(11)
     batches = drilled.resilient.stats.batches
     for _ in range(6):
@@ -175,14 +172,79 @@ def test_drilled_shards_read_without_the_wrapper_entry_points(monkeypatch):
             rng.choice(keys, 600),
             rng.integers(1, 2**40, size=100, dtype=np.uint64),
         ])
-        np.testing.assert_array_equal(drilled.lookup_batch(q),
-                                      plain.lookup_batch(q))
+        np.testing.assert_array_equal(drilled.engine.lookup_batch(q),
+                                      plain.engine.lookup_batch(q))
         los = rng.choice(keys, 12)
         his = los + np.uint64(2**30)
-        assert drilled.run_scans(los, his) == plain.run_scans(los, his)
+        assert drilled.engine.run_scans(los, his) == \
+            plain.engine.run_scans(los, his)
     # one policy batch per lookup call and per (single-bucket) scan call
     assert drilled.resilient.stats.batches == batches + 12
     assert drilled.injector.stats.total_faults > 0
+
+
+#: call names that write a tree or pick a write
+WRITE_CALLS = {"apply_updates", "serve_updates", "write_batch", "apply",
+               "apply_batch", "merge_rebuild", "rebuild", "insert",
+               "delete"}
+
+
+def write_calls(source: str):
+    """The dotted name of every write call in a function's source."""
+    tree = ast.parse(textwrap.dedent(source))
+    return [
+        ast.unparse(node.func) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in WRITE_CALLS
+    ]
+
+
+def test_shards_write_through_one_engine_call():
+    source = inspect.getsource(Shard.apply_updates)
+    assert write_calls(source) == ["self.engine.apply_updates"]
+
+
+def test_the_write_scan_sees_every_route():
+    """The three-way shard write this layer replaced."""
+    source = (
+        "def apply_updates(self, keys, values, deletes=()):\n"
+        "    if self.kind == 'hb-implicit':\n"
+        "        self.tree.merge_rebuild(keys, values, deletes)\n"
+        "    elif self.resilient is not None:\n"
+        "        self.resilient.apply_updates(keys, values, deletes,\n"
+        "                                     method='sync')\n"
+        "    else:\n"
+        "        SyncUpdater(self.tree).apply(keys, values, deletes)\n"
+    )
+    assert sorted(write_calls(source)) == [
+        "SyncUpdater(self.tree).apply", "self.resilient.apply_updates",
+        "self.tree.merge_rebuild",
+    ]
+
+
+def test_shards_import_no_updater():
+    tree = ast.parse(Path(inspect.getfile(Shard)).read_text())
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"SyncUpdater", "AsyncBatchUpdater",
+                           "GpuAssistedUpdater", "repro.core.update"}
+
+
+def test_the_policy_has_only_its_hooks():
+    """Public methods: the engine's three hooks and ``snapshot_to``;
+    public properties: ``degraded`` and the ``obs`` bundle it reads."""
+    public = {name: value for name, value in vars(ResilientHBPlusTree).items()
+              if not name.startswith("_")}
+    methods = {name for name, value in public.items() if callable(value)}
+    assert methods == {"serve_lookups", "serve_scan_bucket",
+                       "serve_updates", "snapshot_to"}
+    assert set(public) - methods == {"degraded", "obs"}
+    assert "method" not in \
+        inspect.signature(ResilientHBPlusTree.serve_updates).parameters
 
 
 # -- mirror writers ------------------------------------------------------

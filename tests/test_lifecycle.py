@@ -343,7 +343,7 @@ class TestWarmRestart:
                                         adaptive=warm.controller)
         probe = _probe(keys)
         assert np.array_equal(
-            resilient.lookup_batch(probe), tree.lookup_batch(probe)
+            resilient.engine.lookup_batch(probe), tree.lookup_batch(probe)
         )
 
     def test_cold_restore_has_no_controller(self, data, m1, tmp_path):
@@ -379,7 +379,7 @@ class TestResilientSnapshot:
         keys, _values = data
         resilient = ResilientHBPlusTree(tree)
         probe = _probe(keys)
-        expected = resilient.lookup_batch(probe)
+        expected = resilient.engine.lookup_batch(probe)
         manager = SnapshotManager(
             tmp_path,
             injector=FaultInjector(FaultPlan(seed=7, torn_write=1.0)),
@@ -387,7 +387,7 @@ class TestResilientSnapshot:
         assert resilient.snapshot_to(manager) is None
         assert resilient.stats.snapshot_failures == 1
         assert not resilient.degraded
-        assert np.array_equal(resilient.lookup_batch(probe), expected)
+        assert np.array_equal(resilient.engine.lookup_batch(probe), expected)
 
 
 class TestBulkLoad:

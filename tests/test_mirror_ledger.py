@@ -119,8 +119,8 @@ def test_open_breaker_keeps_the_ledger_bounded(mirror_ledger_shadow):
     overflowed = False
     for seed in range(40):
         ups = _fresh(tree, 24, 100 + seed)
-        r.apply_updates(ups, ups, tree.cpu_tree.stored_keys()[seed::97],
-                        method="sync")
+        r.engine.apply_updates(ups, ups,
+                               tree.cpu_tree.stored_keys()[seed::97])
         if tree._ledger is None:
             overflowed = True
             break
@@ -132,7 +132,7 @@ def test_open_breaker_keeps_the_ledger_bounded(mirror_ledger_shadow):
     # fallback, and the shadow checks it against the whole image
     r.breaker.close()
     q = tree.cpu_tree.stored_keys()[::13]
-    np.testing.assert_array_equal(r.lookup_batch(q),
+    np.testing.assert_array_equal(r.engine.lookup_batch(q),
                                   tree.cpu_tree.lookup_batch(q))
     assert tree._ledger is not None
     assert tree.mirror_matches()

@@ -49,7 +49,7 @@ class TestWritesAroundTheWrapper:
             AsyncBatchUpdater(tree).apply(fresh, vals)
         else:
             GpuAssistedUpdater(tree).apply(fresh, vals)
-        got = r.lookup_batch(fresh)
+        got = r.engine.lookup_batch(fresh)
         np.testing.assert_array_equal(got, tree.cpu_tree.lookup_batch(fresh))
         np.testing.assert_array_equal(got, vals)
         assert r.stats.checksum_failures == 0

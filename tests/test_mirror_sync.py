@@ -158,7 +158,7 @@ class TestDirtySetSync:
         for seed in range(3):
             ups = _fresh_keys(tree, 16, 20 + seed)
             dels = tree.cpu_tree.stored_keys()[seed::301]
-            r.apply_updates(ups, ups, dels, method="sync")
+            r.engine.apply_updates(ups, ups, dels)
         assert packs == []
         monkeypatch.undo()
         np.testing.assert_array_equal(tree.current_i_segment_image(),
@@ -259,9 +259,9 @@ def test_resilient_sync_validates_under_transfer_faults(specs):
     r = ResilientHBPlusTree(tree, injector=FaultInjector(plan))
     for spec in specs:
         ups, vals, dels = _batch(tree, spec)
-        r.apply_updates(ups, vals, dels, method="sync")
+        r.engine.apply_updates(ups, vals, dels)
         np.testing.assert_array_equal(tree.current_i_segment_image(),
                                       tree.pack_i_segment())
         if not tree.mirror_stale:
             validate_hybrid_regular(tree)
-        np.testing.assert_array_equal(r.lookup_batch(ups), vals)
+        np.testing.assert_array_equal(r.engine.lookup_batch(ups), vals)

@@ -15,10 +15,15 @@ from hypothesis import strategies as st
 
 from repro.core.hbtree import HBPlusTree
 from repro.core.resilience import ResilienceConfig, ResilientHBPlusTree
+from repro.core.update import AsyncBatchUpdater, SyncUpdater
 from repro.faults import FaultInjector, FaultPlan
 from repro.platform.configs import machine_m1
 from repro.validate import validate_index
 from repro.workloads.generators import generate_dataset
+
+
+#: the update method a case drives under the policy's write hook
+UPDATERS = {"async": AsyncBatchUpdater, "sync": SyncUpdater}
 
 
 class RefMap:
@@ -80,7 +85,8 @@ class TestBitflipProperty:
                 ups = rng.integers(1, 2**40, size=48, dtype=np.uint64)
                 vals = rng.integers(0, 2**40, size=48, dtype=np.uint64)
                 dels = rng.choice(np.fromiter(ref.d, dtype=np.uint64), 16)
-                r.apply_updates(ups, vals, dels, method=method)
+                r.serve_updates(UPDATERS[method](tree).apply, ups, vals,
+                                dels)
                 for k, v in zip(ups.tolist(), vals.tolist()):
                     ref.d[k] = v
                 for k in dels.tolist():
@@ -88,7 +94,7 @@ class TestBitflipProperty:
             elif step % 4 == 2:
                 los = rng.integers(0, 2**40, size=8, dtype=np.uint64)
                 his = los + np.uint64(2**31)
-                rows = r.run_scans(los, his)
+                rows = r.engine.run_scans(los, his)
                 for got, lo, hi in zip(rows, los.tolist(), his.tolist()):
                     assert [tuple(x) for x in got] == ref.scan(lo, hi)
             else:
@@ -97,7 +103,7 @@ class TestBitflipProperty:
                     rng.choice(stored, 200),
                     rng.integers(0, 2**40, size=56, dtype=np.uint64),
                 ])
-                np.testing.assert_array_equal(r.lookup_batch(q),
+                np.testing.assert_array_equal(r.engine.lookup_batch(q),
                                               ref.lookup(q))
             np.testing.assert_array_equal(tree.iseg_buffer.array,
                                           tree.pack_i_segment())
@@ -128,7 +134,7 @@ class TestOnePackPerUpdateBatch:
         for _ in range(6):
             ups = rng.integers(1, 2**40, size=96, dtype=np.uint64)
             dels = rng.choice(keys, 32)
-            r.apply_updates(ups, ups, dels, method=method)
+            r.serve_updates(UPDATERS[method](tree).apply, ups, ups, dels)
             np.testing.assert_array_equal(tree.current_i_segment_image(),
                                           tree.pack_i_segment())
 
@@ -145,7 +151,7 @@ class TestOnePackPerUpdateBatch:
 
         monkeypatch.setattr(tree, "pack_i_segment", counting)
         ups = np.arange(1, 97, dtype=np.uint64) * np.uint64(7919)
-        r.apply_updates(ups, ups, method="async")
+        r.serve_updates(AsyncBatchUpdater(tree).apply, ups, ups)
         assert len(packs) == 1
         monkeypatch.undo()
         np.testing.assert_array_equal(tree.current_i_segment_image(),
@@ -204,14 +210,14 @@ class TestOnePackPerUpdateBatch:
         )
         rng = np.random.default_rng(4)
         ups = rng.integers(1, 2**40, size=1500, dtype=np.uint64)
-        r.apply_updates(ups, ups, method="sync")
+        r.engine.apply_updates(ups, ups)
         np.testing.assert_array_equal(tree.current_i_segment_image(),
                                       tree.pack_i_segment())
         peak = tree.cpu_tree.height
         doomed = np.concatenate([keys, ups])
         for chunk in np.array_split(doomed, 8):
-            r.apply_updates(np.empty(0, np.uint64), np.empty(0, np.uint64),
-                            chunk, method="sync")
+            r.engine.apply_updates(np.empty(0, np.uint64),
+                                   np.empty(0, np.uint64), chunk)
             np.testing.assert_array_equal(tree.current_i_segment_image(),
                                           tree.pack_i_segment())
         assert tree.cpu_tree.height < peak, "the root never collapsed"

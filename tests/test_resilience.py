@@ -15,6 +15,7 @@ from repro.core.resilience import (
     ResilienceStats,
     ResilientHBPlusTree,
 )
+from repro.core.update import AsyncBatchUpdater
 from repro.faults import FaultInjector, FaultPlan
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset
@@ -36,12 +37,19 @@ def make_resilient(dataset, rate, seed=9, config=None):
     return ResilientHBPlusTree(tree, injector=injector, config=config)
 
 
+def lookup(r, key):
+    """One key through the policy's engine; None when not found."""
+    spec = r.tree.spec
+    val = int(r.engine.lookup_batch(np.asarray([key], dtype=spec.dtype))[0])
+    return None if val == spec.max_value else val
+
+
 def check_batches(r, dataset, batches=6, size=1024, seed=5):
     keys, _values, lut = dataset
     rng = np.random.default_rng(seed)
     for _ in range(batches):
         q = rng.choice(keys, size=size)
-        out = r.lookup_batch(q)
+        out = r.engine.lookup_batch(q)
         expected = np.asarray([lut[int(k)] for k in q], dtype=out.dtype)
         np.testing.assert_array_equal(out, expected)
 
@@ -125,8 +133,8 @@ class TestResilientLookups:
         keys, _values, lut = dataset
         r = make_resilient(dataset, 1.0)
         k = int(keys[17])
-        assert r.lookup(k) == lut[k]
-        assert r.lookup(int(keys.max()) + 3) is None
+        assert lookup(r, k) == lut[k]
+        assert lookup(r, int(keys.max()) + 3) is None
 
     def test_deterministic_replay(self, dataset):
         def run():
@@ -154,7 +162,7 @@ class TestEngineBacked:
         rng = np.random.default_rng(17)
         for _ in range(8):
             q = rng.choice(keys, size=512)
-            out = resilient.lookup_batch(q)
+            out = resilient.engine.lookup_batch(q)
             expected = np.asarray([lut[int(k)] for k in q], dtype=out.dtype)
             np.testing.assert_array_equal(out, expected)
         assert resilient.engine is engine
@@ -197,11 +205,11 @@ class TestMirrorRepair:
         injector = FaultInjector(FaultPlan(sync_interrupt=1.0, seed=2))
         r = ResilientHBPlusTree(tree, injector=injector)
         new_keys = [int(keys[0]) + 5, int(keys[1]) + 7]
-        r.apply_updates(new_keys, [111, 222], method="async")
+        r.serve_updates(AsyncBatchUpdater(tree).apply, new_keys, [111, 222])
         lut = dict(lut)
         lut[new_keys[0]], lut[new_keys[1]] = 111, 222
-        assert r.lookup(new_keys[0]) == 111
-        assert r.lookup(new_keys[1]) == 222
+        assert lookup(r, new_keys[0]) == 111
+        assert lookup(r, new_keys[1]) == 222
 
     def test_sync_method_faults_counted(self, dataset):
         keys, values, _lut = dataset
@@ -211,9 +219,9 @@ class TestMirrorRepair:
         )
         r = ResilientHBPlusTree(tree, injector=injector)
         upserts = [int(k) for k in keys[:32]]
-        r.apply_updates(upserts, list(range(32)), method="sync")
+        r.engine.apply_updates(upserts, list(range(32)))
         for k, v in zip(upserts, range(32)):
-            assert r.lookup(k) == v
+            assert lookup(r, k) == v
 
 
 class TestDegradationEconomics:
@@ -309,7 +317,7 @@ class TestFaultProperty:
         rng = np.random.default_rng(seed)
         for _ in range(3):
             q = rng.choice(keys, size=256)
-            out = r.lookup_batch(q)
+            out = r.engine.lookup_batch(q)
             expected = np.asarray(
                 [lut[int(k)] for k in q], dtype=out.dtype
             )
@@ -319,7 +327,7 @@ class TestFaultProperty:
 class TestEdgeInputs:
     def test_empty_batch_returns_empty(self, dataset):
         r = make_resilient(dataset, 0.5)
-        out = r.lookup_batch(np.asarray([], dtype=np.uint64))
+        out = r.engine.lookup_batch(np.asarray([], dtype=np.uint64))
         assert len(out) == 0
         assert r.stats.batches == 0
 
@@ -333,13 +341,13 @@ class TestEdgeInputs:
         q = np.arange(1, 300, dtype=np.uint64)
         missing = np.full(len(q), tree.spec.max_value, dtype=np.uint64)
         for _ in range(4):
-            np.testing.assert_array_equal(r.lookup_batch(q), missing)
+            np.testing.assert_array_equal(r.engine.lookup_batch(q), missing)
         assert r.degraded
         injector.plan = FaultPlan.none(seed=9)
         for _ in range(4):
-            np.testing.assert_array_equal(r.lookup_batch(q), missing)
-            assert [list(rows) for rows in r.run_scans(q[:3], q[:3] + 9)] \
-                == [[], [], []]
+            np.testing.assert_array_equal(r.engine.lookup_batch(q), missing)
+            rows = r.engine.run_scans(q[:3], q[:3] + 9)
+            assert [list(row) for row in rows] == [[], [], []]
         assert not r.degraded
         assert r.stats.recoveries == 1
         assert r.stats.probes >= 1

@@ -5,9 +5,9 @@ Covers, in one place, what DESIGN.md §15 promises:
 * the vectorised leaf-chain scan is result- AND modeled-counter-
   identical to the scalar reference walk, full path and leaf stage,
   on every leaf layout (regular, gapped, half-full gapped, implicit);
-* every engine entry point (``BatchingEngine.run_scans`` and
-  ``ResilientHBPlusTree.run_scans`` with and without an injected fault
-  plan) is bit-identical to the sequential ``range_query`` walk;
+* ``BatchingEngine.run_scans``, with no policy and under a
+  ``ResilientHBPlusTree`` policy with and without an injected fault
+  plan, is bit-identical to the sequential ``range_query`` walk;
 * scans serialize against quiesce/snapshot windows through the shared
   serve lock, in both directions;
 * ``bucket_costs`` samples its workload without replacement whenever
@@ -183,12 +183,12 @@ class TestEngineBitIdentity:
         ref = [ref_tree.range_query(int(lo), int(hi))
                for lo, hi in zip(los.tolist(), his.tolist())]
         plain = ResilientHBPlusTree(HBPlusTree(keys, values, machine=m1))
-        assert plain.run_scans(los, his) == ref
+        assert plain.engine.run_scans(los, his) == ref
         faulted_tree = HBPlusTree(keys, values, machine=m1)
         injector = FaultInjector(FaultPlan.uniform(0.5, seed=23))
         faulted_tree.attach_injector(injector)
         faulted = ResilientHBPlusTree(faulted_tree, injector=injector)
-        assert faulted.run_scans(los, his) == ref
+        assert faulted.engine.run_scans(los, his) == ref
         assert faulted.stats.faults_handled > 0
 
 

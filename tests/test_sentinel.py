@@ -99,9 +99,10 @@ def test_resilient(bits, gapped):
     tree = HBPlusTree(keys, values, machine=machine_m1(), key_bits=bits,
                       gapped=gapped)
     resilient = ResilientHBPlusTree(tree)
-    assert np.array_equal(resilient.lookup_batch(_probe(tree, keys)),
+    assert np.array_equal(resilient.engine.lookup_batch(_probe(tree, keys)),
                           _expected(tree, keys, values))
-    assert resilient.lookup(tree.spec.max_value) is None
+    sentinel = np.asarray([tree.spec.max_value], dtype=tree.spec.dtype)
+    assert resilient.engine.lookup_batch(sentinel)[0] == tree.spec.max_value
 
 
 @pytest.mark.parametrize("bits", BITS)
