@@ -12,9 +12,10 @@ descent to the GPU exactly like the search path does:
 2. the search kernel resolves every key to its big-leaf line (T2)
 3. the (node, line) codes transfer back                      (T3)
 4. the CPU applies the modifications grouped by leaf through
-   ``apply_batch`` with the located leaves — no descent for a leaf's
-   group rewrite; the ops it runs one at a time (lone ops and groups
-   that split or empty their leaf) re-descend on the CPU
+   ``apply_batch`` with the located leaves — no descent on the CPU.
+   The ops that split or empty a leaf (the classification the
+   asynchronous method defers, :func:`~repro.core.update.split_or_empty`)
+   are priced as deferred single-threaded writes that re-descend
 5. the whole I-segment uploads once (as in the asynchronous method)
 
 Compared with :class:`AsyncBatchUpdater`, the CPU-side cost per update
@@ -35,6 +36,7 @@ from repro.core.update import (
     LOCK_OVERHEAD_FACTOR,
     UpdateStats,
     _measure_update_cost_ns,
+    split_or_empty,
 )
 
 
@@ -91,7 +93,10 @@ class GpuAssistedUpdater:
         per_update_ns = _measure_update_cost_ns(tree, keys[:512])
         # GPU already descended: only the leaf modification remains
         leaf_modify_ns = per_update_ns * 0.45
-        stats.redescended = cpu_tree.apply_batch(keys, values, nodes=nodes)
+        deferred = split_or_empty(cpu_tree, keys,
+                                  np.ones(len(keys), dtype=bool), nodes)
+        cpu_tree.apply_batch(keys, values, nodes=nodes)
+        stats.redescended = int(deferred.sum())
         applied_without_descent = len(keys) - stats.redescended
         stats.lock_acquisitions = len(np.unique(nodes))
         stats.applied = len(keys)
