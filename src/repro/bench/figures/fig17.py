@@ -31,7 +31,6 @@ MATCHES = [1, 2, 4, 8, 16, 32]
 def _cpu_range_profile(tree: ImplicitCpuBPlusTree, ranges) -> CpuQueryProfile:
     """Instrumented range execution -> per-query memory profile."""
     tree.mem.reset_counters()
-    extra_lines = 0.0
     for lo, hi in ranges:
         tree.range_query(lo, hi)
     counters = tree.mem.counters

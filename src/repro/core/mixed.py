@@ -229,10 +229,10 @@ class OptimisticMixedEngine:
       actual write: one pair for an in-place gap write, the shifted
       run for a short shift, a leaf rewrite for a split — measured
       per-op from the tree's :class:`~repro.cpu.gapped.GapStats`
-      deltas, not assumed.  That is why this engine writes one op at a
-      time through ``insert``/``delete`` rather than through
-      ``apply_batch``: a group rewrite would merge the ops it prices
-      separately;
+      deltas, not assumed.  So this engine writes one op at a time
+      through ``insert``/``delete``: each is a one-op ``apply_batch``,
+      one in-place row write, where a group would merge the ops it
+      prices separately;
     * the **mirror** is maintained by :meth:`HBPlusTree.sync_nodes`,
       the same dirty-set sync as the synchronized updater: the
       version-stamp diff of the inner pools flows through ranged

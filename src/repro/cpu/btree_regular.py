@@ -20,11 +20,12 @@ Node structures follow Fig 2 (c)-(d) and section 4.1:
 Empty key slots hold the maximum representable value, so node search
 needs no size field (section 4.1).
 
-Updates: full insert/delete support with big-leaf and inner-node splits.
-Underfull nodes after deletion are collapsed only when empty (lazy
-deletion) — the paper's batch-update workloads are insert/modify
-dominated and never rebalance eagerly either (section 5.6 resolves >99%
-of updates inside a big leaf).
+Updates: every write, one-key ``insert``/``delete`` included, runs
+through the batch primitive ``apply_batch``, with big-leaf and
+inner-node splits.  Underfull nodes after deletion are collapsed only
+when empty (lazy deletion) — the paper's batch-update workloads are
+insert/modify dominated and never rebalance eagerly either (section 5.6
+resolves >99% of updates inside a big leaf).
 """
 
 from __future__ import annotations
@@ -431,31 +432,24 @@ class RegularCpuBPlusTree(SortedContents):
     # ------------------------------------------------------------------
     # lookup
 
-    def _descend(self, key: int, instrument: bool) -> Tuple[int, int, list]:
-        """Walk to the last-level node; returns (node, leaf_line, path).
-
-        ``path`` is [(level, node, slot), ...] from the root down,
-        recorded for key-maintenance on insert.
-        """
+    def _descend(self, key: int, instrument: bool) -> Tuple[int, int]:
+        """Walk to the last-level node; returns (node, leaf_line)."""
         counters = self.mem.counters if (instrument and self.mem) else None
         node = self.root
-        path = []
         for level in range(self.height - 1, 0, -1):
             slot = self._search_inner(self.upper, node, key, counters)
             if instrument:
                 self._touch_inner(level, node, slot // self.spec.keys_per_line)
-            path.append((level, node, slot))
             node = int(self.upper.refs[node, slot])
         slot = self._search_inner(self.last, node, key, counters)
         if instrument:
             self._touch_inner(0, node, slot // self.spec.keys_per_line)
-        path.append((0, node, slot))
-        return node, slot, path
+        return node, slot
 
     def lookup(self, key: int, instrument: bool = True) -> Optional[int]:
         """Point query; returns the value or None."""
         key = int(key)
-        node, line, _ = self._descend(key, instrument)
+        node, line = self._descend(key, instrument)
         counters = self.mem.counters if (instrument and self.mem) else None
         if instrument:
             self._touch_leaf_line(node, line)
@@ -545,8 +539,8 @@ class RegularCpuBPlusTree(SortedContents):
     def descend_batch(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised inner descent; returns ``(last_node, leaf_line)``.
 
-        The uninstrumented batch twin of :meth:`_descend` — used by the
-        batch updater to classify a whole update group at once.
+        The uninstrumented batch twin of :meth:`_descend` — used by
+        :meth:`apply_batch` and the updaters to group ops by leaf.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
         for _level, node, _below, line in self._walk(q):
@@ -682,7 +676,7 @@ class RegularCpuBPlusTree(SortedContents):
         """
         if lo > hi or self.num_tuples == 0:
             return []
-        node, _line, _ = self._descend(int(lo), instrument=True)
+        node, _line = self._descend(int(lo), instrument=True)
         return self._scan_chain(node, int(lo), int(hi))
 
     def range_scan_from(self, node: int, lo: int,
@@ -702,12 +696,8 @@ class RegularCpuBPlusTree(SortedContents):
     # key maintenance
 
     def leaf_occupancy(self, nodes: np.ndarray) -> np.ndarray:
-        """Stored pairs per big leaf (vectorised).
-
-        For the compact layout this is the leaf ``size``; the gapped
-        subclass overrides it with the live-pair count so split
-        projection counts real entries, not interleaved gaps.
-        """
+        """Stored pairs per big leaf (the gapped subclass counts live
+        pairs, not its interleaved gaps)."""
         return self.leaves.size[np.asarray(nodes, dtype=np.int64)]
 
     def _refresh_last_level_keys(self, node: int) -> None:
@@ -726,12 +716,11 @@ class RegularCpuBPlusTree(SortedContents):
         self.last.size[node] = max(lines, 1)
         self.last.refresh_index(node)
 
-    def _refresh_last_level_range(self, nodes: slice) -> None:
+    def _refresh_last_level_range(self, nodes) -> None:
         """:meth:`_refresh_last_level_keys` of every node in ``nodes``
-        at once.  The scalar form stays for one-node writes: over one
-        node this one takes 34 us against its 9 us (2-core x86-64,
-        numpy 2.4), and a 6 s ``mixed_rw_drill`` run makes about 11,000
-        such refreshes."""
+        (a slice or distinct ids) at once.  The scalar form stays for
+        one-node writes: over one node this one takes 34 us against its
+        9 us (2-core x86-64, numpy 2.4)."""
         self.leaves.version[nodes] += 1
         p = self.spec.leaf_pairs_per_line
         leaf_keys = self.leaves.keys[nodes]
@@ -749,124 +738,113 @@ class RegularCpuBPlusTree(SortedContents):
         self.last.size[nodes] = np.maximum(lines, 1)
         self.last.refresh_indexes(nodes)
 
-    def _node_max(self, level: int, node: int) -> int:
-        """Actual maximum key stored beneath a node."""
-        if level == 0:
-            size = int(self.leaves.size[node])
-            if size == 0:
-                return 0
-            return int(self.leaves.keys[node, size - 1])
-        size = int(self.upper.size[node])
-        child = int(self.upper.refs[node, size - 1])
-        return self._node_max(level - 1, child)
+    def _leaf_pairs(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of one leaf's stored (keys, values), gaps excluded."""
+        real = self._stored_mask(np.asarray([node]))[0]
+        return self.leaves.keys[node][real], self.leaves.values[node][real]
 
-    def _set_parent_key(self, level: int, node: int, slot: int, key: int) -> None:
-        pool = self._pool(level)
-        pool.keys[node, slot] = key
-        pool.refresh_index(node)
+    def _stored_in(self, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Whether each key of ``q`` is stored in its big leaf ``nodes``
+        (the leaf line a lookup would probe; gaps duplicate real keys,
+        and the sentinel that pads a leaf is never stored)."""
+        below = np.sum(self.last.keys[nodes] < q[:, None], axis=1)
+        line = np.minimum(below, np.maximum(self.last.size[nodes] - 1, 0))
+        hit = np.any(self._leaf_rows(nodes, line) == q[:, None], axis=1)
+        return hit & (q < self.spec.max_value)
 
     # ------------------------------------------------------------------
-    # insert
+    # leaf layout hooks (the gapped subclass overrides them)
 
-    def insert(self, key: int, value: int) -> bool:
-        """Insert or overwrite; returns True if the key was new."""
-        key = int(key)
-        if not 0 <= key < self.spec.max_value:
-            raise ValueError("key outside the valid (non-sentinel) domain")
-        node, _line, path = self._descend(key, instrument=False)
-        leaf_keys = self.leaves.keys[node]
-        size = int(self.leaves.size[node])
-        # NB: searchsorted needs the scalar in the array's dtype — a
-        # plain Python int above 2**53 would be compared as float64 and
-        # land in the wrong slot
-        typed_key = self.spec.dtype(key)
-        pos = int(np.searchsorted(leaf_keys[:size], typed_key))
-        if pos < size and int(leaf_keys[pos]) == key:
-            self.leaves.values[node, pos] = value
-            self.leaves.version[node] += 1
-            return False
-        if size >= self.leaves.capacity_pairs:
-            self._split_leaf(node, path)
-            # re-descend: the split may have moved the target range
-            node, _line, path = self._descend(key, instrument=False)
-            leaf_keys = self.leaves.keys[node]
-            size = int(self.leaves.size[node])
-            pos = int(np.searchsorted(leaf_keys[:size], typed_key))
-        leaf_keys[pos + 1: size + 1] = leaf_keys[pos:size]
-        self.leaves.values[node, pos + 1: size + 1] = self.leaves.values[
-            node, pos:size
-        ]
-        leaf_keys[pos] = key
-        self.leaves.values[node, pos] = value
-        self.leaves.size[node] = size + 1
-        self._refresh_last_level_keys(node)
-        self._bubble_up_max(path, key)
-        self.num_tuples += 1
-        return True
-
-    def _bubble_up_max(self, path: list, key: int) -> None:
-        """Raise routing keys along the descend path to cover ``key``."""
-        for level, node, slot in reversed(path[:-1]):
-            if int(self.upper.keys[node, slot]) < key:
-                self._set_parent_key(level, node, slot, key)
-
-    def _raise_parent_keys(self, node: int, new_max: int) -> None:
-        """Raise ancestor routing keys to cover ``new_max``.
-
-        Path-free twin of :meth:`_bubble_up_max` for
-        :meth:`apply_batch`: walks the parent fragment upward from a
-        last-level node, locating the child slot the way
-        ``_remove_child`` does.
-        """
-        child = node
-        level = 0
-        while True:
-            parent = int(self._pool(level).parent[child])
-            if parent == _NIL:
-                return
-            psize = int(self.upper.size[parent])
-            for s in range(psize):
-                if int(self.upper.refs[parent, s]) == child:
-                    if int(self.upper.keys[parent, s]) < new_max:
-                        self._set_parent_key(level + 1, parent, s, new_max)
-                    break
-            child = parent
-            level += 1
-
-    def _write_leaf_pairs(
-        self, node: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Overwrite a big leaf with sorted pairs (compact layout).
-
-        The layout hook of :meth:`apply_batch`: writes the pairs as a
-        packed prefix with sentinel padding — exactly the state a
-        sequence of single inserts leaves behind.  The gapped subclass
-        re-spreads the pairs with interleaved gaps instead.
-        """
+    def _write_leaf_pairs(self, node: int, keys: np.ndarray,
+                          values: np.ndarray) -> None:
+        """Overwrite a big leaf with sorted pairs: a packed prefix with
+        sentinel padding, the state per-op inserts leave behind."""
         m = len(keys)
-        if m > self.leaves.capacity_pairs:
-            raise ValueError("leaf overflow in _write_leaf_pairs")
         self.leaves.keys[node, :m] = keys
         self.leaves.values[node, :m] = values
         self.leaves.keys[node, m:] = self.spec.max_value
         self.leaves.values[node, m:] = 0
         self.leaves.size[node] = m
-        self._refresh_last_level_keys(node)
 
-    def _leaf_pairs(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Copies of one leaf's stored (keys, values), gaps excluded."""
-        size = int(self.leaves.size[node])
-        return (
-            self.leaves.keys[node, :size].copy(),
-            self.leaves.values[node, :size].copy(),
-        )
+    def _split_rows(self, node: int, new: int, keys: np.ndarray,
+                    values: np.ndarray) -> None:
+        """Write a split leaf's lower half of pairs to ``node``, the
+        upper half to ``new``."""
+        half = len(keys) // 2
+        self._write_leaf_pairs(node, keys[:half], values[:half])
+        self._write_leaf_pairs(new, keys[half:], values[half:])
 
-    def _stored_in(self, nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Whether each key of ``q`` is stored in its big leaf ``nodes``
-        (the leaf line a lookup would probe; gaps duplicate real keys)."""
-        below = np.sum(self.last.keys[nodes] < q[:, None], axis=1)
-        line = np.minimum(below, np.maximum(self.last.size[nodes] - 1, 0))
-        return np.any(self._leaf_rows(nodes, line) == q[:, None], axis=1)
+    def _row_write(self, node: int, key, value, delete: bool) -> None:
+        """One op on one big leaf in place: shift the tail by one."""
+        lv = self.leaves
+        size = int(lv.size[node])
+        row_k, row_v = lv.keys[node], lv.values[node]
+        pos = int(np.searchsorted(row_k[:size], key))
+        if pos < size and row_k[pos] == key:
+            if not delete:
+                row_v[pos] = value
+                return
+            row_k[pos:-1], row_v[pos:-1] = row_k[pos + 1:], row_v[pos + 1:]
+            row_k[-1], row_v[-1] = self.spec.max_value, 0
+            lv.size[node] = size - 1
+        elif not delete:
+            row_k[pos + 1:], row_v[pos + 1:] = row_k[pos:-1], row_v[pos:-1]
+            row_k[pos], row_v[pos] = key, value
+            lv.size[node] = size + 1
+
+    def _merge_rows(self, leaf: np.ndarray, keys: np.ndarray,
+                    values: np.ndarray, dele: np.ndarray,
+                    delta: np.ndarray) -> None:
+        """Merge in-range ops (target ``leaf`` per op) into their leaves
+        in one pass.  The last op on a key decides it.  Taken in key
+        order, the touched leaves' stored pairs form one sorted array,
+        in which each deciding op overwrites, removes or inserts its
+        pair; the rows are then written back at once (:meth:`_write_rows`).
+        """
+        o = np.argsort(keys, kind="stable")
+        leaf, keys, values, dele = leaf[o], keys[o], values[o], dele[o]
+        new_row = np.r_[True, leaf[1:] != leaf[:-1]]
+        nodes, rid = leaf[new_row], np.cumsum(new_row) - 1
+        last = np.r_[keys[1:] != keys[:-1], True]
+        r, k, v, rm = rid[last], keys[last], values[last], dele[last]
+        er, col = np.nonzero(self._stored_mask(nodes))
+        flat = nodes[er] * self.leaves.capacity_pairs + col
+        ek = self.leaves.keys.reshape(-1)[flat]
+        ev = self.leaves.values.reshape(-1)[flat]
+        at = np.searchsorted(ek, k)
+        hit = (at < len(ek)) & (np.r_[ek, 0][at] == k)
+        ev[at[hit & ~rm]] = v[hit & ~rm]
+        keep = np.ones(len(ek), dtype=bool)
+        keep[at[hit & rm]] = False
+        add = ~hit & ~rm
+        er, ek, ev, keep = (np.insert(a, at[add], b) for a, b in (
+            (er, r[add]), (ek, k[add]), (ev, v[add]), (keep, True)))
+        self._write_rows(nodes, ek[keep], ev[keep],
+                         np.bincount(er[keep], minlength=len(nodes)))
+
+    def _write_rows(self, nodes: np.ndarray, keys: np.ndarray,
+                    values: np.ndarray, sizes: np.ndarray) -> None:
+        """Write each leaf of ``nodes`` its run of ``sizes`` pairs from
+        ``keys`` / ``values`` (one sorted run per leaf, in order)."""
+        lv = self.leaves
+        row = np.repeat(nodes, sizes)
+        col = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        lv.keys[nodes] = self.spec.max_value
+        lv.values[nodes] = 0
+        lv.keys[row, col] = keys
+        lv.values[row, col] = values
+        lv.size[nodes] = sizes
+
+    # ------------------------------------------------------------------
+    # batch writes: the tree's one write path
+
+    def insert(self, key: int, value: int) -> bool:
+        """Insert or overwrite; returns True if the key was new."""
+        return not self.apply_batch([key], [value])[0]
+
+    def delete(self, key: int) -> bool:
+        """Remove a key; returns True if it was present."""
+        return bool(self.apply_batch([key], [0], [True])[0])
 
     def apply_batch(
         self,
@@ -874,323 +852,290 @@ class RegularCpuBPlusTree(SortedContents):
         values: Sequence[int],
         is_delete: Optional[Sequence[bool]] = None,
         nodes: Optional[np.ndarray] = None,
-    ) -> int:
-        """Apply one op stream in array order; returns the number of ops
-        run one at a time through :meth:`insert` / :meth:`delete`.
+    ) -> np.ndarray:
+        """Apply one op stream in array order; returns, per op, whether
+        its key was stored just before the op.
 
         Op ``i`` upserts ``keys[i] -> values[i]``, or deletes ``keys[i]``
-        when ``is_delete[i]`` (its value is ignored).  The final state
-        equals calling :meth:`insert` / :meth:`delete` per op in array
-        order.  The ops are grouped by target big leaf (one
-        :meth:`descend_batch`, or the caller's ``nodes``, which must come
-        from this tree as it stands).  A group of two or more ops whose
-        running occupancy stays within ``[1, capacity]`` is merged into
-        its leaf with one rewrite (:meth:`_leaf_pairs` /
-        :meth:`_write_leaf_pairs`), which allocates nothing.  Every other
-        op runs scalar, in op order: lone ops, the ops of groups that
-        split or empty their leaf, and every group with an op at or past
-        the first op that empties a leaf (removing a leaf hands its key
-        range to a neighbour, so later targets no longer hold).  Rewrites
-        raise routing keys to the group's largest fresh key, as the
-        per-op inserts would, even when a later op deletes it.
+        when ``is_delete[i]``.  The result equals the per-op loop of
+        ``tests/write_oracles.py``: the same pools, free lists and set of
+        moved version stamps.  The stream runs in rounds
+        (:meth:`_write_round`) that group ops by target big leaf; the
+        first may take the caller's ``nodes``, which must come from this
+        tree as it stands.  Routing keys rise to cover each leaf's
+        largest fresh key, as per-op inserts raise them, even when a
+        later op deletes it.
         """
-        bk = np.asarray(keys, dtype=self.spec.dtype)
+        try:
+            bk = np.asarray(keys, dtype=self.spec.dtype)
+        except OverflowError:
+            raise ValueError(
+                "key outside the valid (non-sentinel) domain") from None
         bv = np.asarray(values, dtype=self.spec.dtype)
         n = len(bk)
-        if n == 0:
-            return 0
         dele = (np.zeros(n, dtype=bool) if is_delete is None
                 else np.asarray(is_delete, dtype=bool))
+        if n == 0:
+            return dele
         up = ~dele
         if up.any() and int(bk[up].max()) >= self.spec.max_value:
             raise ValueError("key outside the valid (non-sentinel) domain")
+        if n == 1:
+            return self._write_one(bk, bv, dele, nodes)
         nodes = (self.descend_batch(bk)[0] if nodes is None
                  else np.asarray(nodes, dtype=np.int64))
-        by_leaf = np.argsort(nodes, kind="stable")
-        sn = nodes[by_leaf]
-        new_run = np.diff(sn, prepend=-1) != 0
-        starts = np.flatnonzero(new_run)
-        rewrite = np.zeros(n, dtype=bool)
-        if len(starts) < n:  # some leaf gets two or more ops
-            # presence before each op: the previous op on its key
-            # decides, the tree decides for the key's first op
-            by_key = np.argsort(bk, kind="stable")
-            sk = bk[by_key]
-            first = np.concatenate(([True], sk[1:] != sk[:-1]))
-            before = np.empty(n, dtype=bool)
-            before[by_key] = np.where(
-                first, self._stored_in(nodes[by_key], sk),
-                np.concatenate(([False], up[by_key][:-1])),
-            )
-            delta = (up & ~before).astype(np.int64) - (dele & before)
-            # occupancy of each op's leaf after the op, in op order
-            run_id = np.cumsum(new_run) - 1
-            d_leaf = delta[by_leaf]
-            csum = np.cumsum(d_leaf)
-            occ = (self.leaf_occupancy(sn[starts])
-                   - (csum - d_leaf)[starts])[run_id] + csum
-            emptied = by_leaf[occ < 1]
-            cut = emptied.min() if len(emptied) else n
-            bad = (occ > self.leaves.capacity_pairs) | (by_leaf >= cut)
-            size = np.diff(starts, append=n)
-            ok = (size >= 2) & (np.bincount(run_id, weights=bad,
-                                            minlength=len(starts)) == 0)
-            rewrite[by_leaf] = ok[run_id]
-            for g in np.flatnonzero(ok).tolist():
-                ops = by_leaf[starts[g]: starts[g] + size[g]]
-                self._rewrite_leaf(int(sn[starts[g]]), bk[ops], bv[ops],
-                                   dele[ops], delta[ops])
-        scalar = np.flatnonzero(~rewrite)
-        for i, k, v in zip(scalar.tolist(), bk[scalar].tolist(),
-                           bv[scalar].tolist()):
-            if dele[i]:
-                self.delete(k)
-            else:
-                self.insert(k, v)
-        return len(scalar)
+        # presence before each op: the previous op on its key decides,
+        # the tree decides for the key's first op
+        by_key = np.argsort(bk, kind="stable")
+        sk = bk[by_key]
+        first = np.r_[True, sk[1:] != sk[:-1]]
+        before = np.empty(n, dtype=bool)
+        before[by_key] = np.where(first, self._stored_in(nodes[by_key], sk),
+                                  np.r_[False, up[by_key][:-1]])
+        delta = (up & ~before).astype(np.int64) - (dele & before)
+        todo = np.arange(n)
+        while True:
+            done = self._write_round(nodes, bk[todo], bv[todo], dele[todo],
+                                     delta[todo])
+            todo = todo[done:]
+            if not len(todo):
+                return before
+            nodes = self.descend_batch(bk[todo])[0]
 
-    def _rewrite_leaf(self, node: int, gk: np.ndarray, gv: np.ndarray,
-                      gdel: np.ndarray, delta: np.ndarray) -> None:
-        """Merge one leaf's ops (in op order) into it with one write.
-
-        The last op on each key decides it.  When the ops change the
-        key set the leaf is rewritten (refreshing its last-level node)
-        and routing keys rise to the largest fresh key; otherwise only
-        overwritten values change, as with per-op overwrites, which
-        leave the inner nodes untouched.
-        """
-        rev_first = np.unique(gk[::-1], return_index=True)[1]
-        last = len(gk) - 1 - rev_first
-        uk, uv, kept = gk[last], gv[last], ~gdel[last]
-        if delta.any():
-            ek, ev = self._leaf_pairs(node)
-            old = ~np.isin(ek, uk, assume_unique=True)
-            mk = np.concatenate([ek[old], uk[kept]])
-            mv = np.concatenate([ev[old], uv[kept]])
-            o = np.argsort(mk, kind="stable")
-            self._write_leaf_pairs(node, mk[o], mv[o])
-            fresh = gk[delta > 0]
-            if len(fresh):
-                self._raise_parent_keys(node, int(fresh.max()))
-            self.num_tuples += int(delta.sum())
-        elif kept.any():
-            # every upserted key is stored; a gapped leaf repeats a
-            # pair in the gaps before it, so overwrite the whole run
-            row = self.leaves.keys[node, : int(self.leaves.size[node])]
-            lo = np.searchsorted(row, uk[kept])
-            hi = np.searchsorted(row, uk[kept], side="right")
-            self.leaves.values[node, _multi_arange(lo, hi - lo)] = np.repeat(
-                uv[kept], hi - lo)
-            self.leaves.version[node] += 1
-
-    def _split_leaf(self, node: int, path: list) -> None:
-        """Split a full big leaf (and its last-level inner) in half."""
-        new_node = self._new_last_level_node()
-        cap = self.leaves.capacity_pairs
-        half = cap // 2
-        self.leaves.keys[new_node, : cap - half] = self.leaves.keys[node, half:]
-        self.leaves.values[new_node, : cap - half] = self.leaves.values[node, half:]
-        self.leaves.keys[node, half:] = self.spec.max_value
-        self.leaves.values[node, half:] = 0
-        self.leaves.size[new_node] = cap - half
-        self.leaves.size[node] = half
-        # leaf chain
-        nxt = int(self.leaves.next[node])
-        self.leaves.next[node] = new_node
-        self.leaves.prev[new_node] = node
-        self.leaves.next[new_node] = nxt
-        if nxt != _NIL:
-            self.leaves.prev[nxt] = new_node
-        self.last.next[node] = new_node
-        self.last.prev[new_node] = node
-        self.last.next[new_node] = nxt
-        self._refresh_last_level_keys(node)
-        self._refresh_last_level_keys(new_node)
-        split_key = int(self.leaves.keys[node, half - 1])
-        self._insert_into_parent(0, node, split_key, new_node, path)
-
-    def _insert_into_parent(
-        self, level: int, left: int, split_key: int, right: int, path: list
-    ) -> None:
-        """Link ``right`` as the sibling after ``left`` at ``level+1``."""
-        parent_entry = None
-        for entry in path:
-            if entry[0] == level + 1 and (
-                int(self.upper.refs[entry[1], entry[2]]) == left
-            ):
-                parent_entry = entry
-                break
-        if parent_entry is None and level + 1 > self.height - 1:
-            # splitting the root: grow the tree by one level
-            new_root = self.upper.allocate()
-            self.upper.size[new_root] = 2
-            self.upper.refs[new_root, 0] = left
-            self.upper.refs[new_root, 1] = right
-            self.upper.keys[new_root, 0] = split_key
-            right_max = self._node_max(level, right)
-            self.upper.keys[new_root, 1] = right_max
-            self.upper.refresh_index(new_root)
-            self._pool(level).parent[left] = new_root
-            self._pool(level).parent[right] = new_root
-            self.root = new_root
-            self.height += 1
-            return
-        if parent_entry is None:
-            # path did not record the parent (can happen after cascades):
-            # find it via the parent fragment
-            parent = int(self._pool(level).parent[left])
-            psize = int(self.upper.size[parent])
-            slot = None
-            for s in range(psize):
-                if int(self.upper.refs[parent, s]) == left:
-                    slot = s
-                    break
-            if slot is None:
-                raise AssertionError("parent fragment does not reference child")
-            parent_entry = (level + 1, parent, slot)
-        _plevel, parent, slot = parent_entry
-        psize = int(self.upper.size[parent])
-        if psize >= self.fanout:
-            self._split_upper(level + 1, parent, path)
-            # parent changed; retry through the fragment pointers
-            self._insert_into_parent(level, left, split_key, right, [])
-            return
-        # shift keys/refs right of slot
-        self.upper.keys[parent, slot + 2: psize + 1] = self.upper.keys[
-            parent, slot + 1: psize
-        ]
-        self.upper.refs[parent, slot + 2: psize + 1] = self.upper.refs[
-            parent, slot + 1: psize
-        ]
-        # the pre-split routing key bounded the whole node, which is now
-        # exactly the upper bound of the right half
-        right_max = int(self.upper.keys[parent, slot])
-        self.upper.keys[parent, slot] = split_key
-        self.upper.keys[parent, slot + 1] = right_max
-        self.upper.refs[parent, slot + 1] = right
-        self.upper.size[parent] = psize + 1
-        self.upper.refresh_index(parent)
-        self._pool(level).parent[right] = parent
-
-    def _split_upper(self, level: int, node: int, path: list) -> None:
-        """Split a full upper inner node in half."""
-        new_node = self.upper.allocate()
-        half = self.fanout // 2
-        rest = self.fanout - half
-        self.upper.keys[new_node, :rest] = self.upper.keys[node, half:]
-        self.upper.refs[new_node, :rest] = self.upper.refs[node, half:]
-        self.upper.keys[node, half:] = self.spec.max_value
-        self.upper.refs[node, half:] = _NIL
-        self.upper.size[new_node] = rest
-        self.upper.size[node] = half
-        self.upper.refresh_index(node)
-        self.upper.refresh_index(new_node)
-        child_pool = self._pool(level - 1)
-        for s in range(rest):
-            child_pool.parent[int(self.upper.refs[new_node, s])] = new_node
-        # sibling chain
-        nxt = int(self.upper.next[node])
-        self.upper.next[node] = new_node
-        self.upper.prev[new_node] = node
-        self.upper.next[new_node] = nxt
-        if nxt != _NIL:
-            self.upper.prev[nxt] = new_node
-        split_key = int(self.upper.keys[node, half - 1])
-        if node == self.root:
-            new_root = self.upper.allocate()
-            self.upper.size[new_root] = 2
-            self.upper.refs[new_root, 0] = node
-            self.upper.refs[new_root, 1] = new_node
-            self.upper.keys[new_root, 0] = split_key
-            self.upper.keys[new_root, 1] = int(self.upper.keys[new_node, rest - 1])
-            self.upper.refresh_index(new_root)
-            self.upper.parent[node] = new_root
-            self.upper.parent[new_node] = new_root
-            self.root = new_root
-            self.height += 1
+    def _write_one(self, bk: np.ndarray, bv: np.ndarray, dele: np.ndarray,
+                   nodes: Optional[np.ndarray]) -> np.ndarray:
+        """A one-op stream (the public :meth:`insert` / :meth:`delete`):
+        a scalar descent, then one row write in place, or a round of
+        its own when the op splits or empties its leaf."""
+        key, delete = bk[0], bool(dele[0])
+        node = (self._descend(int(key), instrument=False)[0]
+                if nodes is None else int(nodes[0]))
+        lv = self.leaves
+        size = int(lv.size[node])
+        pos = int(np.searchsorted(lv.keys[node, :size], key))
+        present = np.array([pos < size and lv.keys[node, pos] == key])
+        d = int(not delete and not present[0]) - int(delete and present[0])
+        if not d:
+            if not delete:
+                self._row_write(node, key, bv[0], False)
+                lv.version[node] += 1
+        elif 1 <= int(self.leaf_occupancy(node)) + d <= lv.capacity_pairs:
+            self._row_write(node, key, bv[0], delete)
+            self._refresh_last_level_keys(node)
+            self.num_tuples += d
+            if d > 0 and key == self.last.keys[node, self.last.size[node] - 1]:
+                self._raise_routing(np.array([node]), bk)
         else:
-            self._insert_into_parent(level, node, split_key, new_node, path)
+            self._write_round(np.array([node]), bk, bv, dele, np.array([d]))
+        return present
 
-    # ------------------------------------------------------------------
-    # delete
+    def _write_round(self, nodes: np.ndarray, bk: np.ndarray,
+                     bv: np.ndarray, dele: np.ndarray,
+                     delta: np.ndarray) -> int:
+        """Apply a prefix of the op stream whose ops all target the
+        leaves ``nodes`` hold now; returns its length.
 
-    def delete(self, key: int) -> bool:
-        """Remove a key; returns True if it was present."""
-        key = int(key)
-        node, _line, path = self._descend(key, instrument=False)
-        size = int(self.leaves.size[node])
-        pos = int(np.searchsorted(self.leaves.keys[node, :size],
-                                  self.spec.dtype(key)))
-        if pos >= size or int(self.leaves.keys[node, pos]) != key:
-            return False
-        self.leaves.keys[node, pos: size - 1] = self.leaves.keys[node, pos + 1: size]
-        self.leaves.values[node, pos: size - 1] = self.leaves.values[
-            node, pos + 1: size
-        ]
-        self.leaves.keys[node, size - 1] = self.spec.max_value
-        self.leaves.values[node, size - 1] = 0
-        self.leaves.size[node] = size - 1
-        self._refresh_last_level_keys(node)
-        self.num_tuples -= 1
-        if size - 1 == 0 and self.height > 1:
-            self._remove_empty_leaf(node, path)
-        return True
+        Groups that keep their leaf within ``[1, capacity]`` merge in one
+        pass (:meth:`_merge_rows`).  A group that overflows splits its
+        leaf at the per-op split point, and one pass per level links the
+        new nodes into their parents (:meth:`_link_level`); a group that
+        empties its leaf unlinks it (:meth:`_unlink_leaf`).  The prefix
+        ends after the first op that empties a leaf (its key range
+        passes to a neighbour), before the next op on a leaf that split,
+        and before a second op whose leaf split would split an inner
+        node, so new nodes are allocated in op order.
+        """
+        cap = self.leaves.capacity_pairs
+        by_leaf = np.argsort(nodes, kind="stable")
+        sn, d = nodes[by_leaf], delta[by_leaf]
+        run = np.cumsum(np.diff(sn, prepend=-1) != 0) - 1
+        starts = np.flatnonzero(np.diff(run, prepend=-1))
+        csum = np.cumsum(d)
+        # each op's leaf occupancy after the op
+        occ = (self.leaf_occupancy(sn[starts])
+               - (csum - d)[starts])[run] + csum
+        end = int(np.min(by_leaf[occ < 1], initial=len(bk) - 1)) + 1
+        over = np.flatnonzero(occ > cap)
+        split = over[np.diff(run[over], prepend=-1) != 0]
+        after = split[split + 1 < len(run)] + 1
+        after = after[run[after] == run[after - 1]]
+        end = int(np.min(by_leaf[after], initial=end))
+        at = np.sort(by_leaf[split])
+        at = at[at < end]
+        if len(at) > 1:
+            # each split's parent size when it links in, in op order
+            parent = self.last.parent[nodes[at]]
+            rank = np.tril(parent[:, None] == parent, -1).sum(axis=1)
+            full = self.upper.size[parent] + rank >= self.fanout
+            hits = np.flatnonzero(full)
+            if len(hits):
+                later = np.flatnonzero(full | (parent == parent[hits[0]]))
+                end = int(np.min(at[later[later > hits[0]]], initial=end))
+        mine = by_leaf < end
+        by_leaf, sn, d, occ = by_leaf[mine], sn[mine], d[mine], occ[mine]
+        ks, vs, ds = bk[by_leaf], bv[by_leaf], dele[by_leaf]
+        new_run = np.diff(sn, prepend=-1) != 0
+        run = np.cumsum(new_run) - 1
+        starts = np.flatnonzero(new_run)
+        stops = np.r_[starts[1:], len(sn)]
+        leaf = sn[starts]
 
-    def _remove_empty_leaf(self, node: int, path: list) -> None:
-        """Unlink an empty big leaf (lazy deletion's only collapse)."""
-        prev, nxt = int(self.leaves.prev[node]), int(self.leaves.next[node])
-        if prev == _NIL and nxt == _NIL:
-            # the only leaf: keep it as the (empty) tree skeleton
+        def per_run(mask):
+            return np.bincount(run, weights=mask, minlength=len(leaf)) > 0
+
+        edge = per_run((occ > cap) | (occ < 1))
+        moved = per_run(d != 0)
+        calm = ~edge[run]
+        if calm.any():
+            self._merge_rows(sn[calm], ks[calm], vs[calm], ds[calm], d[calm])
+        self.leaves.version[leaf[per_run(~ds) & ~moved]] += 1
+        # leaves that split or empty: row writes in op order, the split
+        # moving the upper half of the full leaf's pairs to a new leaf
+        hold, links, gone = sn.copy(), [], _NIL
+        for g in sorted(np.flatnonzero(edge).tolist(),
+                        key=lambda g: by_leaf[stops[g] - 1]):
+            node, a, b = int(leaf[g]), starts[g], stops[g] - 1
+            for i in range(a, b):
+                self._row_write(node, ks[i], vs[i], ds[i])
+            if occ[b] < 1:
+                self._row_write(node, ks[b], vs[b], True)
+                gone = node
+                continue
+            pk, pv = self._leaf_pairs(node)
+            new = self._new_last_level_node()
+            self._split_rows(node, new, pk, pv)
+            nxt = int(self.leaves.next[node])
+            for pool in (self.leaves, self.last):
+                pool.next[node], pool.prev[new], pool.next[new] = new, node, nxt
+            if nxt != _NIL:
+                self.leaves.prev[nxt] = new
+            split_key = pk[len(pk) // 2 - 1]
+            hold[a: b + 1][ks[a: b + 1] > split_key] = new
+            self._row_write(int(hold[b]), ks[b], vs[b], False)
+            links.append((node, int(split_key), new))
+        self._refresh_last_level_range(
+            np.r_[leaf[moved], [new for *_, new in links]].astype(np.int64))
+        self.num_tuples += int(d.sum())
+        level = 0
+        while links:
+            links = self._link_level(level, links)
+            level += 1
+        fresh = d > 0
+        if fresh.any():
+            self._raise_routing(hold[fresh], ks[fresh])
+        if gone != _NIL:
+            self._unlink_leaf(gone)
+        return end
+
+    def _link_level(self, level: int, links: list) -> list:
+        """Link each ``(left, split_key, right)`` split of ``level``
+        into the left node's parent, in op order: the right node goes in
+        after the left one, which takes ``split_key`` while the right
+        one keeps the old routing key.  A full parent first splits in
+        half; a split root grows a new one over both halves.  Returns
+        the parent splits: the next level's links."""
+        up, pool = self.upper, self._pool(level)
+        half = self.fanout // 2
+        out = []
+        for left, key, right in links:
+            parent = int(pool.parent[left])
+            if parent == _NIL:
+                root = self.root = up.allocate()
+                up.refs[root, :2] = (left, right)
+                up.keys[root, 0] = key
+                up.keys[root, 1] = pool.keys[right, pool.size[right] - 1]
+                up.size[root] = 2
+                up.refresh_index(root)
+                pool.parent[[left, right]] = root
+                self.height += 1
+                continue
+            if up.size[parent] == self.fanout:
+                new = up.allocate()
+                for rows, pad in ((up.keys, self.spec.max_value),
+                                  (up.refs, _NIL)):
+                    rows[new, :half] = rows[parent, half:]
+                    rows[parent, half:] = pad
+                up.size[[parent, new]] = half
+                up.refresh_index(parent)
+                up.refresh_index(new)
+                pool.parent[up.refs[new, :half]] = new
+                nxt = int(up.next[parent])
+                up.next[parent], up.prev[new], up.next[new] = new, parent, nxt
+                if nxt != _NIL:
+                    up.prev[nxt] = new
+                out.append((parent, int(up.keys[parent, half - 1]), new))
+                parent = int(pool.parent[left])
+            size = int(up.size[parent])
+            slot = int(np.flatnonzero(up.refs[parent, :size] == left)[0])
+            up.keys[parent, slot + 1: size + 1] = up.keys[parent, slot:size]
+            up.refs[parent, slot + 2: size + 1] = up.refs[parent,
+                                                          slot + 1: size]
+            up.keys[parent, slot] = key
+            up.refs[parent, slot + 1] = right
+            up.size[parent] = size + 1
+            up.refresh_index(parent)
+            pool.parent[right] = parent
+        return out
+
+    def _raise_routing(self, nodes: np.ndarray, keys: np.ndarray) -> None:
+        """Raise the routing keys above each big leaf of ``nodes`` to
+        cover its key of ``keys`` (the largest per leaf), one level at a
+        time.  A key its parent already covers stops there: no routing
+        key lies below a routing key of the node it leads to."""
+        up, pool = self.upper, self.last
+        while len(nodes):
+            if len(nodes) > 1:
+                nodes, inv = np.unique(nodes, return_inverse=True)
+                top = np.zeros(len(nodes), dtype=keys.dtype)
+                np.maximum.at(top, inv, keys)
+                keys = top
+            if pool is up:
+                up.refresh_indexes(nodes)
+            parent = pool.parent[nodes]
+            on = parent != _NIL
+            nodes, keys, parent = nodes[on], keys[on], parent[on]
+            slot = np.argmax(up.refs[parent] == nodes[:, None], axis=1)
+            low = up.keys[parent, slot] < keys
+            up.keys[parent[low], slot[low]] = keys[low]
+            nodes, keys, pool = parent[low], keys[low], up
+
+    def _unlink_leaf(self, node: int) -> None:
+        """Unlink an emptied big leaf (lazy deletion's only collapse):
+        level by level, the leaf leaves its parent, a parent that empties
+        leaves its own, and a root left with one child gives way to it.
+        The sole leaf stays as the (empty) tree skeleton."""
+        lv, last, up = self.leaves, self.last, self.upper
+        prev, nxt = int(lv.prev[node]), int(lv.next[node])
+        if self.height == 1 or prev == nxt == _NIL:
             return
         if prev != _NIL:
-            self.leaves.next[prev] = nxt
-            self.last.next[prev] = nxt
+            lv.next[prev] = last.next[prev] = nxt
         else:
             self._first_leaf = nxt
         if nxt != _NIL:
-            self.leaves.prev[nxt] = prev
-            self.last.prev[nxt] = prev
-        self._remove_child(1, int(self.last.parent[node]), node)
-        self.leaves.free(node)
-        self.last.free(node)
-
-    def _remove_child(self, level: int, parent: int, child: int) -> None:
-        if parent == _NIL:
-            return
-        psize = int(self.upper.size[parent])
-        slot = None
-        for s in range(psize):
-            if int(self.upper.refs[parent, s]) == child:
-                slot = s
+            lv.prev[nxt] = last.prev[nxt] = prev
+        emptied, child, pool = [], node, last
+        while True:
+            parent = int(pool.parent[child])
+            kept = up.refs[parent] != child
+            up.keys[parent] = np.r_[up.keys[parent][kept], self.spec.max_value]
+            up.refs[parent] = np.r_[up.refs[parent][kept], _NIL]
+            up.size[parent] -= 1
+            up.refresh_index(parent)
+            if up.size[parent]:
                 break
-        if slot is None:
-            return
-        self.upper.keys[parent, slot: psize - 1] = self.upper.keys[
-            parent, slot + 1: psize
-        ]
-        self.upper.refs[parent, slot: psize - 1] = self.upper.refs[
-            parent, slot + 1: psize
-        ]
-        self.upper.keys[parent, psize - 1] = self.spec.max_value
-        self.upper.refs[parent, psize - 1] = _NIL
-        self.upper.size[parent] = psize - 1
-        self.upper.refresh_index(parent)
-        if psize - 1 == 0:
-            grand = int(self.upper.parent[parent])
-            self._remove_child(level + 1, grand, parent)
-            self.upper.free(parent)
-        elif parent == self.root and psize - 1 == 1 and self.height > 1:
-            self._collapse_root()
-
-    def _collapse_root(self) -> None:
-        """Shrink the tree while the root has a single child."""
-        while self.height > 1 and int(self.upper.size[self.root]) == 1:
-            child = int(self.upper.refs[self.root, 0])
-            self.upper.free(self.root)
+            emptied.append(parent)
+            child, pool = parent, up
+        while self.height > 1 and up.size[self.root] == 1:
+            child = int(up.refs[self.root, 0])
+            up.free(self.root)
             self.root = child
             self.height -= 1
-            pool = self.last if self.height == 1 else self.upper
-            pool.parent[child] = _NIL
+            self._pool(self.height - 1).parent[child] = _NIL
+        for parent in reversed(emptied):
+            up.free(parent)
+        lv.free(node)
+        last.free(node)
 
     # ------------------------------------------------------------------
     # bulk build
@@ -1301,23 +1246,25 @@ class RegularCpuBPlusTree(SortedContents):
         image non-decreasing, which the GPU kernel's lower-bound node
         search relies on.
         """
-        count = 0
-        prev_key = -1
-        node = self._first_leaf
-        while node != _NIL:
-            size = int(self.leaves.size[node])
-            for i in range(size):
-                k = int(self.leaves.keys[node, i])
-                assert k > prev_key, "leaf chain out of order"
-                prev_key = k
-                count += 1
-            pad = self.leaves.keys[node, size:]
-            assert np.all(pad == self.spec.max_value), "leaf padding damaged"
-            node = int(self.leaves.next[node])
+        count, prev = 0, -1
+        for node in self.leaf_chain().tolist():
+            keys = self._check_leaf(node)
+            if len(keys):
+                assert int(keys[0]) > prev and np.all(keys[1:] > keys[:-1]), (
+                    "leaf chain out of order")
+                prev = int(keys[-1])
+            count += len(keys)
         assert count == self.num_tuples, (
             f"item count {count} != num_tuples {self.num_tuples}"
         )
         self._check_subtree(self.height - 1, self.root)
+
+    def _check_leaf(self, node: int) -> np.ndarray:
+        """Check one big leaf's layout; returns its stored keys."""
+        size = int(self.leaves.size[node])
+        assert np.all(self.leaves.keys[node, size:] == self.spec.max_value), (
+            "leaf padding damaged")
+        return self.leaves.keys[node, :size]
 
     def _check_inner_padding(self, pool: _InnerPool, node: int) -> None:
         size = int(pool.size[node])

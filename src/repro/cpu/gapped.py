@@ -20,15 +20,15 @@ leaves:
   write is in place (zero shift).  Otherwise the run of real entries up
   to the nearest gap shifts by one — a few pairs on average at the
   build fill factor, against half a big leaf for the compact layout.
-  Only when a leaf holds no gap at all does the insert fall back to
-  the inherited split path, which re-spreads both halves with fresh
-  interleaved gaps.
+  Only when a leaf holds no gap at all does the insert split it, and
+  the split re-spreads both halves with fresh interleaved gaps.
 * **Delete** marks the run as gaps backfilled from the right neighbour
   (or truncates the extent at the tail) — again no shift.
 
-The per-insert behaviour is accounted in :class:`GapStats` so the
-mixed engine (:mod:`repro.core.mixed`) can price in-place writes,
-short shifts and splits separately.
+Every write runs through the inherited ``apply_batch``; this module
+supplies its layout hooks.  A lone op is one in-place row write, so its
+:class:`GapStats` delta lets the mixed engine (:mod:`repro.core.mixed`)
+price in-place writes, short shifts and splits separately.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.cpu.btree_regular import (
-    _NIL,
     RegularCpuBPlusTree,
     _LeafPool,
     _multi_arange,
@@ -140,14 +139,6 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
             return 1.0
         return float(self.leaves.live[chain].sum()) / extent
 
-    def _leaf_pairs(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        size = int(self.leaves.size[node])
-        real = ~self.leaves.gap[node, :size]
-        return (
-            self.leaves.keys[node, :size][real],
-            self.leaves.values[node, :size][real],
-        )
-
     def _stored_mask(self, chain: np.ndarray) -> np.ndarray:
         return super()._stored_mask(chain) & ~self.leaves.gap[chain]
 
@@ -169,185 +160,105 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
         results.extend(zip(k.tolist(), v.tolist()))
 
     # ------------------------------------------------------------------
-    # gapped write paths
+    # gapped layout hooks of the batch write
 
-    def _write_leaf_spread(
-        self, node: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Rewrite a leaf spreading ``m`` sorted pairs over the whole
-        capacity with evenly interleaved gaps (vectorised).
-
-        Each gap is backfilled with the key/value of the next real slot
-        so the array stays non-decreasing; slots past the last real
-        entry return to the sentinel padding.
-        """
+    def _write_leaf_pairs(self, node: int, keys: np.ndarray,
+                          values: np.ndarray) -> None:
+        """Spread ``m`` sorted pairs over the whole leaf with evenly
+        interleaved gaps, each backfilled from the next real slot; slots
+        past the last real pair return to the sentinel padding."""
         lv = self.leaves
-        cap = lv.capacity_pairs
-        m = len(keys)
-        if m > cap:
-            raise ValueError("leaf overflow in _write_leaf_spread")
-        if m == 0:
-            lv.keys[node] = self.spec.max_value
-            lv.values[node] = 0
-            lv.gap[node] = False
-            lv.size[node] = 0
-            lv.live[node] = 0
-            self._refresh_last_level_keys(node)
-            return
-        src, gaps = _spread_slots(m, cap)
-        extent = len(src)
-        lv.keys[node, :extent] = keys[src]
-        lv.values[node, :extent] = values[src]
+        m = extent = len(keys)
+        if m:
+            src, gaps = _spread_slots(m, lv.capacity_pairs)
+            extent = len(src)
+            lv.keys[node, :extent] = keys[src]
+            lv.values[node, :extent] = values[src]
+            lv.gap[node, :extent] = gaps
         lv.keys[node, extent:] = self.spec.max_value
         lv.values[node, extent:] = 0
-        lv.gap[node, :extent] = gaps
         lv.gap[node, extent:] = False
         lv.size[node] = extent
         lv.live[node] = m
-        self._refresh_last_level_keys(node)
 
-    def _write_leaf_pairs(
-        self, node: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Batch-path layout hook: re-spread with interleaved gaps."""
-        self.gap_stats.leaf_rewrites += 1
-        self._write_leaf_spread(node, keys, values)
-
-    def _leaf_upsert(self, node: int, key: int, value: int):
-        """Place ``key`` into the leaf; returns ``(placed, was_new)``.
-
-        ``placed`` is False only on gap exhaustion (leaf completely
-        full) — the caller splits and retries.
-        """
-        lv = self.leaves
-        cap = lv.capacity_pairs
-        size = int(lv.size[node])
-        keys = lv.keys[node]
-        tk = self.spec.dtype(key)
-        pos = int(np.searchsorted(keys[:size], tk))
-        if pos < size and int(keys[pos]) == key:
-            # present: the run [pos, right) is gaps + one real entry at
-            # the right end, all duplicating the same pair — overwrite
-            # the value in the whole run to keep duplicates consistent
-            right = int(np.searchsorted(keys[:size], tk, side="right"))
-            lv.values[node, pos:right] = value
-            lv.version[node] += 1
-            return True, False
-        gaps_row = lv.gap[node]
-        # nearest free slot at/after pos: an interior gap, else the
-        # first slot past the extent
-        g = -1
-        if pos < size:
-            after = np.flatnonzero(gaps_row[pos:size])
-            if len(after):
-                g = pos + int(after[0])
-            elif size < cap:
-                g = size
-        elif size < cap:
-            g = pos
-        if g >= 0:
-            if g > pos:
-                # short shift of the real run [pos, g) into the gap
-                keys[pos + 1: g + 1] = keys[pos:g]
-                lv.values[node, pos + 1: g + 1] = lv.values[node, pos:g]
-                self.gap_stats.shift_writes += 1
-                self.gap_stats.shifted_pairs += g - pos
-            else:
-                self.gap_stats.gap_writes += 1
-            keys[pos] = tk
-            lv.values[node, pos] = value
-            gaps_row[g] = False
-            lv.size[node] = max(size, g + 1)
-            lv.live[node] += 1
-            return True, True
-        # no gap at/after pos: borrow the nearest gap on the left
-        before = np.flatnonzero(gaps_row[:pos])
-        if len(before):
-            g0 = int(before[-1])
-            keys[g0:pos - 1] = keys[g0 + 1: pos]
-            lv.values[node, g0:pos - 1] = lv.values[node, g0 + 1: pos]
-            keys[pos - 1] = tk
-            lv.values[node, pos - 1] = value
-            gaps_row[g0] = False
-            lv.live[node] += 1
-            self.gap_stats.shift_writes += 1
-            self.gap_stats.shifted_pairs += pos - 1 - g0
-            return True, True
-        return False, False
-
-    def insert(self, key: int, value: int) -> bool:
-        key = int(key)
-        if not 0 <= key < self.spec.max_value:
-            raise ValueError("key outside the valid (non-sentinel) domain")
-        node, _line, path = self._descend(key, instrument=False)
-        placed, was_new = self._leaf_upsert(node, key, value)
-        if not placed:
-            # gap exhaustion: split (re-spreads both halves), retry
-            self._split_leaf(node, path)
-            node, _line, path = self._descend(key, instrument=False)
-            placed, was_new = self._leaf_upsert(node, key, value)
-            if not placed:  # pragma: no cover - halves always have gaps
-                raise AssertionError("split left no gap for the insert")
-        if was_new:
-            self._refresh_last_level_keys(node)
-            self._bubble_up_max(path, key)
-            self.num_tuples += 1
-        return was_new
-
-    def _split_leaf(self, node: int, path: list) -> None:
-        """Split a gap-exhausted leaf, re-spreading both halves."""
+    def _split_rows(self, node: int, new: int, keys: np.ndarray,
+                    values: np.ndarray) -> None:
+        """A gap-exhausted leaf's split re-spreads both halves."""
         self.gap_stats.splits += 1
-        keys, values = self._leaf_pairs(node)
-        half = len(keys) // 2
-        new_node = self._new_last_level_node()
-        self._write_leaf_spread(node, keys[:half], values[:half])
-        self._write_leaf_spread(new_node, keys[half:], values[half:])
-        lv = self.leaves
-        nxt = int(lv.next[node])
-        lv.next[node] = new_node
-        lv.prev[new_node] = node
-        lv.next[new_node] = nxt
-        if nxt != _NIL:
-            lv.prev[nxt] = new_node
-        self.last.next[node] = new_node
-        self.last.prev[new_node] = node
-        self.last.next[new_node] = nxt
-        split_key = int(keys[half - 1])
-        self._insert_into_parent(0, node, split_key, new_node, path)
+        super()._split_rows(node, new, keys, values)
 
-    def delete(self, key: int) -> bool:
-        key = int(key)
-        node, _line, path = self._descend(key, instrument=False)
-        lv = self.leaves
+    def _write_rows(self, nodes: np.ndarray, keys: np.ndarray,
+                    values: np.ndarray, sizes: np.ndarray) -> None:
+        """A merged group re-spreads its leaf once."""
+        self.gap_stats.leaf_rewrites += len(nodes)
+        cuts = np.cumsum(sizes)[:-1]
+        for node, k, v in zip(nodes.tolist(), np.split(keys, cuts),
+                              np.split(values, cuts)):
+            self._write_leaf_pairs(node, k, v)
+
+    def _merge_rows(self, leaf: np.ndarray, keys: np.ndarray,
+                    values: np.ndarray, dele: np.ndarray,
+                    delta: np.ndarray) -> None:
+        """Lone ops and value-only groups write in place, so each op's
+        :class:`GapStats` delta prices it; a group of ops that changes
+        its leaf's key set merges and re-spreads the leaf once."""
+        run = np.cumsum(np.diff(leaf, prepend=-1) != 0) - 1
+        spread = ((np.bincount(run) > 1)
+                  & (np.bincount(run, weights=delta != 0) > 0))[run]
+        for i in np.flatnonzero(~spread).tolist():
+            self._row_write(int(leaf[i]), keys[i], values[i], dele[i])
+        if spread.any():
+            super()._merge_rows(leaf[spread], keys[spread], values[spread],
+                                dele[spread], delta[spread])
+
+    def _row_write(self, node: int, key, value, delete: bool) -> None:
+        """One op on one leaf in place: a fresh key takes the nearest
+        free slot at or after its place (shifting the real run before it
+        by one), else the nearest gap on its left; an overwrite rewrites
+        the key's run of duplicates; a delete turns the run into gaps
+        backfilled from the right, or truncates the extent at the tail."""
+        lv, stats = self.leaves, self.gap_stats
         size = int(lv.size[node])
-        tk = self.spec.dtype(key)
-        keys = lv.keys[node]
-        pos = int(np.searchsorted(keys[:size], tk))
-        if pos >= size or int(keys[pos]) != key:
-            return False
-        right = int(np.searchsorted(keys[:size], tk, side="right"))
-        if right < size:
-            # interior run: backfill with the next slot's pair
-            keys[pos:right] = keys[right]
-            lv.values[node, pos:right] = lv.values[node, right]
-            lv.gap[node, pos:right] = True
+        keys, vals, gaps = lv.keys[node], lv.values[node], lv.gap[node]
+        pos = int(np.searchsorted(keys[:size], key))
+        if pos < size and keys[pos] == key:
+            right = int(np.searchsorted(keys[:size], key, side="right"))
+            if not delete:
+                vals[pos:right] = value
+                return
+            tail = right == size
+            keys[pos:right] = self.spec.max_value if tail else keys[right]
+            vals[pos:right] = 0 if tail else vals[right]
+            gaps[pos:right] = not tail
+            if tail:
+                lv.size[node] = pos
+            lv.live[node] -= 1
+            stats.gap_deletes += 1
+            return
+        if delete:
+            return
+        after = np.flatnonzero(gaps[pos:size])
+        g = (pos + int(after[0]) if len(after)
+             else size if size < lv.capacity_pairs else -1)
+        if g == pos:
+            stats.gap_writes += 1
+        elif g > pos:
+            keys[pos + 1: g + 1] = keys[pos:g]
+            vals[pos + 1: g + 1] = vals[pos:g]
+            stats.shift_writes += 1
+            stats.shifted_pairs += g - pos
         else:
-            # tail run: truncate the extent back to the last real pair
-            keys[pos:size] = self.spec.max_value
-            lv.values[node, pos:size] = 0
-            lv.gap[node, pos:size] = False
-            lv.size[node] = pos
-        lv.live[node] -= 1
-        self.gap_stats.gap_deletes += 1
-        self.num_tuples -= 1
-        self._refresh_last_level_keys(node)
-        if int(lv.live[node]) == 0 and self.height > 1:
-            lv.keys[node] = self.spec.max_value
-            lv.values[node] = 0
-            lv.gap[node] = False
-            lv.size[node] = 0
-            self._remove_empty_leaf(node, path)
-        return True
+            g = int(np.flatnonzero(gaps[:pos])[-1])
+            keys[g: pos - 1] = keys[g + 1: pos]
+            vals[g: pos - 1] = vals[g + 1: pos]
+            pos -= 1
+            stats.shift_writes += 1
+            stats.shifted_pairs += pos - g
+        lv.size[node] = max(size, g + 1)
+        keys[pos] = key
+        vals[pos] = value
+        gaps[g] = False
+        lv.live[node] += 1
 
     # ------------------------------------------------------------------
     # bulk build
@@ -358,8 +269,8 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
         The inherited build packs each leaf's pairs as a prefix; one
         re-spread of every leaf then interleaves the free slots instead
         (all full leaves share one slot pattern, the last leaf has its
-        own), refreshing each leaf a second time as a per-leaf
-        :meth:`_write_leaf_spread` would.
+        own), then refreshes every leaf a second time, as the per-leaf
+        re-spread of ``tests/build_oracles.py`` does.
         """
         super().bulk_build(keys, values, fill=fill)
         lv = self.leaves
@@ -380,40 +291,21 @@ class GappedCpuBPlusTree(RegularCpuBPlusTree):
     # ------------------------------------------------------------------
     # invariants
 
-    def check_invariants(self) -> None:
-        """Gapped-layout invariants + the inherited routing checks."""
-        count = 0
-        prev_key = -1
-        node = self._first_leaf
-        while node != _NIL:
-            size = int(self.leaves.size[node])
-            keys = self.leaves.keys[node]
-            gaps = self.leaves.gap[node]
-            live = 0
-            for i in range(size):
-                k = int(keys[i])
-                if gaps[i]:
-                    assert i + 1 < size, "gap at the extent boundary"
-                    assert k == int(keys[i + 1]), (
-                        "gap does not duplicate its right neighbour"
-                    )
-                else:
-                    assert k > prev_key, "real keys out of order"
-                    prev_key = k
-                    live += 1
-                    count += 1
-            assert live == int(self.leaves.live[node]), "live count drifted"
-            assert size == 0 or not gaps[size - 1], (
-                "extent must end on a real pair"
-            )
-            pad = keys[size:]
-            assert np.all(pad == self.spec.max_value), "leaf padding damaged"
-            assert not gaps[size:].any(), "gap mask leaked past the extent"
-            node = int(self.leaves.next[node])
-        assert count == self.num_tuples, (
-            f"item count {count} != num_tuples {self.num_tuples}"
-        )
-        self._check_subtree(self.height - 1, self.root)
+    def _check_leaf(self, node: int) -> np.ndarray:
+        """The gapped layout: each gap duplicates its right neighbour,
+        the extent ends on a real pair, the live count holds."""
+        keys = super()._check_leaf(node)
+        size = len(keys)
+        gaps = self.leaves.gap[node]
+        assert not gaps[size:].any(), "gap mask leaked past the extent"
+        assert size == 0 or not gaps[size - 1], (
+            "extent must end on a real pair")
+        g = np.flatnonzero(gaps[:size])
+        assert np.all(keys[g] == keys[g + 1]), (
+            "gap does not duplicate its right neighbour")
+        real = keys[~gaps[:size]]
+        assert len(real) == self.leaves.live[node], "live count drifted"
+        return real
 
     def __repr__(self) -> str:
         return (

@@ -85,7 +85,6 @@ def coalesce(ranges: Iterable[Tuple[int, int]],
     alignment allows.
     """
     min_size = min(sizes)
-    max_size = max(sizes)
     sectors = set()
     for start, length in ranges:
         if length <= 0:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""The mirror write ledger, shadowed on benchmark traffic.
+"""The mirror write ledger and the batch write, shadowed on benchmark
+traffic.
 
 Builds the seed-1 ``mixed_rw_drill`` service exactly as
 ``perfbench/run.py`` does and drives batches 0-109 (the warm-up and
@@ -7,7 +8,10 @@ the counted window) twice:
 
 * with every ``HBPlusTree.verify_mirror`` call checked against the
   whole-image compare of :mod:`tests.mirror_oracles`, failing on the
-  first row-set difference;
+  first row-set difference, and every
+  ``RegularCpuBPlusTree.apply_batch`` call checked against the per-op
+  loop of :mod:`tests.write_oracles` run on a copy of the tree, failing
+  on the first difference in pools, free lists or moved version stamps;
 * with the whole-image compare in place of the ledger.
 
 Every answer is checked against the workload's reference map, and the
@@ -48,6 +52,7 @@ from tests.mirror_oracles import (
     LedgerShadow,
     oracle_verify,
 )
+from tests.write_oracles import WriteShadow
 from workloads import WORKLOADS
 
 WORKLOAD = "mixed_rw_drill"
@@ -118,15 +123,18 @@ def main(argv=None) -> int:
         sys.stdout.write("\n")
         return 0
 
-    shadow = LedgerShadow()
+    shadow, writes = LedgerShadow(), WriteShadow()
     shadow.install()
+    writes.install()
     try:
         shadowed = drive(args.seed)
     except AssertionError as err:
-        print(f"shadow: FAIL after {shadow.calls} verifies: {err}")
+        print(f"shadow: FAIL after {shadow.calls} verifies and "
+              f"{writes.calls} batch writes: {err}")
         return 1
     finally:
         shadow.uninstall()
+        writes.uninstall()
     HBPlusTree.verify_mirror = oracle_verify
     try:
         whole_image = drive(args.seed)
@@ -135,7 +143,8 @@ def main(argv=None) -> int:
 
     faults = sum(len(schedule) for schedule, _stats in shadowed[0])
     print(f"shadow: {WORKLOAD} seed {args.seed}: {shadow.calls} verifies "
-          f"({shadow.results}), {faults} injected faults")
+          f"({shadow.results}), {writes.calls} batch writes "
+          f"({writes.ops} ops), {faults} injected faults")
     if shadowed != whole_image:
         for sid, (a, b) in enumerate(zip(shadowed[0], whole_image[0])):
             if a != b:
@@ -152,8 +161,9 @@ def main(argv=None) -> int:
                 print(f"shadow: FAIL {diff}")
             return 1
         print(f"shadow: record equals {os.path.relpath(GOLDEN, ROOT)}")
-    print("shadow: PASS: every verify equalled the whole-image compare; "
-          "schedules, resilience stats and counters are identical")
+    print("shadow: PASS: every verify equalled the whole-image compare, "
+          "every batch write the per-op loop; schedules, resilience stats "
+          "and counters are identical")
     return 0
 
 

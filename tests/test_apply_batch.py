@@ -2,10 +2,10 @@
 
 ``RegularCpuBPlusTree.apply_batch`` applies one op stream (upserts and
 deletes, in array order) and must leave the state the per-op
-``insert``/``delete`` loop leaves: the same stored map on every tree
-kind, bit-identical pool arrays on the compact layout, the same set of
-nodes whose version stamp moved, and a mirror that the dirty-set sync
-brings back to a fresh pack.  The scalar loop below is the oracle.
+``insert``/``delete`` loop of ``tests/write_oracles.py`` leaves: the
+same stored map on every tree kind, bit-identical pool arrays on the
+compact layout, the same set of nodes whose version stamp moved, and a
+mirror that the dirty-set sync brings back to a fresh pack.
 """
 
 import numpy as np
@@ -19,18 +19,16 @@ from repro.core.update import AsyncBatchUpdater
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.platform.configs import machine_m1
 from repro.workloads.generators import generate_dataset
+from tests.write_oracles import POOLS, apply_ops
+from tests.write_oracles import moved as _moved
+from tests.write_oracles import versions as _versions
 
 KEY_LIMIT = 1 << 40
 
 
 def scalar_apply(tree, keys, values, is_delete):
     """The oracle: one ``insert``/``delete`` per op, in op order."""
-    for k, v, d in zip(np.asarray(keys).tolist(), np.asarray(values).tolist(),
-                       np.asarray(is_delete).tolist()):
-        if d:
-            tree.delete(k)
-        else:
-            tree.insert(k, v)
+    apply_ops(tree, keys, values, is_delete)
 
 
 def _dataset(n, seed=0):
@@ -107,17 +105,20 @@ class TestContract:
         leaf = int(cpu.leaf_chain()[3])
         ks = cpu.leaves.keys[leaf, :3].copy()
         last_version = int(cpu.last.version[leaf])
-        assert cpu.apply_batch(ks, ks + np.uint64(1)) == 0
+        assert cpu.apply_batch(ks, ks + np.uint64(1)).all()
         assert int(cpu.last.version[leaf]) == last_version
         np.testing.assert_array_equal(cpu.lookup_batch(ks),
                                       ks + np.uint64(1))
 
-    def test_lone_ops_run_scalar(self, tree):
+    def test_returns_each_ops_prior_presence(self, tree):
         cpu = tree.cpu_tree
         chain = cpu.leaf_chain()
         ks = np.asarray([cpu.leaves.keys[chain[i], 0] for i in (1, 5, 9)],
                         dtype=np.uint64)
-        assert cpu.apply_batch(ks, ks, is_delete=[False, True, False]) == 3
+        ks = np.r_[ks, ks[1], ks[1] + np.uint64(1)]
+        before = cpu.apply_batch(ks, ks, is_delete=[False, True, False,
+                                                    True, False])
+        assert before.tolist() == [True, True, True, False, False]
         assert cpu.lookup(int(ks[1]), instrument=False) is None
 
     def test_delete_then_upsert_of_one_key(self, tree):
@@ -140,9 +141,21 @@ class TestContract:
 
     def test_empty_stream_and_sentinel_key(self, tree):
         cpu = tree.cpu_tree
-        assert cpu.apply_batch([], []) == 0
+        assert len(cpu.apply_batch([], [])) == 0
         with pytest.raises(ValueError):
             cpu.apply_batch([cpu.spec.max_value], [1])
+
+    def test_deleting_the_sentinel_key_is_a_no_op(self, tree):
+        # the sentinel pads every leaf, so a probe of the leaf line
+        # used to find it "stored" and the delete lowered the count
+        cpu = tree.cpu_tree
+        k = int(cpu.stored_keys()[-5])  # in the sentinel's leaf
+        n = len(cpu)
+        before = cpu.apply_batch([cpu.spec.max_value, k], [0, 0],
+                                 is_delete=[True, True])
+        assert before.tolist() == [False, True]
+        assert len(cpu) == n - 1
+        cpu.check_invariants()
 
     def test_routing_keys_rise_for_a_fresh_key_a_later_op_deletes(self):
         # a one-leaf group: upsert a key past the leaf's routing key,
@@ -155,7 +168,7 @@ class TestContract:
         k = int(batch.upper.keys[parent, batch.upper.size[parent] - 1]) + 1
         assert batch.descend_batch(np.asarray([k], np.uint64))[0][0] == leaf
         ops = ([k, k], [3, 0], [False, True])
-        assert batch.apply_batch(*ops) == 0
+        assert batch.apply_batch(*ops).tolist() == [False, True]
         scalar_apply(ref, *ops)
         _assert_pools_equal(batch, ref)
 
@@ -176,7 +189,8 @@ class TestContract:
         # b's delete and upsert fall in different halves of its split
         ks = np.r_[gone, [x, b_keys[200], b_fresh]].astype(np.uint64)
         dels = np.r_[np.ones(len(gone), bool), [False, True, False]]
-        assert batch.apply_batch(ks, ks, is_delete=dels) == len(ks)
+        before = batch.apply_batch(ks, ks, is_delete=dels)
+        assert before.tolist() == [True] * len(gone) + [False, True, False]
         scalar_apply(ref, ks, ks, dels)
         _assert_pools_equal(batch, ref)
         batch.check_invariants()
@@ -248,13 +262,6 @@ def _ops(cpu, spec):
     return keys, values, np.asarray(is_del, dtype=bool)
 
 
-POOLS = {
-    "upper": ("keys", "index_line", "refs", "size", "parent", "next", "prev"),
-    "last": ("keys", "index_line", "refs", "size", "parent", "next", "prev"),
-    "leaves": ("keys", "values", "size", "next", "prev"),
-}
-
-
 def _assert_pools_equal(a, b):
     assert (a.root, a.height, a._first_leaf, a.num_tuples) == (
         b.root, b.height, b._first_leaf, b.num_tuples)
@@ -264,22 +271,6 @@ def _assert_pools_equal(a, b):
         for f in fields:
             np.testing.assert_array_equal(getattr(pa, f), getattr(pb, f),
                                           err_msg=f"{name}.{f}")
-
-
-def _versions(cpu):
-    return {name: getattr(cpu, name).version[: getattr(cpu, name).count].copy()
-            for name in POOLS}
-
-
-def _moved(cpu, before):
-    """Per pool, the nodes whose version stamp moved since ``before``."""
-    out = {}
-    for name, old in before.items():
-        pool = getattr(cpu, name)
-        cur = pool.version[: pool.count]
-        old = np.r_[old, np.zeros(len(cur) - len(old), dtype=old.dtype)]
-        out[name] = np.flatnonzero(cur != old).tolist()
-    return out
 
 
 @given(kind=st.sampled_from(sorted(KINDS)), n=st.sampled_from(SIZES),

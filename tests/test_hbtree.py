@@ -136,7 +136,7 @@ class TestRegularHybrid:
         # mutate one leaf's keys via an insert that fits in place
         new_key = int(keys.max()) + 1
         hbr.cpu_tree.insert(new_key, 42)
-        node, _line, _path = hbr.cpu_tree._descend(new_key, instrument=False)
+        node, _line = hbr.cpu_tree._descend(new_key, instrument=False)
         sync_node(hbr, node)
         assert hbr.lookup(new_key) == 42
 

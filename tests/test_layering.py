@@ -1,7 +1,7 @@
 """The library below ``repro.bench`` never imports from it, its
-product classes carry no reference twins, every shard reads and
-writes through its one engine, and only the hybrid trees write their
-device mirrors.
+product classes carry no reference twins, the CPU trees write only
+through their batch write, every shard reads and writes through its one
+engine, and only the hybrid trees write their device mirrors.
 
 ``repro.bench`` holds the figures, gates and their drivers; it builds
 on the rest of the package, never the other way round.  Every import
@@ -15,12 +15,14 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 import repro.io
 from repro.core.batching import BatchingEngine
 from repro.core.resilience import ResilientHBPlusTree
 from repro.core.update import SyncUpdater
+from repro.cpu import GappedCpuBPlusTree, RegularCpuBPlusTree
 from repro.faults import FaultPlan
 from repro.platform.configs import machine_m1
 from repro.service import ServiceConfig
@@ -80,20 +82,23 @@ REFERENCE_ONLY = {"sync_node", "_pack_node", "_slot_is_live",
                   "_apply_per_node"}
 
 
+def class_methods(path: Path):
+    """``(class, method)`` of every method a file's classes define."""
+    return [
+        (node.name, item.name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
 def reference_methods(path: Path):
     """``(class, method)`` of every reference-only method a file's
     classes define."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        found += [
-            (node.name, item.name) for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and (item.name.endswith(("_scalar", "_literal"))
-                 or item.name in REFERENCE_ONLY)
-        ]
-    return found
+    return [(cls, name) for cls, name in class_methods(path)
+            if name.endswith(("_scalar", "_literal"))
+            or name in REFERENCE_ONLY]
 
 
 def test_product_classes_define_no_reference_twins():
@@ -118,6 +123,52 @@ def test_the_twin_scan_sees_methods_not_functions(tmp_path):
     assert reference_methods(probe) == [
         ("T", "range_query_scalar"), ("T", "sync_node"),
     ]
+
+
+# --- the CPU trees' one write -------------------------------------------
+
+#: the per-op structural writes ``apply_batch`` replaced; they live on
+#: only as the oracle in ``tests/write_oracles.py``
+SCALAR_STRUCTURAL = {"_split_leaf", "_insert_into_parent", "_split_upper",
+                     "_remove_empty_leaf", "_remove_child", "_collapse_root",
+                     "_bubble_up_max"}
+
+
+def scalar_structural_methods(path: Path):
+    """``(class, method)`` of every per-op structural write a file's
+    classes define."""
+    return [(cls, name) for cls, name in class_methods(path)
+            if name in SCALAR_STRUCTURAL]
+
+
+def test_cpu_trees_define_no_scalar_structural_write():
+    offenders = {
+        str(path.relative_to(SRC)): hits
+        for path in sorted((SRC / "cpu").rglob("*.py"))
+        if (hits := scalar_structural_methods(path))
+    }
+    assert offenders == {}
+
+
+def test_the_structural_scan_sees_planted_methods(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def _split_leaf(tree):\n    pass\n"
+        "class T:\n"
+        "    def _split_upper(self):\n        pass\n"
+        "    def _split_row(self):\n        pass\n"
+        "    def _collapse_root(self):\n        pass\n"
+    )
+    assert scalar_structural_methods(probe) == [
+        ("T", "_split_upper"), ("T", "_collapse_root"),
+    ]
+
+
+@pytest.mark.parametrize("cls", [RegularCpuBPlusTree, GappedCpuBPlusTree])
+@pytest.mark.parametrize("method", ["insert", "delete"])
+def test_one_key_writes_make_one_batch_write(cls, method):
+    source = inspect.getsource(getattr(cls, method))
+    assert write_calls(source) == ["self.apply_batch"]
 
 
 def test_engine_and_updater_take_no_baseline_options():
