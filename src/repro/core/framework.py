@@ -7,18 +7,18 @@ structure and search/update function as input, the framework would
 determine the parameters for an approach that best utilizes the
 resources of both CPU and GPU."
 
-:class:`HybridFramework` implements that framework over the hybrid-tree
-protocol: ``spec``, ``height``, ``machine``, ``cpu_tree``,
-``level_profiles``, ``cost_profile``, ``modeled_transactions``,
-``lookup_batch``, ``cpu_finish_bucket`` and — for the load-balanced
-split, flagged by ``supports_split_descent`` — ``cpu_descend_top`` /
-``gpu_descend_from``.
-Both HB+-trees speak it natively; :class:`CssTreeAdapter` teaches it to
-the CSS-tree.  The framework measures the given structure on the given
-machine through a :class:`~repro.core.load_balance.SplitCostModel` and
-derives an execution :class:`HybridPlan`: pure-CPU, plain hybrid, or a
-load-balanced split (D, R) with a bucket size, whichever the cost model
-predicts fastest.  ``execute`` then runs queries according to the plan.
+:class:`HybridFramework` implements that framework over any
+:class:`~repro.core.hybrid.HybridTree`.  Both HB+-trees are ones;
+:class:`CssTreeAdapter` makes the CSS-tree one by deriving the implicit
+layout's mirror and descent
+(:class:`~repro.core.hbtree_implicit.ImplicitLayoutTree`) and adding
+only its leaf stage.  The framework measures the given structure on
+the given machine through a
+:class:`~repro.core.load_balance.SplitCostModel` and derives an
+execution :class:`HybridPlan`: pure-CPU, plain hybrid, or — when the
+tree ``supports_split_descent`` — a load-balanced split (D, R) with a
+bucket size, whichever the cost model predicts fastest.  ``execute``
+then runs queries according to the plan.
 """
 
 from __future__ import annotations
@@ -28,20 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.hybrid import (
-    HybridTree,
-    pack_levels,
-    profile_implicit_levels,
-)
+from repro.core.hbtree_implicit import ImplicitLayoutTree
+from repro.core.hybrid import HybridTree, profile_implicit_levels
 from repro.core.load_balance import SplitCostModel, split_lookup
 from repro.core.pipeline import BucketStrategy, strategy_throughput_qps
-from repro.cpu.btree_implicit import descend_top
 from repro.cpu.css_tree import CssTree
-from repro.gpusim.device import GpuDevice
+from repro.cpu.node_search import probe_leaf_slots
 from repro.gpusim.kernels.frontier_search import PER_QUERY
-from repro.gpusim.kernels.implicit_search import implicit_descend
-from repro.gpusim.transfer import PcieLink
-from repro.keys import KeySpec
 from repro.platform.configs import MachineConfig
 from repro.platform.costmodel import (
     BucketCosts,
@@ -77,12 +70,12 @@ class HybridPlan:
 
 
 class HybridFramework:
-    """Plans and executes hybrid search for any leaf-stored tree that
-    speaks the hybrid-tree protocol."""
+    """Plans and executes hybrid search for any leaf-stored
+    :class:`~repro.core.hybrid.HybridTree`."""
 
     def __init__(
         self,
-        tree,
+        tree: HybridTree,
         machine: MachineConfig,
         sample: Optional[np.ndarray] = None,
         cpu_model: Optional[CpuCostModel] = None,
@@ -192,92 +185,36 @@ class HybridFramework:
 # the CSS-tree adapter
 
 
-class CssTreeAdapter:
-    """The hybrid-tree protocol over a :class:`CssTree` — the directory
-    mirrors to the GPU, the sorted data array stays in host memory."""
+class CssTreeAdapter(ImplicitLayoutTree):
+    """A :class:`CssTree` as an implicit-layout hybrid tree: its
+    directory mirrors to the GPU like the implicit HB+-tree's inner
+    levels, and its sorted data array, in host memory, is the leaf
+    stage.  Only that leaf stage and its instrumented walk are its
+    own."""
 
     name = "css-tree"
-    #: the directory is implicit, so a GPU descent resumes anywhere
-    supports_split_descent = True
 
     def __init__(self, tree: CssTree, machine: MachineConfig):
+        super().__init__(machine, tree.spec.bits, tree.mem)
         self.cpu_tree = tree
-        self.mem = tree.mem
-        self.machine = machine
-        self.device = GpuDevice(machine.gpu)
-        self.link = PcieLink(machine.pcie)
-        self._mirror()
-
-    def _mirror(self) -> None:
-        t = self.cpu_tree
-        image, self.level_offsets, self.level_sizes = pack_levels(
-            t.directory, t.fanout, t.spec
-        )
-        self.link.to_device(self.device.memory, "css_dir", image)
-        self.dir_buffer = self.device.memory.get("css_dir")
-
-    @property
-    def spec(self) -> KeySpec:
-        return self.cpu_tree.spec
-
-    @property
-    def height(self) -> int:
-        return self.cpu_tree.height
-
-    def cpu_descend_top(self, queries, levels):
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        return descend_top(self.cpu_tree, q, levels)
+        self.mirror_i_segment()
 
     def coalescing_window(self, kernel, n_queries) -> int:
         """One warp's teams, the per-query schedule, whatever ``kernel``
         names: the framework prices only that one."""
-        return max(
-            1, self.machine.gpu.warp_size // self.spec.gpu_threads_per_query
-        )
-
-    def gpu_descend_from(self, queries, start_levels, start_nodes,
-                         kernel=None):
-        """Directory descent resumed from per-query (level, node),
-        charged over :meth:`coalescing_window`."""
-        t = self.cpu_tree
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        run, txns = implicit_descend(
-            self.dir_buffer.array, self.level_offsets, self.level_sizes,
-            t.height, t.fanout, q, start_levels, start_nodes,
-            self.coalescing_window(kernel, len(q)),
-        )
-        return np.minimum(run, t.num_runs - 1), txns
+        return self.teams_per_warp
 
     def cpu_finish_bucket(self, queries, codes):
+        """Search each query's run of the sorted data array."""
         t = self.cpu_tree
         q = np.asarray(queries, dtype=self.spec.dtype)
-        run = np.minimum(np.asarray(codes, dtype=np.int64), t.num_runs - 1)
-        lo = run * t.fanout
-        idx = lo[:, None] + np.arange(t.fanout)
-        idx = np.minimum(idx, t.num_tuples - 1)
-        rows = t.sorted_keys[idx]
-        pos = np.sum(rows < q[:, None], axis=1)
-        pos_c = np.minimum(pos, t.fanout - 1)
-        flat = np.minimum(lo + pos_c, t.num_tuples - 1)
-        found = t.sorted_keys[flat] == q
-        out = np.full(len(q), self.spec.max_value, dtype=self.spec.dtype)
-        out[found] = t.sorted_values[flat[found]]
-        return out
-
-    def lookup_batch(self, queries) -> np.ndarray:
-        """Plain hybrid search: the GPU walks every directory level."""
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        zeros = np.zeros(len(q), dtype=np.int64)
-        codes, _txns = self.gpu_descend_from(q, zeros, zeros)
-        return self.cpu_finish_bucket(q, codes)
-
-    # the hybrid trees' sampling and pricing, over this layout's keys
-    # and walk
-    key_sample = HybridTree.key_sample
-    level_profiles = HybridTree.level_profiles
-    cost_profile = HybridTree.cost_profile
-    _walk_sample = HybridTree._walk_sample
-    stored_keys = HybridTree.stored_keys
+        lo = self._leaves_of(np.asarray(codes, dtype=np.int64)) * t.fanout
+        idx = np.minimum(lo[:, None] + np.arange(t.fanout), t.num_tuples - 1)
+        pos = np.sum(t.sorted_keys[idx] < q[:, None], axis=1)
+        flat = np.minimum(lo + np.minimum(pos, t.fanout - 1),
+                          t.num_tuples - 1)
+        return probe_leaf_slots(t.sorted_keys, t.sorted_values, flat, q,
+                                self.spec.max_value)
 
     def _profile_walk(self, queries):
         """The CSS layout's instrumented walk: the directory levels
@@ -312,8 +249,3 @@ class CssTreeAdapter:
         )
         return profiles, leaf, streams
 
-    def modeled_transactions(self, queries, kernel=None) -> int:
-        """Device transactions of a full directory descent (pure)."""
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        zeros = np.zeros(len(q), dtype=np.int64)
-        return self.gpu_descend_from(q, zeros, zeros, kernel)[1]

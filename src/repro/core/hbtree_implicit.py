@@ -15,6 +15,10 @@ A point-lookup bucket flows:
 
 Updates rebuild the whole tree and re-upload the I-segment
 (section 5.6; Fig 15 measures the phases).
+
+The mirror and the GPU descent read only the implicit level layout, so
+they live in :class:`ImplicitLayoutTree`, which the CSS-tree adapter
+(:class:`repro.core.framework.CssTreeAdapter`) derives as well.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.core.hybrid import (
     implicit_walk,
     pack_levels,
 )
-from repro.cpu.btree_implicit import ImplicitCpuBPlusTree, descend_top
+from repro.cpu.btree_implicit import ImplicitCpuBPlusTree
 from repro.cpu.node_search import NodeSearchAlgorithm
 from repro.gpusim.kernels.implicit_search import implicit_descend
 from repro.memsim.mainmem import MemorySystem, PageConfig
@@ -65,35 +69,20 @@ REBUILD_PASSES = 10.0
 MERGE_PASSES = 4.0
 
 
-class ImplicitHBPlusTree(HybridTree):
-    """Hybrid implicit B+-tree over a machine's CPU + GPU."""
+class ImplicitLayoutTree(HybridTree):
+    """The hybrid flow over an implicit CPU layout
+    (:class:`~repro.cpu.implicit_levels.ImplicitLevels`).
 
-    name = "implicit-hb+tree"
-    COST_SAMPLE_SEED = 3
+    The layout's levels mirror to the GPU as one flat breadth-first
+    image (:func:`pack_levels`), and a GPU descent can resume at any
+    (level, node) the CPU walked to.  A subclass sets ``cpu_tree``,
+    calls :meth:`mirror_i_segment`, and supplies its leaf stage
+    (``cpu_finish_bucket``) and instrumented walk (``_profile_walk``).
+    """
 
-    def __init__(
-        self,
-        keys: Sequence[int],
-        values: Sequence[int],
-        machine: MachineConfig,
-        key_bits: int = 64,
-        mem: Optional[MemorySystem] = None,
-        page_config: PageConfig = PageConfig.HUGE_SMALL,
-        algorithm: NodeSearchAlgorithm = NodeSearchAlgorithm.HIERARCHICAL_SIMD,
-    ):
-        super().__init__(machine, key_bits, mem)
-        self.cpu_tree = ImplicitCpuBPlusTree(
-            keys,
-            values,
-            key_bits=key_bits,
-            fanout=self.spec.implicit_hybrid_fanout,
-            mem=self.mem,
-            page_config=page_config,
-            algorithm=algorithm,
-            segment_prefix="hb_implicit",
-        )
-        self.last_rebuild: Optional[RebuildTimes] = None
-        self.mirror_i_segment()
+    #: the implicit layout supports resuming a GPU descent mid-tree,
+    #: which is what the adaptive (D, R) split engines require
+    supports_split_descent = True
 
     # ------------------------------------------------------------------
     # GPU mirror
@@ -101,7 +90,7 @@ class ImplicitHBPlusTree(HybridTree):
     def pack_i_segment(self) -> np.ndarray:
         """The flat breadth-first I-segment image (:func:`pack_levels`)."""
         tree = self.cpu_tree
-        return pack_levels(tree.inner_levels, tree.fanout, self.spec)[0]
+        return pack_levels(tree.levels, tree.fanout, self.spec)[0]
 
     def mirror_layout(self) -> Dict[str, int]:
         return {"gpu_depth": int(self.gpu_depth)}
@@ -113,24 +102,20 @@ class ImplicitHBPlusTree(HybridTree):
         """
         tree = self.cpu_tree
         image, self.level_offsets, self.level_sizes = pack_levels(
-            tree.inner_levels, tree.fanout, self.spec
+            tree.levels, tree.fanout, self.spec
         )
-        self.gpu_depth = len(tree.inner_levels)
+        self.gpu_depth = tree.height
         t = self.link.to_device(self.device.memory, "iseg", image)
         self.iseg_buffer = self.device.memory.get("iseg")
         return t
-
-    @property
-    def l_segment_bytes(self) -> int:
-        return self.cpu_tree.l_segment_bytes
 
     @property
     def gpu_levels(self) -> int:
         return self.gpu_depth
 
     def _leaves_of(self, codes: np.ndarray) -> np.ndarray:
-        # codes are leaf indices; clamp like :meth:`cpu_finish_bucket`
-        return np.minimum(codes, self.cpu_tree.num_leaves - 1)
+        # a code is a position below the last level: clamp it to one
+        return np.minimum(codes, self.cpu_tree.bottom_size - 1)
 
     # ------------------------------------------------------------------
     # search
@@ -139,12 +124,12 @@ class ImplicitHBPlusTree(HybridTree):
         self, queries: np.ndarray, kernel: Optional[str] = None
     ) -> "tuple[np.ndarray, int]":
         """Pure stage-2 descent: ``(codes, transactions)``, where a
-        code is a leaf index.
+        code is a position below the last level (a leaf or a run).
 
         No launch counting, no counter mutation — thread-safe over the
         read-only mirror.  The full descent is the (D=0, R=0) corner of
         :meth:`gpu_descend_from`: every query starts at the root.
-        ``gpu_depth == 0`` yields all-zero leaf indices, matching
+        ``gpu_depth == 0`` yields all-zero codes, matching
         :meth:`gpu_search_bucket`.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
@@ -153,21 +138,17 @@ class ImplicitHBPlusTree(HybridTree):
 
     # -- load-balanced (D, R) split execution --------------------------
 
-    #: the implicit layout supports resuming a GPU descent mid-tree,
-    #: which is what the adaptive (D, R) split engines require
-    supports_split_descent = True
-
     def cpu_descend_top(
         self, queries: np.ndarray, levels: np.ndarray
     ) -> np.ndarray:
         """Walk per-query ``levels`` top inner levels on the CPU.
 
         Pure (no counters, thread-safe); returns the node positions the
-        GPU resumes from, each query stepping exactly as a full
-        :meth:`ImplicitCpuBPlusTree.lookup_batch` descent would.
+        GPU resumes from, each query stepping exactly as a full CPU
+        descent would (:meth:`ImplicitLevels.descend_top`).
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
-        return descend_top(self.cpu_tree, q, levels)
+        return self.cpu_tree.descend_top(q, levels)
 
     def gpu_descend_from(
         self,
@@ -181,7 +162,7 @@ class ImplicitHBPlusTree(HybridTree):
         No launch counting, no counter mutation.  Levels below a
         query's start level are the CPU's and charge nothing.
         ``kernel`` picks the per-query Snippet-3 schedule or the
-        level-wise frontier schedule — identical leaf indices, only the
+        level-wise frontier schedule — identical codes, only the
         coalescing window (:meth:`coalescing_window`) moves.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
@@ -223,6 +204,44 @@ class ImplicitHBPlusTree(HybridTree):
         return self._charged(
             *self.gpu_descend_from(q, start, start_nodes, kernel=kern)
         )
+
+
+class ImplicitHBPlusTree(ImplicitLayoutTree):
+    """Hybrid implicit B+-tree over a machine's CPU + GPU."""
+
+    name = "implicit-hb+tree"
+    COST_SAMPLE_SEED = 3
+
+    def __init__(
+        self,
+        keys: Sequence[int],
+        values: Sequence[int],
+        machine: MachineConfig,
+        key_bits: int = 64,
+        mem: Optional[MemorySystem] = None,
+        page_config: PageConfig = PageConfig.HUGE_SMALL,
+        algorithm: NodeSearchAlgorithm = NodeSearchAlgorithm.HIERARCHICAL_SIMD,
+    ):
+        super().__init__(machine, key_bits, mem)
+        self.cpu_tree = ImplicitCpuBPlusTree(
+            keys,
+            values,
+            key_bits=key_bits,
+            fanout=self.spec.implicit_hybrid_fanout,
+            mem=self.mem,
+            page_config=page_config,
+            algorithm=algorithm,
+            segment_prefix="hb_implicit",
+        )
+        self.last_rebuild: Optional[RebuildTimes] = None
+        self.mirror_i_segment()
+
+    @property
+    def l_segment_bytes(self) -> int:
+        return self.cpu_tree.l_segment_bytes
+
+    # ------------------------------------------------------------------
+    # leaf stage
 
     def cpu_finish_bucket(
         self, queries: np.ndarray, codes: np.ndarray

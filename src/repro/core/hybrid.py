@@ -80,9 +80,9 @@ def profile_implicit_levels(tree, mem: MemorySystem, queries: np.ndarray
                                        np.ndarray]:
     """Instrumented walk of an implicit layout's inner levels.
 
-    ``tree`` is anything with ``height``, ``i_segment``,
-    ``_level_line_offset`` and ``descend_level`` (the implicit CPU tree
-    or a CSS-tree directory).  Each level touches one I-segment line per
+    ``tree`` is an :class:`~repro.cpu.implicit_levels.ImplicitLevels`
+    layout (the implicit CPU tree or a CSS-tree directory) with an
+    I-segment.  Each level touches one I-segment line per
     query, in one :meth:`MemorySystem.touch_lines` call, then steps
     every query down.  Returns ``(profiles, leaf_positions, streams)``:
     row ``level`` of ``streams`` holds each query's node on that level,

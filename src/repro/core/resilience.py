@@ -74,6 +74,14 @@ class GpuUnavailable(RuntimeError):
     breaker translates it into CPU-only degradation."""
 
 
+#: per retried operation: the faults a retry absorbs, and the one of
+#: them that is a timeout (charged its watchdog budget)
+RETRIED_FAULTS = {
+    "transfer": (FaultError, TransferTimeout),
+    "kernel": ((KernelLaunchFault, KernelHang), KernelHang),
+}
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs of the resilience layer (all times in ns)."""
@@ -360,22 +368,35 @@ class ResilientHBPlusTree:
                     total=self.stats.faults_handled)
         obs.emit("fault", total=self.stats.faults_handled)
 
-    def _transfer_with_retry(self, fn, *args, **kwargs):
-        """Run one transfer, retrying with backoff on injected faults."""
+    def _retry(self, kind: str, fn: Callable, *args):
+        """Run ``fn(*args)``, retrying with backoff on the faults a
+        ``kind`` of operation absorbs (``"transfer"`` or ``"kernel"``).
+
+        Each caught fault counts one ``{kind}_retries`` and, when it is
+        a timeout, charges the ``{kind}_timeout_ns`` watchdog budget;
+        after ``max_{kind}_retries`` attempts :class:`GpuUnavailable`
+        is raised.  A kernel fault aborts the engine's call before the
+        failed bucket is counted, and each retry replays the whole
+        call, so the counters stay a deterministic function of the
+        fault schedule.
+        """
+        caught, timeout = RETRIED_FAULTS[kind]
         cfg = self.config
-        for attempt in range(cfg.max_transfer_retries):
+        attempts = getattr(cfg, f"max_{kind}_retries")
+        counter = f"{kind}_retries"
+        for attempt in range(attempts):
             try:
-                return fn(*args, **kwargs)
-            except FaultError as err:
-                self.stats.transfer_retries += 1
+                return fn(*args)
+            except caught as err:
+                setattr(self.stats, counter, getattr(self.stats, counter) + 1)
                 self._handle_fault()
-                if isinstance(err, TransferTimeout):
-                    self.stats.timeout_ns += cfg.transfer_timeout_ns
-                    self._charge_penalty(cfg.transfer_timeout_ns)
-                if attempt + 1 >= cfg.max_transfer_retries:
+                if isinstance(err, timeout):
+                    budget = getattr(cfg, f"{kind}_timeout_ns")
+                    self.stats.timeout_ns += budget
+                    self._charge_penalty(budget)
+                if attempt + 1 >= attempts:
                     raise GpuUnavailable(
-                        f"transfer failed after {cfg.max_transfer_retries} "
-                        f"attempts: {err}"
+                        f"{kind} failed after {attempts} attempts: {err}"
                     ) from err
                 self._backoff(attempt)
 
@@ -384,7 +405,7 @@ class ResilientHBPlusTree:
 
     def _refresh_mirror(self) -> None:
         """Full I-segment re-upload with retries."""
-        t = self._transfer_with_retry(self.tree.mirror_i_segment)
+        t = self._retry("transfer", self.tree.mirror_i_segment)
         self.stats.repair_transfer_ns += t
         self._charge_penalty(t)
         self.stats.mirror_refreshes += 1
@@ -405,39 +426,13 @@ class ResilientHBPlusTree:
             self._refresh_mirror()
             return
         for row in rows.tolist():
-            t = self._transfer_with_retry(tree.push_mirror_rows, row,
-                                          row + 1)
+            t = self._retry("transfer", tree.push_mirror_rows, row, row + 1)
             self.stats.repair_transfer_ns += t
             self._charge_penalty(t)
             self.stats.repaired_nodes += 1
 
     # ------------------------------------------------------------------
     # serving
-
-    def _with_kernel_retry(self, serve: Callable, *args):
-        """One run of the engine's bucket loop or scan bucket,
-        relaunched on kernel faults.
-
-        A kernel fault aborts the call before the failed bucket is
-        counted, and each retry replays the whole call, so the counters
-        stay a deterministic function of the fault schedule.
-        """
-        cfg = self.config
-        for attempt in range(cfg.max_kernel_retries):
-            try:
-                return serve(*args)
-            except (KernelLaunchFault, KernelHang) as err:
-                self.stats.kernel_retries += 1
-                self._handle_fault()
-                if isinstance(err, KernelHang):
-                    self.stats.timeout_ns += cfg.kernel_timeout_ns
-                    self._charge_penalty(cfg.kernel_timeout_ns)
-                if attempt + 1 >= cfg.max_kernel_retries:
-                    raise GpuUnavailable(
-                        f"kernel failed after {cfg.max_kernel_retries} "
-                        f"attempts: {err}"
-                    ) from err
-                self._backoff(attempt)
 
     def _cpu_scans(self, los: np.ndarray, his: np.ndarray) -> list:
         tree = self.tree.cpu_tree
@@ -477,17 +472,14 @@ class ResilientHBPlusTree:
         with self.obs.span(span, mode="hybrid", **span_args):
             try:
                 self._ensure_healthy_mirror()
-                out = self._with_kernel_retry(hybrid, *args)
+                out = self._retry("kernel", hybrid, *args)
                 self.stats.served_hybrid += n
                 hybrid_ns = self.hybrid_bucket_ns * n / self.bucket_size
                 self.stats.served_ns += hybrid_ns
                 self.breaker.record_success()
                 batch_ns = self.stats.penalty_ns - pen0 + hybrid_ns
             except GpuUnavailable:
-                self.stats.gpu_batch_failures += 1
-                if self.breaker.record_failure():
-                    self.stats.degradations += 1
-                    self._note_degrade("consecutive_failures")
+                self._record_gpu_failure()
                 out = self._serve_cpu_only(n, cpu_only, *args)
                 # a failed hybrid attempt costs its penalties *plus* the
                 # CPU-only fallback — that is its effective hybrid cost
@@ -515,10 +507,23 @@ class ResilientHBPlusTree:
             and self._hybrid_cost_ema
             > self.config.degrade_margin * self.cpu_only_query_ns
         ):
-            self.breaker.trip()
+            self._trip("economic")
+
+    def _record_gpu_failure(self) -> None:
+        """Count one batch-level GPU failure; the breaker opens on the
+        ``breaker_threshold``-th in a row."""
+        self.stats.gpu_batch_failures += 1
+        if self.breaker.record_failure():
             self.stats.degradations += 1
-            self.stats.economic_degradations += 1
-            self._note_degrade("economic")
+            self._note_degrade("consecutive_failures")
+
+    def _trip(self, reason: str) -> None:
+        """Open the breaker on a cost verdict: CPU-only service is
+        cheaper than the hybrid one (``"economic"``, ``"adaptive"``)."""
+        self.breaker.trip()
+        self.stats.degradations += 1
+        self.stats.economic_degradations += 1
+        self._note_degrade(reason)
 
     def _note_degrade(self, reason: str) -> None:
         """Announce one breaker opening through every obs surface."""
@@ -535,14 +540,9 @@ class ResilientHBPlusTree:
         """Open the breaker when the mode controller has concluded the
         GPU is not worth using for the live traffic (the mode-space
         twin of economic degradation)."""
-        if self.adaptive is None or self.breaker.open:
-            return
-        if not self.adaptive.cpu_only:
-            return
-        self.breaker.trip()
-        self.stats.degradations += 1
-        self.stats.economic_degradations += 1
-        self._note_degrade("adaptive")
+        if (self.adaptive is not None and not self.breaker.open
+                and self.adaptive.cpu_only):
+            self._trip("adaptive")
 
     def _probe_recovery(self) -> bool:
         """Try to bring the GPU back: re-mirror, then a trial search
@@ -559,7 +559,8 @@ class ResilientHBPlusTree:
         try:
             self._refresh_mirror()
             q = np.asarray(self._probe_queries, dtype=self.tree.spec.dtype)
-            gpu_ans = self._with_kernel_retry(self.engine.lookup_buckets, q)
+            gpu_ans = self._retry("kernel", self.engine.lookup_buckets,
+                                 q)
             ok = bool(np.array_equal(gpu_ans,
                                      self.tree.cpu_tree.lookup_batch(q)))
         except GpuUnavailable:
@@ -640,10 +641,7 @@ class ResilientHBPlusTree:
             try:
                 self._refresh_mirror()
             except GpuUnavailable:
-                self.stats.gpu_batch_failures += 1
-                if self.breaker.record_failure():
-                    self.stats.degradations += 1
-                    self._note_degrade("consecutive_failures")
+                self._record_gpu_failure()
             return UpdateStats()
 
     # ------------------------------------------------------------------

@@ -25,11 +25,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.contents import SortedContents
+from repro.cpu.implicit_levels import ImplicitLevels
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
-    get_search_function,
-    implicit_step,
     leaf_hit,
     probe_leaf_slots,
     search_leaf_line,
@@ -39,7 +37,7 @@ from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
 
-class ImplicitCpuBPlusTree(SortedContents):
+class ImplicitCpuBPlusTree(ImplicitLevels):
     """A breadth-first-array B+-tree over sorted key/value pairs.
 
     Parameters
@@ -155,37 +153,18 @@ class ImplicitCpuBPlusTree(SortedContents):
         self.inner_levels.reverse()  # root first
         self._allocate_segments()
 
-    def _allocate_segments(self) -> None:
-        if self.mem is None:
-            return
-        line = self.spec.cache_line
-        prefix = self._segment_prefix
-        for name in (f"{prefix}.I", f"{prefix}.L"):
-            if name in self.mem.allocator:
-                self.mem.allocator.free(name)
-        inner_lines = max(1, sum(lvl.shape[0] for lvl in self.inner_levels))
-        self.i_segment = self.mem.allocate(
-            f"{prefix}.I", inner_lines * line, self.page_config.inner_kind
-        )
-        self.l_segment = self.mem.allocate(
-            f"{prefix}.L", self.leaf_keys.shape[0] * line, self.page_config.leaf_kind
-        )
-
     # ------------------------------------------------------------------
     # geometry
 
     @property
-    def height(self) -> int:
-        """H: number of inner levels above the leaves."""
-        return len(self.inner_levels)
+    def levels(self) -> List[np.ndarray]:
+        return self.inner_levels
 
     @property
     def num_leaves(self) -> int:
         return self.leaf_keys.shape[0]
 
-    @property
-    def num_inner_nodes(self) -> int:
-        return sum(lvl.shape[0] for lvl in self.inner_levels)
+    bottom_size = num_leaves
 
     @property
     def lines_per_query(self) -> int:
@@ -193,36 +172,11 @@ class ImplicitCpuBPlusTree(SortedContents):
         return self.height + 1
 
     @property
-    def i_segment_bytes(self) -> int:
-        return self.num_inner_nodes * self.spec.cache_line
-
-    @property
     def l_segment_bytes(self) -> int:
         return self.num_leaves * self.spec.cache_line
 
-    def _level_line_offset(self, level: int) -> int:
-        """Line offset of a level inside the I-segment (root first)."""
-        return sum(lvl.shape[0] for lvl in self.inner_levels[:level])
-
     # ------------------------------------------------------------------
     # search
-
-    def _descend(self, key: int, instrument: bool) -> int:
-        """Walk the inner levels; return the target leaf index."""
-        search = get_search_function(self.algorithm)
-        counters = self.mem.counters if (instrument and self.mem) else None
-        node = 0
-        for level, level_keys in enumerate(self.inner_levels):
-            if instrument and self.mem is not None and self.i_segment is not None:
-                self.mem.touch_line(self.i_segment, self._level_line_offset(level) + node)
-            k = search(level_keys[node], key, counters)
-            next_size = (
-                self.inner_levels[level + 1].shape[0]
-                if level + 1 < len(self.inner_levels)
-                else self.num_leaves
-            )
-            node = min(node * self.fanout + k, next_size - 1)
-        return node
 
     def lookup(self, key: int, instrument: bool = True) -> Optional[int]:
         """Point query; returns the value or None if the key is absent."""
@@ -238,19 +192,6 @@ class ImplicitCpuBPlusTree(SortedContents):
         if leaf_hit(row, pos, key, self.spec.max_value):
             return int(self.leaf_values[leaf, pos])
         return None
-
-    def descend_level(self, level: int, node: np.ndarray,
-                      queries: np.ndarray) -> np.ndarray:
-        """One vectorised descent step: each query's position on level
-        ``level + 1`` (the leaf index below the last inner level),
-        searched from its ``node`` on ``level``."""
-        next_size = (
-            self.inner_levels[level + 1].shape[0]
-            if level + 1 < self.height
-            else self.num_leaves
-        )
-        return implicit_step(self.inner_levels[level], node, queries,
-                             self.fanout, next_size)
 
     def lookup_batch(self, queries: Sequence[int]) -> np.ndarray:
         """Vectorised point lookups; absent keys yield the max value.
@@ -411,20 +352,3 @@ class ImplicitCpuBPlusTree(SortedContents):
             f"bits={self.spec.bits})"
         )
 
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key, instrument=False) is not None
-
-
-def descend_top(tree, queries: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Walk each query's top ``levels`` levels of an implicit ``tree``
-    (anything with ``height`` and ``descend_level``: this tree or a
-    CSS-tree directory); returns the positions a GPU descent resumes
-    from, each query stepping exactly as a full descent would."""
-    node = np.zeros(len(queries), dtype=np.int64)
-    for level in range(tree.height):
-        active = levels > level
-        if not np.any(active):
-            break
-        node[active] = tree.descend_level(level, node[active],
-                                          queries[active])
-    return node

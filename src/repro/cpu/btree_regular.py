@@ -1226,9 +1226,6 @@ class RegularCpuBPlusTree(SortedContents):
     def __len__(self) -> int:
         return self.num_tuples
 
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key, instrument=False) is not None
-
     def __repr__(self) -> str:
         return (
             f"RegularCpuBPlusTree(n={self.num_tuples}, "

@@ -4,6 +4,7 @@ A tree's stored pairs — the L-segment, the source of truth — are read
 as two arrays in key order, :meth:`SortedContents.stored_items`.
 Persistence, snapshots, shard splits and merges all read that; the
 Python-pair view :meth:`SortedContents.items` is derived from it.
+Membership is one uninstrumented ``lookup``.
 """
 
 from __future__ import annotations
@@ -29,3 +30,6 @@ class SortedContents:
         """:meth:`stored_items` as a list of ``(key, value)`` ints."""
         keys, values = self.stored_items()
         return list(zip(keys.tolist(), values.tolist()))
+
+    def __contains__(self, key: int) -> bool:
+        return self.lookup(key, instrument=False) is not None

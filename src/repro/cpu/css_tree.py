@@ -22,18 +22,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.contents import SortedContents
-from repro.cpu.node_search import (
-    NodeSearchAlgorithm,
-    get_search_function,
-    implicit_step,
-)
+from repro.cpu.implicit_levels import ImplicitLevels
+from repro.cpu.node_search import NodeSearchAlgorithm
 from repro.keys import KeySpec, key_spec, sorted_pairs
 from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
 
 
-class CssTree(SortedContents):
+class CssTree(ImplicitLevels):
     """A static CSS-tree over sorted key/value arrays."""
 
     def __init__(
@@ -106,78 +102,25 @@ class CssTree(SortedContents):
         self.num_runs = n_runs
         self._allocate_segments()
 
-    def _allocate_segments(self) -> None:
-        if self.mem is None:
-            return
-        prefix = self._segment_prefix
-        for name in (f"{prefix}.I", f"{prefix}.L"):
-            if name in self.mem.allocator:
-                self.mem.allocator.free(name)
-        line = self.spec.cache_line
-        self.i_segment = self.mem.allocate(
-            f"{prefix}.I",
-            max(1, self.num_directory_nodes) * line,
-            self.page_config.inner_kind,
-        )
-        # whole cache lines: a run's lines are touched as lines
-        data_lines = -(-self.num_tuples * 2 * self.spec.size_bytes // line)
-        self.l_segment = self.mem.allocate(
-            f"{prefix}.L", max(1, data_lines) * line,
-            self.page_config.leaf_kind
-        )
-
     # ------------------------------------------------------------------
 
     @property
-    def height(self) -> int:
-        return len(self.directory)
+    def levels(self) -> List[np.ndarray]:
+        return self.directory
 
     @property
-    def num_directory_nodes(self) -> int:
-        return sum(lvl.shape[0] for lvl in self.directory)
-
-    @property
-    def i_segment_bytes(self) -> int:
-        return max(1, self.num_directory_nodes) * self.spec.cache_line
+    def bottom_size(self) -> int:
+        return self.num_runs
 
     @property
     def directory_bytes(self) -> int:
-        return self.num_directory_nodes * self.spec.cache_line
+        return self.i_segment_bytes
 
-    def _level_line_offset(self, level: int) -> int:
-        return sum(lvl.shape[0] for lvl in self.directory[:level])
-
-    def descend_level(self, level: int, node: np.ndarray,
-                      queries: np.ndarray) -> np.ndarray:
-        """One vectorised directory step: each query's position on
-        level ``level + 1`` (the run index below the last level),
-        searched from its ``node`` on ``level``."""
-        next_size = (
-            self.directory[level + 1].shape[0]
-            if level + 1 < self.height
-            else self.num_runs
-        )
-        return implicit_step(self.directory[level], node, queries,
-                             self.fanout, next_size)
-
-    def _descend(self, key: int, instrument: bool) -> int:
-        """Directory walk; returns the run index."""
-        search = get_search_function(self.algorithm)
-        counters = self.mem.counters if (instrument and self.mem) else None
-        node = 0
-        for level, level_keys in enumerate(self.directory):
-            if instrument and self.mem is not None and self.i_segment is not None:
-                self.mem.touch_line(
-                    self.i_segment, self._level_line_offset(level) + node
-                )
-            k = search(level_keys[node], key, counters)
-            next_size = (
-                self.directory[level + 1].shape[0]
-                if level + 1 < len(self.directory)
-                else self.num_runs
-            )
-            node = min(node * self.fanout + k, next_size - 1)
-        return node
+    @property
+    def l_segment_bytes(self) -> int:
+        # whole cache lines: a run's lines are touched as lines
+        line = self.spec.cache_line
+        return max(1, -(-self.num_tuples * 2 * self.spec.size_bytes // line)) * line
 
     def lookup(self, key: int, instrument: bool = True) -> Optional[int]:
         """Point query: directory descent + one probe into the run."""
@@ -236,6 +179,3 @@ class CssTree(SortedContents):
             f"CssTree(n={self.num_tuples}, height={self.height}, "
             f"runs={self.num_runs}, bits={self.spec.bits})"
         )
-
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key, instrument=False) is not None

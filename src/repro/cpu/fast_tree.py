@@ -206,6 +206,3 @@ class FastTree(SortedContents):
             f"FastTree(n={self.num_tuples}, depth={self.depth}, "
             f"bits={self.spec.bits})"
         )
-
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key, instrument=False) is not None

@@ -192,17 +192,6 @@ def probe_leaf_slots(keys: np.ndarray, values: np.ndarray,
     return np.where(found, values[slots], missing)
 
 
-def implicit_step(level_keys: np.ndarray, node: np.ndarray,
-                  queries: np.ndarray, fanout: int,
-                  next_size: int) -> np.ndarray:
-    """One vectorised step down an implicit (pointer-free) level: each
-    query moves from row ``node`` of ``level_keys`` to child
-    ``count(keys < q)`` on the next level, position ``node * fanout +
-    k`` clamped to that level's ``next_size`` positions."""
-    k = np.sum(level_keys[node] < queries[:, None], axis=1).astype(np.int64)
-    return np.minimum(node * fanout + k, next_size - 1)
-
-
 def search_costs(algorithm: NodeSearchAlgorithm, n: int, below):
     """``(key_comparisons, simd_ops)`` that ``algorithm``'s search
     function records on one non-decreasing line of ``n`` keys of which

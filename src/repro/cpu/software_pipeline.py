@@ -76,11 +76,7 @@ class SoftwarePipeline:
         # in-flight queries advanced before the first one is revisited
         for level, level_keys in enumerate(tree.inner_levels):
             offset = tree._level_line_offset(level)
-            next_size = (
-                tree.inner_levels[level + 1].shape[0]
-                if level + 1 < len(tree.inner_levels)
-                else tree.num_leaves
-            )
+            next_size = tree._next_size(level)
             misses_this_step = 0
             for i in range(p):
                 if mem is not None and tree.i_segment is not None:

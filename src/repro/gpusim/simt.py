@@ -103,10 +103,6 @@ class ThreadCtx:
     shared: SharedMemory
 
     @property
-    def linear_tid(self) -> int:
-        return self.thread_idx[1] * self.block_dim[0] + self.thread_idx[0]
-
-    @property
     def global_query_index(self) -> int:
         """Convention used by the search kernels: one query per team
         (= one ``threadIdx.y`` slice of the block)."""

@@ -126,11 +126,6 @@ class GpuSpec:
         """Sustained bandwidth for the tree-search access pattern."""
         return self.mem_bandwidth_gbs * self.random_access_efficiency
 
-    @property
-    def transaction_ns(self) -> float:
-        """Time to service one 64-byte transaction at sustained rate."""
-        return CACHE_LINE / self.effective_bandwidth_gbs
-
 
 @dataclass(frozen=True)
 class PcieSpec:

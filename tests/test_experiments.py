@@ -273,6 +273,27 @@ class TestExtensions:
             assert row["mode"] in ("balanced", "cpu-only")
             assert row["predicted_mqps"] >= row["cpu_only_mqps"]
 
+    def test_framework_table_matches_golden(self):
+        # every planned knob and price, per machine and structure: the
+        # CSS-tree adapter runs the implicit layout's mirror and descent,
+        # so its row moves only if that shared code does
+        from repro.bench.figures import extensions
+        table = extensions.run_framework(n=1 << 14)
+        columns = ("machine", "structure", "mode", "depth_D", "ratio_R",
+                   "bucket", "predicted_mqps", "cpu_only_mqps")
+        golden = [
+            ("M1", "implicit-hb+tree", "hybrid", 0, 0.0, 16384, 294.9, 136.4),
+            ("M1", "regular-hb+tree", "hybrid", 0, 0.0, 16384, 264.9, 121.6),
+            ("M1", "css-tree", "hybrid", 0, 0.0, 8192, 178.6, 104.9),
+            ("M2", "implicit-hb+tree", "balanced", 1, 0.625, 65536, 104.1,
+             64.4),
+            ("M2", "regular-hb+tree", "cpu-only", 2, 1.0, 16384, 50.2, 50.2),
+            ("M2", "css-tree", "balanced", 0, 0.812, 16384, 79.4, 53.7),
+        ]
+        assert [tuple(row.items()) for row in table.rows] == [
+            tuple(zip(columns, values)) for values in golden
+        ]
+
     def test_modern_hw_preserves_the_win(self):
         from repro.bench.figures import extensions
         # default size: the modern machine's (scaled) LLC swallows tiny

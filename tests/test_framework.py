@@ -183,6 +183,21 @@ class TestAdapters:
         assert np.array_equal(adapter.cpu_finish_bucket(q, refs),
                               adapter.lookup_batch(q))
 
+    def test_css_lookup_counts_its_launch(self, data, m1):
+        # a hybrid lookup through the adapter screens and counts one
+        # kernel launch and books its transactions, as both HB+-trees do
+        keys, values, sample = data
+        adapter = make_adapter("css", keys, values, m1)
+        q = np.asarray(sample[:512], dtype=np.uint64)
+        txns = adapter.modeled_transactions(q)
+        counters = adapter.device.memory.counters
+        launches = adapter.device.kernel_launches
+        booked = counters.transactions_64
+        adapter.lookup_batch(q)
+        assert adapter.device.kernel_launches == launches + 1
+        assert counters.transactions_64 == booked + txns
+        assert txns > 0
+
     @pytest.mark.parametrize("kind", ADAPTERS)
     def test_level_profiles_shape(self, data, m1, kind):
         keys, values, sample = data
