@@ -33,7 +33,7 @@ from repro.core.hybrid import HybridTree, profile_implicit_levels
 from repro.core.load_balance import SplitCostModel, split_lookup
 from repro.core.pipeline import BucketStrategy, strategy_throughput_qps
 from repro.cpu.css_tree import CssTree
-from repro.cpu.node_search import probe_leaf_slots
+from repro.descent import probe
 from repro.gpusim.kernels.frontier_search import PER_QUERY
 from repro.platform.configs import MachineConfig
 from repro.platform.costmodel import (
@@ -196,6 +196,11 @@ class CssTreeAdapter(ImplicitLayoutTree):
 
     def __init__(self, tree: CssTree, machine: MachineConfig):
         super().__init__(machine, tree.spec.bits, tree.mem)
+        if tree.mem is None:
+            # a tree built without a memory system has no segments to
+            # price: build them in the adapter's
+            tree.mem = self.mem
+            tree._allocate_segments()
         self.cpu_tree = tree
         self.mirror_i_segment()
 
@@ -207,28 +212,18 @@ class CssTreeAdapter(ImplicitLayoutTree):
     def cpu_finish_bucket(self, queries, codes):
         """Search each query's run of the sorted data array."""
         t = self.cpu_tree
-        q = np.asarray(queries, dtype=self.spec.dtype)
-        lo = self._leaves_of(np.asarray(codes, dtype=np.int64)) * t.fanout
-        idx = np.minimum(lo[:, None] + np.arange(t.fanout), t.num_tuples - 1)
-        pos = np.sum(t.sorted_keys[idx] < q[:, None], axis=1)
-        flat = np.minimum(lo + np.minimum(pos, t.fanout - 1),
-                          t.num_tuples - 1)
-        return probe_leaf_slots(t.sorted_keys, t.sorted_values, flat, q,
-                                self.spec.max_value)
+        return probe(t.run_keys, t.run_values,
+                     self._leaves_of(np.asarray(codes, dtype=np.int64)),
+                     np.asarray(queries, dtype=self.spec.dtype),
+                     self.spec.max_value)
 
-    def _profile_walk(self, queries):
-        """The CSS layout's instrumented walk: the directory levels
-        (:func:`profile_implicit_levels`), then each query's run of the
-        sorted data array, every run's lines in one ``touch_lines``
-        call (``touch`` settles a run line by line, so the state is
-        the same)."""
+    def _touch_leaves(self, codes: np.ndarray) -> None:
+        """Touch each code's run of the sorted data array, every run's
+        lines in one ``touch_lines`` call (``touch`` settles a run line
+        by line, so the state is the same)."""
         tree, mem = self.cpu_tree, self.mem
-        n = max(1, len(queries))
-        profiles, node, streams = profile_implicit_levels(tree, mem, queries)
-        before = mem.counters.cache_misses
-        tlb_before = mem.counters.tlb_misses_small
         pair = 2 * tree.spec.size_bytes
-        lo = node * tree.fanout
+        lo = self._leaves_of(codes) * tree.fanout
         start = lo * pair
         end = start + np.maximum(
             pair, (np.minimum(lo + tree.fanout, tree.num_tuples) - lo) * pair
@@ -240,6 +235,18 @@ class CssTreeAdapter(ImplicitLayoutTree):
             np.repeat(first - count.cumsum() + count, count)
             + np.arange(count.sum()),
         )
+
+    def _profile_walk(self, queries):
+        """The CSS layout's instrumented walk: the directory levels
+        (:func:`profile_implicit_levels`), then each query's run of the
+        sorted data array (:meth:`_touch_leaves`)."""
+        mem = self.mem
+        n = max(1, len(queries))
+        profiles, node, streams = profile_implicit_levels(self.cpu_tree, mem,
+                                                          queries)
+        before = mem.counters.cache_misses
+        tlb_before = mem.counters.tlb_misses_small
+        self._touch_leaves(node)
         leaf = CpuQueryProfile(
             lines=2.0,
             misses=(mem.counters.cache_misses - before) / n,
@@ -248,4 +255,3 @@ class CssTreeAdapter(ImplicitLayoutTree):
             node_searches=1.0,
         )
         return profiles, leaf, streams
-

@@ -30,7 +30,8 @@ import numpy as np
 from repro.core.hybrid import HybridTree, regular_walk
 from repro.cpu.btree_regular import RegularCpuBPlusTree
 from repro.cpu.gapped import GappedCpuBPlusTree
-from repro.cpu.node_search import NodeSearchAlgorithm, probe_leaf_slots
+from repro.cpu.node_search import NodeSearchAlgorithm
+from repro.descent import probe
 from repro.faults import FaultError
 from repro.gpusim.kernels.regular_search import regular_search_vectorized
 from repro.gpusim.memory import grow_array
@@ -503,22 +504,11 @@ class HBPlusTree(HybridTree):
         q = np.asarray(queries, dtype=self.spec.dtype)
         if len(q) == 0:
             return np.zeros(0, dtype=self.spec.dtype)
-        tree = self.cpu_tree
-        p = self.spec.leaf_pairs_per_line
-        # one flat index per query: the first pair of its leaf line; a
-        # line is non-decreasing (gaps copy their right neighbour,
-        # padding is the maximum), so a branchless lower bound over its
-        # ``p`` keys lands on the pair a match must occupy
-        codes = np.asarray(codes, dtype=np.int64)
-        pos = (codes // tree.fanout) * tree.leaves.capacity_pairs
-        pos += (codes % tree.fanout) * p
-        keys = tree.leaves.keys.reshape(-1)
-        step = p >> 1
-        while step:
-            pos += (keys[pos + (step - 1)] < q) * step
-            step >>= 1
-        return probe_leaf_slots(keys, tree.leaves.values.reshape(-1), pos, q,
-                                self.spec.max_value)
+        # a code names its leaf line, which is non-decreasing (gaps
+        # copy their right neighbour, padding is the maximum)
+        return probe(*self.cpu_tree.leaf_lines(),
+                     np.asarray(codes, dtype=np.int64), q,
+                     self.spec.max_value)
 
     # ------------------------------------------------------------------
     # profiling / cost model

@@ -136,11 +136,10 @@ def regular_walk(tree, queries: np.ndarray) -> Walk:
     :class:`~repro.cpu.btree_regular.RegularCpuBPlusTree`: each level
     touches every query's index, key and ref line in one
     :meth:`MemorySystem.touch_lines` call, the leaf stage each query's
-    big-leaf line.  Its ``(3h - 1) x n`` streams (per level the node,
-    the (node, key line) and, above the last level, the (node, slot))
-    are those of ``regular_search_vectorized``: the clamped slot is the
-    child the mirrored node, its last used key pinned to the maximum,
-    picks.
+    big-leaf line.  The walk is the one ``regular_search_vectorized``
+    runs over the mirror, and fills the same ``(3h - 1) x n`` streams:
+    the size-clamped slot is the child the mirrored node, its last used
+    key pinned to the maximum, picks.
     """
     tree._ensure_segments()
     mem = tree.mem
@@ -148,22 +147,15 @@ def regular_walk(tree, queries: np.ndarray) -> Walk:
     kpl = tree.spec.keys_per_line
     streams = np.empty((3 * tree.height - 1, len(queries)), dtype=np.int64)
     levels: List[CpuQueryProfile] = []
-    for row, (level, node, _below, slot) in zip(
-        range(0, len(streams), 3), tree._walk(queries)
-    ):
-        group = slot // kpl
+    for level, node, _k, slot in tree._walk(queries, streams):
         misses = mem.touch_lines(
             tree.i_segment,
-            np.stack(tree._inner_lines(level, node, group), axis=1),
+            np.stack(tree._inner_lines(level, node, slot // kpl), axis=1),
         )
         levels.append(CpuQueryProfile(
             lines=3.0, misses=misses / n, tlb_small=0.0, tlb_huge=0.0,
             node_searches=2.0,
         ))
-        streams[row] = node
-        streams[row + 1] = node * kpl + group
-        if level:
-            streams[row + 2] = node * tree.fanout + slot
     leaf = CpuQueryProfile(
         lines=1.0, misses=tree._touch_leaf_lines(node, slot) / n,
         tlb_small=0.5, tlb_huge=0.0, node_searches=1.0,

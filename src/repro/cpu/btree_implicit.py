@@ -29,9 +29,9 @@ from repro.cpu.implicit_levels import ImplicitLevels
 from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     leaf_hit,
-    probe_leaf_slots,
     search_leaf_line,
 )
+from repro.descent import probe
 from repro.keys import KeySpec, key_spec, sorted_pairs
 from repro.memsim.allocator import Segment
 from repro.memsim.mainmem import MemorySystem, PageConfig
@@ -206,15 +206,10 @@ class ImplicitCpuBPlusTree(ImplicitLevels):
         return self.probe_leaves(node, q)
 
     def probe_leaves(self, leaf: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Answer each query from its leaf ``leaf`` (see
-        :func:`~repro.cpu.node_search.probe_leaf_slots`)."""
-        cap = self.leaf_keys.shape[1]
-        pos = np.sum(self.leaf_keys[leaf] < queries[:, None], axis=1)
-        return probe_leaf_slots(
-            self.leaf_keys.reshape(-1), self.leaf_values.reshape(-1),
-            leaf * cap + np.minimum(pos, cap - 1), queries,
-            self.spec.max_value,
-        )
+        """Answer each query from its leaf ``leaf``
+        (:func:`~repro.descent.probe`)."""
+        return probe(self.leaf_keys, self.leaf_values, leaf, queries,
+                     self.spec.max_value)
 
     def _scan_from_leaf(self, leaf: int, lo: int,
                         hi: int) -> List[Tuple[int, int]]:

@@ -30,7 +30,7 @@ resolves >99% of updates inside a big leaf).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,9 +39,15 @@ from repro.cpu.node_search import (
     NodeSearchAlgorithm,
     leaf_hit,
     leaf_line_costs,
-    probe_leaf_slots,
     search_costs,
     search_leaf_line,
+)
+from repro.descent import (
+    Level,
+    lower_bound,
+    probe,
+    regular_descend,
+    regular_levels,
 )
 from repro.keys import KeySpec, key_spec, sorted_pairs
 from repro.memsim.allocator import Segment
@@ -462,30 +468,23 @@ class RegularCpuBPlusTree(SortedContents):
             return int(self.leaves.values[node, line * p + pos])
         return None
 
-    def _walk(self, q: np.ndarray) -> Iterator[
-        Tuple[int, np.ndarray, np.ndarray, np.ndarray]
-    ]:
-        """Vectorised descent of ``q`` (in the key dtype), root first.
+    def _walk(self, q: np.ndarray, streams: Optional[np.ndarray] = None):
+        """Vectorised descent of ``q`` (in the key dtype), the batch
+        form of :meth:`_search_inner`: the regular layout's one walk,
+        :func:`~repro.descent.regular_levels`, over the two node pools.
+        Every batch descent of the tree is built on it."""
+        last, upper = (Level(pool.keys, 0, pool.refs, pool.size)
+                       for pool in (self.last, self.upper))
+        return regular_levels(last, upper, self.height, self.root,
+                              self.fanout, self.spec.keys_per_line, q,
+                              streams)
 
-        Yields ``(level, node, below, slot)`` per inner level: the node
-        each query searches there, its keys below the query and the
-        child slot taken — the batch form of :meth:`_search_inner`.  At
-        level 0 ``node`` is the last-level node and ``slot`` the big-leaf
-        line.  Every batch descent of the tree is built on this walk.
-        """
-        node = np.full(len(q), self.root, dtype=np.int64)
-        for level in range(self.height - 1, -1, -1):
-            pool = self._pool(level)
-            below = np.sum(pool.keys[node] < q[:, None], axis=1)
-            slot = np.minimum(below, np.maximum(pool.size[node] - 1, 0))
-            yield level, node, below, slot
-            if level:
-                node = pool.refs[node, slot]
-
-    def _leaf_rows(self, node: np.ndarray, line: np.ndarray) -> np.ndarray:
-        """The pairs' keys of big-leaf line ``line`` of each ``node``."""
+    def leaf_lines(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The leaf pool's keys and values, one row per leaf line: row
+        ``node * fanout + line``, a GPU code."""
         p = self.spec.leaf_pairs_per_line
-        return self.leaves.keys[node[:, None], line[:, None] * p + np.arange(p)]
+        return (self.leaves.keys.reshape(-1, p),
+                self.leaves.values.reshape(-1, p))
 
     def charge_lookups(self, queries: Sequence[int]) -> None:
         """Charge the instrumented point lookups of ``queries`` at once.
@@ -504,14 +503,16 @@ class RegularCpuBPlusTree(SortedContents):
         counters = self.mem.counters
         kpl = self.spec.keys_per_line
         cols = []
-        for level, node, below, slot in self._walk(q):
-            self._charge_inner(counters, below)
+        for level, node, k, slot in self._walk(q):
+            # the search costs need the exact count: a full node whose
+            # keys are all below the query counts ``fanout``
+            self._charge_inner(counters,
+                               k + (self._pool(level).keys[node, k] < q))
             cols += self._inner_lines(level, node, slot // kpl)
-        rows = self._leaf_rows(node, slot)
-        cmp, ops = leaf_line_costs(
-            self.algorithm, self.spec.leaf_pairs_per_line,
-            np.sum(rows < q[:, None], axis=1),
-        )
+        p = self.spec.leaf_pairs_per_line
+        cmp, ops = leaf_line_costs(self.algorithm, p, lower_bound(
+            self.leaf_lines()[0], 0, p, node * self.fanout + slot, q,
+            exact=True)[1])
         counters.key_comparisons += int(cmp.sum())
         counters.simd_ops += int(ops.sum())
         counters.queries += len(q)
@@ -528,13 +529,8 @@ class RegularCpuBPlusTree(SortedContents):
         """Vectorised point lookups; the sentinel marks not-found."""
         q = np.asarray(queries, dtype=self.spec.dtype)
         node, line = self.descend_batch(q)
-        p = self.spec.leaf_pairs_per_line
-        pos = np.sum(self._leaf_rows(node, line) < q[:, None], axis=1)
-        slots = node * self.leaves.capacity_pairs + line * p + np.minimum(pos, p - 1)
-        return probe_leaf_slots(
-            self.leaves.keys.reshape(-1), self.leaves.values.reshape(-1),
-            slots, q, self.spec.max_value,
-        )
+        return probe(*self.leaf_lines(), node * self.fanout + line, q,
+                     self.spec.max_value)
 
     def descend_batch(self, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised inner descent; returns ``(last_node, leaf_line)``.
@@ -543,9 +539,7 @@ class RegularCpuBPlusTree(SortedContents):
         :meth:`apply_batch` and the updaters to group ops by leaf.
         """
         q = np.asarray(queries, dtype=self.spec.dtype)
-        for _level, node, _below, line in self._walk(q):
-            pass
-        return node, line.astype(np.int64)
+        return regular_descend(self._walk(q))
 
     def leaf_chain(self) -> np.ndarray:
         """Big-leaf pool indexes in leaf-chain (key) order."""
@@ -747,10 +741,12 @@ class RegularCpuBPlusTree(SortedContents):
         """Whether each key of ``q`` is stored in its big leaf ``nodes``
         (the leaf line a lookup would probe; gaps duplicate real keys,
         and the sentinel that pads a leaf is never stored)."""
-        below = np.sum(self.last.keys[nodes] < q[:, None], axis=1)
-        line = np.minimum(below, np.maximum(self.last.size[nodes] - 1, 0))
-        hit = np.any(self._leaf_rows(nodes, line) == q[:, None], axis=1)
-        return hit & (q < self.spec.max_value)
+        _pos, k = lower_bound(self.last.keys, 0, self.fanout, nodes, q)
+        line = np.minimum(k, np.maximum(self.last.size[nodes] - 1, 0))
+        keys = self.leaf_lines()[0]
+        pos, _k = lower_bound(keys, 0, keys.shape[1],
+                              nodes * self.fanout + line, q)
+        return (keys.reshape(-1)[pos] == q) & (q < self.spec.max_value)
 
     # ------------------------------------------------------------------
     # leaf layout hooks (the gapped subclass overrides them)

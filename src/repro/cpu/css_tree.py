@@ -63,18 +63,18 @@ class CssTree(ImplicitLevels):
             raise ValueError("cannot build a tree over zero tuples")
         if int(keys.max()) >= self.spec.max_value:
             raise ValueError("keys must be strictly below the sentinel value")
-        sorted_keys, sorted_values = sorted_pairs(keys, values)
-        if sorted_keys is keys:
-            # presorted input comes back as the caller's arrays, which
-            # the caller may go on to change
-            sorted_keys, sorted_values = keys.copy(), values.copy()
-        self.sorted_keys = sorted_keys
-        self.sorted_values = sorted_values
         self.num_tuples = len(keys)
-
         sentinel = self.spec.max_value
         run = self.fanout
         n_runs = math.ceil(self.num_tuples / run)
+        # the pairs padded to whole runs, one row per run (the grids the
+        # hybrid leaf stage probes); the sorted arrays are their prefix,
+        # so the caller's presorted arrays are never kept
+        self.run_keys = np.full((n_runs, run), sentinel, dtype=self.spec.dtype)
+        self.run_values = np.zeros((n_runs, run), dtype=self.spec.dtype)
+        self.sorted_keys = self.run_keys.reshape(-1)[: self.num_tuples]
+        self.sorted_values = self.run_values.reshape(-1)[: self.num_tuples]
+        self.sorted_keys[:], self.sorted_values[:] = sorted_pairs(keys, values)
         # directory levels bottom-up; each entry is the max key covered
         child_max = self.sorted_keys[
             np.minimum(np.arange(1, n_runs + 1) * run - 1,

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.cpu.contents import SortedContents
 from repro.cpu.node_search import get_search_function
+from repro.descent import lower_bound
 
 
 class ImplicitLevels(SortedContents):
@@ -81,10 +82,13 @@ class ImplicitLevels(SortedContents):
     def descend_level(self, level: int, node: np.ndarray,
                       queries: np.ndarray) -> np.ndarray:
         """One vectorised step: each query moves from row ``node`` of
-        ``level`` to child ``count(keys < q)``, position ``node * fanout
-        + k`` on level ``level + 1``, clamped to that level's size."""
-        k = np.sum(self.levels[level][node] < queries[:, None],
-                   axis=1).astype(np.int64)
+        ``level`` to child ``k = count(keys < q)`` (exact: a CPU-optimized
+        row of ``fanout - 1`` keys has a child past them), position
+        ``node * fanout + k`` on level ``level + 1``, clamped to that
+        level's size."""
+        grid = self.levels[level]
+        k = lower_bound(grid, 0, grid.shape[1], node if level else 0,
+                        queries, exact=True)[1]
         return np.minimum(node * self.fanout + k, self._next_size(level) - 1)
 
     def descend_top(self, queries: np.ndarray,

@@ -167,29 +167,15 @@ def search_leaf_line(
 
 # Padding slots hold the sentinel key (the key dtype's maximum), so a
 # sentinel query "matches" one whenever its leaf has padding.  No stored
-# key may equal the sentinel, so that match is a miss: both probes below
-# answer the sentinel as not-found.
+# key may equal the sentinel, so that match is a miss: this probe and
+# the batched one (:func:`repro.descent.probe`) answer the sentinel as
+# not-found.
 
 
 def leaf_hit(row: Sequence[int], pos: int, key: int, sentinel: int) -> bool:
     """Whether slot ``pos`` of leaf line ``row`` holds the query ``key``
     (``pos`` from :func:`search_leaf_line`)."""
     return pos < len(row) and key != sentinel and int(row[pos]) == key
-
-
-def probe_leaf_slots(keys: np.ndarray, values: np.ndarray,
-                     slots: np.ndarray, queries: np.ndarray,
-                     sentinel) -> np.ndarray:
-    """Answer each query from the leaf slot its lower bound landed on.
-
-    ``keys`` and ``values`` are a leaf store flattened to one dimension
-    and ``slots`` one flat index into them per query.  A query whose
-    slot holds it gets the slot's value; every other query gets
-    ``sentinel``.
-    """
-    missing = queries.dtype.type(sentinel)
-    found = (keys[slots] == queries) & (queries != missing)
-    return np.where(found, values[slots], missing)
 
 
 def search_costs(algorithm: NodeSearchAlgorithm, n: int, below):

@@ -18,6 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.descent import lower_bound
 from repro.gpusim.device import GpuDevice
 from repro.gpusim.kernels.coalesce import (
     windowed_distinct as _windowed_distinct,
@@ -159,5 +160,9 @@ def implicit_descend(
         view = iseg[
             level_offsets[level]: level_offsets[level] + level_sizes[level]
         ].reshape(-1, fanout)
-        node[active] = sub * fanout + np.sum(view[sub] < qa[:, None], axis=1)
+        # one key per child, so the bound's flat index is the child.  A
+        # node's last key is pinned or bounds every query routed to it,
+        # so the clamped count is exact.  Level 0 is the root.
+        node[active] = lower_bound(view, 0, fanout, sub if level else 0,
+                                   qa)[0]
     return node, _windowed_distinct(streams, group, walking)

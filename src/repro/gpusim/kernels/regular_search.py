@@ -21,6 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.descent import Level, regular_descend, regular_levels
 from repro.gpusim.device import GpuDevice
 from repro.gpusim.kernels.coalesce import (
     windowed_distinct as _windowed_distinct,
@@ -148,50 +149,26 @@ def regular_search_vectorized(
 ) -> Tuple[np.ndarray, int]:
     """Vectorised twin; returns ``(leaf_line_codes, transactions)``.
 
-    Each level is a branchless lower bound over the node's ``fanout``
-    keys in the flat I-segment — ``log2(fanout)`` gathers of one key
-    per query.  Every mirrored node is non-decreasing (routing keys
-    ascend within ``size``, the last used slot is pinned to the maximum
-    and the padding holds it too), so the bound equals
-    ``min(count(keys < q), fanout - 1)``: the child the literal
-    index-line → key-line search picks.  The three line streams of
-    every level (index line per node, key line per (node, line),
-    reference per (node, slot)) go into one matrix that is counted once
-    after the walk, one line per distinct id within each ``group``-query
-    window: one warp's teams for the per-query kernel, the whole bucket
-    for the level-wise frontier accounting (the regular layout has no
-    level-contiguous I-segment to sweep, so only the window moves).
-    Codes are identical for every window.
+    :func:`~repro.descent.regular_levels` over the mirror's image, the
+    walk the CPU tree runs over its pools.  Every mirrored node is
+    non-decreasing (its last used slot is pinned to the maximum, and
+    the padding holds it too), so the lower bound ``min(count(keys <
+    q), fanout - 1)`` is the child the literal index-line → key-line
+    search picks.  The walk's three line streams per level (index line,
+    key line, reference) are counted once after it, one line per
+    distinct id within each ``group``-query window: one warp's teams
+    for the per-query kernel, the whole bucket for the frontier
+    accounting.  Codes are identical for every window.
     """
     if group < 1:
         raise ValueError(f"dedup window group must be >= 1, got {group}")
     q = np.asarray(queries)
-    n = len(q)
-    streams = np.empty((3 * height - 1, n), dtype=np.int64)
-    row = 0
-    node = np.full(n, root, dtype=np.int64)
-    for level in range(height - 1, -1, -1):
-        offset = last_base if level == 0 else 0
-        # flat index of each query's node's first key, then of its bound
-        first = node * stride
-        first += offset * stride + kpl
-        pos = first.copy()
-        step = fanout >> 1
-        while step:
-            pos += (iseg[pos + (step - 1)] < q) * step
-            step >>= 1
-        slot = pos - first
-        # index line: one 64-byte transaction per distinct node per window
-        streams[row] = node
-        # key line: one per distinct (node, key line)
-        np.floor_divide(slot, kpl, out=streams[row + 1])
-        streams[row + 1] += node * kpl
-        if level == 0:
-            txns = _windowed_distinct(streams, group)
-            return node * fanout + slot, txns
-        # reference: one (32-byte) transaction per distinct (node, slot)
-        np.multiply(node, fanout, out=streams[row + 2])
-        streams[row + 2] += slot
-        node = iseg[pos + fanout].astype(np.int64)
-        row += 3
-    raise AssertionError("unreachable: height >= 1 always returns")
+    streams = np.empty((3 * height - 1, len(q)), dtype=np.int64)
+    # last-level nodes are packed behind the upper ones
+    grid = iseg.reshape(-1, stride)
+    last = Level(grid[last_base:], kpl, iseg[last_base * stride:], None)
+    node, slot = regular_descend(regular_levels(
+        last, Level(grid, kpl, iseg, None), height, root, fanout, kpl, q,
+        streams,
+    ))
+    return node * fanout + slot, _windowed_distinct(streams, group)

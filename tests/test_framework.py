@@ -247,3 +247,34 @@ class TestPlanningIsPure:
         plan = fw.plan()
         assert plan.mode == "balanced"
         assert (plan.ratio * 16).is_integer()
+
+
+class TestCssAdapterPricing:
+    """The adapter prices its leaf stage the way it walks it: each
+    code's run of the sorted data array."""
+
+    def test_leaf_stage_touches_each_codes_run(self, m1):
+        keys, values = generate_dataset(4096, seed=5)
+        tree = CssTree(keys, values, mem=MemorySystem.from_spec(m1.cpu))
+        adapter = CssTreeAdapter(tree, m1)
+        assert adapter.bucket_costs().t4 > 0
+        sample = adapter.key_sample(1, 512)
+        leaf = adapter.profile_leaf_stage(sample)
+        # a scalar lookup touches one directory line per level, then
+        # its run's lines
+        tree.mem.reset_counters()
+        for key in sample.tolist():
+            tree.lookup(key)
+        per_lookup = tree.mem.counters.line_accesses / len(sample)
+        assert leaf.lines == pytest.approx(per_lookup - tree.height)
+
+    def test_a_tree_without_memory_prices_in_the_adapters(self, m1):
+        keys, values = generate_dataset(4096, seed=5)
+        bare = CssTreeAdapter(CssTree(keys, values), m1)
+        built = CssTreeAdapter(
+            CssTree(keys, values, mem=MemorySystem.from_spec(m1.cpu)), m1)
+        assert bare.cpu_tree.mem is bare.mem
+        sample = built.key_sample(2, 1024)
+        assert bare.cost_profile(sample) == built.cost_profile(sample)
+        np.testing.assert_array_equal(bare.lookup_batch(sample),
+                                      built.lookup_batch(sample))

@@ -357,3 +357,135 @@ def test_the_mirror_scan_sees_every_writer(tmp_path):
         (2, "update_device"), (4, "to_device"), (5, "resize"),
         (6, "to_device"), (8, "upload"),
     ]
+
+
+# -- one batched node search ---------------------------------------------
+#
+# A batch's lower bound over its rows (the paper's node search, section
+# 5.3) is computed in one function, ``repro.descent.lower_bound``, which
+# picks the whole-row or the branchless form by batch size.  The scan
+# flags both forms written out anywhere: a ``< x[:, None]`` compare
+# counted over axis 1, and a halving ``>> 1`` loop.
+
+#: the one owner: (file, function)
+LOWER_BOUND_OWNER = ("descent.py", "lower_bound")
+
+
+def _is_column(expr) -> bool:
+    """``x[:, None]``: a 1-D array stood up against rows."""
+    return (isinstance(expr, ast.Subscript)
+            and isinstance(expr.slice, ast.Tuple)
+            and len(expr.slice.elts) == 2
+            and isinstance(expr.slice.elts[0], ast.Slice)
+            and isinstance(expr.slice.elts[1], ast.Constant)
+            and expr.slice.elts[1].value is None)
+
+
+def _row_compare(expr) -> bool:
+    """``rows < x[:, None]``."""
+    return (isinstance(expr, ast.Compare)
+            and isinstance(expr.ops[0], ast.Lt)
+            and _is_column(expr.comparators[0]))
+
+
+def _whole_row_count(node, compared=frozenset()) -> bool:
+    """``np.sum(rows < x[:, None], axis=1)``, ``count_nonzero`` or the
+    method form ``(rows < x[:, None]).sum(axis=1)``; the compare may
+    be a name bound to it (``compared``)."""
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sum", "count_nonzero")):
+        return False
+    numpy_form = _is_numpy(node.func.value)
+    axes = [kw.value for kw in node.keywords if kw.arg == "axis"]
+    axes += node.args[1:2] if numpy_form else node.args[:1]
+    if not any(isinstance(axis, ast.Constant) and axis.value == 1
+               for axis in axes):
+        return False
+    counted = node.args[0] if numpy_form and node.args else node.func.value
+    return _row_compare(counted) or (
+        isinstance(counted, ast.Name) and counted.id in compared)
+
+
+def _halves(node) -> bool:
+    """``x >>= 1`` or ``x >> 1``."""
+    if isinstance(node, ast.AugAssign):
+        right = node.value
+    elif isinstance(node, ast.BinOp):
+        right = node.right
+    else:
+        return False
+    return (isinstance(node.op, ast.RShift)
+            and isinstance(right, ast.Constant) and right.value == 1)
+
+
+def _halving_loop(node) -> bool:
+    """A ``while`` loop that halves a step: ``step >>= 1`` or
+    ``half = span >> 1``."""
+    return isinstance(node, ast.While) and any(
+        _halves(inner) for inner in ast.walk(node))
+
+
+def row_lower_bounds(path: Path):
+    """``(line, function, form)`` of every batched row lower bound a
+    file writes out, ``function`` being the enclosing one."""
+    tree = ast.parse(path.read_text(), str(path))
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+
+    def owner(node):
+        while node in parent:
+            node = parent[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return node.name
+        return "<module>"
+
+    compared = frozenset(
+        target.id for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _row_compare(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    )
+    return sorted(
+        (node.lineno, owner(node), form)
+        for node in ast.walk(tree)
+        for form, hit in (("whole-row", _whole_row_count(node, compared)),
+                          ("branchless", _halving_loop(node)))
+        if hit
+    )
+
+
+def test_one_function_computes_a_batched_lower_bound():
+    owners = {
+        (str(path.relative_to(SRC)), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for _line, function, _form in row_lower_bounds(path)
+    }
+    assert owners == {LOWER_BOUND_OWNER}
+    assert {form for *_, form in row_lower_bounds(SRC / "descent.py")} \
+        == {"whole-row", "branchless"}
+
+
+def test_the_lower_bound_scan_sees_both_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def walk(view, node, q):\n"
+        "    k = np.sum(view[node] < q[:, None], axis=1)\n"
+        "    hit = np.any(view[node] == q[:, None], axis=1)\n"
+        "    low = (view[node] < q[:, None]).sum(axis=1)\n"
+        "    below = view[node] < q[:, None]\n"
+        "    n = below.sum(axis=1, dtype=np.int32) + np.sum(below, 1)\n"
+        "    return np.count_nonzero(view[node] < q[:, None], axis=1)\n"
+        "class T:\n"
+        "    def finish(self, keys, pos, q):\n"
+        "        step = 4\n"
+        "        while step:\n"
+        "            pos += (keys[pos + step - 1] < q) * step\n"
+        "            step >>= 1\n"
+        "        total = np.sum(keys < q[:, None], axis=0)\n"
+        "        return pos\n"
+    )
+    assert row_lower_bounds(probe) == [
+        (2, "walk", "whole-row"), (4, "walk", "whole-row"),
+        (6, "walk", "whole-row"), (6, "walk", "whole-row"),
+        (7, "walk", "whole-row"), (11, "finish", "branchless"),
+    ]
